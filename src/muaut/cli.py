@@ -10,6 +10,7 @@ import argparse
 import json
 import random
 import sys
+import traceback
 from dataclasses import asdict, dataclass, field
 
 from . import automata as au
@@ -235,21 +236,35 @@ SUITES = {
 }
 
 
+def _run_instance(suite: str, seed: int, index: int) -> dict | None:
+    """Run one fuzz instance; its failure record, or None when it passes.
+
+    An instance that raises is a failure too, carrying the exception text
+    and the stanza that replays it.
+    """
+    stanza = {"suite": suite, "seed": seed, "index": index}
+    fn = SUITES[suite]
+    try:
+        ok, detail, replay_data = fn(_instance_rng(seed, index))
+    except Exception as e:
+        text = "%s: %s" % (type(e).__name__, e)
+        return {"index": index, "detail": "raised " + text, "exception": text,
+                "traceback": traceback.format_exc(), "replay": stanza}
+    if ok:
+        return None
+    return {"index": index, "detail": detail, "replay": {**stanza, **replay_data}}
+
+
 def run_fuzz(suite: str, n: int, seed: int) -> RunReport:
     if suite not in SUITES:
         raise KeyError("unknown suite %r (have: %s)" % (suite, ", ".join(sorted(SUITES))))
-    fn = SUITES[suite]
     rep = RunReport("fuzz %s" % suite, seed, n, 0)
     for i in range(n):
-        rng = _instance_rng(seed, i)
-        ok, detail, replay = fn(rng)
-        if ok:
+        fail = _run_instance(suite, seed, i)
+        if fail is None:
             rep.passed += 1
         else:
-            rep.failures.append({
-                "index": i, "detail": detail,
-                "replay": {"suite": suite, "seed": seed, "index": i, **replay},
-            })
+            rep.failures.append(fail)
     return rep
 
 
@@ -259,11 +274,10 @@ def replay(path: str) -> RunReport:
     if "replay" in data:
         data = data["replay"]
     suite, seed, index = data["suite"], data["seed"], data["index"]
-    rng = _instance_rng(seed, index)
-    ok, detail, _ = SUITES[suite](rng)
-    rep = RunReport("replay %s#%d" % (suite, index), seed, 1, 1 if ok else 0)
-    if not ok:
-        rep.failures.append({"index": index, "detail": detail, "replay": data})
+    fail = _run_instance(suite, seed, index)
+    rep = RunReport("replay %s#%d" % (suite, index), seed, 1, 0 if fail else 1)
+    if fail:
+        rep.failures.append(fail)
     return rep
 
 
@@ -538,6 +552,9 @@ def main(argv=None) -> int:
         return handler(args)
     except (ValueError, KeyError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: formula nesting too deep", file=sys.stderr)
         return 2
 
 

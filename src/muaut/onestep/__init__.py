@@ -14,7 +14,7 @@ from .models import (OMEGA, OneStepModel, WeightedOneStepModel, all_models,
                      all_weighted_models, eval_finite, eval_weighted,
                      min_valuations, model_of_types, weighted)
 from .normalform import (BasicForm, BasicFormDisjunct, NotContinuousError,
-                         NotPositiveError, ProfileBlowupError, counterexample,
+                         NotPositiveError, ProfileBlowupError,
                          diamond_translate, equivalent, expand,
                          expand_disjunct, satisfying_restriction_exists,
                          to_basic_form, to_continuous_basic_form)

@@ -12,8 +12,18 @@ The sweep is organized for speed: satisfaction is computed as a boolean
 vector over the profile space, factored through conjunctions and
 disjunctions, with leaves evaluated on their own (much smaller) predicate
 space and cylindrified onto the joint space by multiplicity aggregation.
-A subsumption pass then prunes records implied by weaker kept ones, which
-keeps the output usable as an automaton transition entry.
+
+Records are pruned as arrays.  Over the types in rank order (by size, then
+by sorted names), each satisfying profile becomes one row of three
+arrays: witness counts W, cover bits C and infinite-cover bits I, read off
+its class digits through per-class lookup tables.  The rows are walked in a
+canonical order: by witness count, cover size and inf-cover size, then by
+the rows themselves.  The order, and with it the output, depends only on
+the sentence, never on the hash seed.  In one greedy pass the next unmarked
+row is kept and, in a single vectorized step, marks every later row it
+subsumes: a sound, incomplete implication check with a greedy witness
+match.  Only kept rows become `BasicFormDisjunct` records, which keeps the
+output usable as an automaton transition entry.
 """
 from __future__ import annotations
 
@@ -25,14 +35,13 @@ from typing import Optional
 import numpy as np
 
 from .ast import (FO1, FOE1, FOE1INF, And, DialectError, Eq, Exists,
-                  ExistsInf, Forall, ForallInf, Formula, Neq, Or, Pred,
+                  ExistsInf, Forall, ForallInf, Formula, Neq, Or,
                   OneStepFormula, conj, disj, expand_sugar, is_positive,
                   predicates, rank, sentence, type_atom)
-from .models import (OMEGA, all_models, all_weighted_models, eval_finite,
-                     eval_weighted, eval_weighted_raw, model_of_types,
-                     weighted)
+from .models import OMEGA, all_models, eval_finite, eval_weighted_raw
 
 PROFILE_LIMIT = 1 << 20
+LEAF_CACHE_BYTES = 64 << 20
 
 _OMEGA_REP = 10 ** 9  # representative count for an infinite class
 
@@ -71,10 +80,6 @@ class BasicForm:
     dialect: str
     preds: tuple[str, ...]
     disjuncts: tuple[BasicFormDisjunct, ...]
-
-
-def _canon_types(types) -> tuple[frozenset[str], ...]:
-    return tuple(sorted(types, key=lambda t: (len(t), sorted(t))))
 
 
 def _all_types(preds: tuple[str, ...]) -> list[frozenset[str]]:
@@ -135,22 +140,40 @@ def _profile_of_index(space: _Space, idx: int) -> tuple:
     return tuple(reversed(out))
 
 
-_leaf_cache: dict = {}
+class _LeafCache(dict):
+    """Leaf sweeps kept across calls, bounded in bytes: cleared whenever
+    the next sweep would push the total past LEAF_CACHE_BYTES."""
+
+    nbytes = 0
+
+    def put(self, key, sat: np.ndarray) -> None:
+        if self.nbytes + sat.nbytes > LEAF_CACHE_BYTES:
+            self.clear()
+        if sat.nbytes <= LEAF_CACHE_BYTES:
+            self[key] = sat
+            self.nbytes += sat.nbytes
+
+    def clear(self) -> None:
+        super().clear()
+        self.nbytes = 0
 
 
-def _sat_vector(ast: Formula, space: _Space, cols: np.ndarray) -> np.ndarray:
+_leaf_cache = _LeafCache()
+
+
+def _sat_vector(ast: Formula, space: _Space) -> np.ndarray:
     """Boolean vector over the profile space: does the representative model
     of each profile satisfy the (positive, sugar-free) formula?"""
     match ast:
         case And(args):
             out = np.ones(space.size, dtype=bool)
             for a in args:
-                out &= _sat_vector(a, space, cols)
+                out &= _sat_vector(a, space)
             return out
         case Or(args):
             out = np.zeros(space.size, dtype=bool)
             for a in args:
-                out |= _sat_vector(a, space, cols)
+                out |= _sat_vector(a, space)
             return out
     leaf_preds = tuple(sorted(predicates(ast)))
     if leaf_preds == space.preds:
@@ -170,13 +193,10 @@ def _sat_vector(ast: Formula, space: _Space, cols: np.ndarray) -> np.ndarray:
                     counts[tp] = OMEGA if rep == _OMEGA_REP else int(rep)
             out[idx] = eval_weighted_raw(ast, counts)
         out.setflags(write=False)
-        if len(_leaf_cache) > 4096:
-            _leaf_cache.clear()
-        _leaf_cache[key] = out
+        _leaf_cache.put(key, out)
         return out
     sub = _Space(leaf_preds, space.reps, space.has_omega)
-    sub_cols = _class_columns(sub)
-    sub_sat = _sat_vector(ast, sub, sub_cols)
+    sub_sat = _sat_vector(ast, sub)
     mapping = _cylinder_map(space, sub)
     return sub_sat[mapping]
 
@@ -211,75 +231,155 @@ def _cylinder_map(joint: _Space, sub: _Space) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# record synthesis and pruning
+# record arrays and pruning
+#
+# A record is one row of three arrays over the types in rank order
+# (len, sorted): W holds witness counts, C cover bits and I inf-cover bits.
 
 
-def _record_for_profile(dialect: str, r: int, types, profile, reps, has_omega) -> BasicFormDisjunct:
-    witnesses = []
-    cover = set()
-    inf_cover = set()
-    for tp, cls in zip(types, profile):
-        rep = reps[cls]
-        if has_omega and rep == _OMEGA_REP:
-            witnesses.extend([tp] * r)
-            inf_cover.add(tp)
-        elif rep >= r:
-            witnesses.extend([tp] * r)
-            cover.add(tp)
-        else:
-            witnesses.extend([tp] * int(rep))
+@dataclass(frozen=True, eq=False)
+class _Ranked:
+    """The types over a predicate tuple in rank order, with the inclusion
+    tables the pruner walks."""
+
+    types: tuple[frozenset[str], ...]
+    index: dict  # type -> rank
+    masks: tuple[int, ...]  # position of each ranked type in `_all_types`
+    sup: np.ndarray  # sup[s, u]: types[s] <= types[u]
+    sups: tuple[tuple[int, ...], ...]  # supersets of each type, rank order
+    match_order: tuple[int, ...]  # longest first, rank order within a length
+
+
+@lru_cache(maxsize=256)
+def _ranked(preds: tuple[str, ...]) -> _Ranked:
+    by_mask = _all_types(preds)
+    masks = tuple(sorted(range(len(by_mask)),
+                         key=lambda j: (len(by_mask[j]), sorted(by_mask[j]))))
+    types = tuple(by_mask[j] for j in masks)
+    sup = np.array([[s <= u for u in types] for s in types], dtype=bool)
+    sups = tuple(tuple(np.flatnonzero(row).tolist()) for row in sup)
+    match_order = tuple(sorted(range(len(types)), key=lambda j: -len(types[j])))
+    return _Ranked(types, {tp: j for j, tp in enumerate(types)}, masks, sup, sups,
+                   match_order)
+
+
+@lru_cache(maxsize=256)
+def _class_records(dialect: str, preds: tuple[str, ...], r: int):
+    """Per ranked type, the weight of its class digit in a profile index;
+    per class, the witness count and cover / inf-cover bits it yields."""
+    space = _space_for(dialect, preds, r)
+    k, ntypes = len(space.reps), 1 << len(preds)
+    weights = np.array([k ** (ntypes - 1 - j) for j in _ranked(preds).masks], dtype=np.int64)
+    r = 1 if dialect == FO1 else r  # FO1 only tells realized types from absent ones
+    inf = np.array([space.has_omega and rep == _OMEGA_REP for rep in space.reps])
+    wit = np.array([min(rep, r) for rep in space.reps], dtype=np.int16)
+    cov = np.array([rep >= r for rep in space.reps]) & ~inf
+    return k, weights, wit, cov, inf
+
+
+def _subsumed(w, c, i, W, C, I, dialect: str, rk: _Ranked) -> np.ndarray:
+    """Rows that the record (w, c, i) subsumes.
+
+    Sound, incomplete: every model of a marked row models the record.  The
+    witness match is greedy: the record's witnesses, longest first, each
+    take the first available superset type of the row in rank order.
+    """
+    sup = rk.sup
+    above = sup[c | i].any(0)  # types lying above a cover type of the record
+    # every cover type of the row, and every infinite tail, must land
+    # inside the record's; each demanded infinite type must ride on an
+    # infinite type of the row
+    out = ~((C | I) & ~above).any(1) & ~(I & ~sup[i].any(0)).any(1)
+    for s in np.flatnonzero(i):
+        out &= I[:, sup[s]].any(1)
     if dialect == FO1:
-        wits = _canon_types(set(witnesses) | cover)
-        return BasicFormDisjunct(wits, frozenset(wits))
-    return BasicFormDisjunct(
-        _canon_types(witnesses),
-        frozenset(cover),
-        frozenset(inf_cover) if dialect == FOE1INF else None,
-    )
+        for s in np.flatnonzero(w):
+            out &= W[:, sup[s]].any(1)
+        return out
+    cand = np.flatnonzero(out)
+    if not len(cand):
+        return out
+    avail = W[cand]
+    for s in rk.match_order:
+        if not w[s]:
+            continue
+        need = np.full(len(cand), w[s], dtype=W.dtype)
+        for u in rk.sups[s]:
+            take = np.minimum(need, avail[:, u])
+            avail[:, u] -= take
+            need -= take
+        out[cand] &= need == 0
+    # leftover witnesses of the row must fall under the record's cover
+    out[cand] &= ~((avail > 0) & ~above).any(1)
+    return out
 
 
-def _subsumes(weak: BasicFormDisjunct, strong: BasicFormDisjunct, dialect: str) -> bool:
-    """Sound, incomplete check that every model of `strong` models `weak`."""
-    cover_w = set(weak.cover) | set(weak.inf_cover or ())
-    cover_s = set(strong.cover) | set(strong.inf_cover or ())
-    if dialect == FO1:
-        return (
-            all(any(u >= s for u in strong.witnesses) for s in weak.witnesses)
-            and all(any(s <= u for s in weak.cover) for u in cover_s)
-        )
-    # greedy witness matching with type inclusion
-    avail = list(strong.witnesses)
-    for t in sorted(weak.witnesses, key=len, reverse=True):
-        cands = [u for u in avail if t <= u]
-        if not cands:
-            return False
-        avail.remove(min(cands, key=lambda u: (len(u), sorted(u))))
-    for u in avail:  # leftover strong witnesses must fall under weak's cover
-        if not any(s <= u for s in cover_w):
-            return False
-    for u in cover_s:
-        if not any(s <= u for s in cover_w):
-            return False
-    if dialect == FOE1INF:
-        inf_w = weak.inf_cover or frozenset()
-        inf_s = strong.inf_cover or frozenset()
-        # each demanded infinite type must ride on a stronger infinite type,
-        # and every infinite tail of `strong` must land inside `weak`'s
-        if not all(any(s <= u for u in inf_s) for s in inf_w):
-            return False
-        if not all(any(s <= u for s in inf_w) for u in inf_s):
-            return False
-    return True
+def _canonical_order(W, C, I) -> np.ndarray:
+    """The order the pruner walks: by witness count, cover size and
+    inf-cover size, then by the rows themselves, each type column taken
+    largest first so that records resting on smaller (weaker) types lead."""
+    keys = np.column_stack([W.sum(1), C.sum(1), I.sum(1), -W, ~C, ~I])
+    return np.lexsort(keys.T[::-1])
 
 
-def _prune(records: list[BasicFormDisjunct], dialect: str) -> tuple[BasicFormDisjunct, ...]:
-    records = sorted(set(records), key=lambda d: (len(d.witnesses), len(d.cover),
-                                                  len(d.inf_cover or ()), repr(d)))
-    kept: list[BasicFormDisjunct] = []
-    for rec in records:
-        if not any(_subsumes(k, rec, dialect) for k in kept):
-            kept.append(rec)
-    return tuple(kept)
+def _prune(W, C, I, dialect: str, rk: _Ranked) -> tuple[BasicFormDisjunct, ...]:
+    """Greedy pass over the rows in canonical order: the next unmarked row
+    is kept and marks every later row it subsumes.  Only kept rows are
+    materialized."""
+    rows = _canonical_order(W, C, I)
+    kept = []
+    while len(rows):
+        top, rows = rows[0], rows[1:]
+        kept.append(top)
+        if len(rows):
+            rows = rows[~_subsumed(W[top], C[top], I[top], W[rows], C[rows], I[rows],
+                                   dialect, rk)]
+    return _disjuncts(W[kept], C[kept], I[kept], dialect, rk.types)
+
+
+def _disjuncts(W, C, I, dialect: str, types) -> tuple[BasicFormDisjunct, ...]:
+    out = []
+    for w, c, i in zip(W.tolist(), C.tolist(), I.tolist()):
+        wits = tuple(tp for tp, m in zip(types, w) for _ in range(m))
+        cover = frozenset(tp for tp, bit in zip(types, c) if bit)
+        inf = (frozenset(tp for tp, bit in zip(types, i) if bit)
+               if dialect == FOE1INF else None)
+        out.append(BasicFormDisjunct(wits, cover, inf))
+    return tuple(out)
+
+
+def _rows(disjuncts, rk: _Ranked):
+    """The W, C, I arrays of already materialized records."""
+    W = np.zeros((len(disjuncts), len(rk.types)), dtype=np.int16)
+    C = np.zeros(W.shape, dtype=bool)
+    I = np.zeros(W.shape, dtype=bool)
+    for row, d in enumerate(disjuncts):
+        for tp in d.witnesses:
+            W[row, rk.index[tp]] += 1
+        C[row, [rk.index[tp] for tp in d.cover]] = True
+        I[row, [rk.index[tp] for tp in d.inf_cover or ()]] = True
+    return W, C, I
+
+
+def _occurring(f: OneStepFormula) -> tuple[Formula, tuple[str, ...]]:
+    ast = expand_sugar(f.ast)
+    return ast, tuple(sorted(predicates(ast)))
+
+
+def _records(f: OneStepFormula):
+    """W, C, I rows of every satisfying truncated profile, and the ranked
+    types they range over."""
+    ast, occ = _occurring(f)
+    r = max(rank(ast), 1)
+    space = _space_for(f.dialect, occ, r)
+    if space.size > PROFILE_LIMIT:
+        raise ProfileBlowupError(
+            "profile space %d exceeds limit (%d predicates occurring, depth %d)"
+            % (space.size, len(occ), r))
+    sat = _sat_vector(ast, space)
+    k, weights, wit, cov, inf = _class_records(f.dialect, occ, r)
+    cls = np.flatnonzero(sat)[:, None] // weights % k  # (profiles, ranked types)
+    return wit[cls], cov[cls], inf[cls], _ranked(occ)
 
 
 @lru_cache(maxsize=4096)
@@ -292,24 +392,8 @@ def to_basic_form(f: OneStepFormula) -> BasicForm:
     """
     if not is_positive(f.ast):
         raise NotPositiveError("basic forms are defined for positive sentences")
-    ast = expand_sugar(f.ast)
-    occ = tuple(sorted(predicates(ast)))
-    r = max(rank(ast), 1)
-    space = _space_for(f.dialect, occ, r)
-    if space.size > PROFILE_LIMIT:
-        raise ProfileBlowupError(
-            "profile space %d exceeds limit (%d predicates occurring, depth %d)"
-            % (space.size, len(occ), r))
-    cols = _class_columns(space)
-    sat = _sat_vector(ast, space, cols)
-    types = space.types
-    records = []
-    r_eff = 1 if f.dialect == FO1 else r
-    for idx in np.nonzero(sat)[0]:
-        profile = _profile_of_index(space, int(idx))
-        records.append(_record_for_profile(f.dialect, r_eff, types, profile,
-                                           space.reps, space.has_omega))
-    return BasicForm(f.dialect, f.preds, _prune(records, f.dialect))
+    W, C, I, rk = _records(f)
+    return BasicForm(f.dialect, f.preds, _prune(W, C, I, f.dialect, rk))
 
 
 def expand_disjunct(d: BasicFormDisjunct, dialect: str) -> Formula:
@@ -353,14 +437,15 @@ def to_continuous_basic_form(f: OneStepFormula, b: frozenset[str], verify_bound:
     if f.dialect == FOE1:
         raise DialectError("continuous basic forms exist for FO1 and FOE1INF only")
     bf = to_basic_form(f)
+    rk = _ranked(_occurring(f)[1])
+    W, C, I = _rows(bf.disjuncts, rk)
     if f.dialect == FO1:
-        recs = tuple(
-            BasicFormDisjunct(d.witnesses, frozenset(s - b for s in d.cover))
-            for d in bf.disjuncts
-        )
+        C = C @ np.array([[s - b == u for u in rk.types] for s in rk.types])
     else:
-        recs = tuple(d for d in bf.disjuncts if not any(s & b for s in d.inf_cover or ()))
-    out = BasicForm(f.dialect, f.preds, _prune(list(recs), f.dialect))
+        hits = np.array([bool(s & b) for s in rk.types])
+        keep = ~(I & hits).any(1)
+        W, C, I = W[keep], C[keep], I[keep]
+    out = BasicForm(f.dialect, f.preds, _prune(W, C, I, f.dialect, rk))
     bound = verify_bound if verify_bound is not None else rank(f.ast) + 1
     if not equivalent(f, expand(out), bound):
         raise NotContinuousError(
@@ -386,26 +471,11 @@ def equivalent(f: OneStepFormula, g: OneStepFormula, bound: int) -> bool:
         space = _Space(preds, tuple(range(k + 1)) + ((_OMEGA_REP,) if need_omega else ()),
                        need_omega)
         if space.size <= PROFILE_LIMIT:
-            cols = _class_columns(space)
-            fa = _sat_vector(expand_sugar(f.ast), space, cols)
-            ga = _sat_vector(expand_sugar(g.ast), space, cols)
+            fa = _sat_vector(expand_sugar(f.ast), space)
+            ga = _sat_vector(expand_sugar(g.ast), space)
             if not bool(np.array_equal(fa, ga)):
                 return False
     return True
-
-
-def counterexample(f: OneStepFormula, g: OneStepFormula, bound: int):
-    """First model on which the two sentences disagree, or None."""
-    preds = tuple(sorted(set(predicates(f.ast)) | set(predicates(g.ast))))
-    for m in all_models(preds, bound):
-        if eval_finite(f.ast, m) != eval_finite(g.ast, m):
-            return m
-    need_omega = f.dialect == FOE1INF or g.dialect == FOE1INF
-    k = min(bound, max(rank(f.ast), rank(g.ast), 1))
-    for wm in all_weighted_models(preds, k, need_omega):
-        if eval_weighted(f.ast, wm) != eval_weighted(g.ast, wm):
-            return wm
-    return None
 
 
 def diamond_translate(bf: BasicForm) -> OneStepFormula:

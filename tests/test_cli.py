@@ -116,3 +116,28 @@ def test_fix_cli(capsys, loop_file):
 
 def test_parse_error_exit_code(capsys, loop_file):
     assert cli.main(["mu", "eval", "mu x. ((", "--lts", loop_file]) == 2
+
+
+def test_deep_nesting_exits_cleanly(capsys):
+    assert cli.main(["mu", "classify", "dia " * 1500 + "p"]) == 2
+    assert "error: formula nesting too deep" in capsys.readouterr().err
+
+
+def test_raising_fuzz_instance_is_a_replayable_failure(monkeypatch, tmp_path, capsys):
+    def suite(rng):
+        if rng.random() < 0.5:
+            raise RuntimeError("boom")
+        return True, "", {}
+
+    monkeypatch.setitem(cli.SUITES, "flaky", suite)
+    rep = cli.run_fuzz("flaky", 20, 3)
+    assert 0 < rep.passed < 20 and rep.passed + len(rep.failures) == 20
+    fail = rep.failures[0]
+    assert fail["exception"] == "RuntimeError: boom"
+    assert "in suite" in fail["traceback"]
+    assert fail["replay"] == {"suite": "flaky", "seed": 3, "index": fail["index"]}
+    assert cli.main(["fuzz", "flaky", "--n", "20", "--seed", "3"]) == 1
+    path = tmp_path / "replay.json"
+    path.write_text(json.dumps(fail))
+    assert cli.main(["replay", str(path)]) == 1
+    assert "RuntimeError: boom" in capsys.readouterr().out

@@ -1,9 +1,17 @@
+import os
 import random
+import subprocess
+import sys
+import time
 
 import pytest
 
+from muaut import automata as au
 from muaut import gen
 from muaut import onestep as o
+from muaut.onestep import normalform as nf
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def m(size, **val):
@@ -233,3 +241,172 @@ def test_parse_pretty_round_trip():
     for _ in range(60):
         f = gen.rand_onestep(rng, ("a", "b"), 2, o.FOE1INF, positive=False).ast
         assert o.parse_formula(o.pretty(f)) == f
+
+
+# ---------------------------------------------------------------------------
+# the array pruner against a scalar greedy reference
+
+REFERENCE_RECORD_CAP = 20_000
+
+
+def _subsumes(weak, strong, dialect):
+    """Sound, incomplete check that every model of `strong` models `weak`."""
+    cover_w = set(weak.cover) | set(weak.inf_cover or ())
+    cover_s = set(strong.cover) | set(strong.inf_cover or ())
+    if dialect == o.FO1:
+        return (
+            all(any(u >= s for u in strong.witnesses) for s in weak.witnesses)
+            and all(any(s <= u for s in weak.cover) for u in cover_s)
+        )
+    # greedy witness matching with type inclusion
+    avail = list(strong.witnesses)
+    for t in sorted(weak.witnesses, key=len, reverse=True):
+        cands = [u for u in avail if t <= u]
+        if not cands:
+            return False
+        avail.remove(min(cands, key=lambda u: (len(u), sorted(u))))
+    for u in avail:  # leftover strong witnesses must fall under weak's cover
+        if not any(s <= u for s in cover_w):
+            return False
+    for u in cover_s:
+        if not any(s <= u for s in cover_w):
+            return False
+    if dialect == o.FOE1INF:
+        inf_w = weak.inf_cover or frozenset()
+        inf_s = strong.inf_cover or frozenset()
+        if not all(any(s <= u for u in inf_s) for s in inf_w):
+            return False
+        if not all(any(s <= u for s in inf_w) for u in inf_s):
+            return False
+    return True
+
+
+def _reference_disjuncts(f):
+    """Every record of f, walked in the pruner's canonical order and kept
+    unless an earlier kept record subsumes it; None past the record cap."""
+    W, C, I, rk = nf._records(f)
+    if len(W) > REFERENCE_RECORD_CAP:
+        return None
+    order = nf._canonical_order(W, C, I)
+    kept = []
+    for rec in nf._disjuncts(W[order], C[order], I[order], f.dialect, rk.types):
+        if not any(_subsumes(k, rec, f.dialect) for k in kept):
+            kept.append(rec)
+    return tuple(kept)
+
+
+def _check_against_reference(corpus, equivalence=lambda f: True):
+    compared = 0
+    for f in corpus:
+        bf = o.to_basic_form(f)
+        want = _reference_disjuncts(f)
+        if want is not None:
+            assert bf.disjuncts == want, o.pretty(f.ast)
+            compared += 1
+        if equivalence(f):
+            assert o.equivalent(f, o.expand(bf), o.rank(f.ast) + 1), o.pretty(f.ast)
+    return compared
+
+
+@pytest.mark.parametrize("dialect", sorted(o.DIALECTS))
+def test_pruner_matches_reference_on_enumerated_sentences(dialect):
+    corpus = [f for f in gen.enumerate_sentences(("a", "b"), 2, dialect) if o.is_positive(f.ast)]
+    assert _check_against_reference(corpus) == len(corpus)
+
+
+def test_pruner_matches_reference_on_random_sentences():
+    rng = random.Random(13)
+    dialects = sorted(o.DIALECTS)
+    corpus = [gen.rand_onestep(rng, ("a", "b"), 2, dialects[i % 3], positive=True)
+              for i in range(200)]
+    assert _check_against_reference(corpus) == 200
+
+
+def _criterion_entries(monkeypatch):
+    """The sentences normalized by acceptance criteria 4, 5 and 10."""
+    rng = random.Random(104)
+    out = [gen.rand_onestep(rng, ("a", "b"), 2, (o.FO1, o.FOE1, o.FOE1INF)[i % 3], positive=True)
+           for i in range(100)]
+    rng = random.Random(110)
+    out += [f for f in gen.enumerate_sentences(("a", "b"), 1, o.FOE1INF) if o.is_positive(f.ast)]
+    out += [gen.rand_onestep(rng, ("a", "b"), 2, d, positive=True)
+            for d in (o.FOE1, o.FOE1INF) for _ in range(40)]
+    normalize = o.to_basic_form
+
+    def record(f):
+        out.append(f)
+        return normalize(f)
+
+    with monkeypatch.context() as m:
+        m.setattr(o, "to_basic_form", record)
+        rng = random.Random(105)
+        for dialect, want, construct in ((o.FOE1INF, "cw", au.finitary_construct),
+                                         (o.FOE1, "weak", au.noetherian_construct)):
+            for _ in range(30):
+                construct(gen.rand_automaton(rng, ("p",), rng.choice([1, 2, 2, 3]),
+                                             dialect=dialect, want=want))
+                gen.rand_tree(rng, ("p",), depth=3, max_branch=2)
+    return list(dict.fromkeys(out))
+
+
+def test_pruner_matches_reference_on_criterion_entries(monkeypatch):
+    corpus = _criterion_entries(monkeypatch)
+    # the bounded equivalence check sweeps every leaf profile by profile,
+    # which takes minutes on a three-predicate construct entry
+    compared = _check_against_reference(
+        corpus, equivalence=lambda f: len(o.predicates(f.ast)) <= 2)
+    assert compared == len(corpus) - 1  # only the 64,256-record entry is past the cap
+
+
+def test_largest_construct_entry_is_fast():
+    f = o.parse("((E x. q2(x)) | (E x. q1(x)) | (E x. q0(x))) & (E x. E y. x!=y & q2(x) & q2(y))",
+                "FOE1INF", ("q0", "q1", "q2"))
+    assert len(nf._records(f)[0]) == 64_256
+    t0 = time.perf_counter()
+    nf.to_basic_form.__wrapped__(f)
+    assert time.perf_counter() - t0 < 5.0
+
+
+def test_normal_forms_do_not_depend_on_hash_seed():
+    script = (
+        "import json, random\n"
+        "from muaut import automata as au, gen, onestep as o\n"
+        "def types(ts):\n"
+        "    return sorted(sorted(t) for t in ts)\n"
+        "for d in sorted(o.DIALECTS):\n"
+        "    for f in gen.enumerate_sentences(('a', 'b'), 1, d):\n"
+        "        if o.is_positive(f.ast):\n"
+        "            print([([sorted(t) for t in r.witnesses], types(r.cover),\n"
+        "                    None if r.inf_cover is None else types(r.inf_cover))\n"
+        "                   for r in o.to_basic_form(f).disjuncts])\n"
+        "rng = random.Random(105)\n"
+        "aut = gen.rand_automaton(rng, ('p',), rng.choice([1, 2, 2, 3]), dialect=o.FOE1INF, want='cw')\n"
+        "print(json.dumps(au.finitary_construct(aut).to_json(), sort_keys=True))\n"
+    )
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        outs.append(subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                   capture_output=True).stdout)
+    assert outs[0] and outs[0] == outs[1]
+
+
+def test_leaf_cache_stays_within_byte_budget(monkeypatch):
+    monkeypatch.setattr(nf, "LEAF_CACHE_BYTES", 4096)
+    monkeypatch.setattr(nf, "_leaf_cache", nf._LeafCache())
+    cache = nf._leaf_cache
+    space = nf._space_for(o.FOE1INF, ("a", "b"), 2)  # 4**4 profiles, 256 bytes a leaf
+    corpus = [f for f in gen.enumerate_sentences(("a", "b"), 2, o.FOE1INF)
+              if o.is_positive(f.ast) and len(o.predicates(f.ast)) == 2]
+    cleared = False
+    for f in corpus[:60]:
+        before = cache.nbytes
+        nf._sat_vector(o.expand_sugar(f.ast), space)
+        cleared |= cache.nbytes < before
+        assert sum(v.nbytes for v in cache.values()) == cache.nbytes <= 4096
+    assert cleared
+    # an array past the whole budget is computed but not kept
+    monkeypatch.setattr(nf, "LEAF_CACHE_BYTES", space.size - 1)
+    nf._sat_vector(o.parse("E x. E y. a(x) & b(y) & x!=y", o.FOE1INF).ast, space)
+    assert cache == {} and cache.nbytes == 0
