@@ -8,12 +8,11 @@ the state predicates.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from .. import onestep as o
 from ..lts import LTS, PropSet
-from ..paritygame import EXISTS, FORALL, ParityGame, Solution, solve
+from ..paritygame import EXISTS, FORALL, ParityGame, build_arena, solve
 
 
 def pred_name(state: int) -> str:
@@ -110,70 +109,28 @@ def acceptance_game(aut: ParityAutomaton, lts: LTS, full_enumeration: bool = Fal
     priority; her moves are valuations of the state predicates over the
     node's successors satisfying the transition entry.  Valuation
     positions belong to Forall with priority 0.  Minimal valuations
-    suffice by monotonicity; the full enumeration is a regression oracle.
+    suffice by monotonicity; within one build they are computed once per
+    (entry, out-degree) and relabelled onto each node's successors.  The
+    full enumeration (`onestep.all_valuations`) is a regression oracle.
     """
     if aut.props.names != lts.props.names:
         raise AlphabetMismatch("automaton alphabet %r vs system %r" % (aut.props.names, lts.props.names))
+    succ = lts.successor_table()
+    memo: dict = {}
 
-    index: dict = {}
-    desc = []
-    owner = []
-    moves: list[list[int]] = []
-    priority = []
-    todo: list = []
-
-    def intern(pos):
-        if pos in index:
-            return index[pos]
-        i = len(desc)
-        index[pos] = i
-        desc.append(pos)
-        owner.append(EXISTS)
-        moves.append([])
-        priority.append(0)
-        todo.append(pos)
-        return i
-
-    root = intern(("b", aut.init, lts.init))
-    while todo:
-        pos = todo.pop()
-        i = index[pos]
-        if pos[0] == "b":
-            _, a, s = pos
-            owner[i] = EXISTS
-            priority[i] = aut.omega[a]
-            f = aut.entry(a, lts.colours[s])
-            succ = lts.successors(s)
-            vals = _satisfying_valuations(f, succ, full_enumeration)
-            moves[i] = [intern(("v", v)) for v in vals]
+    def expand(pos):
+        if pos[0] == "v":
+            return FORALL, 0, [("b", pred_state(a), t) for (a, t) in sorted(pos[1])]
+        _, a, s = pos
+        f = aut.entry(a, lts.colours[s])
+        if full_enumeration:
+            vals = o.all_valuations(f, succ[s])
         else:
-            _, v = pos
-            owner[i] = FORALL
-            priority[i] = 0
-            moves[i] = [intern(("b", pred_state(a), t)) for (a, t) in sorted(v)]
+            vals = o.min_valuations_memo(f, succ[s], memo)
+        return EXISTS, aut.omega[a], [("v", v) for v in vals]
 
-    game = ParityGame(tuple(owner), tuple(tuple(m) for m in moves), tuple(priority))
-    return AcceptanceGame(game, tuple(desc), root)
-
-
-def _satisfying_valuations(f: o.Formula, succ: tuple[int, ...], full: bool):
-    if full:
-        import itertools
-        preds = sorted(o.predicates(f))
-        pairs = [(a, t) for a in preds for t in succ]
-        out = []
-        for k in range(len(pairs) + 1):
-            for combo in itertools.combinations(pairs, k):
-                vset = frozenset(combo)
-                idx = {t: j for j, t in enumerate(succ)}
-                val: dict[str, set] = {a: set() for a in preds}
-                for (a, t) in vset:
-                    val[a].add(idx[t])
-                m = o.OneStepModel(len(succ), {a: frozenset(v) for a, v in val.items()})
-                if o.eval_finite(f, m):
-                    out.append(vset)
-        return out
-    return o.min_valuations(f, succ)
+    game, positions = build_arena(("b", aut.init, lts.init), expand)
+    return AcceptanceGame(game, positions, 0)
 
 
 def accepts(aut: ParityAutomaton, lts: LTS) -> bool:

@@ -48,10 +48,6 @@ def formula_functional(body: MuFormula, var: str, lts: LTS,
     return MonotoneFunctional(frozenset(lts.states()), apply, lts)
 
 
-def table_functional(carrier, table: dict[frozenset[int], frozenset[int]]) -> MonotoneFunctional:
-    return MonotoneFunctional(frozenset(carrier), lambda xs: table[xs])
-
-
 def monotone_on_samples(f: MonotoneFunctional, pairs) -> bool:
     for lo, hi in pairs:
         if lo <= hi and not f(lo) <= f(hi):

@@ -80,8 +80,18 @@ class LTS:
     def successors(self, s: int) -> tuple[int, ...]:
         return tuple(sorted(t for (u, t) in self.edges if u == s))
 
-    def predecessors(self, s: int) -> tuple[int, ...]:
-        return tuple(sorted(u for (u, t) in self.edges if t == s))
+    def successor_table(self) -> tuple[tuple[int, ...], ...]:
+        """Every state's successors, ascending, from one pass over the edges.
+
+        Whole-system walks read this once instead of calling successors()
+        per state, which scans every edge each time.  It is not cached on
+        the system, which would keep a second copy of the edges alive for
+        the system's lifetime; callers hold it for one walk.
+        """
+        out: list[list[int]] = [[] for _ in range(self.n)]
+        for u, t in self.edges:
+            out[u].append(t)
+        return tuple(tuple(sorted(ts)) for ts in out)
 
     def colour(self, s: int) -> frozenset[str]:
         return self.colours[s]
@@ -94,16 +104,7 @@ class LTS:
         return frozenset(s for s in range(self.n) if p in self.colours[s])
 
     def reachable(self, start: Optional[int] = None) -> frozenset[int]:
-        start = self.init if start is None else start
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for t in self.successors(u):
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return frozenset(seen)
+        return _reach(self.successor_table(), self.init if start is None else start)
 
     def to_json(self) -> dict:
         colors = {
@@ -116,6 +117,17 @@ class LTS:
             "colors": colors,
             "init": self.init,
         }
+
+
+def _reach(succ: tuple[tuple[int, ...], ...], start: int) -> frozenset[int]:
+    seen = {start}
+    stack = [start]
+    while stack:
+        for t in succ[stack.pop()]:
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return frozenset(seen)
 
 
 def make_lts(
@@ -205,18 +217,14 @@ def validate(lts: LTS) -> ValidationReport:
     reach = lts.reachable()
     tree = None
     if len(reach) == lts.n:
-        parent: dict[int, int] = {}
-        is_tree = len(lts.predecessors(lts.init)) == 0
-        for s in range(lts.n):
-            if s == lts.init:
-                continue
-            preds = lts.predecessors(s)
-            if len(preds) != 1:
-                is_tree = False
-                break
-            parent[s] = preds[0]
-        if is_tree:
-            tree = TreeCertificate(lts.init, parent)
+        indegree = [0] * lts.n
+        source = [0] * lts.n
+        for (a, b) in lts.edges:
+            indegree[b] += 1
+            source[b] = a
+        others = [s for s in range(lts.n) if s != lts.init]
+        if indegree[lts.init] == 0 and all(indegree[s] == 1 for s in others):
+            tree = TreeCertificate(lts.init, {s: source[s] for s in others})
     return ValidationReport(True, (), reach, tree)
 
 
@@ -234,14 +242,7 @@ def p_variant(lts: LTS, p: str, xs: Iterable[int]) -> LTS:
     return LTS(props, lts.n, lts.edges, cols, lts.init)
 
 
-def drop_letter(lts: LTS, p: str) -> LTS:
-    """Erase letter p from the alphabet and every colour."""
-    props = lts.props.without_letter(p)
-    cols = tuple(c - {p} for c in lts.colours)
-    return LTS(props, lts.n, lts.edges, cols, lts.init)
-
-
-def _refine_partition(block_of: list[int], succ: list[tuple[int, ...]]) -> list[int]:
+def _refine_partition(block_of: list[int], succ) -> list[int]:
     # coarsest stable refinement: signature = (block, set of successor blocks)
     while True:
         sigs = {}
@@ -266,8 +267,8 @@ def bisimilar(s: LTS, t: LTS) -> Optional[frozenset[tuple[int, int]]]:
     if s.props.names != t.props.names:
         raise SignatureError("proposition alphabets differ: %r vs %r" % (s.props.names, t.props.names))
     # disjoint union: states of t shifted by s.n
-    succ = [s.successors(u) for u in range(s.n)]
-    succ += [tuple(v + s.n for v in t.successors(u)) for u in range(t.n)]
+    succ = list(s.successor_table())
+    succ += [tuple(v + s.n for v in vs) for vs in t.successor_table()]
     colours = list(s.colours) + list(t.colours)
     col_ids: dict[frozenset[str], int] = {}
     block_of = []
@@ -290,14 +291,15 @@ def bisimilar(s: LTS, t: LTS) -> Optional[frozenset[tuple[int, int]]]:
 def is_bisimulation(s: LTS, t: LTS, rel: Iterable[tuple[int, int]]) -> bool:
     """Definition-level check of the atom/forth/back conditions."""
     rel = set(rel)
+    ssucc, tsucc = s.successor_table(), t.successor_table()
     for (u, v) in rel:
         if s.colours[u] != t.colours[v]:
             return False
-        for u2 in s.successors(u):
-            if not any((u2, v2) in rel for v2 in t.successors(v)):
+        for u2 in ssucc[u]:
+            if not any((u2, v2) in rel for v2 in tsucc[v]):
                 return False
-        for v2 in t.successors(v):
-            if not any((u2, v2) in rel for u2 in s.successors(u)):
+        for v2 in tsucc[v]:
+            if not any((u2, v2) in rel for u2 in ssucc[u]):
                 return False
     return True
 
@@ -308,6 +310,7 @@ def bisimilar_to_depth(s: LTS, t: LTS, d: int) -> bool:
         raise SignatureError("proposition alphabets differ")
 
     memo: dict[tuple[int, int, int], bool] = {}
+    ssucc, tsucc = s.successor_table(), t.successor_table()
 
     def go(u: int, v: int, k: int) -> bool:
         key = (u, v, k)
@@ -316,11 +319,11 @@ def bisimilar_to_depth(s: LTS, t: LTS, d: int) -> bool:
         ok = s.colours[u] == t.colours[v]
         if ok and k > 0:
             ok = all(
-                any(go(u2, v2, k - 1) for v2 in t.successors(v))
-                for u2 in s.successors(u)
+                any(go(u2, v2, k - 1) for v2 in tsucc[v])
+                for u2 in ssucc[u]
             ) and all(
-                any(go(u2, v2, k - 1) for u2 in s.successors(u))
-                for v2 in t.successors(v)
+                any(go(u2, v2, k - 1) for u2 in ssucc[u])
+                for v2 in tsucc[v]
             )
         memo[key] = ok
         return ok
@@ -336,6 +339,7 @@ def unravel_to_depth(lts: LTS, d: int) -> LTS:
     """
     if d < 0:
         raise ValueError("depth must be non-negative")
+    succ = lts.successor_table()
     paths: list[tuple[int, ...]] = [(lts.init,)]
     index = {(lts.init,): 0}
     edges = set()
@@ -344,7 +348,7 @@ def unravel_to_depth(lts: LTS, d: int) -> LTS:
         path = queue.pop(0)
         if len(path) > d:
             continue
-        for t in lts.successors(path[-1]):
+        for t in succ[path[-1]]:
             ext = path + (t,)
             index[ext] = len(paths)
             paths.append(ext)
@@ -368,12 +372,13 @@ def noetherian_subset(lts: LTS, xs: Iterable[int]) -> bool:
             raise ValueError("unknown state %d" % s)
     if not xset:
         return True
-    return any(xset <= lts.reachable(s) for s in range(lts.n))
+    succ = lts.successor_table()
+    return any(xset <= _reach(succ, s) for s in range(lts.n))
 
 
 def quotient(lts: LTS) -> LTS:
     """Bisimulation quotient (same alphabet, bisimilar to the input)."""
-    succ = [lts.successors(u) for u in range(lts.n)]
+    succ = lts.successor_table()
     col_ids: dict[frozenset[str], int] = {}
     block_of = []
     for c in lts.colours:

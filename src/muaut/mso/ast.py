@@ -61,10 +61,6 @@ class Exists1:
 Mso1 = Union[Down, SubsetOf, RelStep, Not1, Or1, Exists1]
 
 
-def and1(a: Mso1, b: Mso1) -> Mso1:
-    return Not1(Or1(Not1(a), Not1(b)))
-
-
 def free_letters1(f: Mso1) -> frozenset[str]:
     match f:
         case Down(p):
@@ -370,17 +366,20 @@ class _Parser:
         raise MsoParseError("unknown one-sorted atom starting at %r" % name)
 
 
-def parse1(text: str, logic: str = "wmso") -> Mso1:
-    p = _Parser(text, LOGIC_MODE[logic], sorted2=False)
-    f = p.formula()
+def _parse(text: str, logic: str, sorted2: bool):
+    p = _Parser(text, LOGIC_MODE[logic], sorted2)
+    try:
+        f = p.formula()
+    except RecursionError:
+        raise MsoParseError("formula nesting too deep") from None
     if p.i != len(p.toks):
         raise MsoParseError("trailing input %r" % p.peek())
     return f
+
+
+def parse1(text: str, logic: str = "wmso") -> Mso1:
+    return _parse(text, logic, sorted2=False)
 
 
 def parse2(text: str, logic: str = "wmso") -> Mso2:
-    p = _Parser(text, LOGIC_MODE[logic], sorted2=True)
-    f = p.formula()
-    if p.i != len(p.toks):
-        raise MsoParseError("trailing input %r" % p.peek())
-    return f
+    return _parse(text, logic, sorted2=True)

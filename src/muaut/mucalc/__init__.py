@@ -12,7 +12,7 @@ from .classify import (FragmentReport, classify, in_alternation_free,
                        is_plain_modal)
 from .game import EvalGame, binder_priorities, build_eval_game, game_value, modality_moves
 from .guard import guard_transform
-from .semantics import (UnboundLetterError, approximant_trace, holds_at_init,
+from .semantics import (UnboundLetterError, approximant_trace,
                         onestep_model_at, open_eval, semantics_eval)
 
 __all__ = [n for n in dir() if not n.startswith("_")]

@@ -429,7 +429,10 @@ class _MuP:
             return MBOT
         if tok.startswith("<"):
             self.take()
-            alpha = o.parse_formula(tok[1:-1])
+            try:
+                alpha = o.parse_formula(tok[1:-1])
+            except o.ParseError as e:
+                raise MuParseError("in modality: %s" % e) from None
             self.take("(")
             args = [self.formula()]
             while self.peek() == ",":
@@ -441,9 +444,14 @@ class _MuP:
 
 
 def parse(text: str) -> MuFormula:
+    """Parse and check a formula; nesting beyond the interpreter's recursion
+    limit is a MuParseError, not a RecursionError."""
     p = _MuP(text)
-    f = p.formula()
-    if p.i != len(p.toks):
-        raise MuParseError("trailing input %r" % p.peek())
-    check_wf(f)
+    try:
+        f = p.formula()
+        if p.i != len(p.toks):
+            raise MuParseError("trailing input %r" % p.peek())
+        check_wf(f)
+    except RecursionError:
+        raise MuParseError("formula nesting too deep") from None
     return f

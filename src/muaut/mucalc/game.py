@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 from .. import onestep as o
 from ..lts import LTS
-from ..paritygame import EXISTS, FORALL, ParityGame
+from ..paritygame import EXISTS, FORALL, ParityGame, build_arena
 from .ast import (MAnd, Modal, MOr, Mu, MuFormula, NegProp, Nu, Prop,
                   check_wf, free_letters, subformulas)
-from .semantics import onestep_model_at
 
 
 def binder_priorities(f: MuFormula) -> dict[str, int]:
@@ -57,31 +56,27 @@ def modality_moves(g: Modal, lts: LTS, s: int, full_enumeration: bool = False):
     """Witness sets available to Exists at a modality position.
 
     By monotonicity, subset-minimal witness sets suffice: any satisfying
-    set extends a minimal one and only offers Forall more options.  The
-    full enumeration is kept as a regression oracle.
+    set extends a minimal one and only offers Forall more options.  They
+    come from minimal valuations over range(k) for out-degree k, relabelled
+    onto the successors; build_eval_game computes those once per
+    (one-step formula, out-degree) per build.  The full enumeration
+    (`onestep.all_valuations`) is kept as a regression oracle.
     """
     succ = lts.successors(s)
-    preds = g.pred_names()
     if full_enumeration:
-        import itertools
-        pairs = [(i, t) for i in range(len(g.args)) for t in succ]
-        out = []
-        for k in range(len(pairs) + 1):
-            for combo in itertools.combinations(pairs, k):
-                zset = frozenset(combo)
-                val = {a: frozenset(t for (i, t) in zset if preds[i] == a) for a in preds}
-                idx = {t: i for i, t in enumerate(succ)}
-                m = o.OneStepModel(len(succ), {a: frozenset(idx[t] for t in v) for a, v in val.items()})
-                if o.eval_finite(g.alpha, m):
-                    out.append(zset)
-        return out
-    idx = {t: i for i, t in enumerate(succ)}
-    mins = o.min_valuations(g.alpha, tuple(range(len(succ))))
-    name_to_arg = {preds[i]: i for i in range(len(g.args))}
-    out = []
-    for mv in mins:
-        out.append(frozenset((name_to_arg[a], succ[d]) for (a, d) in mv))
-    return sorted(set(out), key=lambda z: (len(z), sorted(z)))
+        arg = {a: i for i, a in enumerate(g.pred_names())}
+        return [frozenset((arg[a], t) for (a, t) in v)
+                for v in o.all_valuations(g.alpha, succ, g.pred_names())]
+    return _minimal_witness_sets(g, succ, {})
+
+
+def _minimal_witness_sets(g: Modal, succ: tuple[int, ...], memo: dict):
+    """Minimal witness sets over succ as (argument index, successor) pairs,
+    with minimal valuations read through memo (see min_valuations_memo)."""
+    arg = {a: i for i, a in enumerate(g.pred_names())}
+    out = {frozenset((arg[a], t) for (a, t) in v)
+           for v in o.min_valuations_memo(g.alpha, succ, memo)}
+    return sorted(out, key=lambda z: (len(z), sorted(z)))
 
 
 def build_eval_game(f: MuFormula, lts: LTS) -> EvalGame:
@@ -92,78 +87,36 @@ def build_eval_game(f: MuFormula, lts: LTS) -> EvalGame:
         raise ValueError("letters not in the alphabet: %r" % sorted(missing))
     prio = binder_priorities(f)
     binder_body: dict[str, MuFormula] = {}
-    bound = set()
     for g in subformulas(f):
         if isinstance(g, (Mu, Nu)):
             binder_body[g.var] = g.body
-            bound.add(g.var)
+    succ = lts.successor_table()
+    memo: dict = {}
 
-    index: dict = {}
-    desc = []
-    owner = []
-    moves: list[list[int]] = []
-    priority = []
-
-    def intern(pos) -> int:
-        if pos in index:
-            return index[pos]
-        i = len(desc)
-        index[pos] = i
-        desc.append(pos)
-        owner.append(EXISTS)
-        moves.append([])
-        priority.append(0)
-        todo.append(pos)
-        return i
-
-    todo: list = []
-    root_pos = ("f", f, lts.init)
-    intern(root_pos)
-    while todo:
-        pos = todo.pop()
-        i = index[pos]
+    def expand(pos):
         if pos[0] == "z":
-            _, zset = pos
-            owner[i] = FORALL
-            priority[i] = 0
-            moves[i] = [intern(("f", g, t)) for (g, t) in sorted(zset, key=lambda p: (p[1], str(p[0])))]
-            continue
+            return FORALL, 0, [("f", g, t) for (g, t) in sorted(pos[1], key=lambda p: (p[1], str(p[0])))]
         _, g, s = pos
         match g:
-            case Prop(p) if p not in bound:
-                holds = p in lts.colours[s]
-                owner[i] = FORALL if holds else EXISTS
-                moves[i] = []
+            case Prop(p) if p not in binder_body:
+                return (FORALL if p in lts.colours[s] else EXISTS), 0, ()
             case NegProp(p):
-                holds = p in lts.colours[s]
-                owner[i] = EXISTS if holds else FORALL
-                moves[i] = []
-            case Prop(p):
-                owner[i] = EXISTS  # forced unfolding move
-                priority[i] = prio[p]
-                moves[i] = [intern(("f", binder_body[p], s))]
+                return (EXISTS if p in lts.colours[s] else FORALL), 0, ()
+            case Prop(p):  # forced unfolding move
+                return EXISTS, prio[p], [("f", binder_body[p], s)]
             case MOr(args):
-                owner[i] = EXISTS
-                moves[i] = [intern(("f", a, s)) for a in args]
+                return EXISTS, 0, [("f", a, s) for a in args]
             case MAnd(args):
-                owner[i] = FORALL
-                moves[i] = [intern(("f", a, s)) for a in args]
+                return FORALL, 0, [("f", a, s) for a in args]
             case Modal(_, args):
-                owner[i] = EXISTS
-                zmoves = modality_moves(g, lts, s)
-                out = []
-                for zset in zmoves:
-                    zz = frozenset((args[ai], t) for (ai, t) in zset)
-                    out.append(intern(("z", zz)))
-                moves[i] = out
-            case Mu(p, b) | Nu(p, b):
-                owner[i] = EXISTS  # forced move
-                moves[i] = [intern(("f", b, s))]
-            case _:
-                raise TypeError(g)
+                return EXISTS, 0, [("z", frozenset((args[ai], t) for (ai, t) in z))
+                                   for z in _minimal_witness_sets(g, succ[s], memo)]
+            case Mu(_, b) | Nu(_, b):  # forced move
+                return EXISTS, 0, [("f", b, s)]
+        raise TypeError(g)
 
-    game = ParityGame(tuple(owner), tuple(tuple(m) for m in moves), tuple(priority))
-    return EvalGame(game, tuple(desc), index[root_pos])
+    game, positions = build_arena(("f", f, lts.init), expand)
+    return EvalGame(game, positions, 0)
 
 
 def game_value(f: MuFormula, lts: LTS) -> bool:

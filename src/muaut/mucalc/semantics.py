@@ -14,9 +14,11 @@ class UnboundLetterError(ValueError):
 def onestep_model_at(lts: LTS, s: int, preds, arg_sets) -> o.OneStepModel:
     """One-step model carried by the successor set of s: domain R[s]
     (reindexed densely), predicate i true at the successors in arg_sets[i]."""
-    succ = lts.successors(s)
-    idx = {t: i for i, t in enumerate(succ)}
-    val = {a: frozenset(idx[t] for t in succ if t in ext) for a, ext in zip(preds, arg_sets)}
+    return _model_on(lts.successors(s), preds, arg_sets)
+
+
+def _model_on(succ: tuple[int, ...], preds, arg_sets) -> o.OneStepModel:
+    val = {a: frozenset(i for i, t in enumerate(succ) if t in ext) for a, ext in zip(preds, arg_sets)}
     return o.OneStepModel(len(succ), val)
 
 
@@ -31,6 +33,7 @@ def open_eval(f: MuFormula, lts: LTS, env: dict[str, frozenset[int]]) -> frozens
     if missing:
         raise UnboundLetterError("letters not in the alphabet: %r" % sorted(missing))
     full = frozenset(lts.states())
+    succ = lts.successor_table()
 
     def sem(g: MuFormula, env: dict[str, frozenset[int]]) -> frozenset[int]:
         match g:
@@ -53,7 +56,7 @@ def open_eval(f: MuFormula, lts: LTS, env: dict[str, frozenset[int]]) -> frozens
                 arg_sets = [sem(a, env) for a in args]
                 return frozenset(
                     s for s in lts.states()
-                    if o.eval_finite(alpha, onestep_model_at(lts, s, preds, arg_sets))
+                    if o.eval_finite(alpha, _model_on(succ[s], preds, arg_sets))
                 )
             case Mu(p, b):
                 x: frozenset[int] = frozenset()
@@ -79,10 +82,6 @@ def semantics_eval(f: MuFormula, lts: LTS) -> frozenset[int]:
     formula holds."""
     check_wf(f)
     return open_eval(f, lts, {})
-
-
-def holds_at_init(f: MuFormula, lts: LTS) -> bool:
-    return lts.init in semantics_eval(f, lts)
 
 
 def approximant_trace(body: MuFormula, var: str, lts: LTS,

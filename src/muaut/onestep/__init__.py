@@ -2,7 +2,7 @@
 
 from .ast import (DIALECTS, FO1, FOE1, FOE1INF, And, DialectError, Eq, Exists,
                   ExistsInf, Forall, ForallInf, Formula, Neq, NegPred,
-                  OneStepFormula, Or, Pred, W, TOP, BOT, all_distinct, conj,
+                  OneStepFormula, Or, Pred, W, TOP, BOT, conj,
                   disj, dual, expand_sugar, free_vars, is_positive,
                   min_dialect, predicates, pretty, rank, rename_pred,
                   sentence, type_atom)
@@ -11,8 +11,9 @@ from .fragments import (FragmentFlags, cocontinuous_entry, continuous_entry,
                         in_continuous_fragment, match_nabla, separates,
                         separation_sufficient)
 from .models import (OMEGA, OneStepModel, WeightedOneStepModel, all_models,
-                     all_weighted_models, eval_finite, eval_weighted,
-                     min_valuations, model_of_types, weighted)
+                     all_valuations, all_weighted_models, eval_finite,
+                     eval_weighted, min_valuations, min_valuations_memo,
+                     model_of_types, weighted)
 from .normalform import (BasicForm, BasicFormDisjunct, NotContinuousError,
                          NotPositiveError, ProfileBlowupError,
                          diamond_translate, equivalent, expand,

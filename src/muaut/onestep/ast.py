@@ -288,10 +288,6 @@ def type_atom(tp: Iterable[str], var: str) -> Formula:
     return conj(Pred(a, var) for a in sorted(tp))
 
 
-def all_distinct(vars_: list[str]) -> Formula:
-    return conj(Neq(vars_[i], vars_[j]) for i in range(len(vars_)) for j in range(i + 1, len(vars_)))
-
-
 _PREC = {"or": 0, "and": 1}
 
 

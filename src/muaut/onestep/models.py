@@ -9,11 +9,11 @@ type are never pinned twice, so trying one fresh copy per type suffices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from typing import Iterable, Union
 
 from .ast import (And, Eq, Exists, ExistsInf, Forall, ForallInf, Formula, Neq,
-                  NegPred, Or, Pred, W, expand_sugar, free_vars)
+                  NegPred, Or, Pred, W, expand_sugar, free_vars, predicates)
 
 OMEGA = float("inf")
 
@@ -269,6 +269,43 @@ def min_valuations(f: Formula, domain: tuple[int, ...]) -> list[frozenset[tuple[
         raise TypeError(g)
 
     return go(f, {})
+
+
+def min_valuations_memo(f: Formula, succ: tuple[int, ...], memo: dict) -> list[frozenset[tuple[str, int]]]:
+    """min_valuations(f, succ) for an ascending tuple of distinct elements,
+    read off min_valuations(f, range(len(succ))) kept in memo per
+    (f, len(succ)).
+
+    Satisfaction compares elements only for equality, so relabelling
+    d -> succ[d] maps the valuations over range(k) onto those over succ;
+    the relabelling is monotone, so the order is kept as well.  The memo is
+    meant to live for one game build.
+    """
+    key = (id(f), len(succ))
+    hit = memo.get(key)
+    if hit is None:
+        # f is kept alongside, so its id cannot be reused while memo lives
+        hit = memo[key] = (f, min_valuations(f, tuple(range(len(succ)))))
+    return [frozenset([(a, succ[d]) for a, d in mv]) for mv in hit[1]]
+
+
+def all_valuations(f: Formula, domain: tuple[int, ...], preds=None) -> list[frozenset[tuple[str, int]]]:
+    """Every valuation of preds (default: those of f) over domain that
+    satisfies f, as pred/element pair sets, by enumerating all subsets.
+
+    Exponential; the regression oracle for min_valuations in the acceptance
+    and evaluation games.
+    """
+    preds = sorted(predicates(f)) if preds is None else list(preds)
+    idx = {d: i for i, d in enumerate(domain)}
+    pairs = [(a, d) for a in preds for d in domain]
+    out = []
+    for k in range(len(pairs) + 1):
+        for combo in combinations(pairs, k):
+            val = {a: frozenset(idx[d] for b, d in combo if b == a) for a in preds}
+            if eval_finite(f, OneStepModel(len(domain), val)):
+                out.append(frozenset(combo))
+    return out
 
 
 def _prune(sets: list[frozenset]) -> list[frozenset]:

@@ -129,8 +129,13 @@ class _P:
 
 
 def parse_formula(text: str) -> Formula:
+    """Parse a formula; nesting beyond the interpreter's recursion limit is a
+    ParseError, not a RecursionError."""
     p = _P(text)
-    f = p.formula()
+    try:
+        f = p.formula()
+    except RecursionError:
+        raise ParseError("formula nesting too deep", p.pos()) from None
     if p.i != len(p.toks):
         raise ParseError("trailing input %r" % p.peek(), p.pos())
     return f

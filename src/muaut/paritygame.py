@@ -53,6 +53,37 @@ def load(path: str) -> ParityGame:
         return game_from_json(json.load(f))
 
 
+def build_arena(root, expand) -> tuple[ParityGame, tuple]:
+    """The game on every position reachable from root, with root at index 0.
+
+    expand(pos) returns (owner, priority, successor positions).  Positions
+    are numbered in discovery order and expanded last-discovered first, so
+    the numbering depends only on root and expand.  Returns the game and the
+    position descriptions, indexed like the game.
+    """
+    index = {root: 0}
+    desc = [root]
+    owner, priority, moves = [EXISTS], [0], [()]
+    todo = [root]
+    while todo:
+        pos = todo.pop()
+        i = index[pos]
+        owner[i], priority[i], succs = expand(pos)
+        row = []
+        for q in succs:
+            j = index.get(q)
+            if j is None:
+                j = index[q] = len(desc)
+                desc.append(q)
+                owner.append(EXISTS)
+                priority.append(0)
+                moves.append(())
+                todo.append(q)
+            row.append(j)
+        moves[i] = tuple(row)
+    return ParityGame(tuple(owner), tuple(moves), tuple(priority)), tuple(desc)
+
+
 @dataclass(frozen=True)
 class Solution:
     win_exists: frozenset[int]
@@ -178,14 +209,20 @@ def _region_closed_and_even(g: ParityGame, region, strat, player) -> bool:
             if any(t not in region for t in g.moves[v]):
                 return False  # opponent escapes the region
             graph[v] = list(g.moves[v])
-    bad = (1 - player) % 2  # parity that must not dominate any cycle
-    for d in sorted({g.priority[v] for v in region if g.priority[v] % 2 == bad}):
-        sub = [v for v in region if g.priority[v] <= d]
+    # no cycle may be dominated by the opponent's parity
+    return next(_dominated_cycles(region, graph, g.priority, 1 - player), None) is None
+
+
+def _dominated_cycles(nodes, graph, priority, parity):
+    """Cycles of graph within nodes whose top priority has the given parity:
+    for each such priority d, every nontrivial SCC of the nodes with
+    priority at most d that contains d (lazily, lowest d first)."""
+    for d in sorted({priority[v] for v in nodes if priority[v] % 2 == parity}):
+        sub = [v for v in nodes if priority[v] <= d]
         for comp in _sccs(sub, graph):
             nontrivial = len(comp) > 1 or comp[0] in graph.get(comp[0], [])
-            if nontrivial and any(g.priority[v] == d for v in comp):
-                return False
-    return True
+            if nontrivial and any(priority[v] == d for v in comp):
+                yield comp
 
 
 def _sccs(nodes, graph):
@@ -281,12 +318,8 @@ def _wins_everywhere(g: ParityGame, strat: dict[int, int]) -> set[int]:
             graph[v] = list(g.moves[v])
     # lose-set: reachable Exists-stuck positions or odd-dominated cycles
     bad = set(v for v in range(g.n) if g.owner[v] == EXISTS and not g.moves[v])
-    for d in sorted({p for p in g.priority if p % 2 == 1}):
-        sub = [v for v in range(g.n) if g.priority[v] <= d]
-        for comp in _sccs(sub, graph):
-            nontrivial = len(comp) > 1 or comp[0] in graph.get(comp[0], [])
-            if nontrivial and any(g.priority[v] == d for v in comp):
-                bad |= set(comp)
+    for comp in _dominated_cycles(range(g.n), graph, g.priority, FORALL):
+        bad.update(comp)
     # backward closure of bad under "some play reaches it"
     changed = True
     while changed:

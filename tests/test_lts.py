@@ -167,3 +167,16 @@ def test_noetherian_matches_explicit_bundle_search():
 def test_json_round_trip():
     s = L.make_lts(["p", "q"], 3, [(0, 1), (1, 2)], {0: ["p"], 2: ["q", "p"]})
     assert L.from_json(s.to_json()) == s
+
+
+def test_successor_table_matches_successors():
+    rng = random.Random(13)
+    sinks = 0
+    for _ in range(60):
+        s = gen.rand_lts(rng, ("p",), max_states=8, edge_prob=rng.choice([0.1, 0.3, 0.6]))
+        table = s.successor_table()
+        assert len(table) == s.n
+        for st in s.states():
+            assert table[st] == s.successors(st)
+            sinks += not table[st]
+    assert sinks > 0

@@ -217,3 +217,10 @@ def test_parse_round_trip():
     for text in ("p(v)", "ex x. (R(v,x) | x=v)", "ex s. s(v)"):
         f2 = mso.parse2(text)
         assert mso.parse2(mso.pretty2(f2)) == f2
+
+
+def test_deep_nesting_is_a_parse_error():
+    with pytest.raises(mso.MsoParseError, match="formula nesting too deep"):
+        mso.parse1("~" * 3000 + "down p")
+    with pytest.raises(mso.MsoParseError, match="formula nesting too deep"):
+        mso.parse2("(" * 3000 + "p(v)" + ")" * 3000)

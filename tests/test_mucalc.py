@@ -198,3 +198,10 @@ def test_parse_pretty_round_trip():
     for _ in range(50):
         f = gen.rand_mu(rng, ("p", "q"), depth=3, mode="any", modalities="FOE1INF")
         assert mc.parse(mc.pretty(f)) == f
+
+
+@pytest.mark.parametrize("text", ["dia " * 1500 + "p", "(" * 2000 + "p" + ")" * 2000,
+                                  "<E x. " + "(" * 2000 + "a1(x)" + ")" * 2000 + ">(p)"])
+def test_deep_nesting_is_a_parse_error(text):
+    with pytest.raises(mc.MuParseError, match="formula nesting too deep"):
+        mc.parse(text)

@@ -410,3 +410,26 @@ def test_leaf_cache_stays_within_byte_budget(monkeypatch):
     monkeypatch.setattr(nf, "LEAF_CACHE_BYTES", space.size - 1)
     nf._sat_vector(o.parse("E x. E y. a(x) & b(y) & x!=y", o.FOE1INF).ast, space)
     assert cache == {} and cache.nbytes == 0
+
+
+def test_memoized_min_valuations_match_direct():
+    # valuations over range(k), relabelled onto ascending successors, equal
+    # the direct computation list for list, in the same order
+    rng = random.Random(14)
+    memo: dict = {}
+    entries = [f.ast for f in gen.enumerate_sentences(("a", "b"), 2, o.FOE1INF)
+               if o.is_positive(f.ast)]
+    for f in entries:
+        for k in range(6):
+            for _ in range(2):  # the second draw reads the memo
+                succ = tuple(sorted(rng.sample(range(12), k)))
+                assert o.min_valuations_memo(f, succ, memo) == o.min_valuations(f, succ)
+    assert len(memo) == 6 * len(entries)
+
+
+@pytest.mark.parametrize("text", ["(" * 2000 + "a(x)" + ")" * 2000, "E x. " * 2000 + "a(x)"])
+def test_deep_nesting_is_a_parse_error(text):
+    with pytest.raises(o.ParseError, match="formula nesting too deep"):
+        o.parse_formula(text)
+    with pytest.raises(o.ParseError, match="formula nesting too deep"):
+        o.parse(text)

@@ -1,5 +1,11 @@
+import hashlib
 import random
 
+from muaut import automata as au
+from muaut import gen
+from muaut import lts as L
+from muaut import mucalc as mc
+from muaut import onestep as o
 from muaut import paritygame as pg
 
 
@@ -73,3 +79,82 @@ def test_sabotaged_strategy_rejected():
 def test_json_round_trip():
     g = _rand_game(random.Random(3), 5)
     assert pg.game_from_json(g.to_json()) == g
+
+
+# (positions, moves, digest of positions and game) of the arenas of
+# `_arena_corpus`, recorded from the per-position arena builders that
+# preceded `build_arena`; the positions, their numbering and every move
+# must stay exactly as they were.
+RECORDED_ARENAS = [
+    (1, 0, '4accd4db2c562c0c'), (12, 22, '27c3562854aa85f4'), (2, 1, '9c9b2db134c6c189'),
+    (71, 163, '316a0d03fdb18fd6'), (77, 194, '418b8b2b7f270647'), (1, 0, 'b44fe2fbe7b15eca'),
+    (19, 27, '22ce680549933452'), (106, 274, '12d5d738b9e94cae'), (1, 0, 'dd70afc851511d2c'),
+    (2, 1, '1089ccf06ffc5ee0'), (1, 0, 'b113fd724a1d3c20'), (100, 203, '624039d057e4c1c2'),
+    (39, 81, 'db46bdeccb5c254e'), (41, 76, '93c0e879cde67616'), (1, 0, '95edccbceb2555e5'),
+    (8, 10, '81bd2de08e43ab74'), (46, 85, '85b6c33f8fd8f9b7'), (1, 0, '52f5a5a7ddee8790'),
+    (1, 0, '166eb17acb81ab16'), (26, 42, 'e7688068d525944e'), (22, 25, '34f55b67f36e7d03'),
+    (2, 1, '780c786f55b18572'), (212, 758, '6a388219622ea354'), (17, 23, 'c889cbd75a32a112'),
+    (1, 0, '00a6936e23375190'), (88, 216, '4e7724456c357b0f'), (1, 0, 'b82bfef778fe4b83'),
+    (1, 0, '9bfd32c13533529b'), (2, 1, '9c9b2db134c6c189'), (34, 46, 'c5fc490d0c7faffb'),
+    (1, 0, 'a414ce7397817464'), (1, 0, '9639661409d0c2e5'), (42, 46, '966d823cbf7e378e'),
+    (4, 3, 'bb6279fcaccf429e'), (1, 0, '755bbeb3eb3b184d'), (53, 63, '0db359c7aef0e1ff'),
+    (4, 3, '948a1dbe77023472'), (44, 44, 'ec3bc9bfbaa466c3'), (2, 1, 'dd78a025c5a00e2a'),
+    (7, 8, 'e77a5f8bd17fb3dd'), (7, 6, 'da3e35d49f845240'), (12, 11, 'e1bab97f72afc096'),
+    (2, 1, 'd6159edb5a3d0b22'), (56, 67, '413009bf460a2f78'), (37, 42, '2935760ad384549a'),
+    (1, 0, '4e3a427b996fc811'), (1, 0, 'd3ab23de7540fd70'), (73, 106, '4daed23aee2f861b'),
+    (2, 2, '6aec39ed7a9324b0'), (3, 2, 'c70e9659c2a3b0dc'), (56, 69, 'd71c24ea3e399d90'),
+    (14, 13, '24dc5f64ddc89b5f'), (101, 148, '8739a9d2a6cf4831'), (31, 30, 'c1ca750c470249cc'),
+    (1, 0, 'c86ce75b61e86fa8'), (1, 0, 'dc2b93d3a2844c60'), (1, 0, '904a01378530ce95'),
+    (12, 14, 'ea8a776c11ec7210'), (69, 87, 'bc5d322346e5f0b3'), (10, 12, '185a7a32a9642a53'),
+]
+
+
+
+def _canon(x) -> str:
+    """Hash-seed independent text of a position description."""
+    if isinstance(x, frozenset):
+        return "{%s}" % ",".join(sorted(_canon(e) for e in x))
+    if isinstance(x, tuple):
+        return "(%s)" % ",".join(_canon(e) for e in x)
+    return repr(x)
+
+
+def _fingerprint(arena):
+    g = arena.game
+    h = hashlib.sha256()
+    h.update(_canon(arena.positions).encode())
+    h.update(repr((arena.root, g.owner, g.moves, g.priority)).encode())
+    return g.n, sum(len(m) for m in g.moves), h.hexdigest()[:16]
+
+
+def _arena_corpus():
+    rng = random.Random(31)
+
+    def system(props, n):
+        edges = [(a, b) for a in range(n) for b in rng.sample(range(n), rng.randint(0, 5))]
+        cols = {s: [p for p in props if rng.random() < 0.4] for s in range(n)}
+        return L.make_lts(props, n, edges, cols, init=rng.randrange(n))
+
+    for _ in range(30):
+        aut = gen.rand_automaton(rng, ("p",), rng.randint(1, 3),
+                                 dialect=rng.choice([o.FOE1, o.FOE1INF]), want="any")
+        yield au.acceptance_game(aut, system(("p",), 20))
+    for _ in range(30):
+        f = gen.rand_mu(rng, ("p", "q"), depth=5, mode="any",
+                        modalities=rng.choice([o.FOE1, o.FOE1INF]))
+        yield mc.build_eval_game(f, system(("p", "q"), 20))
+
+
+def test_arenas_match_recorded_corpus():
+    assert [_fingerprint(a) for a in _arena_corpus()] == RECORDED_ARENAS
+
+
+def test_build_arena_numbers_in_discovery_order():
+    # a chain 0 -> 1 -> 2 with a back edge; positions are the integers
+    def expand(pos):
+        return pos % 2, pos, [(pos + 1) % 3]
+
+    g, positions = pg.build_arena(0, expand)
+    assert positions == (0, 1, 2)
+    assert g.moves == ((1,), (2,), (0,))
+    assert g.owner == (0, 1, 0) and g.priority == (0, 1, 2)
