@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 
 from .. import onestep as o
-from ..lts import LTS, PropSet
+from ..lts import LTS, PropSet, json_shape
 from ..paritygame import EXISTS, FORALL, ParityGame, build_arena, solve
 
 
@@ -73,17 +73,18 @@ class ParityAutomaton:
 
 
 def automaton_from_json(data: dict) -> ParityAutomaton:
-    props = PropSet(tuple(data["props"]))
-    delta = {}
-    for key, text in data["delta"].items():
-        head, _, rest = key.partition(",")
-        colour = frozenset(x for x in rest.split(",") if x)
-        delta[(int(head), props.canon(colour))] = o.parse_formula(text)
-    return ParityAutomaton(
-        data["dialect"], props, int(data["states"]), int(data["init"]),
-        tuple(int(x) for x in data["omega"]), delta,
-        frozenset(data.get("macro", ())),
-    )
+    with json_shape("automaton"):
+        props = PropSet(tuple(data["props"]))
+        delta = {}
+        for key, text in data["delta"].items():
+            head, _, rest = key.partition(",")
+            colour = frozenset(x for x in rest.split(",") if x)
+            delta[(int(head), props.canon(colour))] = o.parse_formula(text)
+        return ParityAutomaton(
+            data["dialect"], props, int(data["states"]), int(data["init"]),
+            tuple(int(x) for x in data["omega"]), delta,
+            frozenset(data.get("macro", ())),
+        )
 
 
 def load(path: str) -> ParityAutomaton:

@@ -271,9 +271,12 @@ def run_fuzz(suite: str, n: int, seed: int) -> RunReport:
 def replay(path: str) -> RunReport:
     with open(path) as f:
         data = json.load(f)
-    if "replay" in data:
-        data = data["replay"]
-    suite, seed, index = data["suite"], data["seed"], data["index"]
+    with L.json_shape("replay"):
+        if "replay" in data:
+            data = data["replay"]
+        suite, seed, index = data["suite"], data["seed"], data["index"]
+        if suite not in SUITES or not isinstance(seed, int) or not isinstance(index, int):
+            raise ValueError("malformed replay JSON: need a known suite, an integer seed and index")
     fail = _run_instance(suite, seed, index)
     rep = RunReport("replay %s#%d" % (suite, index), seed, 1, 0 if fail else 1)
     if fail:
@@ -310,8 +313,9 @@ def _cmd_onestep(args) -> int:
     if args.action == "eval":
         with open(args.model) as fh:
             data = json.load(fh)
-        m = o.OneStepModel(int(data["size"]),
-                           {k: frozenset(v) for k, v in data.get("valuation", {}).items()})
+        with L.json_shape("model"):
+            m = o.OneStepModel(int(data["size"]),
+                               {k: frozenset(v) for k, v in data.get("valuation", {}).items()})
         print(str(o.eval_finite(f.ast, m)).lower())
         return 0
     if args.action == "dual":

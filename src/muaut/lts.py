@@ -7,6 +7,7 @@ operations are pure functions.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -147,21 +148,32 @@ def make_lts(
     return lts
 
 
+@contextmanager
+def json_shape(kind: str):
+    """Report a JSON document of the wrong shape (a list for an object, a
+    number for a list, a missing key) as a ValueError, not a TypeError."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError) as e:
+        raise ValueError("malformed %s JSON: %s: %s" % (kind, type(e).__name__, e)) from None
+
+
 def from_json(data: dict) -> LTS:
     """Parse the workbench LTS text format.
 
     Format: {"props":["p","q"],"states":N,"edges":[[i,j],...],
              "colors":{"i":["p"],...},"init":0}.
     """
-    ps = PropSet(tuple(data["props"]))
-    n = int(data["states"])
-    edges = frozenset((int(a), int(b)) for a, b in data.get("edges", []))
-    colmap = {int(k): v for k, v in data.get("colors", {}).items()}
-    cols = []
-    for s in range(n):
-        raw = colmap.get(s, ())
-        cols.append(frozenset(raw))
-    lts = LTS(ps, n, edges, tuple(cols), int(data.get("init", 0)))
+    with json_shape("LTS"):
+        ps = PropSet(tuple(data["props"]))
+        n = int(data["states"])
+        edges = frozenset((int(a), int(b)) for a, b in data.get("edges", []))
+        colmap = {int(k): v for k, v in data.get("colors", {}).items()}
+        cols = []
+        for s in range(n):
+            raw = colmap.get(s, ())
+            cols.append(frozenset(raw))
+        lts = LTS(ps, n, edges, tuple(cols), int(data.get("init", 0)))
     rep = validate(lts)
     if not rep.ok:
         raise ValueError("invalid LTS: " + "; ".join(rep.errors))

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial, reduce
 from typing import Union
+
+from ..syntax import Cursor, ParseError
 
 STANDARD = "standard"
 FINITE = "finite"
@@ -270,111 +273,53 @@ INDIVIDUAL_VARS = re.compile(r"^[v-z][0-9]*$")
 # anything else is a proposition letter / set variable
 
 
-class MsoParseError(ValueError):
-    pass
-
-
-_TOK = re.compile(r"\s*(?P<t>Rel|R|down|sub|ex|~|\||\(|\)|,|\.|=|[A-Za-z_][A-Za-z_0-9]*)")
-
-
-def _tokens(text: str):
-    out, pos = [], 0
-    while pos < len(text):
-        m = _TOK.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise MsoParseError("unexpected character %r" % text[pos])
-            break
-        out.append(m.group("t"))
-        pos = m.end()
-    return out
-
-
-class _Parser:
-    def __init__(self, text: str, mode: str, sorted2: bool):
-        self.toks = _tokens(text)
-        self.i = 0
-        self.mode = mode
-        self.sorted2 = sorted2
-
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def take(self, want=None):
-        if self.i >= len(self.toks):
-            raise MsoParseError("unexpected end of input")
-        t = self.toks[self.i]
-        if want is not None and t != want:
-            raise MsoParseError("expected %r, found %r" % (want, t))
-        self.i += 1
-        return t
-
-    def formula(self):
-        left = self.unary()
-        while self.peek() == "|":
-            self.take()
-            right = self.unary()
-            left = Or2(left, right) if self.sorted2 else Or1(left, right)
-        return left
-
-    def unary(self):
-        t = self.peek()
-        if t == "(":
-            self.take()
-            f = self.formula()
-            self.take(")")
-            return f
-        if t == "~":
-            self.take()
-            b = self.unary()
-            return Not2(b) if self.sorted2 else Not1(b)
-        if t == "ex":
-            self.take()
-            v = self.take()
-            self.take(".")
-            b = self.formula()
-            if self.sorted2:
-                if INDIVIDUAL_VARS.match(v):
-                    return ExistsVar(v, b)
-                return ExistsSet(v, b, self.mode)
-            return Exists1(v, b, self.mode)
-        if t == "down":
-            self.take()
-            return Down(self.take())
-        if t in ("Rel", "R"):
-            self.take()
-            self.take("(")
-            a = self.take()
-            self.take(",")
-            b = self.take()
-            self.take(")")
-            return RelApp(a, b) if self.sorted2 else RelStep(a, b)
-        name = self.take()
-        if self.peek() == "sub":
-            self.take()
-            return SubsetOf(name, self.take())
-        if self.sorted2 and self.peek() == "(":
-            self.take()
-            x = self.take()
-            self.take(")")
-            return PredApp(name, x)
-        if self.sorted2 and self.peek() == "=":
-            self.take()
-            return EqVar(name, self.take())
-        if self.sorted2:
-            raise MsoParseError("dangling identifier %r" % name)
-        raise MsoParseError("unknown one-sorted atom starting at %r" % name)
+MsoParseError = ParseError
 
 
 def _parse(text: str, logic: str, sorted2: bool):
-    p = _Parser(text, LOGIC_MODE[logic], sorted2)
-    try:
-        f = p.formula()
-    except RecursionError:
-        raise MsoParseError("formula nesting too deep") from None
-    if p.i != len(p.toks):
-        raise MsoParseError("trailing input %r" % p.peek())
-    return f
+    mode = LOGIC_MODE[logic]
+    Not, Or = (Not2, Or2) if sorted2 else (Not1, Or1)
+    make_or = partial(reduce, Or)  # left-nested binary disjunctions
+
+    def unary(c: Cursor):
+        t = c.peek()
+        if t == "(":
+            c.enter()
+            f = c.infix(unary, make_or)
+            c.expect(")")
+            return c.leave(f)
+        if t == "~":
+            c.enter()
+            return c.leave(Not(unary(c)))
+        if t == "ex":
+            c.enter()
+            v = c.name()
+            c.expect(".")
+            b = c.infix(unary, make_or)
+            if not sorted2:
+                return c.leave(Exists1(v, b, mode))
+            return c.leave(ExistsVar(v, b) if INDIVIDUAL_VARS.match(v) else ExistsSet(v, b, mode))
+        if t == "down":
+            c.take()
+            return Down(c.name())
+        if t == "Rel" or t == "R":
+            c.take()
+            return (RelApp if sorted2 else RelStep)(*c.args(2))
+        name = c.name()
+        t = c.peek()
+        if t == "sub":
+            c.take()
+            return SubsetOf(name, c.name())
+        if sorted2 and t == "(":
+            return PredApp(name, *c.args(1))
+        if sorted2 and t == "=":
+            c.take()
+            return EqVar(name, c.name())
+        msg = "dangling identifier %r" if sorted2 else "unknown one-sorted atom starting at %r"
+        raise c.error(msg % name, back=1)
+
+    c = Cursor(text)
+    return c.end(c.infix(unary, make_or))
 
 
 def parse1(text: str, logic: str = "wmso") -> Mso1:

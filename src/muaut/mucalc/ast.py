@@ -10,11 +10,12 @@ positively under their binder.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .. import onestep as o
+from ..onestep.parse import formula as onestep_formula
+from ..syntax import Cursor, ParseError
 
 
 @dataclass(frozen=True)
@@ -345,113 +346,49 @@ def pretty(f: MuFormula, _level: int = 0) -> str:
     raise TypeError(f)
 
 
-class MuParseError(ValueError):
-    pass
+MuParseError = ParseError
 
 
-_MU_TOKEN = re.compile(r"\s*(?:(?P<modal><[^>]*>)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[()~&|.,]))")
-
-
-def _tokenize(text: str):
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _MU_TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise MuParseError("unexpected character %r at column %d" % (text[pos], pos + 1))
-            break
-        out.append(m.group("modal") or m.group("name") or m.group("op"))
-        pos = m.end()
-    return out
-
-
-class _MuP:
-    def __init__(self, text: str):
-        self.toks = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def take(self, expected=None):
-        if self.i >= len(self.toks):
-            raise MuParseError("unexpected end of input")
-        tok = self.toks[self.i]
-        if expected is not None and tok != expected:
-            raise MuParseError("expected %r, found %r" % (expected, tok))
-        self.i += 1
-        return tok
-
-    def formula(self):
-        parts = [self.conjunct()]
-        while self.peek() == "|":
-            self.take()
-            parts.append(self.conjunct())
-        return parts[0] if len(parts) == 1 else MOr(tuple(parts))
-
-    def conjunct(self):
-        parts = [self.unary()]
-        while self.peek() == "&":
-            self.take()
-            parts.append(self.unary())
-        return parts[0] if len(parts) == 1 else MAnd(tuple(parts))
-
-    def unary(self):
-        tok = self.peek()
-        if tok is None:
-            raise MuParseError("unexpected end of input")
-        if tok == "(":
-            self.take()
-            f = self.formula()
-            self.take(")")
-            return f
-        if tok == "~":
-            self.take()
-            return NegProp(self.take())
-        if tok in ("mu", "nu"):
-            self.take()
-            var = self.take()
-            self.take(".")
-            body = self.formula()
-            return Mu(var, body) if tok == "mu" else Nu(var, body)
-        if tok == "dia":
-            self.take()
-            return dia(self.unary())
-        if tok == "box":
-            self.take()
-            return box(self.unary())
-        if tok == "true":
-            self.take()
-            return MTOP
-        if tok == "false":
-            self.take()
-            return MBOT
-        if tok.startswith("<"):
-            self.take()
-            try:
-                alpha = o.parse_formula(tok[1:-1])
-            except o.ParseError as e:
-                raise MuParseError("in modality: %s" % e) from None
-            self.take("(")
-            args = [self.formula()]
-            while self.peek() == ",":
-                self.take()
-                args.append(self.formula())
-            self.take(")")
-            return Modal(alpha, tuple(args))
-        return Prop(self.take())
+def _unary(c: Cursor) -> MuFormula:
+    tok = c.peek()
+    if tok == "(":
+        c.enter()
+        f = c.infix(_unary, MOr, MAnd)
+        c.expect(")")
+        return c.leave(f)
+    if tok == "~":
+        c.take()
+        return NegProp(c.name())
+    if tok == "mu" or tok == "nu":
+        c.enter()
+        var = c.name()
+        c.expect(".")
+        body = c.infix(_unary, MOr, MAnd)
+        return c.leave(Mu(var, body) if tok == "mu" else Nu(var, body))
+    if tok == "dia" or tok == "box":
+        c.enter()
+        return c.leave((dia if tok == "dia" else box)(_unary(c)))
+    if tok == "true" or tok == "false":
+        c.take()
+        return MTOP if tok == "true" else MBOT
+    if tok == "<":
+        c.enter()
+        alpha = onestep_formula(c)
+        c.expect(">")
+        c.expect("(")
+        args = [c.infix(_unary, MOr, MAnd)]
+        while c.peek() == ",":
+            c.take()
+            args.append(c.infix(_unary, MOr, MAnd))
+        c.expect(")")
+        return c.leave(Modal(alpha, tuple(args)))
+    return Prop(c.name())
 
 
 def parse(text: str) -> MuFormula:
-    """Parse and check a formula; nesting beyond the interpreter's recursion
-    limit is a MuParseError, not a RecursionError."""
-    p = _MuP(text)
-    try:
-        f = p.formula()
-        if p.i != len(p.toks):
-            raise MuParseError("trailing input %r" % p.peek())
-        check_wf(f)
-    except RecursionError:
-        raise MuParseError("formula nesting too deep") from None
+    """Parse and check a formula; a modality's one-step sentence is read by
+    the one-step grammar on the same cursor."""
+    c = Cursor(text)
+    f = c.end(c.infix(_unary, MOr, MAnd))
+    check_wf(f)
     return f

@@ -19,6 +19,7 @@ from .normalform import (BasicForm, BasicFormDisjunct, NotContinuousError,
                          diamond_translate, equivalent, expand,
                          expand_disjunct, satisfying_restriction_exists,
                          to_basic_form, to_continuous_basic_form)
-from .parse import ParseError, parse, parse_formula
+from .parse import parse, parse_formula
+from ..syntax import ParseError
 
 __all__ = [n for n in dir() if not n.startswith("_")]

@@ -10,6 +10,8 @@ import itertools
 import json
 from dataclasses import dataclass
 
+from .lts import json_shape
+
 EXISTS = 0
 FORALL = 1
 
@@ -43,9 +45,10 @@ class ParityGame:
 
 
 def game_from_json(data: dict) -> ParityGame:
-    owner = tuple(EXISTS if o in ("E", "exists", 0) else FORALL for o in data["owner"])
-    moves = tuple(tuple(int(t) for t in m) for m in data["moves"])
-    return ParityGame(owner, moves, tuple(int(p) for p in data["priority"]))
+    with json_shape("game"):
+        owner = tuple(EXISTS if o in ("E", "exists", 0) else FORALL for o in data["owner"])
+        moves = tuple(tuple(int(t) for t in m) for m in data["moves"])
+        return ParityGame(owner, moves, tuple(int(p) for p in data["priority"]))
 
 
 def load(path: str) -> ParityGame:

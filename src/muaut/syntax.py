@@ -1,0 +1,110 @@
+"""One lexer and one cursor under the three formula grammars.
+
+The one-step, fixpoint and second-order parsers are rule sets over `Cursor`
+and keep only their own atom and prefix rules.  Identifiers are
+`[A-Za-z_][A-Za-z_0-9]*`; keywords are whole identifiers, never prefixes.
+"""
+from __future__ import annotations
+
+import re
+
+# Deepest nesting any grammar accepts, counted over parentheses, prefix
+# operators, binders and modalities.  The rules recurse at most twice per
+# level, so parsing stays far inside the interpreter's recursion limit.
+MAX_NESTING = 200
+
+_TOKEN = re.compile(r"\s*(?:([A-Za-z_][A-Za-z_0-9]*|!=|[<>()!=&|.,~])|(\S))")
+
+
+class ParseError(ValueError):
+    """A syntax error at a 1-based column; end of input is len(text)+1."""
+
+    def __init__(self, msg: str, column: int):
+        super().__init__("%s (at column %d)" % (msg, column))
+        self.column = column
+
+
+class Cursor:
+    """The tokens of one text and the index of the next one to read."""
+
+    def __init__(self, text: str):
+        self.toks = []
+        for m in _TOKEN.finditer(text):
+            if m.group(2):
+                raise ParseError("unexpected character %r" % m.group(2), m.start(2) + 1)
+            self.toks.append((m.group(1), m.start(1) + 1))
+        self.toks.append((None, len(text) + 1))
+        self.i = 0
+        self.depth = 0
+
+    def peek(self) -> str | None:
+        return self.toks[self.i][0]
+
+    def error(self, msg: str, back: int = 0) -> ParseError:
+        """An error at the next token, or at the one `back` tokens before."""
+        return ParseError(msg, self.toks[self.i - back][1])
+
+    def _found(self) -> str:
+        tok = self.toks[self.i][0]
+        return "end of input" if tok is None else repr(tok)
+
+    def take(self) -> None:
+        """Skip the next token, which the caller has peeked at."""
+        self.i += 1
+
+    def expect(self, want: str) -> None:
+        if self.toks[self.i][0] != want:
+            raise self.error("expected %r, found %s" % (want, self._found()))
+        self.i += 1
+
+    def name(self) -> str:
+        tok = self.toks[self.i][0]
+        if tok is None or not tok.isidentifier():
+            raise self.error("expected a name, found %s" % self._found())
+        self.i += 1
+        return tok
+
+    def args(self, n: int) -> list[str]:
+        """`(x1, ..., xn)`: n names in parentheses."""
+        self.expect("(")
+        names = [self.name()]
+        for _ in range(n - 1):
+            self.expect(",")
+            names.append(self.name())
+        self.expect(")")
+        return names
+
+    def enter(self) -> None:
+        """Take the token that opens one more nesting level."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.error("formula nesting too deep")
+        self.i += 1
+
+    def leave(self, f):
+        """Close the innermost nesting level around its result f."""
+        self.depth -= 1
+        return f
+
+    def infix(self, operand, make_or, make_and=None):
+        """operand(cursor) results joined by n-ary `&` inside n-ary `|`;
+        `&` is no operator when make_and is None."""
+        ors = []
+        while True:
+            f = operand(self)
+            if make_and is not None and self.toks[self.i][0] == "&":
+                ands = [f]
+                while self.toks[self.i][0] == "&":
+                    self.i += 1
+                    ands.append(operand(self))
+                f = make_and(tuple(ands))
+            ors.append(f)
+            if self.toks[self.i][0] != "|":
+                return ors[0] if len(ors) == 1 else make_or(tuple(ors))
+            self.i += 1
+
+    def end(self, f):
+        """f, once every token has been read."""
+        if self.toks[self.i][0] is not None:
+            raise self.error("trailing input %r" % self.toks[self.i][0])
+        return f

@@ -141,3 +141,45 @@ def test_raising_fuzz_instance_is_a_replayable_failure(monkeypatch, tmp_path, ca
     path.write_text(json.dumps(fail))
     assert cli.main(["replay", str(path)]) == 1
     assert "RuntimeError: boom" in capsys.readouterr().out
+
+
+_LOOP = {"props": ["p", "q"], "states": 1, "edges": [[0, 0]], "colors": {}, "init": 0}
+_GAME = {"owner": ["E"], "moves": [[0]], "priority": [0]}
+_AUT = {"dialect": "FO1", "props": ["p"], "states": 1, "init": 0, "omega": [0],
+        "delta": {"0,": "true", "0,p": "true"}}
+_MISTYPED = [
+    ("lts", [1]), ("lts", {**_LOOP, "colors": [["p"]]}), ("lts", {**_LOOP, "props": 3}),
+    ("lts", {**_LOOP, "edges": [3]}), ("lts", {**_LOOP, "colors": {"0": 3}}),
+    ("game", [1]), ("game", {**_GAME, "moves": [3]}), ("game", {**_GAME, "owner": 3}),
+    ("aut", [1]), ("aut", {**_AUT, "delta": [["0,", "true"]]}), ("aut", {**_AUT, "props": 3}),
+    ("aut", {**_AUT, "delta": {"0,": 3, "0,p": "true"}}),
+    ("replay", [1]), ("replay", {"replay": 3}), ("replay", {"suite": ["dual"], "seed": 1, "index": 0}),
+    ("replay", {"suite": "dual", "seed": "1", "index": 0}), ("model", []),
+]
+
+
+@pytest.mark.parametrize("kind,data", _MISTYPED)
+def test_mistyped_json_is_a_clean_error(kind, data, tmp_path, capsys, loop_file):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    if kind == "lts":
+        assert cli.main(["lts", "validate", str(path)]) == 1
+        assert capsys.readouterr().out.startswith("invalid: ")
+        argvs = [["mu", "eval", "p", "--lts", str(path)]]
+    elif kind == "game":
+        argvs = [["game", "solve", str(path)]]
+    elif kind == "aut":
+        argvs = [["aut", "classify", "--in", str(path)]]
+    elif kind == "replay":
+        argvs = [["replay", str(path)]]
+    else:
+        argvs = [["onestep", "eval", "E x. a(x)", "--model", str(path)]]
+    for argv in argvs:
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_well_typed_json_still_loads(tmp_path, capsys):
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(_AUT))
+    assert cli.main(["aut", "classify", "--in", str(path)]) == 0
