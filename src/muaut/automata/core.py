@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 
 from .. import onestep as o
-from ..lts import LTS, PropSet, json_shape
+from ..lts import LTS, PropSet, json_list, json_shape
 from ..paritygame import EXISTS, FORALL, ParityGame, build_arena, solve
 
 
@@ -74,7 +74,7 @@ class ParityAutomaton:
 
 def automaton_from_json(data: dict) -> ParityAutomaton:
     with json_shape("automaton"):
-        props = PropSet(tuple(data["props"]))
+        props = PropSet(tuple(json_list(data["props"], "props")))
         delta = {}
         for key, text in data["delta"].items():
             head, _, rest = key.partition(",")
@@ -82,8 +82,8 @@ def automaton_from_json(data: dict) -> ParityAutomaton:
             delta[(int(head), props.canon(colour))] = o.parse_formula(text)
         return ParityAutomaton(
             data["dialect"], props, int(data["states"]), int(data["init"]),
-            tuple(int(x) for x in data["omega"]), delta,
-            frozenset(data.get("macro", ())),
+            tuple(int(x) for x in json_list(data["omega"], "omega")), delta,
+            frozenset(json_list(data.get("macro", ()), "macro")),
         )
 
 

@@ -158,6 +158,16 @@ def json_shape(kind: str):
         raise ValueError("malformed %s JSON: %s: %s" % (kind, type(e).__name__, e)) from None
 
 
+def json_list(value, what: str, of_lists: bool = False):
+    """value, which must be a JSON list, of lists if of_lists: a string in
+    either place would otherwise be read as its characters.  Raises
+    TypeError, which json_shape reports."""
+    if not isinstance(value, (list, tuple)) or (
+            of_lists and any(isinstance(x, str) for x in value)):
+        raise TypeError("%s must be a list%s" % (what, " of lists" if of_lists else ""))
+    return value
+
+
 def from_json(data: dict) -> LTS:
     """Parse the workbench LTS text format.
 
@@ -165,14 +175,12 @@ def from_json(data: dict) -> LTS:
              "colors":{"i":["p"],...},"init":0}.
     """
     with json_shape("LTS"):
-        ps = PropSet(tuple(data["props"]))
+        ps = PropSet(tuple(json_list(data["props"], "props")))
         n = int(data["states"])
-        edges = frozenset((int(a), int(b)) for a, b in data.get("edges", []))
-        colmap = {int(k): v for k, v in data.get("colors", {}).items()}
-        cols = []
-        for s in range(n):
-            raw = colmap.get(s, ())
-            cols.append(frozenset(raw))
+        edges = frozenset((int(a), int(b))
+                          for a, b in json_list(data.get("edges", []), "edges", of_lists=True))
+        colmap = {int(k): json_list(v, "a colour") for k, v in data.get("colors", {}).items()}
+        cols = [frozenset(colmap.get(s, ())) for s in range(n)]
         lts = LTS(ps, n, edges, tuple(cols), int(data.get("init", 0)))
     rep = validate(lts)
     if not rep.ok:

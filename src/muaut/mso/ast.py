@@ -300,6 +300,8 @@ def _parse(text: str, logic: str, sorted2: bool):
                 return c.leave(Exists1(v, b, mode))
             return c.leave(ExistsVar(v, b) if INDIVIDUAL_VARS.match(v) else ExistsSet(v, b, mode))
         if t == "down":
+            if sorted2:
+                raise c.error("one-sorted atom 'down' in a two-sorted formula")
             c.take()
             return Down(c.name())
         if t == "Rel" or t == "R":
@@ -308,6 +310,8 @@ def _parse(text: str, logic: str, sorted2: bool):
         name = c.name()
         t = c.peek()
         if t == "sub":
+            if sorted2:
+                raise c.error("one-sorted atom 'sub' in a two-sorted formula")
             c.take()
             return SubsetOf(name, c.name())
         if sorted2 and t == "(":

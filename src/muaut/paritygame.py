@@ -1,4 +1,4 @@
-"""Finite parity games: Zielonka solving with positional strategy extraction.
+"""Finite parity games: Zielonka solving by SCCs with positional strategy extraction.
 
 Convention, fixed artifact-wide: a play is won by Exists iff the maximal
 priority occurring infinitely often is even.  A player who has to move but
@@ -10,7 +10,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .lts import json_shape
+from .lts import json_list, json_shape
 
 EXISTS = 0
 FORALL = 1
@@ -44,11 +44,21 @@ class ParityGame:
         }
 
 
+_OWNER_TAGS = {"E": EXISTS, "exists": EXISTS, 0: EXISTS, "A": FORALL, "forall": FORALL, 1: FORALL}
+
+
 def game_from_json(data: dict) -> ParityGame:
     with json_shape("game"):
-        owner = tuple(EXISTS if o in ("E", "exists", 0) else FORALL for o in data["owner"])
-        moves = tuple(tuple(int(t) for t in m) for m in data["moves"])
-        return ParityGame(owner, moves, tuple(int(p) for p in data["priority"]))
+        tags = json_list(data["owner"], "owner")
+        try:
+            owner = tuple(map(_OWNER_TAGS.__getitem__, tags))
+        except KeyError as e:
+            raise ValueError("malformed game JSON: unknown owner %r (use %s)" % (
+                e.args[0], "/".join(map(str, _OWNER_TAGS)))) from None
+        moves = tuple(tuple(int(t) for t in m)
+                      for m in json_list(data["moves"], "moves", of_lists=True))
+        return ParityGame(owner, moves,
+                          tuple(int(p) for p in json_list(data["priority"], "priority")))
 
 
 def load(path: str) -> ParityGame:
@@ -98,96 +108,142 @@ class Solution:
         return EXISTS if pos in self.win_exists else FORALL
 
 
-def _attractor(player, target, active, pred, owner, moves):
-    """Attractor of target for player within active, with attractor strategy."""
-    attr = set(target)
-    strategy = {}
-    # remaining escape count for opponent positions
-    cnt = {}
-    stack = sorted(target)
-    while stack:
-        u = stack.pop()
-        for v in pred[u]:
-            if v not in active or v in attr:
-                continue
-            if owner[v] == player:
-                attr.add(v)
-                strategy[v] = u
-                stack.append(v)
-            else:
-                if v not in cnt:
-                    cnt[v] = sum(1 for t in moves[v] if t in active)
-                cnt[v] -= 1
-                if cnt[v] == 0:
-                    attr.add(v)
-                    stack.append(v)
-    return attr, strategy
-
-
 def solve(g: ParityGame) -> Solution:
-    """Zielonka's recursive algorithm.
+    """Winning regions and positional winning strategies of both players.
 
-    Stuck positions are handled by routing them to a losing sink for their
-    owner, so the recursion only ever sees positions with a move.
+    Each (sub)game is split into strongly connected components, which are
+    solved sinks first: the still undecided part of a component is solved on
+    its own (a lone position loops on itself; anything larger takes one
+    Zielonka step), and the regions found are attracted backwards across the
+    enclosing subgame before the next component.  The subgames of a Zielonka
+    step are split again.  Subgames are generators on an explicit stack, so
+    nesting depth is bounded by memory, not by the interpreter's stack; on a
+    ladder of self-loops every component is a single position and the whole
+    solve is linear.  A player who has to move but cannot loses.
     """
     n = g.n
-    # augmented game: n -> sink losing for Exists, n+1 -> sink losing for Forall
-    sink_e, sink_a = n, n + 1
-    owner = list(g.owner) + [EXISTS, FORALL]
-    moves = [list(m) if m else [sink_e if g.owner[i] == EXISTS else sink_a]
-             for i, m in enumerate(g.moves)]
-    moves += [[sink_e], [sink_a]]
-    priority = list(g.priority) + [1, 0]
+    owner, prio, moves = g.owner, g.priority, g.moves
+    pred = [[] for _ in range(n)]
+    for u, ts in enumerate(moves):
+        for t in ts:
+            pred[t].append(u)
+    dom = [0] * n      # depth of the innermost open subgame holding v
+    mark = [0] * n     # per scope s: s = decided, s + 1 = moves being counted
+    cnt = [0] * n      # moves of v not yet known to lose for its owner
+    win = [0] * n      # winner of v in the subgame that last decided it
+    strat = [-1] * n   # v's move when its owner wins it, set together with win
+    scopes = itertools.count(2, 2)
 
-    pred = [[] for _ in range(n + 2)]
-    for u in range(n + 2):
-        for v in moves[u]:
-            pred[v].append(u)
-    for ps in pred:
-        ps.sort()
+    def attract(queue, k, sid):
+        """Decide backwards from the positions in queue (stamped sid, winner
+        in win) through the subgame dom == k: a position whose owner can move
+        into a region it wins joins that region, one whose every move leads
+        into regions the opponent wins joins the opponent.  Returns queue,
+        grown by every position decided; each move is read once per scope."""
+        for u in queue:
+            w = win[u]
+            for v in pred[u]:
+                if dom[v] != k:
+                    continue
+                m = mark[v]
+                if m == sid:
+                    continue
+                if owner[v] == w:
+                    strat[v] = u
+                else:
+                    if m == sid + 1:
+                        c = cnt[v] - 1
+                    else:
+                        mark[v] = sid + 1
+                        c = -1
+                        for t in moves[v]:
+                            if dom[t] == k:
+                                c += 1
+                    if c:
+                        cnt[v] = c
+                        continue
+                mark[v] = sid
+                win[v] = w
+                queue.append(v)
+        return queue
 
-    def rec(active: frozenset[int]):
-        if not active:
-            return set(), set(), {}, {}
-        d = max(priority[v] for v in active)
-        player = d % 2  # EXISTS wins even tops
-        tops = {v for v in active if priority[v] == d}
-        attr, sattr = _attractor(player, tops, active, pred, owner, moves)
-        w0, w1, s0, s1 = rec(active - frozenset(attr))
-        wins = (w0, w1)
-        strats = (s0, s1)
-        if not wins[1 - player]:
-            win_p = set(active)
-            strat_p = dict(strats[player])
-            strat_p.update(sattr)
-            for v in sorted(tops):
-                if owner[v] == player and v not in strat_p:
-                    strat_p[v] = min(t for t in moves[v] if t in active)
-            out = [None, None]
-            out[player] = (win_p, strat_p)
-            out[1 - player] = (set(), {})
-            return out[0][0], out[1][0], out[0][1], out[1][1]
-        battr, sbattr = _attractor(1 - player, wins[1 - player], active, pred, owner, moves)
-        w0b, w1b, s0b, s1b = rec(active - frozenset(battr))
-        winsb = (w0b, w1b)
-        stratsb = (s0b, s1b)
-        win_opp = winsb[1 - player] | battr
-        strat_opp = dict(stratsb[1 - player])
-        strat_opp.update(sbattr)
-        strat_opp.update(strats[1 - player])  # winning inside the first recursion's region
-        win_p = winsb[player]
-        strat_p = dict(stratsb[player])
-        out = [None, None]
-        out[player] = (win_p, strat_p)
-        out[1 - player] = (win_opp, strat_opp)
-        return out[0][0], out[1][0], out[0][1], out[1][1]
+    def subgame(A, k, split):
+        """Solve the subgame on A: the positions with dom == k, each with a
+        move inside A.  Yields each nested subgame's positions and whether
+        to split it; it is solved, at depth k + 1, when the generator
+        resumes."""
+        d = max(prio[v] for v in A)
+        p = d & 1
+        tops = [v for v in A if prio[v] == d]
+        if split and len(tops) < len(A):
+            comps = _sccs(A, moves)
+            if len(comps) > 1:
+                sid = next(scopes)
+                for comp in comps:
+                    rest = [v for v in comp if mark[v] != sid]
+                    if len(rest) > 1:
+                        yield rest, False
+                    elif rest:
+                        # undecided and alone, so it loops on itself
+                        v = rest[0]
+                        win[v] = w = prio[v] & 1
+                        if owner[v] == w:
+                            strat[v] = v
+                    for v in rest:
+                        mark[v] = sid
+                    attract(rest, k, sid)
+                return
+        # a Zielonka step: attract to the top priority, solve the rest, and
+        # if the opponent wins some of it, attract to that and solve the rest
+        sid = next(scopes)
+        for v in tops:
+            mark[v] = sid
+            win[v] = p
+            if owner[v] == p:
+                strat[v] = next(t for t in moves[v] if dom[t] == k)
+        if len(tops) == len(A) or len(attract(tops, k, sid)) == len(A):
+            return
+        rest = [v for v in A if mark[v] != sid]
+        yield rest, True
+        lost = [v for v in rest if win[v] != p]
+        if not lost:
+            return  # p wins all of A
+        sid = next(scopes)
+        for v in lost:
+            mark[v] = sid
+        if len(attract(lost, k, sid)) < len(A):
+            yield [v for v in A if mark[v] != sid], True
 
-    w0, w1, s0, s1 = rec(frozenset(range(n + 2)))
-    win_e = frozenset(v for v in w0 if v < n)
-    win_a = frozenset(v for v in w1 if v < n)
-    se = {v: t for v, t in s0.items() if v < n and t < n and v in win_e}
-    sa = {v: t for v, t in s1.items() if v < n and t < n and v in win_a}
-    return Solution(win_e, win_a, se, sa)
+    # positions that reach a stuck one by force are decided first, so every
+    # subgame below has a move from each of its positions
+    top = range(n)
+    stuck = [v for v in top if not moves[v]]
+    if stuck:
+        sid = next(scopes)
+        for v in stuck:
+            mark[v] = sid
+            win[v] = 1 - owner[v]
+        for v in attract(stuck, 0, sid):
+            dom[v] = -1
+        top = [v for v in top if dom[v] == 0]
+    # the subgame at stack index k holds the positions with dom == k
+    stack = [(subgame(top, 0, True), top)] if top else []
+    while stack:
+        sub = next(stack[-1][0], None)
+        if sub is None:
+            k = len(stack) - 2
+            for v in stack.pop()[1]:
+                dom[v] = k
+        else:
+            A, split = sub
+            k = len(stack)
+            for v in A:
+                dom[v] = k
+            stack.append((subgame(A, k, split), A))
+    win_e = frozenset(v for v in range(n) if not win[v])
+    return Solution(win_e, frozenset(range(n)) - win_e,
+                    {v: strat[v] for v in win_e if owner[v] == EXISTS},
+                    {v: strat[v] for v in range(n) if win[v] == owner[v] == FORALL})
 
 
 def _region_closed_and_even(g: ParityGame, region, strat, player) -> bool:
@@ -217,63 +273,68 @@ def _region_closed_and_even(g: ParityGame, region, strat, player) -> bool:
 
 
 def _dominated_cycles(nodes, graph, priority, parity):
-    """Cycles of graph within nodes whose top priority has the given parity:
-    for each such priority d, every nontrivial SCC of the nodes with
-    priority at most d that contains d (lazily, lowest d first)."""
-    for d in sorted({priority[v] for v in nodes if priority[v] % 2 == parity}):
-        sub = [v for v in nodes if priority[v] <= d]
-        for comp in _sccs(sub, graph):
-            nontrivial = len(comp) > 1 or comp[0] in graph.get(comp[0], [])
-            if nontrivial and any(priority[v] == d for v in comp):
+    """Cycles of graph within nodes whose top priority has the given parity,
+    as node lists, lazily: the nodes are split into SCCs; a nontrivial SCC
+    is yielded if its top priority has that parity, and otherwise split
+    again without its top-priority nodes.  Every node on such a cycle is in
+    some yielded list, and every yielded list holds such a cycle."""
+    work = [nodes]
+    while work:
+        part = work.pop()
+        if all(priority[v] % 2 != parity for v in part):
+            continue
+        for comp in _sccs(part, graph):
+            if len(comp) == 1 and comp[0] not in graph[comp[0]]:
+                continue
+            d = max(priority[v] for v in comp)
+            if d % 2 == parity:
                 yield comp
+            else:
+                work.append([v for v in comp if priority[v] != d])
 
 
 def _sccs(nodes, graph):
-    """Tarjan strongly connected components restricted to nodes."""
-    nodeset = set(nodes)
+    """Strongly connected components of the graph v -> graph[v] restricted
+    to nodes, sinks first: every edge between two components leads to an
+    earlier one (Tarjan, on an explicit stack)."""
+    inside = set(nodes)
     index = {}
-    low = {}
-    onstack = {}
+    low = {}        # holds exactly the nodes still on the stack
     stack = []
     out = []
-    counter = itertools.count()
-
-    def strongconnect(v):
-        work = [(v, iter([t for t in graph.get(v, []) if t in nodeset]))]
-        index[v] = low[v] = next(counter)
-        stack.append(v)
-        onstack[v] = True
+    for root in nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(graph[root]))]
         while work:
-            u, it = work[-1]
-            advanced = False
+            v, it = work[-1]
             for t in it:
-                if t not in index:
-                    index[t] = low[t] = next(counter)
+                if t in low:
+                    if index[t] < low[v]:
+                        low[v] = index[t]
+                elif t not in index and t in inside:
+                    index[t] = low[t] = len(index)
                     stack.append(t)
-                    onstack[t] = True
-                    work.append((t, iter([w for w in graph.get(t, []) if w in nodeset])))
-                    advanced = True
+                    work.append((t, iter(graph[t])))
                     break
-                elif onstack.get(t):
-                    low[u] = min(low[u], index[t])
-            if not advanced:
+            else:
                 work.pop()
-                if work:
-                    p = work[-1][0]
-                    low[p] = min(low[p], low[u])
-                if low[u] == index[u]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        onstack[w] = False
-                        comp.append(w)
-                        if w == u:
-                            break
-                    out.append(comp)
-
-    for v in nodes:
-        if v not in index:
-            strongconnect(v)
+                lv = low[v]
+                if lv < index[v]:
+                    u = work[-1][0]
+                    if lv < low[u]:
+                        low[u] = lv
+                    continue
+                comp = []
+                while True:
+                    w = stack.pop()
+                    del low[w]
+                    comp.append(w)
+                    if w == v:
+                        break
+                out.append(comp)
     return out
 
 

@@ -183,3 +183,53 @@ def test_well_typed_json_still_loads(tmp_path, capsys):
     path = tmp_path / "a.json"
     path.write_text(json.dumps(_AUT))
     assert cli.main(["aut", "classify", "--in", str(path)]) == 0
+
+
+def test_game_solve_on_a_deep_ladder(tmp_path, capsys):
+    n = 3000
+    path = tmp_path / "ladder.json"
+    path.write_text(json.dumps({
+        "owner": ["E" if i % 2 == 0 else "A" for i in range(n)],
+        "moves": [[i, i + 1] if i + 1 < n else [i] for i in range(n)],
+        "priority": list(range(n))}))
+    assert cli.main(["game", "solve", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "exists wins: %s" % list(range(0, n, 2))
+    assert out[1] == "forall wins: %s" % list(range(1, n, 2))
+
+
+@pytest.mark.parametrize("kind,data", [
+    ("game", {**_GAME, "owner": ["X"]}), ("game", {**_GAME, "owner": [2]}),
+    ("game", {**_GAME, "owner": [None]}), ("game", {**_GAME, "owner": "EA"}),
+    ("game", {**_GAME, "moves": ["0"]}), ("game", {**_GAME, "priority": "0"}),
+    ("lts", {**_LOOP, "props": "pq"}), ("lts", {**_LOOP, "colors": {"0": "pq"}}),
+    ("lts", {**_LOOP, "edges": ["00"]}), ("aut", {**_AUT, "props": "p"}),
+    ("aut", {**_AUT, "omega": "0"}), ("aut", {**_AUT, "macro": "0"}),
+])
+def test_strings_and_unknown_tags_are_malformed_json(kind, data, tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    if kind == "game":
+        assert cli.main(["game", "solve", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: malformed game JSON: ")
+    elif kind == "aut":
+        assert cli.main(["aut", "classify", "--in", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: malformed automaton JSON: ")
+    else:
+        assert cli.main(["lts", "validate", str(path)]) == 1
+        assert capsys.readouterr().out.startswith("invalid: malformed LTS JSON: ")
+        assert cli.main(["mu", "eval", "p", "--lts", str(path)]) == 2
+
+
+@pytest.mark.parametrize("tags", [["E", "A"], ["exists", "forall"], [0, 1]])
+def test_game_owner_tags(tags, tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"owner": tags, "moves": [[1], [0]], "priority": [1, 0]}))
+    assert cli.main(["game", "solve", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["exists wins: []", "forall wins: [0, 1]"]
+
+
+@pytest.mark.parametrize("formula", ["down p", "p sub q", "ex x. (p(x) | down q)"])
+def test_two_sorted_eval_rejects_one_sorted_atoms(formula, capsys, loop_file):
+    assert cli.main(["mso", "eval", "--two-sorted", formula, "--lts", loop_file]) == 2
+    assert "one-sorted atom" in capsys.readouterr().err

@@ -224,3 +224,9 @@ def test_deep_nesting_is_a_parse_error():
         mso.parse1("~" * 3000 + "down p")
     with pytest.raises(mso.MsoParseError, match="formula nesting too deep"):
         mso.parse2("(" * 3000 + "p(v)" + ")" * 3000)
+
+
+@pytest.mark.parametrize("text", ["down p", "p sub q", "ex x. (p(x) | down q)", "~(v sub w)"])
+def test_two_sorted_grammar_rejects_one_sorted_atoms(text):
+    with pytest.raises(mso.MsoParseError, match="one-sorted atom"):
+        mso.parse2(text)

@@ -1,5 +1,8 @@
 import hashlib
 import random
+import sys
+
+import pytest
 
 from muaut import automata as au
 from muaut import gen
@@ -158,3 +161,188 @@ def test_build_arena_numbers_in_discovery_order():
     assert positions == (0, 1, 2)
     assert g.moves == ((1,), (2,), (0,))
     assert g.owner == (0, 1, 0) and g.priority == (0, 1, 2)
+
+
+# --- SCCs, the cycle-parity helper and the solver at depth ---------------
+
+
+def _rand_graph(rng, n):
+    """Random digraph on 0..n-1 with self-loops, isolated and stuck nodes."""
+    graph = {}
+    for v in range(n):
+        k = rng.choice([0, 0, 1, 1, 2, 3])
+        graph[v] = sorted(set(rng.randrange(n) for _ in range(k)))
+    return graph
+
+
+def _reach_sets(nodes, graph):
+    inside = set(nodes)
+    out = {}
+    for v in nodes:
+        seen, todo = {v}, [v]
+        while todo:
+            for t in graph[todo.pop()]:
+                if t in inside and t not in seen:
+                    seen.add(t)
+                    todo.append(t)
+        out[v] = seen
+    return out
+
+
+def test_sccs_match_mutual_reachability_sinks_first():
+    rng = random.Random(41)
+    for _ in range(300):
+        n = rng.randint(1, 14)
+        graph = _rand_graph(rng, n)
+        nodes = rng.sample(range(n), rng.randint(1, n))
+        reach = _reach_sets(nodes, graph)
+        comps = pg._sccs(nodes, graph)
+        assert sorted(v for c in comps for v in c) == sorted(nodes)
+        which = {v: i for i, c in enumerate(comps) for v in c}
+        for u in nodes:
+            for v in nodes:
+                assert (which[u] == which[v]) == (v in reach[u] and u in reach[v])
+                if v in graph[u] and which[u] != which[v]:
+                    assert which[v] < which[u]  # edges lead to earlier components
+
+
+def _dominated_cycles_by_priority(nodes, graph, priority, parity):
+    """Reference for `_dominated_cycles`, one sweep per priority: for each
+    priority d of the parity, every nontrivial SCC of the nodes with
+    priority at most d that contains d."""
+    for d in sorted({priority[v] for v in nodes if priority[v] % 2 == parity}):
+        sub = [v for v in nodes if priority[v] <= d]
+        for comp in pg._sccs(sub, graph):
+            nontrivial = len(comp) > 1 or comp[0] in graph.get(comp[0], [])
+            if nontrivial and any(priority[v] == d for v in comp):
+                yield comp
+
+
+def test_dominated_cycles_match_the_per_priority_sweep():
+    rng = random.Random(42)
+    for _ in range(400):
+        n = rng.randint(1, 14)
+        graph = _rand_graph(rng, n)
+        priority = [rng.randint(0, 5) for _ in range(n)]
+        nodes = rng.sample(range(n), rng.randint(1, n))
+        for parity in (0, 1):
+            new = list(pg._dominated_cycles(nodes, graph, priority, parity))
+            ref = list(_dominated_cycles_by_priority(nodes, graph, priority, parity))
+            assert bool(new) == bool(ref)
+            assert {v for c in new for v in c} == {v for c in ref for v in c}
+
+
+def test_solver_matches_enumeration_on_games_with_several_sccs():
+    rng = random.Random(43)
+    checked = 0
+    while checked < 300:
+        g = _rand_game(rng, rng.randint(2, 7))
+        if len(pg._sccs(range(g.n), g.moves)) < 2:
+            continue
+        sol = pg.solve(g)
+        assert sol.win_exists == pg.solve_by_enumeration(g)
+        assert pg.check_strategy(g, sol)
+        checked += 1
+
+
+def _stuck_game(rng, n):
+    """Random game on n positions, about a quarter of them without a move."""
+    owner = tuple(rng.randint(0, 1) for _ in range(n))
+    moves = tuple(tuple(sorted(rng.sample(range(n), rng.randint(0, min(3, n)))))
+                  for _ in range(n))
+    return pg.ParityGame(owner, moves, tuple(rng.randint(0, 6) for _ in range(n)))
+
+
+def _games_corpus_random_games():
+    """The six 3,000-position games of the `games` benchmark corpus
+    (generator seed 1): the draws of its automata, formulas and systems,
+    then the games themselves."""
+    rng = random.Random(1)
+
+    def system(n):  # an LTS on n states with out-degrees 1..5, drawn but unused
+        for _ in range(n):
+            rng.sample(range(n), rng.randint(1, 5))
+        for _ in range(n):
+            [rng.random() for _ in props]
+        rng.randrange(n)
+
+    props = ("p",)
+    for _ in range(90):
+        gen.rand_automaton(rng, props, rng.randint(2, 3),
+                           dialect=rng.choice([o.FOE1, o.FOE1INF]), want="any")
+        system(120)
+    props = ("p", "q")
+    for _ in range(40):
+        gen.rand_mu(rng, props, depth=5, mode=rng.choice(["any", "af", "cont"]),
+                    modalities=rng.choice([o.FOE1, o.FOE1INF]))
+        system(100)
+    for _ in range(6):
+        owner = tuple(rng.randrange(2) for _ in range(3000))
+        moves = tuple(tuple(sorted(set(rng.randrange(3000) for _ in range(rng.randint(1, 3)))))
+                      for _ in range(3000))
+        yield pg.ParityGame(owner, moves, tuple(rng.randrange(24) for _ in range(3000)))
+
+
+def _region_corpus():
+    for arena in _arena_corpus():
+        yield arena.game
+    rng = random.Random(44)
+    for _ in range(200):
+        yield _stuck_game(rng, rng.randint(1, 40))
+    yield from _games_corpus_random_games()
+
+
+# sha256 of the Exists regions of `_region_corpus`, recorded from the
+# recursive Zielonka solver that preceded the SCC-by-SCC one
+RECORDED_REGIONS = "894cc224b2f21e27af06796b937efd75d3dcfd228d3d8651ee15856e936caf77"
+
+
+def test_winning_regions_match_recorded_corpus():
+    h = hashlib.sha256()
+    for g in _region_corpus():
+        sol = pg.solve(g)
+        assert pg.check_strategy(g, sol)
+        h.update(repr(sorted(sol.win_exists)).encode())
+    assert h.hexdigest() == RECORDED_REGIONS
+
+
+def _ladder(n):
+    """Position i loops with priority i or steps to i + 1; owners alternate."""
+    moves = tuple((i, i + 1) if i + 1 < n else (i,) for i in range(n))
+    return pg.ParityGame(tuple(i % 2 for i in range(n)), moves, tuple(range(n)))
+
+
+def _cyclic_ladder(n):
+    """The ladder with a step from its top back to 0: one SCC until the top
+    is removed."""
+    moves = tuple((i, (i + 1) % n) for i in range(n))
+    return pg.ParityGame(tuple(i % 2 for i in range(n)), moves, tuple(range(n)))
+
+
+def _reset_ladder(n):
+    """Position i steps to i + 1 or back to 0: Zielonka steps nest n deep."""
+    moves = tuple((0, i + 1) if i + 1 < n else (0,) for i in range(n))
+    return pg.ParityGame(tuple(i % 2 for i in range(n)), moves, tuple(range(n)))
+
+
+def _from_depth(frames, fn):
+    return fn() if frames == 0 else _from_depth(frames - 1, fn)
+
+
+@pytest.fixture()
+def default_recursion_limit():
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(old)
+
+
+@pytest.mark.parametrize("frames", [0, 300])
+@pytest.mark.parametrize("make,n,exists_wins", [
+    (_ladder, 20000, 10000), (_cyclic_ladder, 3000, 1500), (_reset_ladder, 1000, 1000)])
+def test_deep_games_solve_at_the_default_recursion_limit(
+        default_recursion_limit, frames, make, n, exists_wins):
+    g = make(n)
+    sol = _from_depth(frames, lambda: pg.solve(g))
+    assert len(sol.win_exists) == exists_wins
+    assert _from_depth(frames, lambda: pg.check_strategy(g, sol))
