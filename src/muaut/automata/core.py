@@ -11,8 +11,8 @@ import json
 from dataclasses import dataclass
 
 from .. import onestep as o
-from ..lts import LTS, PropSet, json_list, json_shape
-from ..paritygame import EXISTS, FORALL, ParityGame, build_arena, solve
+from ..lts import LTS, PropSet, json_list, json_shape, reach
+from ..paritygame import EXISTS, FORALL, ParityGame, _sccs, build_arena, solve
 
 
 def pred_name(state: int) -> str:
@@ -170,36 +170,20 @@ def classify_automaton(aut: ParityAutomaton) -> ClusterReport:
     M, odd states have all entries in the M-continuous fragment and even
     states in the co-continuous one.
     """
-    from ..paritygame import _sccs
-
     edges = occurrence_edges(aut)
     graph = {a: sorted(edges[a]) for a in range(aut.n)}
     comps = _sccs(list(range(aut.n)), graph)
     clusters = tuple(frozenset(c) for c in comps)
-    which = {}
-    for i, c in enumerate(clusters):
-        for a in c:
-            which[a] = i
     degenerate = tuple(
         len(c) == 1 and next(iter(c)) not in edges[next(iter(c))]
         for c in clusters
     )
-    # reachability between clusters
-    reach: dict[int, set[int]] = {a: set() for a in range(aut.n)}
-    for a in range(aut.n):
-        stack = [a]
-        seen = set()
-        while stack:
-            u = stack.pop()
-            for v in edges[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        reach[a] = seen
+    # the states each state reaches in one or more steps
+    reach_of = {a: reach(graph, graph[a]) for a in range(aut.n)}
     higher = set()
     for i, ci in enumerate(clusters):
         for j, cj in enumerate(clusters):
-            if i != j and all(b in reach[a] for a in ci for b in cj):
+            if i != j and all(b in reach_of[a] for a in ci for b in cj):
                 higher.add((i, j))
     weak = all(len({aut.omega[a] for a in c}) == 1 for c in clusters)
     cw = weak

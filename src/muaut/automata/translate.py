@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 from .. import mucalc as mc
 from .. import onestep as o
-from ..lts import PropSet
+from ..lts import PropSet, reach
+from ..paritygame import _sccs
 from .core import (ParityAutomaton, classify_automaton, occurrence_edges,
                    pred_name, pred_state)
 
@@ -50,19 +51,18 @@ def to_formula(aut: ParityAutomaton) -> mc.MuFormula:
     alternation-free calculus and continuous-weak ones in the continuous
     calculus."""
     colours = aut.props.colours()
+    edges = occurrence_edges(aut)
 
     def translate(states: frozenset[int]) -> dict[int, mc.MuFormula]:
         if not states:
             return {}
-        sub = _restricted_clusters(aut, states)
+        graph = {a: sorted(t for t in edges[a] if t in states) for a in states}
         # pick a source cluster: nothing outside it (within `states`) reaches it
-        top = None
-        for cluster in sorted(sub, key=min):
-            others = states - cluster
-            if not any(t in _reach(aut, a, states) for a in others for t in cluster):
-                top = cluster
+        for top in sorted((frozenset(c) for c in _sccs(sorted(states), graph)), key=min):
+            if not top & reach(graph, [t for a in states - top for t in graph[a]]):
                 break
-        assert top is not None
+        else:
+            raise AssertionError("the clusters of a finite graph have a source")
         rest = translate(states - top)
 
         def entry_formula(b: int, images: dict[int, mc.MuFormula]) -> mc.MuFormula:
@@ -72,7 +72,7 @@ def to_formula(aut: ParityAutomaton) -> mc.MuFormula:
             )
 
         out = dict(rest)
-        if len(top) == 1 and next(iter(top)) not in occurrence_edges(aut)[next(iter(top))]:
+        if len(top) == 1 and next(iter(top)) not in edges[next(iter(top))]:
             b = next(iter(top))
             out[b] = entry_formula(b, rest)
             return out
@@ -96,27 +96,6 @@ def to_formula(aut: ParityAutomaton) -> mc.MuFormula:
     formula = mc.refresh(formula, reserved=aut.props.names)
     mc.check_wf(formula)
     return formula
-
-
-def _restricted_clusters(aut: ParityAutomaton, states: frozenset[int]):
-    from ..paritygame import _sccs
-
-    edges = occurrence_edges(aut)
-    graph = {a: sorted(t for t in edges[a] if t in states) for a in states}
-    return [frozenset(c) for c in _sccs(sorted(states), graph)]
-
-
-def _reach(aut: ParityAutomaton, a: int, states: frozenset[int]) -> set[int]:
-    edges = occurrence_edges(aut)
-    seen: set[int] = set()
-    stack = [a]
-    while stack:
-        u = stack.pop()
-        for v in edges[u]:
-            if v in states and v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
 
 
 # ---------------------------------------------------------------------------

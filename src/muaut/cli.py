@@ -534,10 +534,28 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# the companion arguments each (command, action) reads, as written in `wb`
+COMPANIONS = {
+    ("lts", "bisim"): ("other",),
+    ("onestep", "eval"): ("--model",),
+    ("mu", "eval"): ("--lts",),
+    ("mu", "game"): ("--lts",),
+    ("aut", "fromformula"): ("formula",),
+    ("aut", "accept"): ("--in", "--lts"),
+    ("aut", "project"): ("--in", "--letter"),
+    **{("aut", a): ("--in",) for a in ("complement", "classify", "toformula", "simulate", "diamond")},
+    ("mso", "eval"): ("--lts",),
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        missing = [name for name in COMPANIONS.get((args.command, getattr(args, "action", None)), ())
+                   if getattr(args, name.lstrip("-")) is None]
+        if missing:
+            parser.error("%s %s needs %s" % (args.command, args.action, " and ".join(missing)))
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

@@ -105,7 +105,7 @@ class LTS:
         return frozenset(s for s in range(self.n) if p in self.colours[s])
 
     def reachable(self, start: Optional[int] = None) -> frozenset[int]:
-        return _reach(self.successor_table(), self.init if start is None else start)
+        return reach(self.successor_table(), (self.init if start is None else start,))
 
     def to_json(self) -> dict:
         colors = {
@@ -120,9 +120,11 @@ class LTS:
         }
 
 
-def _reach(succ: tuple[tuple[int, ...], ...], start: int) -> frozenset[int]:
-    seen = {start}
-    stack = [start]
+def reach(succ, starts: Iterable[int]) -> frozenset[int]:
+    """The nodes reachable in zero or more steps from starts, where succ[u]
+    lists the successors of node u."""
+    seen = set(starts)
+    stack = list(seen)
     while stack:
         for t in succ[stack.pop()]:
             if t not in seen:
@@ -393,7 +395,7 @@ def noetherian_subset(lts: LTS, xs: Iterable[int]) -> bool:
     if not xset:
         return True
     succ = lts.successor_table()
-    return any(xset <= _reach(succ, s) for s in range(lts.n))
+    return any(xset <= reach(succ, (s,)) for s in range(lts.n))
 
 
 def quotient(lts: LTS) -> LTS:

@@ -4,8 +4,8 @@ from .ast import (Down, EqVar, Exists1, ExistsSet, ExistsVar, FINITE,
                   LOGIC_MODE, MODES, Mso1, Mso2, MsoParseError, NOETHERIAN,
                   Not1, Not2, Or1, Or2, PredApp, RelApp, RelStep, STANDARD,
                   SubsetOf, and2, conj2, forall_set, forall_var,
-                  free_ivars, free_letters1, free_setvars, implies2, parse1,
-                  parse2, pretty1, pretty2, rename_ivar, substitute_atom)
+                  free_letters1, implies2, parse1, parse2, pretty1, pretty2,
+                  substitute_atom)
 from .compile import (CompileError, base_down, base_rel, base_subset,
                       compile_mso)
 from .eval import UnboundError, eval_mso, eval_mso2, holds_at_init2

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import partial, reduce
 from typing import Union
 
-from ..syntax import Cursor, ParseError
+from ..syntax import Cursor, Node, ParseError
 
 STANDARD = "standard"
 FINITE = "finite"
@@ -25,40 +25,43 @@ LOGIC_MODE = {"smso": STANDARD, "wmso": FINITE, "nmso": NOETHERIAN}
 # --- one-sorted -----------------------------------------------------------
 
 @dataclass(frozen=True)
-class Down:
+class Down(Node):
     """The letter holds exactly at the distinguished state."""
     p: str
 
 
 @dataclass(frozen=True)
-class SubsetOf:
+class SubsetOf(Node):
     left: str
     right: str
 
 
 @dataclass(frozen=True)
-class RelStep:
+class RelStep(Node):
     """Every left-state has an edge to some right-state."""
     left: str
     right: str
 
 
 @dataclass(frozen=True)
-class Not1:
+class Not1(Node):
     body: "Mso1"
+    subs = ("body",)
 
 
 @dataclass(frozen=True)
-class Or1:
+class Or1(Node):
     left: "Mso1"
     right: "Mso1"
+    subs = ("left", "right")
 
 
 @dataclass(frozen=True)
-class Exists1:
+class Exists1(Node):
     var: str
     body: "Mso1"
     mode: str
+    subs = ("body",)
 
 
 Mso1 = Union[Down, SubsetOf, RelStep, Not1, Or1, Exists1]
@@ -70,13 +73,8 @@ def free_letters1(f: Mso1) -> frozenset[str]:
             return frozenset({p})
         case SubsetOf(a, b) | RelStep(a, b):
             return frozenset({a, b})
-        case Not1(b):
-            return free_letters1(b)
-        case Or1(a, b):
-            return free_letters1(a) | free_letters1(b)
-        case Exists1(v, b, _):
-            return free_letters1(b) - {v}
-    raise TypeError(f)
+    out = frozenset().union(*map(free_letters1, f.children()))
+    return out - {f.var} if isinstance(f, Exists1) else out
 
 
 def pretty1(f: Mso1, _level: int = 0) -> str:
@@ -101,45 +99,49 @@ def pretty1(f: Mso1, _level: int = 0) -> str:
 # --- two-sorted -----------------------------------------------------------
 
 @dataclass(frozen=True)
-class PredApp:
+class PredApp(Node):
     p: str
     x: str
 
 
 @dataclass(frozen=True)
-class RelApp:
+class RelApp(Node):
     x: str
     y: str
 
 
 @dataclass(frozen=True)
-class EqVar:
+class EqVar(Node):
     x: str
     y: str
 
 
 @dataclass(frozen=True)
-class Not2:
+class Not2(Node):
     body: "Mso2"
+    subs = ("body",)
 
 
 @dataclass(frozen=True)
-class Or2:
+class Or2(Node):
     left: "Mso2"
     right: "Mso2"
+    subs = ("left", "right")
 
 
 @dataclass(frozen=True)
-class ExistsVar:
+class ExistsVar(Node):
     var: str
     body: "Mso2"
+    subs = ("body",)
 
 
 @dataclass(frozen=True)
-class ExistsSet:
+class ExistsSet(Node):
     var: str
     body: "Mso2"
     mode: str
+    subs = ("body",)
 
 
 Mso2 = Union[PredApp, RelApp, EqVar, Not2, Or2, ExistsVar, ExistsSet]
@@ -169,79 +171,14 @@ def conj2(parts) -> Mso2:
     return out
 
 
-def free_ivars(f: Mso2) -> frozenset[str]:
-    match f:
-        case PredApp(_, x):
-            return frozenset({x})
-        case RelApp(x, y) | EqVar(x, y):
-            return frozenset({x, y})
-        case Not2(b):
-            return free_ivars(b)
-        case Or2(a, b):
-            return free_ivars(a) | free_ivars(b)
-        case ExistsVar(v, b):
-            return free_ivars(b) - {v}
-        case ExistsSet(_, b, _):
-            return free_ivars(b)
-    raise TypeError(f)
-
-
-def free_setvars(f: Mso2) -> frozenset[str]:
-    match f:
-        case PredApp(p, _):
-            return frozenset({p})
-        case RelApp() | EqVar():
-            return frozenset()
-        case Not2(b):
-            return free_setvars(b)
-        case Or2(a, b):
-            return free_setvars(a) | free_setvars(b)
-        case ExistsVar(_, b):
-            return free_setvars(b)
-        case ExistsSet(p, b, _):
-            return free_setvars(b) - {p}
-    raise TypeError(f)
-
-
-def rename_ivar(f: Mso2, old: str, new: str) -> Mso2:
-    match f:
-        case PredApp(p, x):
-            return PredApp(p, new if x == old else x)
-        case RelApp(x, y):
-            return RelApp(new if x == old else x, new if y == old else y)
-        case EqVar(x, y):
-            return EqVar(new if x == old else x, new if y == old else y)
-        case Not2(b):
-            return Not2(rename_ivar(b, old, new))
-        case Or2(a, b):
-            return Or2(rename_ivar(a, old, new), rename_ivar(b, old, new))
-        case ExistsVar(v, b):
-            if v == old:
-                return f
-            return ExistsVar(v, rename_ivar(b, old, new))
-        case ExistsSet(p, b, m):
-            return ExistsSet(p, rename_ivar(b, old, new), m)
-    raise TypeError(f)
-
-
 def substitute_atom(f: Mso2, name: str, maker) -> Mso2:
     """Replace every atom name(x) by maker(x); maker returns a formula."""
     match f:
-        case PredApp(p, x):
-            return maker(x) if p == name else f
-        case RelApp() | EqVar():
+        case PredApp(p, x) if p == name:
+            return maker(x)
+        case ExistsSet(p, _, _) if p == name:
             return f
-        case Not2(b):
-            return Not2(substitute_atom(b, name, maker))
-        case Or2(a, b):
-            return Or2(substitute_atom(a, name, maker), substitute_atom(b, name, maker))
-        case ExistsVar(v, b):
-            return ExistsVar(v, substitute_atom(b, name, maker))
-        case ExistsSet(p, b, m):
-            if p == name:
-                return f
-            return ExistsSet(p, substitute_atom(b, name, maker), m)
-    raise TypeError(f)
+    return f.rebuild(lambda g: substitute_atom(g, name, maker))
 
 
 def pretty2(f: Mso2, _level: int = 0) -> str:

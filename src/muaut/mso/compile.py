@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from .. import onestep as o
 from ..automata import (ParityAutomaton, complement, finitary_construct,
-                        noetherian_construct, project, union_automaton)
+                        noetherian_construct, normalize_weak_priorities, project,
+                        union_automaton)
 from ..lts import PropSet
 from .ast import (Down, Exists1, Mso1, Not1, Or1, RelStep, SubsetOf, FINITE,
                   NOETHERIAN, LOGIC_MODE, free_letters1)
@@ -81,7 +82,6 @@ def compile_mso(f: Mso1, logic: str, props: PropSet) -> ParityAutomaton:
                     raise CompileError("quantifier mode %r inside a %s compilation" % (m, logic))
                 sub = go(b, ps.with_letter(p))
                 construct = finitary_construct if logic == "wmso" else noetherian_construct
-                from ..automata import normalize_weak_priorities
                 return project(construct(normalize_weak_priorities(sub)), p)
         raise TypeError(g)
 

@@ -12,7 +12,7 @@ from .. import mucalc as mc
 from .. import onestep as o
 from .ast import (EqVar, ExistsSet, ExistsVar, Mso2, Not2, Or2, PredApp,
                   RelApp, and2, conj2, forall_set, forall_var, implies2,
-                  rename_ivar, substitute_atom, FINITE, NOETHERIAN)
+                  substitute_atom, FINITE, NOETHERIAN)
 
 
 class FragmentError(ValueError):
@@ -76,33 +76,18 @@ def _false(v: str) -> Mso2:
 
 
 def _freshen_vars(alpha: o.Formula, fresh) -> o.Formula:
+    """alpha without sugar, every quantified variable renamed fresh("u")."""
+
     def go(g: o.Formula, ren: dict[str, str]) -> o.Formula:
         match g:
-            case o.Pred(a, x):
-                return o.Pred(a, ren[x])
-            case o.NegPred(a, x):
-                return o.NegPred(a, ren[x])
-            case o.Eq(x, y):
-                return o.Eq(ren[x], ren[y])
-            case o.Neq(x, y):
-                return o.Neq(ren[x], ren[y])
-            case o.And(args):
-                return o.And(tuple(go(a, ren) for a in args))
-            case o.Or(args):
-                return o.Or(tuple(go(a, ren) for a in args))
-            case o.Exists(x, b):
-                u = fresh("u")
-                return o.Exists(u, go(b, {**ren, x: u}))
-            case o.Forall(x, b):
-                u = fresh("u")
-                return o.Forall(u, go(b, {**ren, x: u}))
-            case o.ExistsInf(x, b):
-                u = fresh("u")
-                return o.ExistsInf(u, go(b, {**ren, x: u}))
-            case o.ForallInf(x, b):
-                u = fresh("u")
-                return o.ForallInf(u, go(b, {**ren, x: u}))
-        raise TypeError(g)
+            case o.Pred(a, x) | o.NegPred(a, x):
+                return type(g)(a, ren[x])
+            case o.Eq(x, y) | o.Neq(x, y):
+                return type(g)(ren[x], ren[y])
+            case o.And() | o.Or():
+                return g.rebuild(lambda a: go(a, ren))
+        u = fresh("u")
+        return type(g)(u, go(g.body, {**ren, g.var: u}))
 
     return go(o.expand_sugar(alpha), {})
 

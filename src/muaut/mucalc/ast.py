@@ -15,48 +15,56 @@ from typing import Iterable, Union
 
 from .. import onestep as o
 from ..onestep.parse import formula as onestep_formula
-from ..syntax import Cursor, ParseError
+from ..syntax import Cursor, Node, ParseError
 
 
 @dataclass(frozen=True)
-class Prop:
+class Prop(Node):
     name: str
 
 
 @dataclass(frozen=True)
-class NegProp:
+class NegProp(Node):
     name: str
 
 
 @dataclass(frozen=True)
-class MAnd:
+class MAnd(Node):
     args: tuple["MuFormula", ...]
+    subs = ("args",)
 
 
 @dataclass(frozen=True)
-class MOr:
+class MOr(Node):
     args: tuple["MuFormula", ...]
+    subs = ("args",)
 
 
 @dataclass(frozen=True)
-class Modal:
+class Modal(Node):
+    """The one-step sentence alpha is of another syntax, so only the
+    arguments are subformulas."""
+
     alpha: o.Formula
     args: tuple["MuFormula", ...]
+    subs = ("args",)
 
     def pred_names(self) -> tuple[str, ...]:
         return tuple("a%d" % (i + 1) for i in range(len(self.args)))
 
 
 @dataclass(frozen=True)
-class Mu:
+class Mu(Node):
     var: str
     body: "MuFormula"
+    subs = ("body",)
 
 
 @dataclass(frozen=True)
-class Nu:
+class Nu(Node):
     var: str
     body: "MuFormula"
+    subs = ("body",)
 
 
 MuFormula = Union[Prop, NegProp, MAnd, MOr, Modal, Mu, Nu]
@@ -106,38 +114,21 @@ def mor(args: Iterable[MuFormula]) -> MuFormula:
 
 
 def free_letters(f: MuFormula) -> frozenset[str]:
-    match f:
-        case Prop(p) | NegProp(p):
-            return frozenset({p})
-        case MAnd(args) | MOr(args) | Modal(_, args):
-            return frozenset().union(*[free_letters(a) for a in args]) if args else frozenset()
-        case Mu(p, b) | Nu(p, b):
-            return free_letters(b) - {p}
-    raise TypeError(f)
+    if isinstance(f, (Prop, NegProp)):
+        return frozenset({f.name})
+    out = frozenset().union(*map(free_letters, f.children()))
+    return out - {f.var} if isinstance(f, (Mu, Nu)) else out
 
 
 def bound_letters(f: MuFormula) -> list[str]:
-    match f:
-        case Prop() | NegProp():
-            return []
-        case MAnd(args) | MOr(args) | Modal(_, args):
-            out = []
-            for a in args:
-                out.extend(bound_letters(a))
-            return out
-        case Mu(p, b) | Nu(p, b):
-            return [p] + bound_letters(b)
-    raise TypeError(f)
+    return [g.var for g in subformulas(f) if isinstance(g, (Mu, Nu))]
 
 
 def subformulas(f: MuFormula) -> list[MuFormula]:
+    """f and its subformulas, in pre-order."""
     out = [f]
-    match f:
-        case MAnd(args) | MOr(args) | Modal(_, args):
-            for a in args:
-                out.extend(subformulas(a))
-        case Mu(_, b) | Nu(_, b):
-            out.extend(subformulas(b))
+    for a in f.children():
+        out.extend(subformulas(a))
     return out
 
 
@@ -159,13 +150,10 @@ def check_wf(f: MuFormula) -> None:
         match g:
             case NegProp(p) if p in scoped:
                 raise IllFormedError("bound letter %r occurs negated" % p)
-            case MAnd(args) | MOr(args) | Modal(_, args):
-                for a in args:
-                    neg_check(a, scoped)
-            case Mu(p, b) | Nu(p, b):
-                neg_check(b, scoped | {p})
-            case _:
-                pass
+            case Mu(p, _) | Nu(p, _):
+                scoped = scoped | {p}
+        for a in g.children():
+            neg_check(a, scoped)
 
     neg_check(f, frozenset())
     for g in subformulas(f):
@@ -181,13 +169,8 @@ def check_wf(f: MuFormula) -> None:
 
 def modal_dialect(f: MuFormula) -> str:
     """Smallest one-step dialect containing every modality."""
-    best = o.FO1
-    for g in subformulas(f):
-        if isinstance(g, Modal):
-            d = o.min_dialect(g.alpha)
-            if o.DIALECTS.index(d) > o.DIALECTS.index(best):
-                best = d
-    return best
+    return max((o.min_dialect(g.alpha) for g in subformulas(f) if isinstance(g, Modal)),
+               key=o.DIALECTS.index, default=o.FO1)
 
 
 def _fresh_supply(used: set[str]):
@@ -210,24 +193,12 @@ def refresh(f: MuFormula, reserved: Iterable[str] = ()) -> MuFormula:
     supply = _fresh_supply(used)
 
     def go(g: MuFormula, ren: dict[str, str]) -> MuFormula:
-        match g:
-            case Prop(p):
-                return Prop(ren.get(p, p))
-            case NegProp(p):
-                return NegProp(ren.get(p, p))
-            case MAnd(args):
-                return MAnd(tuple(go(a, ren) for a in args))
-            case MOr(args):
-                return MOr(tuple(go(a, ren) for a in args))
-            case Modal(alpha, args):
-                return Modal(alpha, tuple(go(a, ren) for a in args))
-            case Mu(p, b):
-                q = next(supply)
-                return Mu(q, go(b, {**ren, p: q}))
-            case Nu(p, b):
-                q = next(supply)
-                return Nu(q, go(b, {**ren, p: q}))
-        raise TypeError(g)
+        if isinstance(g, (Prop, NegProp)):
+            return type(g)(ren.get(g.name, g.name))
+        if isinstance(g, (Mu, Nu)):
+            q = next(supply)
+            return type(g)(q, go(g.body, {**ren, g.var: q}))
+        return g.rebuild(lambda a: go(a, ren))
 
     return go(f, {})
 
@@ -246,23 +217,15 @@ def substitute(f: MuFormula, sigma: dict[str, MuFormula]) -> MuFormula:
         match g:
             case Prop(p):
                 return sigma.get(p, g)
-            case NegProp(p):
-                if p in sigma:
-                    raise IllFormedError("cannot substitute under negation of %r" % p)
-                return g
-            case MAnd(args):
-                return MAnd(tuple(go(a) for a in args))
-            case MOr(args):
-                return MOr(tuple(go(a) for a in args))
-            case Modal(alpha, args):
-                return Modal(alpha, tuple(go(a) for a in args))
-            case Mu(p, b):
-                return Mu(p, go(b))
-            case Nu(p, b):
-                return Nu(p, go(b))
-        raise TypeError(g)
+            case NegProp(p) if p in sigma:
+                raise IllFormedError("cannot substitute under negation of %r" % p)
+        return g.rebuild(go)
 
     return refresh(go(base), reserved=img_free)
+
+
+# each compound node class and the class of its negation
+_NEGATE = {MAnd: MOr, MOr: MAnd, Mu: Nu, Nu: Mu}
 
 
 def negate(f: MuFormula, flipped: frozenset[str] = frozenset()) -> MuFormula:
@@ -279,40 +242,24 @@ def negate(f: MuFormula, flipped: frozenset[str] = frozenset()) -> MuFormula:
             if p in flipped:
                 raise IllFormedError("flipped letter %r occurs negated" % p)
             return Prop(p)
-        case MAnd(args):
-            return MOr(tuple(negate(a, flipped) for a in args))
-        case MOr(args):
-            return MAnd(tuple(negate(a, flipped) for a in args))
         case Modal(alpha, args):
             return Modal(o.dual(alpha), tuple(negate(a, flipped) for a in args))
-        case Mu(p, b):
-            return Nu(p, negate(b, flipped | {p}))
-        case Nu(p, b):
-            return Mu(p, negate(b, flipped | {p}))
-    raise TypeError(f)
+        case Mu(p, _) | Nu(p, _):
+            flipped = flipped | {p}
+    return f.rebuild(lambda a: negate(a, flipped), _NEGATE[type(f)])
 
 
 def simplify(f: MuFormula) -> MuFormula:
     """Boolean absorption plus removal of vacuous binders."""
     match f:
         case MAnd(args):
-            return mand(simplify(a) for a in args)
+            return mand(map(simplify, args))
         case MOr(args):
-            return mor(simplify(a) for a in args)
-        case Modal(alpha, args):
-            return Modal(alpha, tuple(simplify(a) for a in args))
-        case Mu(p, b):
+            return mor(map(simplify, args))
+        case Mu(p, b) | Nu(p, b):
             b = simplify(b)
-            if p not in free_letters(b):
-                return b
-            return Mu(p, b)
-        case Nu(p, b):
-            b = simplify(b)
-            if p not in free_letters(b):
-                return b
-            return Nu(p, b)
-        case _:
-            return f
+            return f.rebuild(lambda _: b) if p in free_letters(b) else b
+    return f.rebuild(simplify)
 
 
 def pretty(f: MuFormula, _level: int = 0) -> str:

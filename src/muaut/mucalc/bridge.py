@@ -9,8 +9,8 @@ binders, so membership in the restricted calculi survives the rewrite.
 from __future__ import annotations
 
 from .. import onestep as o
-from .ast import (MAnd, Modal, MOr, Mu, MuFormula, NegProp, Nu, Prop, box,
-                  dia, free_letters, is_box, is_dia, mand, mor)
+from .ast import (MAnd, Modal, MOr, Mu, MuFormula, Nu, box, dia, free_letters,
+                  is_box, is_dia, mand, mor, refresh)
 
 
 class NotFO1Error(ValueError):
@@ -55,16 +55,14 @@ def fo1_modal_bridge(f: MuFormula) -> MuFormula:
 
     def go(g: MuFormula, cont_active: frozenset[str], cocont_active: frozenset[str]) -> MuFormula:
         match g:
-            case Prop() | NegProp():
-                return g
             case MAnd(args):
                 return mand(go(a, cont_active, cocont_active) for a in args)
             case MOr(args):
                 return mor(go(a, cont_active, cocont_active) for a in args)
-            case Mu(p, b):
-                return Mu(p, go(b, cont_active | {p}, cocont_active))
-            case Nu(p, b):
-                return Nu(p, go(b, cont_active, cocont_active | {p}))
+            case Mu(p, _):
+                cont_active = cont_active | {p}
+            case Nu(p, _):
+                cocont_active = cocont_active | {p}
             case Modal(alpha, margs):
                 if o.min_dialect(alpha) != o.FO1:
                     raise NotFO1Error("modality is not plain FO1: %s" % o.pretty(alpha))
@@ -87,10 +85,9 @@ def fo1_modal_bridge(f: MuFormula) -> MuFormula:
                         o.sentence(o.dual(alpha), o.FO1, preds), b_cocont)
                     return _rewrite_dual(bf, new_args)
                 return _rewrite_positive(o.to_basic_form(sent), new_args)
-        raise TypeError(g)
+        return g.rebuild(lambda a: go(a, cont_active, cocont_active))
 
     out = go(f, frozenset(), frozenset())
     if out != f:
-        from .ast import refresh
         out = refresh(out)
     return out

@@ -12,116 +12,69 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .. import onestep as o
-from .ast import (MAnd, Modal, Mu, MuFormula, MOr, NegProp, Nu, Prop, is_box,
-                  is_dia, free_letters, subformulas)
+from .ast import (Modal, Mu, MuFormula, NegProp, Nu, Prop, is_box, is_dia,
+                  free_letters, subformulas)
+
+
+def in_grammar(f: MuFormula, q: frozenset[str], binder: type, fragment=None) -> bool:
+    """Membership in the grammar where the letters q occur only positively,
+    only below binders of class `binder`, and, when `fragment` is given,
+    only in argument positions B of a modality alpha with fragment(alpha, B)."""
+    if not free_letters(f) & q:
+        return True
+    match f:
+        case Prop(p):
+            return p in q
+        case NegProp():
+            return False
+        case Mu(p, b) | Nu(p, b):
+            return isinstance(f, binder) and in_grammar(b, q | {p}, binder, fragment)
+        case Modal(alpha, args) if fragment is not None:
+            touching = frozenset(
+                "a%d" % (i + 1) for i, a in enumerate(args) if free_letters(a) & q
+            )
+            if not fragment(alpha, touching):
+                return False
+    return all(in_grammar(a, q, binder, fragment) for a in f.children())
 
 
 def in_noetherian(f: MuFormula, q: frozenset[str]) -> bool:
-    if not free_letters(f) & q:
-        return True
-    match f:
-        case Prop(p):
-            return p in q
-        case NegProp():
-            return False
-        case MAnd(args) | MOr(args) | Modal(_, args):
-            return all(in_noetherian(a, q) for a in args)
-        case Mu(p, b):
-            return in_noetherian(b, q | {p})
-        case Nu():
-            return False
-    raise TypeError(f)
+    return in_grammar(f, q, Mu)
 
 
 def in_conoetherian(f: MuFormula, q: frozenset[str]) -> bool:
-    if not free_letters(f) & q:
-        return True
-    match f:
-        case Prop(p):
-            return p in q
-        case NegProp():
-            return False
-        case MAnd(args) | MOr(args) | Modal(_, args):
-            return all(in_conoetherian(a, q) for a in args)
-        case Nu(p, b):
-            return in_conoetherian(b, q | {p})
-        case Mu():
-            return False
-    raise TypeError(f)
+    return in_grammar(f, q, Nu)
 
 
 def in_continuous(f: MuFormula, q: frozenset[str]) -> bool:
-    if not free_letters(f) & q:
-        return True
-    match f:
-        case Prop(p):
-            return p in q
-        case NegProp():
-            return False
-        case MAnd(args) | MOr(args):
-            return all(in_continuous(a, q) for a in args)
-        case Modal(alpha, args):
-            touching = frozenset(
-                "a%d" % (i + 1) for i, a in enumerate(args) if free_letters(a) & q
-            )
-            if not o.in_continuous_fragment(alpha, touching):
-                return False
-            return all(in_continuous(a, q) for a in args if free_letters(a) & q)
-        case Mu(p, b):
-            return in_continuous(b, q | {p})
-        case Nu():
-            return False
-    raise TypeError(f)
+    return in_grammar(f, q, Mu, o.in_continuous_fragment)
 
 
 def in_cocontinuous(f: MuFormula, q: frozenset[str]) -> bool:
-    if not free_letters(f) & q:
-        return True
-    match f:
-        case Prop(p):
-            return p in q
-        case NegProp():
-            return False
-        case MAnd(args) | MOr(args):
-            return all(in_cocontinuous(a, q) for a in args)
-        case Modal(alpha, args):
-            touching = frozenset(
-                "a%d" % (i + 1) for i, a in enumerate(args) if free_letters(a) & q
-            )
-            if not o.in_cocontinuous_fragment(alpha, touching):
-                return False
-            return all(in_cocontinuous(a, q) for a in args if free_letters(a) & q)
-        case Nu(p, b):
-            return in_cocontinuous(b, q | {p})
-        case Mu():
-            return False
-    raise TypeError(f)
+    return in_grammar(f, q, Nu, o.in_cocontinuous_fragment)
+
+
+def _body_in_grammar(g: Mu | Nu, continuous: bool) -> bool:
+    """Is the binder's body in the grammar for its letter: (co)noetherian,
+    or (co)continuous when `continuous`?"""
+    q = frozenset({g.var})
+    if isinstance(g, Mu):
+        return (in_continuous if continuous else in_noetherian)(g.body, q)
+    return (in_cocontinuous if continuous else in_conoetherian)(g.body, q)
+
+
+def in_calculus(f: MuFormula, continuous: bool) -> bool:
+    """Every binder's body is in its grammar: the alternation-free calculus,
+    or the continuous calculus when `continuous`."""
+    return all(_body_in_grammar(g, continuous) for g in subformulas(f) if isinstance(g, (Mu, Nu)))
 
 
 def in_alternation_free(f: MuFormula) -> bool:
-    match f:
-        case Prop() | NegProp():
-            return True
-        case MAnd(args) | MOr(args) | Modal(_, args):
-            return all(in_alternation_free(a) for a in args)
-        case Mu(p, b):
-            return in_alternation_free(b) and in_noetherian(b, frozenset({p}))
-        case Nu(p, b):
-            return in_alternation_free(b) and in_conoetherian(b, frozenset({p}))
-    raise TypeError(f)
+    return in_calculus(f, False)
 
 
 def in_continuous_calculus(f: MuFormula) -> bool:
-    match f:
-        case Prop() | NegProp():
-            return True
-        case MAnd(args) | MOr(args) | Modal(_, args):
-            return all(in_continuous_calculus(a) for a in args)
-        case Mu(p, b):
-            return in_continuous_calculus(b) and in_continuous(b, frozenset({p}))
-        case Nu(p, b):
-            return in_continuous_calculus(b) and in_cocontinuous(b, frozenset({p}))
-    raise TypeError(f)
+    return in_calculus(f, True)
 
 
 def is_guarded(f: MuFormula) -> bool:
@@ -131,15 +84,11 @@ def is_guarded(f: MuFormula) -> bool:
         match g:
             case Prop(p):
                 return p not in unguarded
-            case NegProp():
-                return True
-            case MAnd(args) | MOr(args):
-                return all(go(a, unguarded) for a in args)
-            case Modal(_, args):
-                return all(go(a, frozenset()) for a in args)
-            case Mu(p, b) | Nu(p, b):
-                return go(b, unguarded | {p})
-        raise TypeError(g)
+            case Modal():
+                unguarded = frozenset()
+            case Mu(p, _) | Nu(p, _):
+                unguarded = unguarded | {p}
+        return all(go(a, unguarded) for a in g.children())
 
     return go(f, frozenset())
 
@@ -160,20 +109,13 @@ class FragmentReport:
 
 
 def classify(f: MuFormula) -> FragmentReport:
-    binders = []
-    for g in subformulas(f):
-        if isinstance(g, Mu):
-            binders.append((g.var, "mu",
-                            in_noetherian(g.body, frozenset({g.var})),
-                            in_continuous(g.body, frozenset({g.var}))))
-        elif isinstance(g, Nu):
-            binders.append((g.var, "nu",
-                            in_conoetherian(g.body, frozenset({g.var})),
-                            in_cocontinuous(g.body, frozenset({g.var}))))
+    binders = tuple((g.var, "mu" if isinstance(g, Mu) else "nu",
+                     _body_in_grammar(g, False), _body_in_grammar(g, True))
+                    for g in subformulas(f) if isinstance(g, (Mu, Nu)))
     return FragmentReport(
         plain_modal=is_plain_modal(f),
-        alternation_free=in_alternation_free(f),
-        continuous_calculus=in_continuous_calculus(f),
+        alternation_free=all(b[2] for b in binders),
+        continuous_calculus=all(b[3] for b in binders),
         guarded=is_guarded(f),
-        binders=tuple(binders),
+        binders=binders,
     )

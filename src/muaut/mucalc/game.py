@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .. import onestep as o
 from ..lts import LTS
-from ..paritygame import EXISTS, FORALL, ParityGame, build_arena
+from ..paritygame import EXISTS, FORALL, ParityGame, build_arena, solve
 from .ast import (MAnd, Modal, MOr, Mu, MuFormula, NegProp, Nu, Prop,
                   check_wf, free_letters, subformulas)
 
@@ -23,18 +23,11 @@ def binder_priorities(f: MuFormula) -> dict[str, int]:
     depths: dict[str, tuple[int, bool]] = {}
 
     def walk(g: MuFormula, d: int):
-        match g:
-            case Mu(p, b):
-                depths[p] = (d, True)
-                walk(b, d + 1)
-            case Nu(p, b):
-                depths[p] = (d, False)
-                walk(b, d + 1)
-            case MAnd(args) | MOr(args) | Modal(_, args):
-                for a in args:
-                    walk(a, d)
-            case _:
-                pass
+        if isinstance(g, (Mu, Nu)):
+            depths[g.var] = (d, isinstance(g, Mu))
+            d += 1
+        for a in g.children():
+            walk(a, d)
 
     walk(f, 0)
     maxd = max((d for d, _ in depths.values()), default=0)
@@ -121,7 +114,5 @@ def build_eval_game(f: MuFormula, lts: LTS) -> EvalGame:
 
 def game_value(f: MuFormula, lts: LTS) -> bool:
     """Does Exists win the evaluation game from the root?"""
-    from ..paritygame import solve
-
     eg = build_eval_game(f, lts)
     return eg.root in solve(eg.game).win_exists

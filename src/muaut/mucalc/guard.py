@@ -14,8 +14,8 @@ Worst-case exponential; fine at the scale this workbench targets.
 """
 from __future__ import annotations
 
-from .ast import (MAnd, MBOT, MTOP, Modal, MOr, Mu, MuFormula, NegProp, Nu,
-                  Prop, refresh, simplify, substitute)
+from .ast import (MAnd, MBOT, MTOP, Modal, MOr, Mu, MuFormula, Nu, Prop,
+                  free_letters, refresh, simplify, substitute)
 
 
 def _has_unguarded_under_binder(f: MuFormula, p: str) -> bool:
@@ -25,55 +25,34 @@ def _has_unguarded_under_binder(f: MuFormula, p: str) -> bool:
         match g:
             case Prop(q):
                 return inside and q == p
-            case NegProp():
-                return False
-            case MAnd(args) | MOr(args):
-                return any(go(a, inside) for a in args)
             case Modal():
                 return False
-            case Mu(_, b) | Nu(_, b):
-                return go(b, True)
-        raise TypeError(g)
+            case Mu() | Nu():
+                inside = True
+        return any(go(a, inside) for a in g.children())
 
     return go(f, False)
 
 
 def _unfold_offending_binder(f: MuFormula, p: str) -> MuFormula:
     """Unfold one innermost binder that hides an unguarded occurrence of p."""
+    done = False  # set once a binder is unfolded; the rest is kept as it is
 
-    def offender(g: MuFormula) -> bool:
-        # g is a binder whose body has an unguarded p occurrence
-        return _unguarded_occurs(g.body, p)
-
-    def go(g: MuFormula):
+    def go(g: MuFormula) -> MuFormula:
+        nonlocal done
         match g:
-            case Prop() | NegProp() | Modal():
-                return g, False
-            case MAnd(args):
-                return _map_first(MAnd, args)
-            case MOr(args):
-                return _map_first(MOr, args)
+            case MAnd() | MOr():
+                return g.rebuild(lambda a: a if done else go(a))
             case Mu(q, b) | Nu(q, b):
-                inner, done = go(b)
+                inner = go(b)
                 if done:
-                    return type(g)(q, inner), True
-                if offender(g):
-                    return substitute(g.body, {q: g}), True
-                return g, False
-        raise TypeError(g)
+                    return type(g)(q, inner)
+                if _unguarded_occurs(b, p):
+                    done = True
+                    return substitute(b, {q: g})
+        return g
 
-    def _map_first(cls, args):
-        out = []
-        done = False
-        for a in args:
-            if done:
-                out.append(a)
-            else:
-                na, done = go(a)
-                out.append(na)
-        return cls(tuple(out)), done
-
-    new, done = go(f)
+    new = go(f)
     if not done:
         raise AssertionError("no offending binder found")
     return new
@@ -83,26 +62,19 @@ def _unguarded_occurs(f: MuFormula, p: str) -> bool:
     match f:
         case Prop(q):
             return q == p
-        case NegProp() | Modal():
+        case Modal():
             return False
-        case MAnd(args) | MOr(args):
-            return any(_unguarded_occurs(a, p) for a in args)
-        case Mu(_, b) | Nu(_, b):
-            return _unguarded_occurs(b, p)
-    raise TypeError(f)
+    return any(_unguarded_occurs(a, p) for a in f.children())
 
 
 def _drop_boolean_level(f: MuFormula, p: str, repl: MuFormula) -> MuFormula:
     """Replace boolean-level (not under any modality or binder) p by repl."""
     match f:
-        case Prop(q):
-            return repl if q == p else f
-        case MAnd(args):
-            return MAnd(tuple(_drop_boolean_level(a, p, repl) for a in args))
-        case MOr(args):
-            return MOr(tuple(_drop_boolean_level(a, p, repl) for a in args))
-        case _:
-            return f
+        case Prop(q) if q == p:
+            return repl
+        case MAnd() | MOr():
+            return f.rebuild(lambda a: _drop_boolean_level(a, p, repl))
+    return f
 
 
 def guard_transform(f: MuFormula) -> MuFormula:
@@ -114,28 +86,14 @@ def guard_transform(f: MuFormula) -> MuFormula:
     """
 
     def go(g: MuFormula) -> MuFormula:
-        match g:
-            case Prop() | NegProp():
-                return g
-            case MAnd(args):
-                return MAnd(tuple(go(a) for a in args))
-            case MOr(args):
-                return MOr(tuple(go(a) for a in args))
-            case Modal(alpha, args):
-                return Modal(alpha, tuple(go(a) for a in args))
-            case Mu(p, b) | Nu(p, b):
-                b = go(b)
-                while _has_unguarded_under_binder(b, p):
-                    b = _unfold_offending_binder(b, p)
-                if _unguarded_occurs(b, p):
-                    repl = MBOT if isinstance(g, Mu) else MTOP
-                    b = simplify(_drop_boolean_level(b, p, repl))
-                if isinstance(g, Mu):
-                    return Mu(p, b) if p in _free(b) else b
-                return Nu(p, b) if p in _free(b) else b
-        raise TypeError(g)
-
-    from .ast import free_letters as _free
+        if not isinstance(g, (Mu, Nu)):
+            return g.rebuild(go)
+        p, b = g.var, go(g.body)
+        while _has_unguarded_under_binder(b, p):
+            b = _unfold_offending_binder(b, p)
+        if _unguarded_occurs(b, p):
+            b = simplify(_drop_boolean_level(b, p, MBOT if isinstance(g, Mu) else MTOP))
+        return type(g)(p, b) if p in free_letters(b) else b
 
     out = go(f)
     if out != f:

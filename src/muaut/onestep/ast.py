@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union
 
+from ..syntax import Node
+
 FO1 = "FO1"
 FOE1 = "FOE1"
 FOE1INF = "FOE1INF"
@@ -20,73 +22,81 @@ class DialectError(ValueError):
 
 
 @dataclass(frozen=True)
-class Pred:
+class Pred(Node):
     name: str
     var: str
 
 
 @dataclass(frozen=True)
-class NegPred:
+class NegPred(Node):
     name: str
     var: str
 
 
 @dataclass(frozen=True)
-class Eq:
+class Eq(Node):
     left: str
     right: str
 
 
 @dataclass(frozen=True)
-class Neq:
+class Neq(Node):
     left: str
     right: str
 
 
 @dataclass(frozen=True)
-class And:
+class And(Node):
     args: tuple["Formula", ...]
+    subs = ("args",)
 
 
 @dataclass(frozen=True)
-class Or:
+class Or(Node):
     args: tuple["Formula", ...]
+    subs = ("args",)
 
 
 @dataclass(frozen=True)
-class Exists:
+class Exists(Node):
     var: str
     body: "Formula"
+    subs = ("body",)
 
 
 @dataclass(frozen=True)
-class Forall:
+class Forall(Node):
     var: str
     body: "Formula"
+    subs = ("body",)
 
 
 @dataclass(frozen=True)
-class ExistsInf:
+class ExistsInf(Node):
     var: str
     body: "Formula"
+    subs = ("body",)
 
 
 @dataclass(frozen=True)
-class ForallInf:
+class ForallInf(Node):
     var: str
     body: "Formula"
+    subs = ("body",)
 
 
 @dataclass(frozen=True)
-class W:
+class W(Node):
     """Sugar: W x.(f, g) abbreviates Ax.(f | g) & Ainf x. g."""
 
     var: str
     finite: "Formula"
     cofinite: "Formula"
+    subs = ("finite", "cofinite")
 
 
 Formula = Union[Pred, NegPred, Eq, Neq, And, Or, Exists, Forall, ExistsInf, ForallInf, W]
+QUANTIFIERS = (Exists, Forall, ExistsInf, ForallInf, W)
 
 TOP = And(())
 BOT = Or(())
@@ -124,24 +134,10 @@ def disj(args: Iterable[Formula]) -> Formula:
 
 def expand_sugar(f: Formula) -> Formula:
     """Rewrite every W node into its quantifier definition."""
-    match f:
-        case W(x, fin, cof):
-            fin, cof = expand_sugar(fin), expand_sugar(cof)
-            return And((Forall(x, Or((fin, cof))), ForallInf(x, cof)))
-        case And(args):
-            return And(tuple(expand_sugar(a) for a in args))
-        case Or(args):
-            return Or(tuple(expand_sugar(a) for a in args))
-        case Exists(x, b):
-            return Exists(x, expand_sugar(b))
-        case Forall(x, b):
-            return Forall(x, expand_sugar(b))
-        case ExistsInf(x, b):
-            return ExistsInf(x, expand_sugar(b))
-        case ForallInf(x, b):
-            return ForallInf(x, expand_sugar(b))
-        case _:
-            return f
+    f = f.rebuild(expand_sugar)
+    if isinstance(f, W):
+        return And((Forall(f.var, Or((f.finite, f.cofinite))), ForallInf(f.var, f.cofinite)))
+    return f
 
 
 def free_vars(f: Formula) -> frozenset[str]:
@@ -150,42 +146,19 @@ def free_vars(f: Formula) -> frozenset[str]:
             return frozenset({x})
         case Eq(x, y) | Neq(x, y):
             return frozenset({x, y})
-        case And(args) | Or(args):
-            return frozenset().union(*[free_vars(a) for a in args]) if args else frozenset()
-        case Exists(x, b) | Forall(x, b) | ExistsInf(x, b) | ForallInf(x, b):
-            return free_vars(b) - {x}
-        case W(x, fin, cof):
-            return (free_vars(fin) | free_vars(cof)) - {x}
-    raise TypeError(f)
+    out = frozenset().union(*map(free_vars, f.children()))
+    return out - {f.var} if isinstance(f, QUANTIFIERS) else out
 
 
 def predicates(f: Formula) -> frozenset[str]:
-    match f:
-        case Pred(a, _) | NegPred(a, _):
-            return frozenset({a})
-        case Eq() | Neq():
-            return frozenset()
-        case And(args) | Or(args):
-            return frozenset().union(*[predicates(a) for a in args]) if args else frozenset()
-        case Exists(_, b) | Forall(_, b) | ExistsInf(_, b) | ForallInf(_, b):
-            return predicates(b)
-        case W(_, fin, cof):
-            return predicates(fin) | predicates(cof)
-    raise TypeError(f)
+    if isinstance(f, (Pred, NegPred)):
+        return frozenset({f.name})
+    return frozenset().union(*map(predicates, f.children()))
 
 
 def rank(f: Formula) -> int:
     """Quantifier nesting depth (W counts as one quantifier level)."""
-    match f:
-        case Pred() | NegPred() | Eq() | Neq():
-            return 0
-        case And(args) | Or(args):
-            return max((rank(a) for a in args), default=0)
-        case Exists(_, b) | Forall(_, b) | ExistsInf(_, b) | ForallInf(_, b):
-            return 1 + rank(b)
-        case W(_, fin, cof):
-            return 1 + max(rank(fin), rank(cof))
-    raise TypeError(f)
+    return isinstance(f, QUANTIFIERS) + max(map(rank, f.children()), default=0)
 
 
 def min_dialect(f: Formula) -> str:
@@ -195,34 +168,20 @@ def min_dialect(f: Formula) -> str:
             return FO1
         case Eq() | Neq():
             return FOE1
-        case And(args) | Or(args):
-            best = FO1
-            for a in args:
-                d = min_dialect(a)
-                if DIALECTS.index(d) > DIALECTS.index(best):
-                    best = d
-            return best
-        case Exists(_, b) | Forall(_, b):
-            return min_dialect(b)
         case ExistsInf() | ForallInf() | W():
             return FOE1INF
-    raise TypeError(f)
+    found = set(map(min_dialect, f.children()))
+    return FOE1INF if FOE1INF in found else FOE1 if FOE1 in found else FO1
 
 
 def is_positive(f: Formula) -> bool:
     """No negated predicates anywhere (inequalities are allowed)."""
-    match f:
-        case NegPred():
-            return False
-        case Pred() | Eq() | Neq():
-            return True
-        case And(args) | Or(args):
-            return all(is_positive(a) for a in args)
-        case Exists(_, b) | Forall(_, b) | ExistsInf(_, b) | ForallInf(_, b):
-            return is_positive(b)
-        case W(_, fin, cof):
-            return is_positive(fin) and is_positive(cof)
-    raise TypeError(f)
+    return not isinstance(f, NegPred) and all(map(is_positive, f.children()))
+
+
+# each node class and the class of its boolean dual; Pred and NegPred are fixed
+_DUAL = {Eq: Neq, Neq: Eq, And: Or, Or: And, Exists: Forall, Forall: Exists,
+         ExistsInf: ForallInf, ForallInf: ExistsInf}
 
 
 def dual(f: Formula) -> Formula:
@@ -231,28 +190,9 @@ def dual(f: Formula) -> Formula:
     W nodes are expanded first, so dual(dual(f)) == f holds structurally
     for sugar-free formulas only.
     """
-    match f:
-        case Pred() | NegPred():
-            return f
-        case Eq(x, y):
-            return Neq(x, y)
-        case Neq(x, y):
-            return Eq(x, y)
-        case And(args):
-            return Or(tuple(dual(a) for a in args))
-        case Or(args):
-            return And(tuple(dual(a) for a in args))
-        case Exists(x, b):
-            return Forall(x, dual(b))
-        case Forall(x, b):
-            return Exists(x, dual(b))
-        case ExistsInf(x, b):
-            return ForallInf(x, dual(b))
-        case ForallInf(x, b):
-            return ExistsInf(x, dual(b))
-        case W():
-            return dual(expand_sugar(f))
-    raise TypeError(f)
+    if isinstance(f, W):
+        return dual(expand_sugar(f))
+    return f.rebuild(dual, _DUAL.get(type(f)))
 
 
 @dataclass(frozen=True)
@@ -330,25 +270,6 @@ def pretty(f: Formula, _level: int = 0) -> str:
 
 
 def rename_pred(f: Formula, mapping: dict[str, str]) -> Formula:
-    match f:
-        case Pred(a, x):
-            return Pred(mapping.get(a, a), x)
-        case NegPred(a, x):
-            return NegPred(mapping.get(a, a), x)
-        case Eq() | Neq():
-            return f
-        case And(args):
-            return And(tuple(rename_pred(a, mapping) for a in args))
-        case Or(args):
-            return Or(tuple(rename_pred(a, mapping) for a in args))
-        case Exists(x, b):
-            return Exists(x, rename_pred(b, mapping))
-        case Forall(x, b):
-            return Forall(x, rename_pred(b, mapping))
-        case ExistsInf(x, b):
-            return ExistsInf(x, rename_pred(b, mapping))
-        case ForallInf(x, b):
-            return ForallInf(x, rename_pred(b, mapping))
-        case W(x, fin, cof):
-            return W(x, rename_pred(fin, mapping), rename_pred(cof, mapping))
-    raise TypeError(f)
+    if isinstance(f, (Pred, NegPred)):
+        return type(f)(mapping.get(f.name, f.name), f.var)
+    return f.rebuild(lambda g: rename_pred(g, mapping))

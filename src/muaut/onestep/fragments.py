@@ -27,28 +27,24 @@ def in_continuous_fragment(f: Formula, b: frozenset[str]) -> bool:
     disjunction, existential quantification, and the W construct whose
     second component is B-free.  The expanded form of W is recognized too.
     """
-    if not is_positive(f):
-        return False
+    return is_positive(f) and _continuous(f, b)
+
+
+def _continuous(f: Formula, b: frozenset[str]) -> bool:
+    """in_continuous_fragment for a positive f (so its subformulas are too)."""
     if not predicates(f) & b:
         return True
     match f:
         case Pred(a, _):
             return a in b
-        case And(args):
-            w = _match_expanded_w(args)
-            if w is not None:
-                fin, cof = w
-                return in_continuous_fragment(fin, b) and not predicates(cof) & b
-            return all(in_continuous_fragment(a, b) for a in args)
-        case Or(args):
-            return all(in_continuous_fragment(a, b) for a in args)
-        case Exists(_, body):
-            return in_continuous_fragment(body, b)
         case W(_, fin, cof):
-            return in_continuous_fragment(fin, b) and not predicates(cof) & b
-        case _:
-            # Forall / ForallInf / ExistsInf touching B, or negative atoms
-            return False
+            return _continuous(fin, b) and not predicates(cof) & b
+        case And(args) if (w := _match_expanded_w(args)) is not None:
+            return _continuous(w[0], b) and not predicates(w[1]) & b
+        case And() | Or() | Exists():
+            return all(_continuous(a, b) for a in f.children())
+    # Forall / ForallInf / ExistsInf touching B
+    return False
 
 
 def _match_expanded_w(args: tuple[Formula, ...]):

@@ -1,12 +1,53 @@
-"""One lexer and one cursor under the three formula grammars.
+"""One node layer, one lexer and one cursor under the three formula grammars.
 
-The one-step, fixpoint and second-order parsers are rule sets over `Cursor`
-and keep only their own atom and prefix rules.  Identifiers are
-`[A-Za-z_][A-Za-z_0-9]*`; keywords are whole identifiers, never prefixes.
+Every AST node class is a frozen dataclass over `Node`, which gives the
+structural walkers `children` and `rebuild`.  The one-step, fixpoint and
+second-order parsers are rule sets over `Cursor` and keep only their own
+atom and prefix rules.  Identifiers are `[A-Za-z_][A-Za-z_0-9]*`; keywords
+are whole identifiers, never prefixes.
 """
 from __future__ import annotations
 
 import re
+
+
+class Node:
+    """Base of the AST node classes.
+
+    A node class names its subformula fields once, in the class attribute
+    `subs`; each such field holds one node or a tuple of nodes of the same
+    syntax.  `subs` is no dataclass field, so repr, ==, hash and
+    `__match_args__` are the plain dataclass ones.
+    """
+
+    subs: tuple[str, ...] = ()
+
+    def children(self) -> tuple:
+        """The subformulas, in field order."""
+        out = ()
+        for name in self.subs:
+            v = getattr(self, name)
+            out += v if type(v) is tuple else (v,)
+        return out
+
+    def rebuild(self, fn, cls=None):
+        """This node with every subformula c replaced by fn(c), as an
+        instance of cls (default: its own class).  Without cls, the node
+        itself when fn returned every subformula unchanged."""
+        changed = cls is not None
+        vals = []
+        for name in self.__match_args__:
+            v = getattr(self, name)
+            if name in self.subs:
+                if type(v) is tuple:
+                    new = tuple(map(fn, v))
+                    changed = changed or any(a is not b for a, b in zip(new, v))
+                else:
+                    new = fn(v)
+                    changed = changed or new is not v
+                v = new
+            vals.append(v)
+        return (cls or type(self))(*vals) if changed else self
 
 # Deepest nesting any grammar accepts, counted over parentheses, prefix
 # operators, binders and modalities.  The rules recurse at most twice per

@@ -233,3 +233,26 @@ def test_game_owner_tags(tags, tmp_path, capsys):
 def test_two_sorted_eval_rejects_one_sorted_atoms(formula, capsys, loop_file):
     assert cli.main(["mso", "eval", "--two-sorted", formula, "--lts", loop_file]) == 2
     assert "one-sorted atom" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,missing", [
+    (["lts", "bisim", "a.json"], "other"),
+    (["onestep", "eval", "E x. a(x)"], "--model"),
+    (["mu", "eval", "p"], "--lts"),
+    (["mu", "game", "p"], "--lts"),
+    (["aut", "fromformula"], "formula"),
+    (["aut", "accept", "--lts", "l.json"], "--in"),
+    (["aut", "accept", "--in", "a.json"], "--lts"),
+    (["aut", "project", "--letter", "p"], "--in"),
+    (["aut", "project", "--in", "a.json"], "--letter"),
+    (["aut", "complement"], "--in"),
+    (["aut", "classify"], "--in"),
+    (["aut", "toformula"], "--in"),
+    (["aut", "simulate"], "--in"),
+    (["aut", "diamond"], "--in"),
+    (["mso", "eval", "down p"], "--lts"),
+])
+def test_missing_companion_argument_exits_2(argv, missing, capsys):
+    assert cli.main(argv) == 2
+    assert "error: %s %s needs %s" % (argv[0], argv[1], missing) in capsys.readouterr().err
+

@@ -1,6 +1,9 @@
 """The shared parser core: corpus digest, names, columns and nesting limit."""
+import dataclasses
+import functools
 import hashlib
 import random
+import typing
 
 import pytest
 
@@ -8,7 +11,7 @@ from muaut import gen
 from muaut import mso
 from muaut import mucalc as mc
 from muaut import onestep as o
-from muaut.syntax import MAX_NESTING, ParseError
+from muaut.syntax import MAX_NESTING, Node, ParseError
 
 # sha256 of `_corpus_lines()`, recorded with the hand-written parsers the
 # shared core replaced; the ASTs (and so their reprs) must not change.
@@ -23,8 +26,9 @@ MSO1_POOL = [
 MSO2_POOL = ["p(v)", "ex x. (R(v,x) | x=v)", "ex s. s(v)", "x=y", "ex x. R(v,x)"]
 
 
-def _corpus_lines():
-    """One line per parsed text: its grammar, the text and the AST's repr."""
+@functools.lru_cache(maxsize=1)
+def _corpus():
+    """(grammar, text, parsed AST) for every text of the corpus."""
     out = []
     for dialect in o.DIALECTS:
         for f in gen.enumerate_sentences(("a", "b"), 2, dialect):
@@ -61,7 +65,12 @@ def _corpus_lines():
                 continue
             text = mso.pretty2(g)
             out.append(("mso2 " + logic, text, mso.parse2(text, logic)))
-    return ["%s\t%s\t%r" % line for line in out]
+    return tuple(out)
+
+
+def _corpus_lines():
+    """One line per parsed text: its grammar, the text and the AST's repr."""
+    return ["%s\t%s\t%r" % line for line in _corpus()]
 
 
 def test_corpus_parses_to_the_recorded_asts():
@@ -69,6 +78,125 @@ def test_corpus_parses_to_the_recorded_asts():
     assert len(lines) > 3000
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == CORPUS_DIGEST
+
+
+# sha256 of `_walker_lines()`, recorded with the match-based walkers that
+# the node layer's children/rebuild replaced.
+WALKER_DIGEST = "01d7806b7a31bd2ae9704f1da47bf01fd33a51d4eeb2e0ce3891a8d2aefeabc7"
+
+SIGMA = {"p": mc.dia(mc.Prop("q")), "q": mc.mor((mc.Prop("p"), mc.Nu("y", mc.box(mc.Prop("y")))))}
+
+
+def _or_error(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return "%s: %s" % (type(e).__name__, e)
+
+
+def _walker_lines():
+    """One line per corpus text: the outputs of every structural walker
+    that applies to its grammar."""
+    out = []
+    for grammar, text, f in _corpus():
+        if grammar == "onestep":
+            f = f.ast
+            row = [o.expand_sugar(f), o.dual(f), o.rename_pred(f, {"a": "b", "b": "c"}),
+                   sorted(o.free_vars(f)), sorted(o.predicates(f)), o.rank(f),
+                   o.min_dialect(f), o.is_positive(f)]
+        elif grammar == "mu":
+            row = [sorted(mc.free_letters(f)), mc.refresh(f), mc.refresh(f, ("x1", "x3")),
+                   _or_error(mc.substitute, f, SIGMA), mc.negate(f), mc.simplify(f),
+                   mc.classify(f), mc.guard_transform(f),
+                   sorted(mc.binder_priorities(f).items())]
+            if mc.modal_dialect(f) == o.FO1:
+                row.append(mc.fo1_modal_bridge(f))
+            row += [_or_error(mso.mu_to_mso, f, logic) for logic in ("wmso", "nmso")]
+        elif grammar.startswith("mso1"):
+            row = [sorted(mso.free_letters1(f))]
+        else:
+            row = [mso.substitute_atom(f, "p", lambda x: mso.RelApp(x, "v")),
+                   mso.substitute_atom(f, "s", lambda x: mso.EqVar(x, x))]
+        out.append("%s\t%s\t%r" % (grammar, text, row))
+    return out
+
+
+def test_walkers_give_the_recorded_outputs():
+    digest = hashlib.sha256("\n".join(_walker_lines()).encode()).hexdigest()
+    assert digest == WALKER_DIGEST
+
+
+# each AST's node classes and the name of its formula type
+SYNTAXES = [(typing.get_args(o.Formula), "Formula"), (typing.get_args(mc.MuFormula), "MuFormula"),
+            (typing.get_args(mso.Mso1), "Mso1"), (typing.get_args(mso.Mso2), "Mso2")]
+
+
+@pytest.mark.parametrize("classes,formula", SYNTAXES, ids=[name for _, name in SYNTAXES])
+def test_subformula_fields_are_the_fields_that_hold_formulas(classes, formula):
+    # annotations are strings such as "'Formula'", "tuple['Formula', ...]" or "o.Formula"
+    for cls in classes:
+        assert issubclass(cls, Node)
+        typed = [f.name for f in dataclasses.fields(cls) if f.type.replace("'", "").replace(
+                 '"', "") in (formula, "tuple[%s, ...]" % formula)]
+        assert list(cls.subs) == typed, cls
+        assert "subs" not in cls.__match_args__
+    # and in parsed formulas: subformula fields hold nodes of the same syntax, other fields none
+    seen = set()
+    for _, _, f in _corpus():
+        for g in _nodes(getattr(f, "ast", f)):
+            if type(g) not in classes:
+                break
+            seen.add(type(g))
+            for name in g.__match_args__:
+                v = getattr(g, name)
+                assert all((type(c) in classes) == (name in g.subs)
+                           for c in (v if type(v) is tuple else (v,))), (g, name)
+    assert seen == set(classes)
+
+
+def _nodes(f):
+    yield f
+    for c in f.children():
+        yield from _nodes(c)
+
+
+A, B, X = o.Pred("a", "x"), o.Neq("x", "y"), o.Eq("x", "x")
+P, Q, Y = mc.Prop("p"), mc.NegProp("q"), mc.dia(mc.Prop("r"))
+D1, D2, X1 = mso.Down("p"), mso.SubsetOf("p", "q"), mso.RelStep("p", "q")
+D3, D4, X2 = mso.PredApp("p", "v"), mso.EqVar("v", "w"), mso.RelApp("v", "w")
+ALPHA = o.Exists("x", o.Pred("a2", "x"))
+
+# (node, child replaced, replacement, the node built by hand with it replaced)
+REBUILDS = [
+    (o.And((A, B)), B, X, o.And((A, X))), (o.Or((A, B, A)), A, X, o.Or((X, B, X))),
+    (o.Exists("x", A), A, X, o.Exists("x", X)), (o.Forall("y", B), B, X, o.Forall("y", X)),
+    (o.ExistsInf("x", A), A, X, o.ExistsInf("x", X)),
+    (o.ForallInf("x", A), A, X, o.ForallInf("x", X)),
+    (o.W("x", A, B), B, X, o.W("x", A, X)), (o.W("x", A, B), A, X, o.W("x", X, B)),
+    (mc.MAnd((P, Q)), Q, Y, mc.MAnd((P, Y))), (mc.MOr((P, Q)), P, Y, mc.MOr((Y, Q))),
+    (mc.Modal(ALPHA, (P, Q)), Q, Y, mc.Modal(ALPHA, (P, Y))),
+    (mc.Mu("p", P), P, Y, mc.Mu("p", Y)), (mc.Nu("p", P), P, Y, mc.Nu("p", Y)),
+    (mso.Not1(D1), D1, X1, mso.Not1(X1)), (mso.Or1(D1, D2), D2, X1, mso.Or1(D1, X1)),
+    (mso.Exists1("r", D1, mso.FINITE), D1, X1, mso.Exists1("r", X1, mso.FINITE)),
+    (mso.Not2(D3), D3, X2, mso.Not2(X2)), (mso.Or2(D3, D4), D3, X2, mso.Or2(X2, D4)),
+    (mso.ExistsVar("w", D4), D4, X2, mso.ExistsVar("w", X2)),
+    (mso.ExistsSet("p", D3, mso.NOETHERIAN), D3, X2, mso.ExistsSet("p", X2, mso.NOETHERIAN)),
+]
+
+
+@pytest.mark.parametrize("node,old,new,want", REBUILDS, ids=[type(r[0]).__name__ for r in REBUILDS])
+def test_rebuild(node, old, new, want):
+    assert node.rebuild(lambda c: c) is node
+    assert node.rebuild(lambda c: new if c == old else c) == want
+    assert set(node.children()) - {old} == set(want.children()) - {new}
+
+
+def test_rebuild_of_an_atom_and_into_another_class():
+    for atom in (A, B, P, Q, D1, D2, D3, D4):
+        assert atom.children() == () and atom.rebuild(lambda c: X) is atom
+    assert o.And((A, B)).rebuild(lambda c: c, o.Or) == o.Or((A, B))
+    assert o.Eq("x", "y").rebuild(lambda c: c, o.Neq) == o.Neq("x", "y")
+    assert mc.Mu("p", P).rebuild(lambda c: Y, mc.Nu) == mc.Nu("p", Y)
 
 
 def _depth(n, per, opener, leaf, closer=""):
