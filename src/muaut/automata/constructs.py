@@ -11,7 +11,6 @@ cardinality constraints, bounding only the well-founded (vertical) part.
 from __future__ import annotations
 
 from .. import onestep as o
-from ..lts import PropSet
 from .core import (ParityAutomaton, classify_automaton, pred_name,
                    pred_state)
 

@@ -314,8 +314,8 @@ def _cmd_onestep(args) -> int:
         with open(args.model) as fh:
             data = json.load(fh)
         with L.json_shape("model"):
-            m = o.OneStepModel(int(data["size"]),
-                               {k: frozenset(v) for k, v in data.get("valuation", {}).items()})
+            m = o.OneStepModel(data["size"], {k: frozenset(L.json_list(v, "an extension"))
+                                              for k, v in data.get("valuation", {}).items()})
         print(str(o.eval_finite(f.ast, m)).lower())
         return 0
     if args.action == "dual":

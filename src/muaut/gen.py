@@ -139,7 +139,6 @@ def enumerate_sentences(preds=("a", "b"), max_rank: int = 2, dialect: str = o.FO
 def _cont_modal_pool(rng, dialect, n_active, n_free):
     """Small pool of one-step formulas continuous in the first n_active
     argument predicates (a1..a{n_active}), over n_active+n_free args."""
-    import itertools
     act = ["a%d" % (i + 1) for i in range(n_active)]
     fre = ["a%d" % (i + 1) for i in range(n_active, n_active + n_free)]
     pool = []

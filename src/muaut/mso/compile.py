@@ -13,8 +13,8 @@ from ..automata import (ParityAutomaton, complement, finitary_construct,
                         noetherian_construct, normalize_weak_priorities, project,
                         union_automaton)
 from ..lts import PropSet
-from .ast import (Down, Exists1, Mso1, Not1, Or1, RelStep, SubsetOf, FINITE,
-                  NOETHERIAN, LOGIC_MODE, free_letters1)
+from .ast import (Down, Exists1, Mso1, Not1, Or1, RelStep, SubsetOf, LOGIC_MODE,
+                  free_letters1)
 
 
 class CompileError(ValueError):

@@ -12,7 +12,7 @@ from itertools import chain, combinations
 from ..lts import LTS, noetherian_subset
 from .ast import (Down, EqVar, Exists1, ExistsSet, ExistsVar, Mso1, Mso2,
                   Not1, Not2, Or1, Or2, PredApp, RelApp, RelStep, SubsetOf,
-                  FINITE, NOETHERIAN, STANDARD)
+                  NOETHERIAN)
 
 
 class UnboundError(ValueError):

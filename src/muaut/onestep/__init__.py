@@ -11,7 +11,7 @@ from .fragments import (FragmentFlags, cocontinuous_entry, continuous_entry,
                         in_continuous_fragment, match_nabla, separates,
                         separation_sufficient)
 from .models import (OMEGA, OneStepModel, WeightedOneStepModel, all_models,
-                     all_valuations, all_weighted_models, eval_finite,
+                     all_valuations, all_weighted_models, eval_counts, eval_finite,
                      eval_weighted, min_valuations, min_valuations_memo,
                      model_of_types, weighted)
 from .normalform import (BasicForm, BasicFormDisjunct, NotContinuousError,

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ast import (And, Eq, Exists, ExistsInf, Forall, ForallInf, Formula, Neq,
-                  NegPred, Or, Pred, W, dual, is_positive, predicates)
+                  Or, Pred, W, dual, is_positive, predicates)
 
 
 @dataclass(frozen=True)

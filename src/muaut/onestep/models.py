@@ -5,15 +5,18 @@ where each type (subset of the predicate set) carries a count in
 {0,1,2,...} or the symbol omega.  Weighted satisfaction simulates the
 expanded (possibly infinite) model exactly: indistinguishable copies of a
 type are never pinned twice, so trying one fresh copy per type suffices.
+`eval_counts` runs the same walk once for a whole matrix of count vectors.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
+
+import numpy as np
 
 from .ast import (And, Eq, Exists, ExistsInf, Forall, ForallInf, Formula, Neq,
-                  NegPred, Or, Pred, W, expand_sugar, free_vars, predicates)
+                  NegPred, Or, Pred, W, expand_sugar, predicates)
 
 OMEGA = float("inf")
 
@@ -26,9 +29,12 @@ class OneStepModel:
     valuation: dict[str, frozenset[int]]
 
     def __post_init__(self):
+        # type() rather than isinstance(): a bool is an int
+        if type(self.size) is not int or self.size < 0:
+            raise ValueError("model size must be a natural number: %r" % (self.size,))
         for a, ext in self.valuation.items():
             for d in ext:
-                if not (0 <= d < self.size):
+                if type(d) is not int or not 0 <= d < self.size:
                     raise ValueError("valuation of %r outside domain: %r" % (a, d))
 
     def element_type(self, d: int) -> frozenset[str]:
@@ -145,7 +151,7 @@ def eval_weighted_raw(f: Formula, counts: dict[frozenset, Union[int, float]]) ->
 
     def options(pins: dict[str, tuple[frozenset[str], int]]):
         used: dict[frozenset[str], int] = {}
-        for tp, _ in pins.values():
+        for tp, _ in set(pins.values()):  # distinct elements, not variables
             used[tp] = used.get(tp, 0) + 1
         opts = list(dict.fromkeys(pins.values()))
         for tp, c in counts.items():
@@ -156,7 +162,7 @@ def eval_weighted_raw(f: Formula, counts: dict[frozenset, Union[int, float]]) ->
 
     def fresh_omega(pins):
         used: dict[frozenset[str], int] = {}
-        for tp, _ in pins.values():
+        for tp, _ in set(pins.values()):
             used[tp] = used.get(tp, 0) + 1
         return [(tp, used.get(tp, 0)) for tp, c in counts.items() if c == OMEGA]
 
@@ -185,6 +191,135 @@ def eval_weighted_raw(f: Formula, counts: dict[frozenset, Union[int, float]]) ->
         raise TypeError(g)
 
     return go(f, {})
+
+
+def eval_counts(f: Formula, types: Sequence[frozenset[str]], counts,
+                columns: dict | None = None) -> np.ndarray:
+    """eval_weighted_raw on every column of a count matrix at once.
+
+    counts[t, j] is the multiplicity of types[t] in model j: a natural
+    number, or OMEGA.  counts may also be a sequence of per-type arrays of
+    one common shape (such as broadcast views over a grid of models), read
+    in C order.  The pin tree of eval_weighted_raw is walked once for
+    all columns.  Atoms and (in)equalities stay Python booleans; a fresh
+    copy of type t with u distinct elements of that type pinned is allowed
+    where counts[t] > u, and for the infinity quantifiers where
+    counts[t] == OMEGA, so each quantifier folds its options into a column
+    with | or &.  Columns are packed into bits, 64 models a word, and the
+    formula is compiled into closures before the walk.  Returns a boolean
+    array with one entry per column.
+
+    columns, if given, keeps the packed availability columns between walks
+    over the same counts; it is filled in place.
+    """
+    n = np.size(counts[0])
+    words = -(-n // 64)
+    cols = {} if columns is None else columns
+
+    def fresh(t: int, u: int, inf: bool, avail: bool):
+        """The packed column where a fresh copy of type t is available (or,
+        if not avail, unavailable) with u copies pinned, or a Python bool
+        where that is constant."""
+        key = (t, -1 if inf else u, avail)
+        hit = cols.get(key)
+        if hit is None:
+            test = np.ravel(counts[t] == OMEGA if inf else counts[t] > u)
+            if not avail:
+                test = ~test
+            if test.all() or not test.any():
+                hit = bool(test[0]) if n else not avail
+            else:
+                buf = np.zeros(words * 8, dtype=np.uint8)
+                buf[:-(-n // 8)] = np.packbits(test)
+                hit = buf.view(np.uint64)
+            cols[key] = hit
+        return hit
+
+    def compile_(g: Formula):
+        """A closure from pins to the value of g, and whether g is
+        quantifier-free (its value then is always a Python bool)."""
+        match g:
+            case Pred(a, x) | NegPred(a, x):
+                having = frozenset(t for t, tp in enumerate(types)
+                                   if (a in tp) == isinstance(g, Pred))
+                return (lambda pins: pins[x][0] in having), True
+            case Eq(x, y):
+                return (lambda pins: pins[x] == pins[y]), True
+            case Neq(x, y):
+                return (lambda pins: pins[x] != pins[y]), True
+            case And(args) | Or(args):
+                # quantifier-free arguments first: they are cheap and may decide
+                compiled = sorted(map(compile_, args), key=lambda c: not c[1])
+                subs = [sub for sub, _ in compiled]
+                decides = isinstance(g, Or)
+                op = _or if decides else _and
+                if all(qf for _, qf in compiled):
+                    def plain(pins):
+                        for sub in subs:
+                            if sub(pins) is decides:
+                                return decides
+                        return not decides
+                    return plain, True
+
+                def junction(pins):
+                    acc = not decides
+                    for sub in subs:
+                        acc = op(acc, sub(pins))
+                        if acc is decides:
+                            break
+                    return acc
+                return junction, False
+            case Exists(x, b) | Forall(x, b) | ExistsInf(x, b) | ForallInf(x, b):
+                body = compile_(b)[0]
+                decides = isinstance(g, (Exists, ExistsInf))
+                inf = isinstance(g, (ExistsInf, ForallInf))
+
+                # Exists folds the options with | over avail & v, Forall with &
+                # over ~avail | v; `fresh` gives the column each one needs
+                op, inner = (_or, _and) if decides else (_and, _or)
+
+                def quantifier(pins):
+                    pinned = dict.fromkeys(pins.values())
+                    acc = not decides
+                    if not inf:
+                        for e in pinned:
+                            acc = op(acc, body({**pins, x: e}))
+                            if acc is decides:
+                                return acc
+                    used = [0] * len(types)
+                    for t, _ in pinned:
+                        used[t] += 1
+                    for t, u in enumerate(used):
+                        mask = fresh(t, u, inf, decides)
+                        if mask is not decides and isinstance(mask, bool):
+                            continue  # no column holds such a fresh copy
+                        acc = op(acc, inner(mask, body({**pins, x: (t, u)})))
+                        if acc is decides:
+                            break
+                    return acc
+                return quantifier, False
+        raise TypeError(g)
+
+    out = compile_(f)[0]({})
+    if isinstance(out, bool):
+        return np.full(n, out)
+    return np.unpackbits(out.view(np.uint8), count=n).view(bool)
+
+
+def _and(a, b):
+    if a is True or b is False:
+        return b
+    if b is True or a is False:
+        return a
+    return a & b
+
+
+def _or(a, b):
+    if a is False or b is True:
+        return b
+    if b is False or a is True:
+        return a
+    return a | b
 
 
 def all_models(preds: tuple[str, ...], max_size: int) -> list[OneStepModel]:

@@ -12,6 +12,15 @@ The sweep is organized for speed: satisfaction is computed as a boolean
 vector over the profile space, factored through conjunctions and
 disjunctions, with leaves evaluated on their own (much smaller) predicate
 space and cylindrified onto the joint space by multiplicity aggregation.
+A leaf is evaluated on all of its profiles in one walk of its quantifier
+tree (`eval_counts`): a profile enters only through tests "a fresh element
+of type t is left when u are pinned" (count > u, or count omega for the
+infinity quantifiers), so each quantifier option carries a bit column over
+the profiles and the quantifiers fold those columns with | and &.  The
+per-type counts are broadcast views over the profile grid, and the bit
+columns are shared by every leaf over the same space.  `equivalent` runs
+the same walk over the exact count vectors up to its bound, which stand
+for every finite model up to isomorphism.
 
 Records are pruned as arrays.  Over the types in rank order (by size, then
 by sorted names), each satisfying profile becomes one row of three
@@ -29,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import chain, combinations, combinations_with_replacement, product
 from typing import Optional
 
 import numpy as np
@@ -38,7 +47,7 @@ from .ast import (FO1, FOE1, FOE1INF, And, DialectError, Eq, Exists,
                   ExistsInf, Forall, ForallInf, Formula, Neq, Or,
                   OneStepFormula, conj, disj, expand_sugar, is_positive,
                   predicates, rank, sentence, type_atom)
-from .models import OMEGA, all_models, eval_finite, eval_weighted_raw
+from .models import OMEGA, eval_counts, eval_finite
 
 PROFILE_LIMIT = 1 << 20
 LEAF_CACHE_BYTES = 64 << 20
@@ -117,27 +126,21 @@ def _space_for(dialect: str, preds: tuple[str, ...], r: int) -> _Space:
     return _Space(preds, reps, False)
 
 
-def _class_columns(space: _Space) -> np.ndarray:
-    """Matrix (n_types, n_profiles) of class indices, odometer order."""
-    ntypes = 1 << len(space.preds)
-    k = len(space.reps)
-    n = k ** ntypes
-    cols = np.empty((ntypes, n), dtype=np.int64)
-    for j in range(ntypes):
-        period = k ** (ntypes - 1 - j)
-        pattern = np.repeat(np.arange(k, dtype=np.int64), period)
-        cols[j] = np.tile(pattern, n // (period * k))
-    return cols
+def _count_rows(ntypes: int, reps: np.ndarray) -> list[np.ndarray]:
+    """Per type, the count reps[class] it has in every profile, as a
+    read-only broadcast view over the grid of profiles (one axis per type,
+    so the flat order is the odometer order of the profile index)."""
+    k = len(reps)
+    return [np.broadcast_to(reps.reshape((k,) + (1,) * (ntypes - 1 - t)), (k,) * ntypes)
+            for t in range(ntypes)]
 
 
-def _profile_of_index(space: _Space, idx: int) -> tuple:
-    ntypes = 1 << len(space.preds)
-    k = len(space.reps)
-    out = []
-    for _ in range(ntypes):
-        out.append(idx % k)
-        idx //= k
-    return tuple(reversed(out))
+@lru_cache(maxsize=32)
+def _leaf_counts(ntypes: int, reps: tuple) -> tuple[list[np.ndarray], dict]:
+    """The count rows of a profile space for `eval_counts`, omega as OMEGA,
+    with the packed availability columns its walks share."""
+    reps = np.array([OMEGA if rep == _OMEGA_REP else rep for rep in reps], dtype=np.float32)
+    return _count_rows(ntypes, reps), {}
 
 
 class _LeafCache(dict):
@@ -181,17 +184,8 @@ def _sat_vector(ast: Formula, space: _Space) -> np.ndarray:
         hit = _leaf_cache.get(key)
         if hit is not None:
             return hit
-        reps = space.reps
-        out = np.empty(space.size, dtype=bool)
         types = space.types
-        for idx in range(space.size):
-            profile = _profile_of_index(space, idx)
-            counts = {}
-            for tp, c in zip(types, profile):
-                rep = reps[c]
-                if rep:
-                    counts[tp] = OMEGA if rep == _OMEGA_REP else int(rep)
-            out[idx] = eval_weighted_raw(ast, counts)
+        out = eval_counts(ast, types, *_leaf_counts(len(types), space.reps))
         out.setflags(write=False)
         _leaf_cache.put(key, out)
         return out
@@ -205,9 +199,7 @@ def _sat_vector(ast: Formula, space: _Space) -> np.ndarray:
 def _cylinder_cache_key(joint_preds, reps, has_omega, sub_preds):
     joint = _Space(joint_preds, reps, has_omega)
     sub = _Space(sub_preds, reps, has_omega)
-    cols = _class_columns(joint)
-    reps_arr = np.array(reps, dtype=np.int64)
-    counts = reps_arr[cols]  # representative counts, (n_types, n_profiles)
+    counts = _count_rows(1 << len(joint_preds), np.array(reps, dtype=np.int64))
     sub_types = sub.types
     k = len(reps)
     r = k - (2 if has_omega else 1)
@@ -215,14 +207,14 @@ def _cylinder_cache_key(joint_preds, reps, has_omega, sub_preds):
     joint_types = joint.types
     subset = frozenset(sub_preds)
     for u_i, u in enumerate(sub_types):
-        total = np.zeros(joint.size, dtype=np.int64)
+        total = np.zeros(counts[0].shape, dtype=np.int64)
         for t_i, t in enumerate(joint_types):
             if t & subset == u:
                 total += counts[t_i]
         cls = np.minimum(total, r)
         if has_omega:
             cls = np.where(total >= _OMEGA_REP, r + 1, cls)
-        idx = idx * k + cls
+        idx = idx * k + cls.reshape(-1)
     return idx
 
 
@@ -453,18 +445,38 @@ def to_continuous_basic_form(f: OneStepFormula, b: frozenset[str], verify_bound:
     return out
 
 
+@lru_cache(maxsize=16)
+def _exact_counts(ntypes: int, bound: int) -> np.ndarray:
+    """Every vector of per-type counts with total at most bound, one per
+    column: the finite models of up to bound elements, one per
+    isomorphism class."""
+    out = [np.bincount(np.array(c, dtype=np.int64), minlength=ntypes)
+           for size in range(bound + 1)
+           for c in combinations_with_replacement(range(ntypes), size)]
+    out = np.array(out, dtype=np.float32).reshape(len(out), ntypes).T
+    out.setflags(write=False)
+    return out
+
+
 def equivalent(f: OneStepFormula, g: OneStepFormula, bound: int) -> bool:
     """Agreement on every finite model up to the bound and every weighted
     profile with truncated multiplicities.
 
-    Exact for these monadic dialects once the bound reaches the quantifier
-    depth (validated empirically by the exhaustive suites); counts are
-    clamped to the maximal depth of the two inputs.
+    A monadic sentence sees a finite model only through its per-type
+    counts, so the finite models are checked as the count vectors of total
+    at most the bound, both sentences evaluated over all of them in one
+    `eval_counts` walk each.  The weighted profiles then go through the
+    same leaf sweep as normalization, with counts clamped to the maximal
+    depth of the two inputs.  Exact for these monadic dialects once the
+    bound reaches the quantifier depth (validated empirically by the
+    exhaustive suites).
     """
     preds = tuple(sorted(set(predicates(f.ast)) | set(predicates(g.ast))))
-    for m in all_models(preds, bound):
-        if eval_finite(f.ast, m) != eval_finite(g.ast, m):
-            return False
+    types = _all_types(preds)
+    exact = _exact_counts(len(types), bound)
+    if not np.array_equal(eval_counts(expand_sugar(f.ast), types, exact),
+                          eval_counts(expand_sugar(g.ast), types, exact)):
+        return False
     need_omega = f.dialect == FOE1INF or g.dialect == FOE1INF
     k = min(bound, max(rank(f.ast), rank(g.ast), 1))
     if len(preds) <= 3 or need_omega:
@@ -511,7 +523,6 @@ def satisfying_restriction_exists(f: OneStepFormula, m, b: frozenset[str]) -> bo
     """
     exts = [sorted(m.valuation.get(a, frozenset())) for a in sorted(b)]
     names = sorted(b)
-    from itertools import chain, combinations
 
     def powerset(xs):
         return chain.from_iterable(combinations(xs, k) for k in range(len(xs) + 1))

@@ -155,6 +155,10 @@ _MISTYPED = [
     ("aut", {**_AUT, "delta": {"0,": 3, "0,p": "true"}}),
     ("replay", [1]), ("replay", {"replay": 3}), ("replay", {"suite": ["dual"], "seed": 1, "index": 0}),
     ("replay", {"suite": "dual", "seed": "1", "index": 0}), ("model", []),
+    ("model", {"size": -1}), ("model", {"size": 2.5}), ("model", {"size": True}),
+    ("model", {"size": "2"}), ("model", {"size": 2, "valuation": {"a": [0.5]}}),
+    ("model", {"size": 2, "valuation": {"a": [True]}}), ("model", {"size": 2, "valuation": {"a": [2]}}),
+    ("model", {"size": 2, "valuation": {"a": "01"}}),
 ]
 
 
