@@ -30,26 +30,6 @@ def _all_subsets(n: int):
         yield frozenset(a for a in range(n) if mask >> a & 1)
 
 
-def _nabla(witness_types: list[frozenset[str]], cover_types: list[frozenset[str]],
-           inf_types: list[frozenset[str]] | None) -> o.Formula:
-    """Witness/cover sentence over arbitrary predicate names, with the
-    distinctness guards interleaved for early backtracking."""
-    xs = ["x%d" % (i + 1) for i in range(len(witness_types))]
-    body: o.Formula = o.Forall(
-        "z",
-        o.disj([o.Eq("z", x) for x in xs] + [o.type_atom(s, "z") for s in cover_types]),
-    )
-    for i in reversed(range(len(xs))):
-        guards: list[o.Formula] = [o.Neq(xs[i], xs[j]) for j in range(i)]
-        body = o.Exists(xs[i], o.conj(guards + [o.type_atom(witness_types[i], xs[i]), body]))
-    if inf_types is not None:
-        parts: list[o.Formula] = [body]
-        parts += [o.ExistsInf("y", o.type_atom(s, "y")) for s in inf_types]
-        parts.append(o.ForallInf("y", o.disj(o.type_atom(s, "y") for s in inf_types)))
-        body = o.conj(parts)
-    return body
-
-
 def _lift_type(n: int, tp: frozenset[str]) -> frozenset[str]:
     """A state-sort type becomes the singleton macro-predicate type; the
     empty type stays empty."""
@@ -66,8 +46,8 @@ def _lifted_disjunct(n: int, d: o.BasicFormDisjunct, finitary: bool) -> o.Formul
         inf = sorted(d.inf_cover or frozenset(), key=sorted)
         cover += [_lift_type(n, s) for s in inf]
         cover += list(inf)  # the infinite tail stays on the original sort
-        return _nabla(wits, cover, inf)
-    return _nabla(wits, cover, None)
+        return o.record_sentence(wits, cover, inf)
+    return o.record_sentence(wits, cover)
 
 
 def _construct(aut: ParityAutomaton, finitary: bool) -> ParityAutomaton:

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 
 from .. import onestep as o
-from ..lts import LTS, PropSet, json_list, json_shape, reach
+from ..lts import LTS, PropSet, json_list, json_shape
 from ..paritygame import EXISTS, FORALL, ParityGame, _sccs, build_arena, solve
 
 
@@ -130,7 +130,7 @@ def acceptance_game(aut: ParityAutomaton, lts: LTS, full_enumeration: bool = Fal
             vals = o.min_valuations_memo(f, succ[s], memo)
         return EXISTS, aut.omega[a], [("v", v) for v in vals]
 
-    game, positions = build_arena(("b", aut.init, lts.init), expand)
+    game, positions = build_arena([("b", aut.init, lts.init)], expand)
     return AcceptanceGame(game, positions, 0)
 
 
@@ -150,7 +150,6 @@ def complement(aut: ParityAutomaton) -> ParityAutomaton:
 class ClusterReport:
     clusters: tuple[frozenset[int], ...]
     degenerate: tuple[bool, ...]
-    higher: frozenset[tuple[int, int]]  # cluster-index pairs (i higher than j)
     weak: bool
     continuous_weak: bool
 
@@ -178,13 +177,6 @@ def classify_automaton(aut: ParityAutomaton) -> ClusterReport:
         len(c) == 1 and next(iter(c)) not in edges[next(iter(c))]
         for c in clusters
     )
-    # the states each state reaches in one or more steps
-    reach_of = {a: reach(graph, graph[a]) for a in range(aut.n)}
-    higher = set()
-    for i, ci in enumerate(clusters):
-        for j, cj in enumerate(clusters):
-            if i != j and all(b in reach_of[a] for a in ci for b in cj):
-                higher.add((i, j))
     weak = all(len({aut.omega[a] for a in c}) == 1 for c in clusters)
     cw = weak
     if weak:
@@ -199,7 +191,7 @@ def classify_automaton(aut: ParityAutomaton) -> ClusterReport:
                     else:
                         if not o.cocontinuous_entry(f, mpreds):
                             cw = False
-    return ClusterReport(clusters, degenerate, frozenset(higher), weak, cw)
+    return ClusterReport(clusters, degenerate, weak, cw)
 
 
 class NotWeakError(ValueError):

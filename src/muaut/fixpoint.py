@@ -7,13 +7,14 @@ fixpoints.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 from typing import Callable, Optional
 
-from .lts import LTS, noetherian_subset
+from .lts import LTS, noetherian_subset, reach
 from .mucalc import MuFormula, open_eval
-from .paritygame import EXISTS, FORALL, ParityGame, solve
+from .paritygame import EXISTS, FORALL, ParityGame, _sccs, build_arena, solve
 
 UNFOLDING_CARRIER_LIMIT = 12
 
@@ -113,30 +114,16 @@ def unfolding_game(f: MonotoneFunctional) -> UnfoldingGame:
     region on the carrier is exactly the least fixpoint."""
     sets = _playable_sets(f)
     images = {xs: f(xs) for xs in sets}
-    positions: list = []
-    owner = []
-    moves = []
-    priority = []
-    index: dict = {}
-    for s in sorted(f.carrier):
-        index[("s", s)] = len(positions)
-        positions.append(("s", s))
-        owner.append(EXISTS)
-        priority.append(1)
-        moves.append([])
-    for xs in sets:
-        index[("X", xs)] = len(positions)
-        positions.append(("X", xs))
-        owner.append(FORALL)
-        priority.append(1)
-        moves.append([])
-    for s in sorted(f.carrier):
-        moves[index[("s", s)]] = [index[("X", xs)] for xs in sets if s in images[xs]]
-    for xs in sets:
-        moves[index[("X", xs)]] = [index[("s", s)] for s in sorted(xs)]
-    game = ParityGame(tuple(owner), tuple(tuple(m) for m in moves), tuple(priority))
-    state_index = {s: index[("s", s)] for s in sorted(f.carrier)}
-    return UnfoldingGame(game, tuple(positions), state_index)
+    states = sorted(f.carrier)
+
+    def expand(pos):
+        kind, v = pos
+        if kind == "s":
+            return EXISTS, 1, [("X", xs) for xs in sets if v in images[xs]]
+        return FORALL, 1, [("s", s) for s in sorted(v)]
+
+    game, positions = build_arena([("s", s) for s in states], expand)
+    return UnfoldingGame(game, positions, {s: i for i, s in enumerate(states)})
 
 
 def unfolding_region(f: MonotoneFunctional) -> frozenset[int]:
@@ -168,35 +155,13 @@ def is_descending(f: MonotoneFunctional, strat: dict[int, frozenset[int]]) -> bo
 
 def strategy_wins(f: MonotoneFunctional, strat: dict[int, frozenset[int]], start: int) -> bool:
     """Check the positional strategy beats every Forall behaviour from start:
-    moves legal, and no cycle reachable under the strategy."""
-    seen = set()
-    stack = [start]
-    while stack:
-        s = stack.pop()
-        if s in seen:
-            continue
-        seen.add(s)
-        if s not in strat:
-            return False
-        xs = strat[s]
-        if s not in f(xs):
-            return False
-        stack.extend(xs)
-    graph = {s: strat[s] for s in seen}
-    # cycle detection along strategy moves
-    colour = {}
-
-    def dfs(u):
-        colour[u] = 1
-        for v in graph[u]:
-            if colour.get(v) == 1:
-                return False
-            if colour.get(v, 0) == 0 and not dfs(v):
-                return False
-        colour[u] = 2
-        return True
-
-    return all(dfs(u) for u in graph if colour.get(u, 0) == 0)
+    every state reached under it has a legal move, and no cycle is reached
+    (each strongly connected component is one state without a move to
+    itself)."""
+    seen = reach(defaultdict(frozenset, strat), (start,))
+    if any(s not in strat or s not in f(strat[s]) for s in seen):
+        return False
+    return all(len(c) == 1 and c[0] not in strat[c[0]] for c in _sccs(seen, strat))
 
 
 @dataclass(frozen=True)
@@ -211,20 +176,10 @@ def strategy_tree(f: MonotoneFunctional, strat: dict[int, frozenset[int]], root:
     sets as child sets; well-founded whenever the strategy is winning."""
     if root not in strat:
         raise ValueError("root is not a winning position for the strategy")
-    nodes = set()
-    stack = [root]
-    children = {}
-    while stack:
-        s = stack.pop()
-        if s in nodes:
-            continue
-        nodes.add(s)
-        kids = strat.get(s, frozenset())
-        children[s] = frozenset(kids)
-        stack.extend(kids)
     if not strategy_wins(f, strat, root):
         raise ValueError("strategy is not winning from the root")
-    return StrategyTree(root, frozenset(nodes), children)
+    nodes = reach(strat, (root,))
+    return StrategyTree(root, nodes, {s: frozenset(strat[s]) for s in nodes})
 
 
 def finite_witness(f: MonotoneFunctional, s: int) -> Optional[frozenset[int]]:

@@ -39,9 +39,6 @@ class PropSet:
     def __len__(self):
         return len(self.names)
 
-    def index(self, name: str) -> int:
-        return self.names.index(name)
-
     def canon(self, colour: Iterable[str]) -> frozenset[str]:
         """Canonical colour: validated frozenset over this alphabet."""
         c = frozenset(colour)
@@ -93,9 +90,6 @@ class LTS:
         for u, t in self.edges:
             out[u].append(t)
         return tuple(tuple(sorted(ts)) for ts in out)
-
-    def colour(self, s: int) -> frozenset[str]:
-        return self.colours[s]
 
     def states(self) -> range:
         return range(self.n)
@@ -264,8 +258,11 @@ def p_variant(lts: LTS, p: str, xs: Iterable[int]) -> LTS:
     return LTS(props, lts.n, lts.edges, cols, lts.init)
 
 
-def _refine_partition(block_of: list[int], succ) -> list[int]:
-    # coarsest stable refinement: signature = (block, set of successor blocks)
+def _refine_partition(colours, succ) -> list[int]:
+    """Block of each state in the coarsest stable refinement of the
+    partition by colour: signature = (block, set of successor blocks)."""
+    ids: dict = {}
+    block_of = [ids.setdefault(c, len(ids)) for c in colours]
     while True:
         sigs = {}
         new = []
@@ -291,14 +288,7 @@ def bisimilar(s: LTS, t: LTS) -> Optional[frozenset[tuple[int, int]]]:
     # disjoint union: states of t shifted by s.n
     succ = list(s.successor_table())
     succ += [tuple(v + s.n for v in vs) for vs in t.successor_table()]
-    colours = list(s.colours) + list(t.colours)
-    col_ids: dict[frozenset[str], int] = {}
-    block_of = []
-    for c in colours:
-        if c not in col_ids:
-            col_ids[c] = len(col_ids)
-        block_of.append(col_ids[c])
-    block_of = _refine_partition(block_of, succ)
+    block_of = _refine_partition(s.colours + t.colours, succ)
     if block_of[s.init] != block_of[t.init + s.n]:
         return None
     rel = frozenset(
@@ -400,14 +390,7 @@ def noetherian_subset(lts: LTS, xs: Iterable[int]) -> bool:
 
 def quotient(lts: LTS) -> LTS:
     """Bisimulation quotient (same alphabet, bisimilar to the input)."""
-    succ = lts.successor_table()
-    col_ids: dict[frozenset[str], int] = {}
-    block_of = []
-    for c in lts.colours:
-        if c not in col_ids:
-            col_ids[c] = len(col_ids)
-        block_of.append(col_ids[c])
-    block_of = _refine_partition(block_of, succ)
+    block_of = _refine_partition(lts.colours, lts.successor_table())
     nblocks = max(block_of) + 1
     edges = frozenset((block_of[a], block_of[b]) for (a, b) in lts.edges)
     cols: list[frozenset[str]] = [frozenset()] * nblocks

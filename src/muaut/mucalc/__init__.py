@@ -6,10 +6,9 @@ from .ast import (MAnd, MBOT, MOr, MTOP, Modal, Mu, MuFormula, MuParseError,
                   modal_dialect, mor, negate, parse, pretty, refresh,
                   simplify, subformulas, substitute)
 from .bridge import NotFO1Error, fo1_modal_bridge
-from .classify import (FragmentReport, classify, in_alternation_free,
-                       in_cocontinuous, in_conoetherian, in_continuous,
-                       in_continuous_calculus, in_noetherian, is_guarded,
-                       is_plain_modal)
+from .classify import (FragmentReport, classify, in_cocontinuous,
+                       in_conoetherian, in_continuous, in_noetherian,
+                       is_guarded, is_plain_modal)
 from .game import EvalGame, binder_priorities, build_eval_game, game_value, modality_moves
 from .guard import guard_transform
 from .semantics import (UnboundLetterError, approximant_trace,

@@ -15,7 +15,7 @@ from typing import Iterable, Union
 
 from .. import onestep as o
 from ..onestep.parse import formula as onestep_formula
-from ..syntax import Cursor, Node, ParseError
+from ..syntax import Cursor, Node, ParseError, junction
 
 
 @dataclass(frozen=True)
@@ -90,27 +90,11 @@ def is_box(f: MuFormula) -> bool:
 
 
 def mand(args: Iterable[MuFormula]) -> MuFormula:
-    flat = []
-    for a in args:
-        if isinstance(a, MAnd):
-            flat.extend(a.args)
-        elif a == MBOT:
-            return MBOT
-        else:
-            flat.append(a)
-    return flat[0] if len(flat) == 1 else MAnd(tuple(flat))
+    return junction(MAnd, args, MBOT)
 
 
 def mor(args: Iterable[MuFormula]) -> MuFormula:
-    flat = []
-    for a in args:
-        if isinstance(a, MOr):
-            flat.extend(a.args)
-        elif a == MTOP:
-            return MTOP
-        else:
-            flat.append(a)
-    return flat[0] if len(flat) == 1 else MOr(tuple(flat))
+    return junction(MOr, args, MTOP)
 
 
 def free_letters(f: MuFormula) -> frozenset[str]:

@@ -17,33 +17,23 @@ class NotFO1Error(ValueError):
     pass
 
 
-def _rewrite_positive(bf: o.BasicForm, args) -> MuFormula:
+def _rewrite(bf: o.BasicForm, args, dual: bool = False) -> MuFormula:
+    """One diamond per witness type and one box over the cover disjunction
+    per record, disjoined; with dual, the complement of that rewrite of the
+    dual modality (diamonds and boxes, conjunctions and disjunctions
+    swapped)."""
+    dia_, box_, and_, or_ = (box, dia, mor, mand) if dual else (dia, box, mand, mor)
     disjuncts = []
     for d in bf.disjuncts:
         parts: list[MuFormula] = []
         for tp in d.witnesses:
-            parts.append(dia(mand(args[int(a[1:]) - 1] for a in sorted(tp))))
-        parts.append(box(mor(
-            mand(args[int(a[1:]) - 1] for a in sorted(s))
+            parts.append(dia_(and_(args[int(a[1:]) - 1] for a in sorted(tp))))
+        parts.append(box_(or_(
+            and_(args[int(a[1:]) - 1] for a in sorted(s))
             for s in sorted(d.cover, key=sorted)
         )))
-        disjuncts.append(mand(parts))
-    return mor(disjuncts)
-
-
-def _rewrite_dual(bf: o.BasicForm, args) -> MuFormula:
-    # complement of the positive rewrite of the dual modality
-    conjuncts = []
-    for d in bf.disjuncts:
-        parts: list[MuFormula] = []
-        for tp in d.witnesses:
-            parts.append(box(mor(args[int(a[1:]) - 1] for a in sorted(tp))))
-        parts.append(dia(mand(
-            mor(args[int(a[1:]) - 1] for a in sorted(s))
-            for s in sorted(d.cover, key=sorted)
-        )))
-        conjuncts.append(mor(parts))
-    return mand(conjuncts)
+        disjuncts.append(and_(parts))
+    return or_(disjuncts)
 
 
 def fo1_modal_bridge(f: MuFormula) -> MuFormula:
@@ -79,12 +69,12 @@ def fo1_modal_bridge(f: MuFormula) -> MuFormula:
                 )
                 if b_cont and o.in_continuous_fragment(alpha, b_cont):
                     bf = o.to_continuous_basic_form(sent, b_cont)
-                    return _rewrite_positive(bf, new_args)
+                    return _rewrite(bf, new_args)
                 if b_cocont and o.in_cocontinuous_fragment(alpha, b_cocont):
                     bf = o.to_continuous_basic_form(
                         o.sentence(o.dual(alpha), o.FO1, preds), b_cocont)
-                    return _rewrite_dual(bf, new_args)
-                return _rewrite_positive(o.to_basic_form(sent), new_args)
+                    return _rewrite(bf, new_args, dual=True)
+                return _rewrite(o.to_basic_form(sent), new_args)
         return g.rebuild(lambda a: go(a, cont_active, cocont_active))
 
     out = go(f, frozenset(), frozenset())

@@ -63,20 +63,6 @@ def _body_in_grammar(g: Mu | Nu, continuous: bool) -> bool:
     return (in_cocontinuous if continuous else in_conoetherian)(g.body, q)
 
 
-def in_calculus(f: MuFormula, continuous: bool) -> bool:
-    """Every binder's body is in its grammar: the alternation-free calculus,
-    or the continuous calculus when `continuous`."""
-    return all(_body_in_grammar(g, continuous) for g in subformulas(f) if isinstance(g, (Mu, Nu)))
-
-
-def in_alternation_free(f: MuFormula) -> bool:
-    return in_calculus(f, False)
-
-
-def in_continuous_calculus(f: MuFormula) -> bool:
-    return in_calculus(f, True)
-
-
 def is_guarded(f: MuFormula) -> bool:
     """Every bound-letter occurrence has a modality between it and its binder."""
 

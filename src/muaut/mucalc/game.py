@@ -108,7 +108,7 @@ def build_eval_game(f: MuFormula, lts: LTS) -> EvalGame:
                 return EXISTS, 0, [("f", b, s)]
         raise TypeError(g)
 
-    game, positions = build_arena(("f", f, lts.init), expand)
+    game, positions = build_arena([("f", f, lts.init)], expand)
     return EvalGame(game, positions, 0)
 
 

@@ -17,7 +17,8 @@ from .models import (OMEGA, OneStepModel, WeightedOneStepModel, all_models,
 from .normalform import (BasicForm, BasicFormDisjunct, NotContinuousError,
                          NotPositiveError, ProfileBlowupError,
                          diamond_translate, equivalent, expand,
-                         expand_disjunct, satisfying_restriction_exists,
+                         expand_disjunct, record_sentence,
+                         satisfying_restriction_exists,
                          to_basic_form, to_continuous_basic_form)
 from .parse import parse, parse_formula
 from ..syntax import ParseError

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from ..syntax import Node
+from ..syntax import Node, junction
 
 FO1 = "FO1"
 FOE1 = "FOE1"
@@ -103,33 +103,11 @@ BOT = Or(())
 
 
 def conj(args: Iterable[Formula]) -> Formula:
-    args = tuple(args)
-    flat = []
-    for a in args:
-        if isinstance(a, And):
-            flat.extend(a.args)
-        elif a == BOT:
-            return BOT
-        else:
-            flat.append(a)
-    if len(flat) == 1:
-        return flat[0]
-    return And(tuple(flat))
+    return junction(And, args, BOT)
 
 
 def disj(args: Iterable[Formula]) -> Formula:
-    args = tuple(args)
-    flat = []
-    for a in args:
-        if isinstance(a, Or):
-            flat.extend(a.args)
-        elif a == TOP:
-            return TOP
-        else:
-            flat.append(a)
-    if len(flat) == 1:
-        return flat[0]
-    return Or(tuple(flat))
+    return junction(Or, args, TOP)
 
 
 def expand_sugar(f: Formula) -> Formula:
@@ -226,9 +204,6 @@ def sentence(ast: Formula, dialect: str | None = None, preds: Iterable[str] | No
 def type_atom(tp: Iterable[str], var: str) -> Formula:
     """Positive description of a type: the conjunction of its predicates."""
     return conj(Pred(a, var) for a in sorted(tp))
-
-
-_PREC = {"or": 0, "and": 1}
 
 
 def pretty(f: Formula, _level: int = 0) -> str:

@@ -31,20 +31,20 @@ def in_continuous_fragment(f: Formula, b: frozenset[str]) -> bool:
 
 
 def _continuous(f: Formula, b: frozenset[str]) -> bool:
-    """in_continuous_fragment for a positive f (so its subformulas are too)."""
-    if not predicates(f) & b:
-        return True
+    """in_continuous_fragment for a positive f (so its subformulas are too).
+
+    Only the cases that must avoid B test for it: a B-free formula passes
+    every other case, so no level needs its own B-freeness test."""
     match f:
-        case Pred(a, _):
-            return a in b
         case W(_, fin, cof):
             return _continuous(fin, b) and not predicates(cof) & b
         case And(args) if (w := _match_expanded_w(args)) is not None:
             return _continuous(w[0], b) and not predicates(w[1]) & b
         case And() | Or() | Exists():
             return all(_continuous(a, b) for a in f.children())
-    # Forall / ForallInf / ExistsInf touching B
-    return False
+        case Forall() | ForallInf() | ExistsInf():
+            return not predicates(f) & b
+    return True  # atoms
 
 
 def _match_expanded_w(args: tuple[Formula, ...]):
@@ -196,8 +196,6 @@ def continuous_entry(f: Formula, b: frozenset[str]) -> bool:
     """Continuity check for automaton entries: grammar membership, or a
     record shape whose infinite part avoids b (the normal-form
     characterization of continuity), closed under disjunction."""
-    if in_continuous_fragment(f, b):
-        return True
     disjuncts = f.args if isinstance(f, Or) else (f,)
     for d in disjuncts:
         if in_continuous_fragment(d, b):

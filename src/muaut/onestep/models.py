@@ -78,12 +78,6 @@ class WeightedOneStepModel:
                 return c
         return 0
 
-    def support(self) -> list[frozenset[str]]:
-        return [t for t, c in self.counts if c != 0]
-
-    def is_empty(self) -> bool:
-        return all(c == 0 for _, c in self.counts)
-
     def expand(self) -> OneStepModel:
         """Finite expansion; only defined when all counts are finite."""
         types = []

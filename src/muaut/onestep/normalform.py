@@ -388,30 +388,36 @@ def to_basic_form(f: OneStepFormula) -> BasicForm:
     return BasicForm(f.dialect, f.preds, _prune(W, C, I, f.dialect, rk))
 
 
-def expand_disjunct(d: BasicFormDisjunct, dialect: str) -> Formula:
-    """The sentence a record denotes.
+def record_sentence(witness_types: list[frozenset[str]], cover_types: list[frozenset[str]],
+                    inf_types: list[frozenset[str]] | None = None) -> Formula:
+    """Witness/cover sentence over arbitrary predicate names, with the
+    distinctness guards interleaved for early backtracking."""
+    xs = ["x%d" % (i + 1) for i in range(len(witness_types))]
+    body: Formula = Forall(
+        "z",
+        disj([Eq("z", x) for x in xs] + [type_atom(s, "z") for s in cover_types]),
+    )
+    for i in reversed(range(len(xs))):
+        guards: list[Formula] = [Neq(xs[i], xs[j]) for j in range(i)]
+        body = Exists(xs[i], conj(guards + [type_atom(witness_types[i], xs[i]), body]))
+    if inf_types is not None:
+        parts: list[Formula] = [body]
+        parts += [ExistsInf("y", type_atom(s, "y")) for s in inf_types]
+        parts.append(ForallInf("y", disj(type_atom(s, "y") for s in inf_types)))
+        body = conj(parts)
+    return body
 
-    Distinctness constraints are interleaved with the quantifier prefix so
-    that naive evaluation backtracks early.
-    """
+
+def expand_disjunct(d: BasicFormDisjunct, dialect: str) -> Formula:
+    """The sentence a record denotes (see `record_sentence`)."""
     if dialect == FO1:
         parts = [Exists("x", type_atom(tp, "x")) for tp in d.witnesses]
         parts.append(Forall("z", disj(type_atom(s, "z") for s in sorted(d.cover, key=sorted))))
         return conj(parts)
-    xs = ["x%d" % i for i in range(1, len(d.witnesses) + 1)]
     cover = sorted(d.cover | (d.inf_cover or frozenset()), key=sorted)
-    body: Formula = Forall(
-        "z",
-        disj([Eq("z", x) for x in xs] + [type_atom(s, "z") for s in cover]),
-    )
-    for i in reversed(range(len(xs))):
-        guards = [Neq(xs[i], xs[j]) for j in range(i)]
-        body = Exists(xs[i], conj(guards + [type_atom(d.witnesses[i], xs[i]), body]))
-    if dialect == FOE1INF and d.inf_cover is not None:
-        inf = [ExistsInf("y", type_atom(s, "y")) for s in sorted(d.inf_cover, key=sorted)]
-        inf.append(ForallInf("y", disj(type_atom(s, "y") for s in sorted(d.inf_cover, key=sorted))))
-        body = conj([body] + inf)
-    return body
+    inf = (sorted(d.inf_cover, key=sorted)
+           if dialect == FOE1INF and d.inf_cover is not None else None)
+    return record_sentence(d.witnesses, cover, inf)
 
 
 def expand(bf: BasicForm) -> OneStepFormula:
@@ -507,11 +513,8 @@ def diamond_translate(bf: BasicForm) -> OneStepFormula:
             cover = d.inf_cover if d.inf_cover is not None else frozenset()
         else:
             cover = d.cover
-        wits = list(d.witnesses) + [s for s in sorted(cover, key=sorted) if s not in d.witnesses]
-        parts.append(conj(
-            [Exists("x", type_atom(tp, "x")) for tp in wits]
-            + [Forall("z", disj(type_atom(s, "z") for s in sorted(cover, key=sorted)))]
-        ))
+        wits = d.witnesses + tuple(s for s in sorted(cover, key=sorted) if s not in d.witnesses)
+        parts.append(expand_disjunct(BasicFormDisjunct(wits, cover), FO1))
     return sentence(disj(parts), FO1, bf.preds)
 
 

@@ -10,7 +10,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .lts import json_list, json_shape
+from .lts import json_list, json_shape, reach
 
 EXISTS = 0
 FORALL = 1
@@ -66,18 +66,20 @@ def load(path: str) -> ParityGame:
         return game_from_json(json.load(f))
 
 
-def build_arena(root, expand) -> tuple[ParityGame, tuple]:
-    """The game on every position reachable from root, with root at index 0.
+def build_arena(roots, expand) -> tuple[ParityGame, tuple]:
+    """The game on every position reachable from the distinct roots, which
+    are numbered 0..k-1 in order.
 
     expand(pos) returns (owner, priority, successor positions).  Positions
     are numbered in discovery order and expanded last-discovered first, so
-    the numbering depends only on root and expand.  Returns the game and the
-    position descriptions, indexed like the game.
+    the numbering depends only on roots and expand.  Returns the game and
+    the position descriptions, indexed like the game.
     """
-    index = {root: 0}
-    desc = [root]
-    owner, priority, moves = [EXISTS], [0], [()]
-    todo = [root]
+    desc = list(roots)
+    index = {pos: i for i, pos in enumerate(desc)}
+    k = len(desc)
+    owner, priority, moves = [EXISTS] * k, [0] * k, [()] * k
+    todo = list(desc)
     while todo:
         pos = todo.pop()
         i = index[pos]
@@ -103,9 +105,6 @@ class Solution:
     win_forall: frozenset[int]
     strategy_exists: dict[int, int]
     strategy_forall: dict[int, int]
-
-    def winner(self, pos: int) -> int:
-        return EXISTS if pos in self.win_exists else FORALL
 
 
 def solve(g: ParityGame) -> Solution:
@@ -380,18 +379,13 @@ def _wins_everywhere(g: ParityGame, strat: dict[int, int]) -> set[int]:
             graph[v] = [strat[v]] if v in strat else []
         else:
             graph[v] = list(g.moves[v])
-    # lose-set: reachable Exists-stuck positions or odd-dominated cycles
-    bad = set(v for v in range(g.n) if g.owner[v] == EXISTS and not g.moves[v])
+    # lose-set: Exists-stuck positions, odd-dominated cycles, and every
+    # position from which some play reaches one of them
+    bad = [v for v in range(g.n) if g.owner[v] == EXISTS and not g.moves[v]]
     for comp in _dominated_cycles(range(g.n), graph, g.priority, FORALL):
-        bad.update(comp)
-    # backward closure of bad under "some play reaches it"
-    changed = True
-    while changed:
-        changed = False
-        for v in range(g.n):
-            if v in bad:
-                continue
-            if any(t in bad for t in graph[v]):
-                bad.add(v)
-                changed = True
-    return set(range(g.n)) - bad
+        bad.extend(comp)
+    pred = [[] for _ in range(g.n)]
+    for v, ts in graph.items():
+        for t in ts:
+            pred[t].append(v)
+    return set(range(g.n)) - reach(pred, bad)

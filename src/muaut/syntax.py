@@ -49,6 +49,22 @@ class Node:
             vals.append(v)
         return (cls or type(self))(*vals) if changed else self
 
+
+def junction(cls, args, zero):
+    """The n-ary node cls over args, with nested cls nodes flattened into
+    it: zero, its absorbing element, when some argument is zero; the
+    argument itself when exactly one remains."""
+    flat = []
+    for a in args:
+        if isinstance(a, cls):
+            flat.extend(a.args)
+        elif a == zero:
+            return zero
+        else:
+            flat.append(a)
+    return flat[0] if len(flat) == 1 else cls(tuple(flat))
+
+
 # Deepest nesting any grammar accepts, counted over parentheses, prefix
 # operators, binders and modalities.  The rules recurse at most twice per
 # level, so parsing stays far inside the interpreter's recursion limit.

@@ -101,6 +101,41 @@ def test_strategy_tree_trivial():
     assert tree.nodes == frozenset({0})
 
 
+def _successor_chain(n):
+    """F(X) = {0} | {s + 1 : s in X} on range(n), whose least fixpoint is
+    the whole carrier."""
+    return fx.MonotoneFunctional(frozenset(range(n)),
+                                 lambda xs: frozenset({0} | {s + 1 for s in xs if s + 1 < n}))
+
+
+def test_strategy_wins_rejects_a_long_cycle():
+    F = _successor_chain(3000)
+    strat = {s: frozenset({s - 1}) for s in range(1, 3000)}
+    strat[0] = frozenset({2999})  # legal, since 0 is in every image
+    assert not fx.strategy_wins(F, strat, 2999)
+
+
+def test_strategy_wins_needs_a_move_at_every_reached_state():
+    F = _successor_chain(3)
+    strat = {2: frozenset({1}), 1: frozenset({0})}
+    assert not fx.strategy_wins(F, strat, 2)
+    with pytest.raises(ValueError, match="not winning"):
+        fx.strategy_tree(F, strat, 2)
+    with pytest.raises(ValueError, match="root is not"):
+        fx.strategy_tree(F, strat, 0)
+    strat[0] = frozenset()
+    assert fx.strategy_wins(F, strat, 2)
+
+
+def test_strategy_tree_on_a_long_chain():
+    F = _successor_chain(3000)
+    strat = {s: frozenset({s - 1}) for s in range(1, 3000)}
+    strat[0] = frozenset()
+    tree = fx.strategy_tree(F, strat, 2999)
+    assert tree.nodes == F.carrier
+    assert tree.children == strat
+
+
 def test_finite_witness():
     rng = random.Random(5)
     for _ in range(30):

@@ -157,10 +157,13 @@ def test_build_arena_numbers_in_discovery_order():
     def expand(pos):
         return pos % 2, pos, [(pos + 1) % 3]
 
-    g, positions = pg.build_arena(0, expand)
-    assert positions == (0, 1, 2)
-    assert g.moves == ((1,), (2,), (0,))
-    assert g.owner == (0, 1, 0) and g.priority == (0, 1, 2)
+    # the roots come first, in order; the rest in discovery order
+    for roots, want, moves in (([0], (0, 1, 2), ((1,), (2,), (0,))),
+                               ([0, 2], (0, 2, 1), ((2,), (0,), (1,)))):
+        g, positions = pg.build_arena(roots, expand)
+        assert positions == want
+        assert g.moves == moves
+        assert g.owner == tuple(p % 2 for p in want) and g.priority == want
 
 
 # --- SCCs, the cycle-parity helper and the solver at depth ---------------

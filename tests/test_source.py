@@ -1,12 +1,67 @@
-"""The package declares requires-python >= 3.10; its sources must parse there."""
+"""Source hygiene: every module parses as Python 3.10, which the package
+declares as its minimum, and carries no unused import or dead private name."""
 import ast
 import pathlib
 
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+MODULES = sorted(SRC.rglob("*.py"))
 
 
-@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC)))
+def _trees():
+    return {p: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
 def test_source_parses_as_python_3_10(path):
     ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def _loaded_names(tree) -> set[str]:
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+
+def test_no_unused_imports():
+    # package __init__ modules import in order to re-export
+    unused = []
+    for path, tree in _trees().items():
+        if path.name == "__init__.py":
+            continue
+        used = _loaded_names(tree)
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        unused.append("%s: %s" % (path.relative_to(SRC), name))
+    assert unused == []
+
+
+def test_no_unreferenced_private_names():
+    trees = _trees()
+    referenced = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+                referenced.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                referenced.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                referenced.update(a.name for a in n.names)
+    dead = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            dead += ["%s: %s" % (path.relative_to(SRC), name) for name in names
+                     if name.startswith("_") and not name.startswith("__")
+                     and name not in referenced]
+    assert dead == []
