@@ -157,8 +157,7 @@ class ClusterReport:
 def occurrence_edges(aut: ParityAutomaton) -> dict[int, set[int]]:
     out: dict[int, set[int]] = {a: set() for a in range(aut.n)}
     for (a, _), f in aut.delta.items():
-        for p in o.predicates(f):
-            out[a].add(pred_state(p))
+        out[a].update(map(pred_state, o.predicates(f)))
     return out
 
 
@@ -207,10 +206,7 @@ def normalize_weak_priorities(aut: ParityAutomaton) -> ParityAutomaton:
 
 
 def _shift_formula(f: o.Formula, offset: int) -> o.Formula:
-    mapping = {}
-    for p in o.predicates(f):
-        mapping[p] = pred_name(pred_state(p) + offset)
-    return o.rename_pred(f, mapping)
+    return o.rename_pred(f, {p: pred_name(pred_state(p) + offset) for p in o.predicates(f)})
 
 
 def union_automaton(a0: ParityAutomaton, a1: ParityAutomaton) -> ParityAutomaton:

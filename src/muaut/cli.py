@@ -575,8 +575,8 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
-    except RecursionError:
-        print("error: formula nesting too deep", file=sys.stderr)
+    except RecursionError:  # parsing has its own bound; a later walk overflowed
+        print("error: formula too deep to process", file=sys.stderr)
         return 2
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import partial, reduce
+from operator import attrgetter
 from typing import Union
 
 from ..syntax import Cursor, Node, ParseError
@@ -24,39 +25,39 @@ LOGIC_MODE = {"smso": STANDARD, "wmso": FINITE, "nmso": NOETHERIAN}
 
 # --- one-sorted -----------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Down(Node):
     """The letter holds exactly at the distinguished state."""
     p: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubsetOf(Node):
     left: str
     right: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelStep(Node):
     """Every left-state has an edge to some right-state."""
     left: str
     right: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Not1(Node):
     body: "Mso1"
     subs = ("body",)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Or1(Node):
     left: "Mso1"
     right: "Mso1"
     subs = ("left", "right")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Exists1(Node):
     var: str
     body: "Mso1"
@@ -67,14 +68,7 @@ class Exists1(Node):
 Mso1 = Union[Down, SubsetOf, RelStep, Not1, Or1, Exists1]
 
 
-def free_letters1(f: Mso1) -> frozenset[str]:
-    match f:
-        case Down(p):
-            return frozenset({p})
-        case SubsetOf(a, b) | RelStep(a, b):
-            return frozenset({a, b})
-    out = frozenset().union(*map(free_letters1, f.children()))
-    return out - {f.var} if isinstance(f, Exists1) else out
+free_letters1 = attrgetter("facts")  # stored on each node (see Node.derive)
 
 
 def pretty1(f: Mso1, _level: int = 0) -> str:
@@ -98,45 +92,45 @@ def pretty1(f: Mso1, _level: int = 0) -> str:
 
 # --- two-sorted -----------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PredApp(Node):
     p: str
     x: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelApp(Node):
     x: str
     y: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EqVar(Node):
     x: str
     y: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Not2(Node):
     body: "Mso2"
     subs = ("body",)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Or2(Node):
     left: "Mso2"
     right: "Mso2"
     subs = ("left", "right")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExistsVar(Node):
     var: str
     body: "Mso2"
     subs = ("body",)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExistsSet(Node):
     var: str
     body: "Mso2"

@@ -11,6 +11,7 @@ positively under their binder.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Union
 
 from .. import onestep as o
@@ -18,29 +19,29 @@ from ..onestep.parse import formula as onestep_formula
 from ..syntax import Cursor, Node, ParseError, junction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Prop(Node):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NegProp(Node):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MAnd(Node):
     args: tuple["MuFormula", ...]
     subs = ("args",)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MOr(Node):
     args: tuple["MuFormula", ...]
     subs = ("args",)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Modal(Node):
     """The one-step sentence alpha is of another syntax, so only the
     arguments are subformulas."""
@@ -53,14 +54,14 @@ class Modal(Node):
         return tuple("a%d" % (i + 1) for i in range(len(self.args)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mu(Node):
     var: str
     body: "MuFormula"
     subs = ("body",)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Nu(Node):
     var: str
     body: "MuFormula"
@@ -97,11 +98,7 @@ def mor(args: Iterable[MuFormula]) -> MuFormula:
     return junction(MOr, args, MTOP)
 
 
-def free_letters(f: MuFormula) -> frozenset[str]:
-    if isinstance(f, (Prop, NegProp)):
-        return frozenset({f.name})
-    out = frozenset().union(*map(free_letters, f.children()))
-    return out - {f.var} if isinstance(f, (Mu, Nu)) else out
+free_letters = attrgetter("facts")  # stored on each node (see Node.derive)
 
 
 def bound_letters(f: MuFormula) -> list[str]:

@@ -7,9 +7,10 @@ the API surface; subformulas may have free variables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from operator import attrgetter
+from typing import Iterable, NamedTuple, Union
 
-from ..syntax import Node, junction
+from ..syntax import Node, junction, union
 
 FO1 = "FO1"
 FOE1 = "FOE1"
@@ -21,72 +22,101 @@ class DialectError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Pred(Node):
+class Facts(NamedTuple):
+    """What a one-step formula node stores as its `facts`."""
+
+    preds: frozenset[str]  # predicates occurring
+    free: frozenset[str]  # free variables
+    rank: int  # quantifier nesting depth, W counting as one level
+    dialect: str  # smallest dialect containing the formula
+    positive: bool  # no negated predicate (inequalities are allowed)
+    sugar_free: bool  # no W
+
+
+class _OneStep(Node):
+    def derive(self, kids: list[Facts]) -> Facts:
+        match self:
+            case Pred(a, x) | NegPred(a, x):
+                return Facts(frozenset({a}), frozenset({x}), 0, FO1, type(self) is Pred, True)
+            case Eq(x, y) | Neq(x, y):
+                return Facts(frozenset(), frozenset({x, y}), 0, FOE1, True, True)
+        preds, free, ranks, dialects, positive, sugar_free = zip(*kids) if kids else [()] * 6
+        quantifier = isinstance(self, QUANTIFIERS)
+        free = union(free)
+        if quantifier and self.var in free:
+            free -= {self.var}
+        return Facts(union(preds), free, quantifier + max(ranks, default=0),
+                     FOE1INF if isinstance(self, (ExistsInf, ForallInf, W))
+                     else max(dialects, key=DIALECTS.index, default=FO1),
+                     all(positive), all(sugar_free) and not isinstance(self, W))
+
+
+@dataclass(frozen=True, eq=False)
+class Pred(_OneStep):
     name: str
     var: str
 
 
-@dataclass(frozen=True)
-class NegPred(Node):
+@dataclass(frozen=True, eq=False)
+class NegPred(_OneStep):
     name: str
     var: str
 
 
-@dataclass(frozen=True)
-class Eq(Node):
+@dataclass(frozen=True, eq=False)
+class Eq(_OneStep):
     left: str
     right: str
 
 
-@dataclass(frozen=True)
-class Neq(Node):
+@dataclass(frozen=True, eq=False)
+class Neq(_OneStep):
     left: str
     right: str
 
 
-@dataclass(frozen=True)
-class And(Node):
+@dataclass(frozen=True, eq=False)
+class And(_OneStep):
     args: tuple["Formula", ...]
     subs = ("args",)
 
 
-@dataclass(frozen=True)
-class Or(Node):
+@dataclass(frozen=True, eq=False)
+class Or(_OneStep):
     args: tuple["Formula", ...]
     subs = ("args",)
 
 
-@dataclass(frozen=True)
-class Exists(Node):
+@dataclass(frozen=True, eq=False)
+class Exists(_OneStep):
     var: str
     body: "Formula"
     subs = ("body",)
 
 
-@dataclass(frozen=True)
-class Forall(Node):
+@dataclass(frozen=True, eq=False)
+class Forall(_OneStep):
     var: str
     body: "Formula"
     subs = ("body",)
 
 
-@dataclass(frozen=True)
-class ExistsInf(Node):
+@dataclass(frozen=True, eq=False)
+class ExistsInf(_OneStep):
     var: str
     body: "Formula"
     subs = ("body",)
 
 
-@dataclass(frozen=True)
-class ForallInf(Node):
+@dataclass(frozen=True, eq=False)
+class ForallInf(_OneStep):
     var: str
     body: "Formula"
     subs = ("body",)
 
 
-@dataclass(frozen=True)
-class W(Node):
+@dataclass(frozen=True, eq=False)
+class W(_OneStep):
     """Sugar: W x.(f, g) abbreviates Ax.(f | g) & Ainf x. g."""
 
     var: str
@@ -112,49 +142,20 @@ def disj(args: Iterable[Formula]) -> Formula:
 
 def expand_sugar(f: Formula) -> Formula:
     """Rewrite every W node into its quantifier definition."""
+    if f.facts.sugar_free:
+        return f
     f = f.rebuild(expand_sugar)
     if isinstance(f, W):
         return And((Forall(f.var, Or((f.finite, f.cofinite))), ForallInf(f.var, f.cofinite)))
     return f
 
 
-def free_vars(f: Formula) -> frozenset[str]:
-    match f:
-        case Pred(_, x) | NegPred(_, x):
-            return frozenset({x})
-        case Eq(x, y) | Neq(x, y):
-            return frozenset({x, y})
-    out = frozenset().union(*map(free_vars, f.children()))
-    return out - {f.var} if isinstance(f, QUANTIFIERS) else out
-
-
-def predicates(f: Formula) -> frozenset[str]:
-    if isinstance(f, (Pred, NegPred)):
-        return frozenset({f.name})
-    return frozenset().union(*map(predicates, f.children()))
-
-
-def rank(f: Formula) -> int:
-    """Quantifier nesting depth (W counts as one quantifier level)."""
-    return isinstance(f, QUANTIFIERS) + max(map(rank, f.children()), default=0)
-
-
-def min_dialect(f: Formula) -> str:
-    """Smallest dialect containing f."""
-    match f:
-        case Pred() | NegPred():
-            return FO1
-        case Eq() | Neq():
-            return FOE1
-        case ExistsInf() | ForallInf() | W():
-            return FOE1INF
-    found = set(map(min_dialect, f.children()))
-    return FOE1INF if FOE1INF in found else FOE1 if FOE1 in found else FO1
-
-
-def is_positive(f: Formula) -> bool:
-    """No negated predicates anywhere (inequalities are allowed)."""
-    return not isinstance(f, NegPred) and all(map(is_positive, f.children()))
+# the stored facts of a formula (see Facts), read as functions
+free_vars = attrgetter("facts.free")
+predicates = attrgetter("facts.preds")
+rank = attrgetter("facts.rank")
+min_dialect = attrgetter("facts.dialect")
+is_positive = attrgetter("facts.positive")
 
 
 # each node class and the class of its boolean dual; Pred and NegPred are fixed

@@ -8,6 +8,7 @@ exercised by the test suite on bounded models.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .ast import (And, Eq, Exists, ExistsInf, Forall, ForallInf, Formula, Neq,
                   Or, Pred, W, dual, is_positive, predicates)
@@ -27,24 +28,20 @@ def in_continuous_fragment(f: Formula, b: frozenset[str]) -> bool:
     disjunction, existential quantification, and the W construct whose
     second component is B-free.  The expanded form of W is recognized too.
     """
-    return is_positive(f) and _continuous(f, b)
-
-
-def _continuous(f: Formula, b: frozenset[str]) -> bool:
-    """in_continuous_fragment for a positive f (so its subformulas are too).
-
-    Only the cases that must avoid B test for it: a B-free formula passes
-    every other case, so no level needs its own B-freeness test."""
+    if not is_positive(f):
+        return False
+    if not predicates(f) & b:
+        return True
     match f:
         case W(_, fin, cof):
-            return _continuous(fin, b) and not predicates(cof) & b
+            return in_continuous_fragment(fin, b) and not predicates(cof) & b
         case And(args) if (w := _match_expanded_w(args)) is not None:
-            return _continuous(w[0], b) and not predicates(w[1]) & b
+            return in_continuous_fragment(w[0], b) and not predicates(w[1]) & b
         case And() | Or() | Exists():
-            return all(_continuous(a, b) for a in f.children())
+            return all(in_continuous_fragment(a, b) for a in f.children())
         case Forall() | ForallInf() | ExistsInf():
-            return not predicates(f) & b
-    return True  # atoms
+            return False
+    return True  # b(x) for b in B
 
 
 def _match_expanded_w(args: tuple[Formula, ...]):
@@ -63,9 +60,7 @@ def _match_expanded_w(args: tuple[Formula, ...]):
 
 def in_cocontinuous_fragment(f: Formula, b: frozenset[str]) -> bool:
     """Definitionally: the dual lies in the B-continuous grammar."""
-    if not is_positive(f):
-        return False
-    return in_continuous_fragment(dual(f), b)
+    return is_positive(f) and in_continuous_fragment(dual(f), b)
 
 
 def fragment_check(f: Formula, b: frozenset[str]) -> FragmentFlags:
@@ -147,13 +142,7 @@ def match_nabla(f: Formula):
         return None
     z = node.var
     cover: list[frozenset[str]] = []
-    cover_args: list[Formula]
-    if node.body == And(()):
-        cover = [frozenset()]
-        cover_args = []
-    else:
-        cover_args = list(node.body.args) if isinstance(node.body, Or) else [node.body]
-    for arg in cover_args:
+    for arg in node.body.args if isinstance(node.body, Or) else (node.body,):
         match arg:
             case Eq(a, b) if (a == z and b in xs) or (b == z and a in xs):
                 pass
@@ -167,8 +156,7 @@ def match_nabla(f: Formula):
     inf_types: list[frozenset[str]] = []
     if ainf is not None:
         body = ainf.body
-        targs = [] if body == Or(()) else (list(body.args) if isinstance(body, Or) else [body])
-        for arg in targs:
+        for arg in body.args if isinstance(body, Or) else (body,):
             tp = _type_of(arg, ainf.var)
             if tp is None:
                 return None
@@ -180,8 +168,6 @@ def match_nabla(f: Formula):
 
 def _type_of(f: Formula, var: str):
     """Parse a positive type description tau+_T(var); None if not one."""
-    if f == And(()):
-        return frozenset()
     parts = f.args if isinstance(f, And) else (f,)
     tp = set()
     for p in parts:
@@ -192,6 +178,9 @@ def _type_of(f: Formula, var: str):
     return frozenset(tp)
 
 
+# memoized per (interned node, b): an automaton repeats entries across states
+# and colours; the small bound keeps large entries from outliving it
+@lru_cache(maxsize=64)
 def continuous_entry(f: Formula, b: frozenset[str]) -> bool:
     """Continuity check for automaton entries: grammar membership, or a
     record shape whose infinite part avoids b (the normal-form
@@ -210,7 +199,6 @@ def continuous_entry(f: Formula, b: frozenset[str]) -> bool:
     return True
 
 
+@lru_cache(maxsize=64)
 def cocontinuous_entry(f: Formula, b: frozenset[str]) -> bool:
-    if not is_positive(f):
-        return False
-    return continuous_entry(dual(f), b)
+    return is_positive(f) and continuous_entry(dual(f), b)

@@ -410,12 +410,11 @@ def min_valuations_memo(f: Formula, succ: tuple[int, ...], memo: dict) -> list[f
     the relabelling is monotone, so the order is kept as well.  The memo is
     meant to live for one game build.
     """
-    key = (id(f), len(succ))
+    key = (f, len(succ))
     hit = memo.get(key)
     if hit is None:
-        # f is kept alongside, so its id cannot be reused while memo lives
-        hit = memo[key] = (f, min_valuations(f, tuple(range(len(succ)))))
-    return [frozenset([(a, succ[d]) for a, d in mv]) for mv in hit[1]]
+        hit = memo[key] = min_valuations(f, tuple(range(len(succ))))
+    return [frozenset([(a, succ[d]) for a, d in mv]) for mv in hit]
 
 
 def all_valuations(f: Formula, domain: tuple[int, ...], preds=None) -> list[frozenset[tuple[str, int]]]:

@@ -1,26 +1,88 @@
 """One node layer, one lexer and one cursor under the three formula grammars.
 
-Every AST node class is a frozen dataclass over `Node`, which gives the
-structural walkers `children` and `rebuild`.  The one-step, fixpoint and
-second-order parsers are rule sets over `Cursor` and keep only their own
-atom and prefix rules.  Identifiers are `[A-Za-z_][A-Za-z_0-9]*`; keywords
-are whole identifiers, never prefixes.
+Every AST node class is a frozen dataclass over `Node`, which interns nodes,
+stores their facts and gives the structural walkers `children` and `rebuild`.
+The one-step, fixpoint and second-order parsers are rule sets over `Cursor`
+and keep only their own atom and prefix rules.  Identifiers are
+`[A-Za-z_][A-Za-z_0-9]*`; keywords are whole identifiers, never prefixes.
 """
 from __future__ import annotations
 
 import re
+import weakref
+from _weakref import _remove_dead_weakref
+from functools import cached_property
+
+# (class, *fields) -> weak reference to the one live node with those fields
+_interned: dict = {}
 
 
-class Node:
-    """Base of the AST node classes.
+class _Ref(weakref.ref):
+    __slots__ = ("key",)  # the node's table key
+
+
+def _drop(ref: _Ref) -> None:
+    """Forget a node that died, unless its entry is live again (one step)."""
+    _remove_dead_weakref(_interned, ref.key)
+
+
+class _Interned(type):
+    """Metaclass of `Node`: a node class called with the fields of a live
+    node returns that node, so structurally equal nodes are one object."""
+
+    def __call__(cls, *args):
+        key = (cls, *args)
+        ref = _interned.get(key)
+        node = ref and ref()
+        if node is None:
+            new = type.__call__(cls, *args)
+            new.__dict__["_hash"] = hash((cls.__name__, *args))  # never from an id
+            ref = _Ref(new, _drop)
+            ref.key = key
+            # each try is one atomic dict step, so threads never hold two live
+            # equal nodes; an entry found dead awaits its callback in another thread
+            while (node := _interned.setdefault(key, ref)()) is None:
+                _remove_dead_weakref(_interned, key)
+        return node
+
+
+class Node(metaclass=_Interned):
+    """Base of the AST node classes, each a `@dataclass(frozen=True,
+    eq=False)`: nodes are interned, so `==` is `is`, and hashes are stored.
 
     A node class names its subformula fields once, in the class attribute
     `subs`; each such field holds one node or a tuple of nodes of the same
-    syntax.  `subs` is no dataclass field, so repr, ==, hash and
-    `__match_args__` are the plain dataclass ones.
+    syntax.  `subs` is no dataclass field, so repr and `__match_args__` are
+    the plain dataclass ones.  `derive` gives a node's facts from its kids'.
     """
 
     subs: tuple[str, ...] = ()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):  # copies and unpickled nodes are interned as well
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+    def derive(self, kids: list) -> frozenset[str]:
+        """The facts of a letter syntax (fixpoint, one-sorted MSO): its free
+        letters, the fields of an atom less a binder's `var`."""
+        out = union(kids) if self.subs else frozenset(getattr(self, n) for n in self.__match_args__)
+        return out - {self.var} if "var" in self.__match_args__ else out
+
+    @cached_property
+    def facts(self):
+        """Derived on first use, for this node and every subformula not
+        derived yet, children first on an explicit stack; stored on each."""
+        stack = [c for c in self.children() if "facts" not in c.__dict__]
+        while stack:
+            todo = [c for c in stack[-1].children() if "facts" not in c.__dict__]
+            if todo:
+                stack += todo
+            else:
+                node = stack.pop()
+                node.__dict__["facts"] = node.derive([c.facts for c in node.children()])
+        return self.derive([c.facts for c in self.children()])
 
     def children(self) -> tuple:
         """The subformulas, in field order."""
@@ -32,22 +94,22 @@ class Node:
 
     def rebuild(self, fn, cls=None):
         """This node with every subformula c replaced by fn(c), as an
-        instance of cls (default: its own class).  Without cls, the node
-        itself when fn returned every subformula unchanged."""
-        changed = cls is not None
+        instance of cls (default: its own class): the node itself when fn
+        changed nothing and the class is its own."""
         vals = []
         for name in self.__match_args__:
             v = getattr(self, name)
             if name in self.subs:
-                if type(v) is tuple:
-                    new = tuple(map(fn, v))
-                    changed = changed or any(a is not b for a, b in zip(new, v))
-                else:
-                    new = fn(v)
-                    changed = changed or new is not v
-                v = new
+                v = tuple(map(fn, v)) if type(v) is tuple else fn(v)
             vals.append(v)
-        return (cls or type(self))(*vals) if changed else self
+        return (cls or type(self))(*vals)
+
+
+def union(sets) -> frozenset:
+    """The union of a sequence of frozensets: one of them when it holds the
+    others, so that stored facts share their sets."""
+    out = frozenset().union(*sets)
+    return next((s for s in sets if len(s) == len(out)), out)
 
 
 def junction(cls, args, zero):
@@ -58,7 +120,7 @@ def junction(cls, args, zero):
     for a in args:
         if isinstance(a, cls):
             flat.extend(a.args)
-        elif a == zero:
+        elif a is zero:
             return zero
         else:
             flat.append(a)

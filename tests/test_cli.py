@@ -123,6 +123,12 @@ def test_deep_nesting_exits_cleanly(capsys):
     assert "error: formula nesting too deep" in capsys.readouterr().err
 
 
+def test_overflow_past_the_parser_exits_cleanly(capsys):
+    # parses (within MAX_NESTING), then overflows the stack in the translation
+    assert cli.main(["mso", "frommu", "dia " * 150 + "p"]) == 2
+    assert capsys.readouterr().err == "error: formula too deep to process\n"
+
+
 def test_raising_fuzz_instance_is_a_replayable_failure(monkeypatch, tmp_path, capsys):
     def suite(rng):
         if rng.random() < 0.5:

@@ -1,9 +1,18 @@
-"""The shared parser core: corpus digest, names, columns and nesting limit."""
+"""The shared node layer and parser core: corpus digest, names, columns,
+nesting limit and interning."""
+import copy
 import dataclasses
 import functools
+import gc
 import hashlib
+import os
+import pickle
 import random
+import subprocess
+import sys
+import threading
 import typing
+import weakref
 
 import pytest
 
@@ -11,6 +20,7 @@ from muaut import gen
 from muaut import mso
 from muaut import mucalc as mc
 from muaut import onestep as o
+from muaut import syntax
 from muaut.syntax import MAX_NESTING, Node, ParseError
 
 # sha256 of `_corpus_lines()`, recorded with the hand-written parsers the
@@ -239,7 +249,6 @@ def test_nesting_limit_does_not_depend_on_the_stack(case, frames):
         f = parse(text)
         return f, parse(pretty(f))
 
-    # dataclass equality recurses deeper than the parser, so compare here
     f, back = _from_depth(frames, round_trip)
     assert back == f
     parse, _, text = _nested(MAX_NESTING + 1)[case]
@@ -320,3 +329,90 @@ def test_malformed_inputs_are_rejected(grammar, text):
 def test_one_error_type():
     assert o.ParseError is mc.MuParseError is mso.MsoParseError is ParseError
     assert issubclass(ParseError, ValueError)
+
+
+# --- interning ------------------------------------------------------------
+
+def test_equal_parses_are_one_node():
+    text = "E x. (a(x) & A y. (b(y) | x = y))"
+    f, g = o.parse(text, o.FOE1), o.parse(text, o.FOE1)
+    assert f.ast is g.ast and hash(f.ast) == hash(g.ast)
+    assert mc.parse("nu y. (p & box y)") is mc.parse("nu y. ((p) & box y)")
+    assert mso.parse1("ex r. down r") is mso.parse1("(ex r. (down r))")
+    assert mso.parse2("ex x. R(v,x)") is mso.parse2("ex x. (R(v,x))")
+    assert o.Pred("a", "x") is not o.NegPred("a", "x") != o.Pred("a", "x")
+    assert pickle.loads(pickle.dumps(f.ast)) is copy.deepcopy(f.ast) is f.ast
+
+
+def test_node_classes_compare_by_identity_and_keep_the_stored_hash():
+    # a node class declared without eq=False would get the recursive dataclass ones
+    for classes, _ in SYNTAXES:
+        for cls in classes:
+            assert cls.__eq__ is object.__eq__ and cls.__hash__ is Node.__hash__, cls
+
+
+def test_a_reparsed_sentence_hits_the_normal_form_cache():
+    # a OneStepFormula that compared by identity would miss here
+    text = "E x. (a(x) & A y. (b(y) | x = y))"
+    o.to_basic_form(o.parse(text, o.FOE1))
+    hits = o.to_basic_form.cache_info().hits
+    o.to_basic_form(o.parse(text, o.FOE1))
+    assert o.to_basic_form.cache_info().hits == hits + 1
+
+
+def test_node_hashes_do_not_depend_on_addresses():
+    code = ("from muaut import mucalc as mc; import sys; sys.stdout.write(str("
+            "hash(mc.parse('mu x. (p | dia x) & <E y. a1(y) & a2(y)>(q, ~r)'))))")
+    env = dict(os.environ, PYTHONHASHSEED="0",
+               PYTHONPATH=os.path.dirname(os.path.dirname(syntax.__file__)))
+    runs = {subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, check=True).stdout for _ in range(2)}
+    assert len(runs) == 1
+
+
+def test_dropping_a_formula_frees_its_nodes():
+    gc.collect()
+    before = len(syntax._interned)
+    f = o.conj(o.Exists("x", o.Pred("big%d" % i, "x")) for i in range(5000))
+    assert len(syntax._interned) >= before + 10_000
+    assert o.rank(f) == 1 and len(o.predicates(f)) == 5000 and hash(f) == hash(f)
+    ref = weakref.ref(f)
+    del f
+    gc.collect()
+    assert ref() is None
+    assert len(syntax._interned) == before
+
+
+def test_threads_building_equal_formulas_get_one_node():
+    texts = ["E x. (a%d(x) & A y. (b(y) | x = y | W z.(c(z), a%d(z))))" % (i, i)
+             for i in range(200)]
+    out = [None] * 8
+
+    def build(i):
+        out[i] = [o.parse_formula(t) for t in texts]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(len(out))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert all(f is g for fs in out for f, g in zip(fs, out[0]))
+
+
+# a stored fact of each grammar's formulas (two-sorted MSO stores none)
+FACTS = {o.parse_formula: o.predicates, mc.parse: mc.free_letters,
+         mso.parse1: mso.free_letters1, mso.parse2: lambda f: frozenset()}
+
+
+@pytest.mark.parametrize("case", range(len(_nested(2))))
+def test_deep_formulas_compare_hash_and_derive_far_down_the_stack(case):
+    parse, _, text = _nested(191)[case]
+    f, g = parse(text), parse(text)
+    assert _from_depth(700, lambda: f == g and hash(f) == hash(g)
+                       and isinstance(FACTS[parse](f), frozenset))
