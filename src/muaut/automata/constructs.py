@@ -10,6 +10,8 @@ cardinality constraints, bounding only the well-founded (vertical) part.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .. import onestep as o
 from .core import (ParityAutomaton, classify_automaton, pred_name,
                    pred_state)
@@ -50,6 +52,19 @@ def _lifted_disjunct(n: int, d: o.BasicFormDisjunct, finitary: bool) -> o.Formul
     return o.record_sentence(wits, cover)
 
 
+# memoized per (interned conjunction, n, construct): a stream of small
+# automata meets the same conjunctions again and again
+@lru_cache(maxsize=128)
+def _macro_entry(conj_entry: o.Formula, n: int, finitary: bool) -> o.Formula:
+    """The macro-state entry: the lifted normal form of the conjoined
+    original entries, or the conjunction itself.  The normal form is taken
+    in the construct's output dialect, so the input's does not enter the key."""
+    psi = o.sentence(conj_entry, o.FOE1INF if finitary else o.FOE1,
+                     tuple(pred_name(a) for a in range(n)))
+    lifted = [_lifted_disjunct(n, d, finitary) for d in o.to_basic_form(psi).disjuncts]
+    return o.disj(lifted + [conj_entry])
+
+
 def _construct(aut: ParityAutomaton, finitary: bool) -> ParityAutomaton:
     if aut.n > MAX_CONSTRUCT_STATES:
         raise ConstructError("construct limited to %d states" % MAX_CONSTRUCT_STATES)
@@ -67,13 +82,8 @@ def _construct(aut: ParityAutomaton, finitary: bool) -> ParityAutomaton:
         for a in range(n):
             delta[(a, c)] = aut.entry(a, c)
         for subset in _all_subsets(n):
-            q = _macro_index(n, subset)
             conj_entry = o.conj(aut.entry(a, c) for a in sorted(subset))
-            psi = o.sentence(conj_entry, aut.dialect if finitary else o.FOE1,
-                             tuple(pred_name(a) for a in range(n)))
-            bf = o.to_basic_form(psi)
-            lifted = [_lifted_disjunct(n, d, finitary) for d in bf.disjuncts]
-            delta[(q, c)] = o.disj(lifted + [conj_entry])
+            delta[(_macro_index(n, subset), c)] = _macro_entry(conj_entry, n, finitary)
     omega = tuple(aut.omega) + tuple(1 for _ in range(1 << n))
     init = _macro_index(n, frozenset({aut.init}))
     dialect = o.FOE1INF if finitary else o.FOE1

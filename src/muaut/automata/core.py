@@ -110,14 +110,14 @@ def acceptance_game(aut: ParityAutomaton, lts: LTS, full_enumeration: bool = Fal
     priority; her moves are valuations of the state predicates over the
     node's successors satisfying the transition entry.  Valuation
     positions belong to Forall with priority 0.  Minimal valuations
-    suffice by monotonicity; within one build they are computed once per
-    (entry, out-degree) and relabelled onto each node's successors.  The
-    full enumeration (`onestep.all_valuations`) is a regression oracle.
+    suffice by monotonicity; they are computed once per (entry,
+    out-degree) and relabelled onto each node's successors
+    (`onestep.min_valuations_memo`).  The full enumeration
+    (`onestep.all_valuations`) is a regression oracle.
     """
     if aut.props.names != lts.props.names:
         raise AlphabetMismatch("automaton alphabet %r vs system %r" % (aut.props.names, lts.props.names))
     succ = lts.successor_table()
-    memo: dict = {}
 
     def expand(pos):
         if pos[0] == "v":
@@ -127,7 +127,7 @@ def acceptance_game(aut: ParityAutomaton, lts: LTS, full_enumeration: bool = Fal
         if full_enumeration:
             vals = o.all_valuations(f, succ[s])
         else:
-            vals = o.min_valuations_memo(f, succ[s], memo)
+            vals = o.min_valuations_memo(f, succ[s])
         return EXISTS, aut.omega[a], [("v", v) for v in vals]
 
     game, positions = build_arena([("b", aut.init, lts.init)], expand)

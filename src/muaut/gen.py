@@ -251,13 +251,14 @@ def rand_mu(rng: random.Random, props=("p", "q"), depth: int = 3, mode: str = "a
 # automata
 
 def _rand_entry_pool(rng, dialect, state_preds, parity=None, max_mention=3):
-    """Candidate transition entries mentioning a few state predicates.
+    """Builders of candidate transition entries mentioning a few state
+    predicates; the caller draws one and builds only that entry.
 
     With parity 1 only continuity-friendly shapes are offered (existential
     over the mentioned states), with parity 0 co-continuous ones; the
     classifier still has the final word.
     """
-    pool = [o.TOP, o.BOT]
+    pool = [lambda: o.TOP, lambda: o.BOT]
     if not state_preds:
         return pool
     k = min(len(state_preds), max_mention)
@@ -265,27 +266,27 @@ def _rand_entry_pool(rng, dialect, state_preds, parity=None, max_mention=3):
     tp = frozenset(rng.sample(mention, rng.randint(1, len(mention))))
     a = rng.choice(mention)
     if parity in (None, 1):
-        pool.append(o.Exists("x", o.type_atom(tp, "x")))
-        pool.append(o.disj([o.Exists("x", o.Pred(b, "x")) for b in mention]))
+        pool.append(lambda: o.Exists("x", o.type_atom(tp, "x")))
+        pool.append(lambda: o.disj([o.Exists("x", o.Pred(m, "x")) for m in mention]))
         if dialect != o.FO1:
-            pool.append(o.Exists("x", o.Exists("y", o.conj(
+            pool.append(lambda: o.Exists("x", o.Exists("y", o.conj(
                 [o.Neq("x", "y"), o.Pred(a, "x"), o.Pred(a, "y")]))))
     if parity in (None, 0):
-        pool.append(o.Forall("x", o.type_atom(tp, "x")))
-        pool.append(o.conj([o.Forall("x", o.Pred(b, "x")) for b in mention]))
+        pool.append(lambda: o.Forall("x", o.type_atom(tp, "x")))
+        pool.append(lambda: o.conj([o.Forall("x", o.Pred(m, "x")) for m in mention]))
         if dialect != o.FO1:
-            pool.append(o.Forall("x", o.Forall("y", o.disj(
+            pool.append(lambda: o.Forall("x", o.Forall("y", o.disj(
                 [o.Eq("x", "y"), o.Pred(a, "x"), o.Pred(a, "y")]))))
     if parity is None:
-        pool.append(o.Exists("x", o.And((o.type_atom(tp, "x"),
-                                         o.Forall("y", o.Pred(a, "y"))))))
+        pool.append(lambda: o.Exists("x", o.And((o.type_atom(tp, "x"),
+                                                 o.Forall("y", o.Pred(a, "y"))))))
     if dialect == o.FOE1INF:
         if parity is None:
-            pool.append(o.ExistsInf("x", o.Pred(a, "x")))
-            pool.append(o.ForallInf("x", o.Pred(a, "x")))
+            pool.append(lambda: o.ExistsInf("x", o.Pred(a, "x")))
+            pool.append(lambda: o.ForallInf("x", o.Pred(a, "x")))
         if len(mention) >= 2 and parity in (None, 1):
             b = rng.choice([m for m in mention if m != a])
-            pool.append(o.W("x", o.Pred(a, "x"), o.Pred(b, "x")))
+            pool.append(lambda: o.W("x", o.Pred(a, "x"), o.Pred(b, "x")))
     return pool
 
 
@@ -305,7 +306,7 @@ def rand_automaton(rng: random.Random, props=("p",), n_states: int = 2,
             parity = omega[a] % 2 if want == "cw" else None
             for c in ps.colours():
                 pool = _rand_entry_pool(rng, dialect, preds, parity)
-                delta[(a, c)] = rng.choice(pool)
+                delta[(a, c)] = rng.choice(pool)()
         aut = au.ParityAutomaton(dialect, ps, n_states, 0, omega, delta)
         if want == "any":
             return aut

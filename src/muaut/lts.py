@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional
 
 MAX_PROPS = 8
@@ -47,12 +48,15 @@ class PropSet:
                 raise ValueError("unknown proposition letter %r" % p)
         return c
 
-    def colours(self) -> list[frozenset[str]]:
+    def colours(self) -> tuple[frozenset[str], ...]:
         """All colours in binary-counter order of the letter ordering."""
-        out = []
-        for mask in range(1 << len(self.names)):
-            out.append(frozenset(p for i, p in enumerate(self.names) if mask >> i & 1))
-        return out
+        return self._colours
+
+    @cached_property
+    def _colours(self) -> tuple[frozenset[str], ...]:
+        # stored on the instance: classifiers and validators ask once per state
+        return tuple(frozenset(p for i, p in enumerate(self.names) if mask >> i & 1)
+                     for mask in range(1 << len(self.names)))
 
     def with_letter(self, p: str) -> "PropSet":
         return self if p in self.names else PropSet(self.names + (p,))

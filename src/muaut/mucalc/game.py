@@ -51,24 +51,25 @@ def modality_moves(g: Modal, lts: LTS, s: int, full_enumeration: bool = False):
     By monotonicity, subset-minimal witness sets suffice: any satisfying
     set extends a minimal one and only offers Forall more options.  They
     come from minimal valuations over range(k) for out-degree k, relabelled
-    onto the successors; build_eval_game computes those once per
-    (one-step formula, out-degree) per build.  The full enumeration
-    (`onestep.all_valuations`) is kept as a regression oracle.
+    onto the successors, and a bounded process-wide memo
+    (`onestep.min_valuations_memo`) keeps those per (one-step formula,
+    out-degree).  The full enumeration (`onestep.all_valuations`) is kept
+    as a regression oracle.
     """
     succ = lts.successors(s)
     if full_enumeration:
         arg = {a: i for i, a in enumerate(g.pred_names())}
         return [frozenset((arg[a], t) for (a, t) in v)
                 for v in o.all_valuations(g.alpha, succ, g.pred_names())]
-    return _minimal_witness_sets(g, succ, {})
+    return _minimal_witness_sets(g, succ)
 
 
-def _minimal_witness_sets(g: Modal, succ: tuple[int, ...], memo: dict):
+def _minimal_witness_sets(g: Modal, succ: tuple[int, ...]):
     """Minimal witness sets over succ as (argument index, successor) pairs,
-    with minimal valuations read through memo (see min_valuations_memo)."""
+    read off the memoized minimal valuations (see min_valuations_memo)."""
     arg = {a: i for i, a in enumerate(g.pred_names())}
     out = {frozenset((arg[a], t) for (a, t) in v)
-           for v in o.min_valuations_memo(g.alpha, succ, memo)}
+           for v in o.min_valuations_memo(g.alpha, succ)}
     return sorted(out, key=lambda z: (len(z), sorted(z)))
 
 
@@ -84,7 +85,6 @@ def build_eval_game(f: MuFormula, lts: LTS) -> EvalGame:
         if isinstance(g, (Mu, Nu)):
             binder_body[g.var] = g.body
     succ = lts.successor_table()
-    memo: dict = {}
 
     def expand(pos):
         if pos[0] == "z":
@@ -103,7 +103,7 @@ def build_eval_game(f: MuFormula, lts: LTS) -> EvalGame:
                 return FORALL, 0, [("f", a, s) for a in args]
             case Modal(_, args):
                 return EXISTS, 0, [("z", frozenset((args[ai], t) for (ai, t) in z))
-                                   for z in _minimal_witness_sets(g, succ[s], memo)]
+                                   for z in _minimal_witness_sets(g, succ[s])]
             case Mu(_, b) | Nu(_, b):  # forced move
                 return EXISTS, 0, [("f", b, s)]
         raise TypeError(g)

@@ -10,6 +10,7 @@ type are never pinned twice, so trying one fresh copy per type suffices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Sequence, Union
 
@@ -400,21 +401,25 @@ def min_valuations(f: Formula, domain: tuple[int, ...]) -> list[frozenset[tuple[
     return go(f, {})
 
 
-def min_valuations_memo(f: Formula, succ: tuple[int, ...], memo: dict) -> list[frozenset[tuple[str, int]]]:
+# memoized per (interned formula, out-degree) for the whole process: game
+# builds over many systems meet the same entries at the same out-degrees;
+# each valuation is kept as a tuple, a quarter of a small frozenset's size
+@lru_cache(maxsize=512)
+def _min_valuations_range(f: Formula, k: int) -> tuple[tuple[tuple[str, int], ...], ...]:
+    return tuple(tuple(mv) for mv in min_valuations(f, tuple(range(k))))
+
+
+def min_valuations_memo(f: Formula, succ: tuple[int, ...]) -> list[frozenset[tuple[str, int]]]:
     """min_valuations(f, succ) for an ascending tuple of distinct elements,
-    read off min_valuations(f, range(len(succ))) kept in memo per
-    (f, len(succ)).
+    read off min_valuations(f, range(len(succ))), which a bounded
+    process-wide memo keeps per (f, len(succ)).
 
     Satisfaction compares elements only for equality, so relabelling
     d -> succ[d] maps the valuations over range(k) onto those over succ;
-    the relabelling is monotone, so the order is kept as well.  The memo is
-    meant to live for one game build.
+    the relabelling is monotone, so the order is kept as well.
     """
-    key = (f, len(succ))
-    hit = memo.get(key)
-    if hit is None:
-        hit = memo[key] = min_valuations(f, tuple(range(len(succ))))
-    return [frozenset([(a, succ[d]) for a, d in mv]) for mv in hit]
+    return [frozenset([(a, succ[d]) for a, d in mv])
+            for mv in _min_valuations_range(f, len(succ))]
 
 
 def all_valuations(f: Formula, domain: tuple[int, ...], preds=None) -> list[frozenset[tuple[str, int]]]:

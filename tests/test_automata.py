@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -7,6 +9,7 @@ from muaut import gen
 from muaut import lts as L
 from muaut import mucalc as mc
 from muaut import onestep as o
+from muaut.automata.constructs import _macro_entry
 
 
 def props(*names):
@@ -222,6 +225,43 @@ def test_noetherian_construct():
         for _ in range(2):
             tree = gen.rand_tree(rng, ("p",), depth=3, max_branch=2)
             assert au.accepts(aut, tree) == au.accepts(sim, tree)
+
+
+def test_warm_macro_entries_equal_cold_ones():
+    # macro entries come from a process-wide memo; a construct that reads
+    # them back, some stored for other automata, equals one built cold
+    rng = random.Random(17)
+    jobs = []
+    for i in range(30):
+        if i % 2:
+            aut = gen.rand_automaton(rng, ("p",), rng.choice([1, 2, 2, 3]),
+                                     dialect=o.FOE1INF, want="cw")
+            jobs.append((au.finitary_construct, aut))
+        else:
+            aut = gen.rand_automaton(rng, ("p",), rng.choice([1, 2, 2, 3]),
+                                     dialect=rng.choice([o.FO1, o.FOE1]), want="weak")
+            jobs.append((au.noetherian_construct, aut))
+    cold = []
+    for construct, aut in jobs:
+        _macro_entry.cache_clear()
+        cold.append(construct(aut))
+    hits = _macro_entry.cache_info().hits
+    for (construct, aut), sim in zip(jobs, cold):
+        warm = construct(aut)
+        assert warm.to_json() == sim.to_json() and warm.delta == sim.delta
+    assert _macro_entry.cache_info().hits > hits
+
+
+def test_random_automata_are_pinned():
+    # the draws of rand_automaton fix every automaton it returns: a change to
+    # the candidate entries that moves or adds a draw changes this digest
+    rng = random.Random(10)
+    digest = hashlib.sha256()
+    for i in range(300):
+        aut = gen.rand_automaton(rng, ("p", "q")[:1 + i % 2], rng.randint(1, 3),
+                                 dialect=o.DIALECTS[i % 3], want=("any", "weak", "cw")[i // 3 % 3])
+        digest.update(json.dumps(aut.to_json(), sort_keys=True).encode())
+    assert digest.hexdigest() == "78bd756f1db5a4105edb90b6436e9d06a05d315bc7e662952a347090e800afe7"
 
 
 def test_lifted_entries_are_macro_separating():

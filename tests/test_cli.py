@@ -3,6 +3,8 @@ import json
 import pytest
 
 from muaut import cli
+from muaut.automata.constructs import _macro_entry
+from muaut.onestep.models import _min_valuations_range
 
 
 @pytest.fixture()
@@ -127,6 +129,15 @@ def test_overflow_past_the_parser_exits_cleanly(capsys):
     # parses (within MAX_NESTING), then overflows the stack in the translation
     assert cli.main(["mso", "frommu", "dia " * 150 + "p"]) == 2
     assert capsys.readouterr().err == "error: formula too deep to process\n"
+
+
+@pytest.mark.parametrize("suite", sorted(cli.SUITES))
+def test_fuzz_instances_repeat_with_warm_caches(suite):
+    # the process-wide memos hold entries from the first run on the second
+    _macro_entry.cache_clear()
+    _min_valuations_range.cache_clear()
+    runs = [[cli.SUITES[suite](cli._instance_rng(7, i)) for i in range(20)] for _ in range(2)]
+    assert runs[0] == runs[1]
 
 
 def test_raising_fuzz_instance_is_a_replayable_failure(monkeypatch, tmp_path, capsys):

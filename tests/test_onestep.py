@@ -12,6 +12,7 @@ from muaut import automata as au
 from muaut import gen
 from muaut import onestep as o
 from muaut.onestep import normalform as nf
+from muaut.onestep.models import _min_valuations_range
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -478,15 +479,19 @@ def test_memoized_min_valuations_match_direct():
     # valuations over range(k), relabelled onto ascending successors, equal
     # the direct computation list for list, in the same order
     rng = random.Random(14)
-    memo: dict = {}
+    memo = _min_valuations_range
     entries = [f.ast for f in gen.enumerate_sentences(("a", "b"), 2, o.FOE1INF)
                if o.is_positive(f.ast)]
     for f in entries:
         for k in range(6):
-            for _ in range(2):  # the second draw reads the memo
+            for draw in range(2):
+                hits = memo.cache_info().hits
                 succ = tuple(sorted(rng.sample(range(12), k)))
-                assert o.min_valuations_memo(f, succ, memo) == o.min_valuations(f, succ)
-    assert len(memo) == 6 * len(entries)
+                assert o.min_valuations_memo(f, succ) == o.min_valuations(f, succ)
+                if draw:  # the second draw reads the memo
+                    assert memo.cache_info().hits > hits
+    info = memo.cache_info()
+    assert info.currsize <= info.maxsize < 6 * len(entries)
 
 
 @pytest.mark.parametrize("text", ["(" * 2000 + "a(x)" + ")" * 2000, "E x. " * 2000 + "a(x)"])

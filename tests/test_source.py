@@ -1,5 +1,6 @@
 """Source hygiene: every module parses as Python 3.10, which the package
-declares as its minimum, and carries no unused import or dead private name."""
+declares as its minimum, carries no unused import or dead private name,
+and bounds every cache it keeps."""
 import ast
 import pathlib
 
@@ -65,3 +66,33 @@ def test_no_unreferenced_private_names():
                      if name.startswith("_") and not name.startswith("__")
                      and name not in referenced]
     assert dead == []
+
+
+def _named(node, name: str) -> bool:
+    return (isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name)
+
+
+def _unbounded_caches(tree):
+    """Nodes that set up a cache without an integer maxsize."""
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Call) and _named(n.func, "lru_cache"):
+            size = n.args[0] if n.args else next(
+                (k.value for k in n.keywords if k.arg == "maxsize"), None)
+            if not (isinstance(size, ast.Constant) and type(size.value) is int):
+                yield n
+        elif isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from (d for d in n.decorator_list if _named(d, "lru_cache"))
+        elif (isinstance(n, ast.Attribute) and n.attr == "cache"
+              and isinstance(n.value, ast.Name) and n.value.id == "functools"
+              or isinstance(n, ast.ImportFrom) and n.module == "functools"
+              and any(a.name == "cache" for a in n.names)):
+            yield n
+
+
+def test_every_lru_cache_has_an_integer_maxsize():
+    # cache memory needs explicit bounds: no maxsize=None, no bare
+    # @lru_cache (128 by default, but unstated) and no functools.cache
+    unbounded = ["%s:%d" % (path.relative_to(SRC), n.lineno)
+                 for path, tree in _trees().items() for n in _unbounded_caches(tree)]
+    assert unbounded == []
