@@ -316,7 +316,7 @@ def _cmd_onestep(args) -> int:
         with L.json_shape("model"):
             m = o.OneStepModel(data["size"], {k: frozenset(L.json_list(v, "an extension"))
                                               for k, v in data.get("valuation", {}).items()})
-        print(str(o.eval_finite(f.ast, m)).lower())
+        print(str(o.eval_capped(f.ast, m.valuation, [range(m.size)])[0]).lower())
         return 0
     if args.action == "dual":
         print(o.pretty(o.dual(f.ast)))

@@ -321,30 +321,21 @@ def is_bisimulation(s: LTS, t: LTS, rel: Iterable[tuple[int, int]]) -> bool:
 
 
 def bisimilar_to_depth(s: LTS, t: LTS, d: int) -> bool:
-    """Bounded bisimulation game: behavioural equivalence up to depth d."""
+    """Bounded bisimulation game: behavioural equivalence up to depth d.
+    The pairs equivalent up to depth k are found for k = 0, 1, ... in turn;
+    once a depth changes nothing, every deeper one is the same."""
     if s.props.names != t.props.names:
         raise SignatureError("proposition alphabets differ")
-
-    memo: dict[tuple[int, int, int], bool] = {}
     ssucc, tsucc = s.successor_table(), t.successor_table()
-
-    def go(u: int, v: int, k: int) -> bool:
-        key = (u, v, k)
-        if key in memo:
-            return memo[key]
-        ok = s.colours[u] == t.colours[v]
-        if ok and k > 0:
-            ok = all(
-                any(go(u2, v2, k - 1) for v2 in tsucc[v])
-                for u2 in ssucc[u]
-            ) and all(
-                any(go(u2, v2, k - 1) for u2 in ssucc[u])
-                for v2 in tsucc[v]
-            )
-        memo[key] = ok
-        return ok
-
-    return go(s.init, t.init, d)
+    level = same = {(u, v) for u in range(s.n) for v in range(t.n) if s.colours[u] == t.colours[v]}
+    for _ in range(d):
+        nxt = {(u, v) for u, v in same
+               if all(any((u2, v2) in level for v2 in tsucc[v]) for u2 in ssucc[u])
+               and all(any((u2, v2) in level for u2 in ssucc[u]) for v2 in tsucc[v])}
+        if nxt == level:
+            break
+        level = nxt
+    return (s.init, t.init) in level
 
 
 def unravel_to_depth(lts: LTS, d: int) -> LTS:

@@ -11,7 +11,6 @@ from .classify import (FragmentReport, classify, in_cocontinuous,
                        is_guarded, is_plain_modal)
 from .game import EvalGame, binder_priorities, build_eval_game, game_value, modality_moves
 from .guard import guard_transform
-from .semantics import (UnboundLetterError, approximant_trace,
-                        onestep_model_at, open_eval, semantics_eval)
+from .semantics import UnboundLetterError, open_eval, semantics_eval
 
 __all__ = [n for n in dir() if not n.startswith("_")]

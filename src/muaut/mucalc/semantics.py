@@ -11,23 +11,13 @@ class UnboundLetterError(ValueError):
     pass
 
 
-def onestep_model_at(lts: LTS, s: int, preds, arg_sets) -> o.OneStepModel:
-    """One-step model carried by the successor set of s: domain R[s]
-    (reindexed densely), predicate i true at the successors in arg_sets[i]."""
-    return _model_on(lts.successors(s), preds, arg_sets)
-
-
-def _model_on(succ: tuple[int, ...], preds, arg_sets) -> o.OneStepModel:
-    val = {a: frozenset(i for i, t in enumerate(succ) if t in ext) for a, ext in zip(preds, arg_sets)}
-    return o.OneStepModel(len(succ), val)
-
-
 def open_eval(f: MuFormula, lts: LTS, env: dict[str, frozenset[int]]) -> frozenset[int]:
     """Meaning of a formula whose extra letters are interpreted by env.
 
     Least fixpoints iterate upward from the empty set, greatest downward
     from the full state set; both stabilize within |states| rounds.
-    Modalities evaluate pointwise on the one-step model of the successors.
+    Modalities evaluate pointwise on the one-step model of the successors,
+    read from its capped type counts.
     """
     missing = free_letters(f) - set(lts.props.names) - set(env)
     if missing:
@@ -52,12 +42,8 @@ def open_eval(f: MuFormula, lts: LTS, env: dict[str, frozenset[int]]) -> frozens
                     out |= sem(a, env)
                 return out
             case Modal(alpha, args):
-                preds = g.pred_names()
-                arg_sets = [sem(a, env) for a in args]
-                return frozenset(
-                    s for s in lts.states()
-                    if o.eval_finite(alpha, _model_on(succ[s], preds, arg_sets))
-                )
+                val = dict(zip(g.pred_names(), (sem(a, env) for a in args)))
+                return frozenset(s for s, ok in enumerate(o.eval_capped(alpha, val, succ)) if ok)
             case Mu(p, b):
                 x: frozenset[int] = frozenset()
                 while True:
@@ -82,17 +68,3 @@ def semantics_eval(f: MuFormula, lts: LTS) -> frozenset[int]:
     formula holds."""
     check_wf(f)
     return open_eval(f, lts, {})
-
-
-def approximant_trace(body: MuFormula, var: str, lts: LTS,
-                      env: dict[str, frozenset[int]] | None = None) -> list[frozenset[int]]:
-    """Stages of the upward iteration for `mu var. body`: empty set first,
-    fixpoint last."""
-    env = dict(env or {})
-    stages = [frozenset()]
-    while True:
-        env[var] = stages[-1]
-        nxt = open_eval(body, lts, env)
-        if nxt == stages[-1]:
-            return stages
-        stages.append(nxt)

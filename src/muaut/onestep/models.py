@@ -17,9 +17,10 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .ast import (And, Eq, Exists, ExistsInf, Forall, ForallInf, Formula, Neq,
-                  NegPred, Or, Pred, W, expand_sugar, predicates)
+                  NegPred, Or, Pred, expand_sugar, predicates, rank)
 
 OMEGA = float("inf")
+_EMPTY: frozenset = frozenset()
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,7 @@ def weighted(preds: Iterable[str], counts: dict[frozenset[str], Union[int, float
     return WeightedOneStepModel(tuple(preds), items)
 
 
-def eval_finite(f: Formula, m: OneStepModel, env: dict[str, int] | None = None) -> bool:
+def eval_finite(f: Formula, m: OneStepModel) -> bool:
     """Standard satisfaction on finite models.
 
     On the empty model the quantifier clauses degenerate to the stipulated
@@ -102,31 +103,94 @@ def eval_finite(f: Formula, m: OneStepModel, env: dict[str, int] | None = None) 
     infinity quantifiers follow their cardinality reading, so on any finite
     model ExistsInf is false and ForallInf is true.
     """
-    env = env or {}
-    match f:
-        case Pred(a, x):
-            return env[x] in m.valuation.get(a, frozenset())
-        case NegPred(a, x):
-            return env[x] not in m.valuation.get(a, frozenset())
-        case Eq(x, y):
-            return env[x] == env[y]
-        case Neq(x, y):
-            return env[x] != env[y]
-        case And(args):
-            return all(eval_finite(a, m, env) for a in args)
-        case Or(args):
-            return any(eval_finite(a, m, env) for a in args)
-        case Exists(x, b):
-            return any(eval_finite(b, m, {**env, x: d}) for d in range(m.size))
-        case Forall(x, b):
-            return all(eval_finite(b, m, {**env, x: d}) for d in range(m.size))
-        case ExistsInf():
-            return False
-        case ForallInf():
-            return True
-        case W():
-            return eval_finite(expand_sugar(f), m, env)
-    raise TypeError(f)
+    return _program(expand_sugar(f))(m)
+
+
+@lru_cache(maxsize=32)
+def _program(f: Formula):
+    """f compiled once per interned sugar-free sentence into nested closures
+    over (extents of its sorted predicates, range(size), slots).  A variable
+    is the slot of its binder's depth, so an inner binder of the same name
+    takes a slot of its own; quantifiers stop at the first witness."""
+    col = {a: j for j, a in enumerate(sorted(predicates(f)))}
+
+    def comp(g: Formula, slot: dict[str, int], k: int):
+        match g:
+            case Pred(a, x):
+                j, i = col[a], slot[x]
+                return lambda e, r, s: s[i] in e[j]
+            case NegPred(a, x):
+                j, i = col[a], slot[x]
+                return lambda e, r, s: s[i] not in e[j]
+            case Eq(x, y):
+                i, j = slot[x], slot[y]
+                return lambda e, r, s: s[i] == s[j]
+            case Neq(x, y):
+                i, j = slot[x], slot[y]
+                return lambda e, r, s: s[i] != s[j]
+            case And(args) | Or(args):
+                # shallow arguments first: they are cheap and may decide
+                subs = [comp(a, slot, k) for a in sorted(args, key=rank)]
+                decides = isinstance(g, Or)
+
+                def junction(e, r, s):
+                    for sub in subs:
+                        if sub(e, r, s) is decides:
+                            return decides
+                    return not decides
+                return junction
+            case Exists(x, b) | Forall(x, b):
+                body = comp(b, {**slot, x: k}, k + 1)
+                decides = isinstance(g, Exists)
+
+                def quantifier(e, r, s):
+                    for d in r:
+                        s[k] = d
+                        if body(e, r, s) is decides:
+                            return decides
+                    return not decides
+                return quantifier
+            case ExistsInf() | ForallInf():
+                value = isinstance(g, ForallInf)
+                return lambda e, r, s: value
+        raise TypeError(g)
+
+    run, preds, q = comp(f, {}, 0), tuple(col), rank(f)
+    return lambda m: run(tuple(m.valuation.get(a, _EMPTY) for a in preds),
+                         range(m.size), [0] * q)
+
+
+def eval_capped(f: Formula, valuation: dict[str, Iterable],
+                domains: Iterable[Iterable]) -> list[bool]:
+    """eval_finite(f) on the model of each domain's (distinct) elements in
+    which predicate a holds at those in valuation.get(a, ()).  A sentence of
+    quantifier rank q sees only how many elements each type has, capped at q
+    (the Ehrenfeucht-Fraisse game on monadic structures), so each answer is
+    read from those counts, memoized per (sentence, counts) for the process.
+    """
+    f = expand_sugar(f)
+    preds, q = sorted(predicates(f)), rank(f)
+    kind: dict = {}  # element -> its type, the first predicate the highest bit
+    for j, a in enumerate(reversed(preds)):
+        for e in valuation.get(a, _EMPTY):
+            kind[e] = kind.get(e, 0) | 1 << j
+    out = []
+    for d in domains:
+        counts = [0] * (1 << len(preds))
+        for e in d:
+            counts[kind.get(e, 0)] += 1
+        out.append(_capped_truth(f, tuple([min(c, q) for c in counts])))
+    return out
+
+
+@lru_cache(maxsize=1024)
+def _capped_truth(f: Formula, counts: tuple[int, ...]) -> bool:
+    """f on the canonical model with counts[i] elements of type i (a bit set
+    over the sorted predicates of f, as in eval_capped)."""
+    preds = sorted(predicates(f))
+    types = [frozenset(a for a, inside in zip(preds, bits) if inside)
+             for bits in product((False, True), repeat=len(preds))]
+    return eval_finite(f, model_of_types(tp for tp, c in zip(types, counts) for _ in range(c)))
 
 
 def eval_weighted(f: Formula, w: WeightedOneStepModel) -> bool:
@@ -190,7 +254,8 @@ def eval_weighted_raw(f: Formula, counts: dict[frozenset, Union[int, float]]) ->
 
 def eval_counts(f: Formula, types: Sequence[frozenset[str]], counts,
                 columns: dict | None = None) -> np.ndarray:
-    """eval_weighted_raw on every column of a count matrix at once.
+    """eval_weighted_raw on every column of a count matrix at once; W sugar
+    is expanded first.
 
     counts[t, j] is the multiplicity of types[t] in model j: a natural
     number, or OMEGA.  counts may also be a sequence of per-type arrays of
@@ -207,6 +272,7 @@ def eval_counts(f: Formula, types: Sequence[frozenset[str]], counts,
     columns, if given, keeps the packed availability columns between walks
     over the same counts; it is filled in place.
     """
+    f = expand_sugar(f)
     n = np.size(counts[0])
     words = -(-n // 64)
     cols = {} if columns is None else columns

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from muaut import cli
+from muaut import onestep as o
 from muaut.automata.constructs import _macro_entry
 from muaut.onestep.models import _min_valuations_range
 
@@ -37,6 +38,18 @@ def test_onestep_commands(capsys, tmp_path):
     assert cli.main(["onestep", "nf", "E x. a(x) & A y. a(y)"]) == 0
     capsys.readouterr()
     assert cli.main(["onestep", "diamond", "E x. E y. (x!=y & a(x) & a(y))"]) == 0
+
+
+@pytest.mark.parametrize("text", ["E x. E y. (x!=y & a(x) & !b(y))", "A x. (a(x) | E y. (y!=x & b(y)))",
+                                  "W x.(a(x), b(x))", "Ainf x. a(x)"])
+def test_onestep_eval_matches_eval_finite(text, capsys, tmp_path):
+    f = o.parse(text, "FOE1INF").ast
+    model = tmp_path / "m.json"
+    for mm in o.all_models(("a", "b"), 3):
+        model.write_text(json.dumps({"size": mm.size,
+                                     "valuation": {k: sorted(v) for k, v in mm.valuation.items()}}))
+        assert cli.main(["onestep", "eval", text, "--model", str(model)]) == 0
+        assert capsys.readouterr().out.strip() == str(o.eval_finite(f, mm)).lower(), mm
 
 
 def test_lts_commands(capsys, loop_file, tmp_path):

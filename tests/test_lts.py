@@ -124,6 +124,25 @@ def test_unravel_depth_equivalence():
         assert L.bisimilar_to_depth(s, L.unravel_to_depth(s, d), d)
 
 
+def test_bisimilar_to_depth_runs_deep():
+    loop = L.make_lts(["p"], 1, [(0, 0)], {0: ["p"]})
+    two = L.make_lts(["p"], 2, [(0, 1), (1, 0)], {0: ["p"], 1: ["p"]})
+    assert L.bisimilar_to_depth(loop, loop, 10 ** 4)
+    assert L.bisimilar_to_depth(loop, two, 10 ** 4)
+    stop = L.make_lts(["p"], 1, [], {0: ["p"]})
+    assert L.bisimilar_to_depth(loop, stop, 0)
+    assert not L.bisimilar_to_depth(loop, stop, 10 ** 4)
+
+
+def test_bisimilar_to_depth_past_the_sizes_is_bisimilarity():
+    rng = random.Random(12)
+    for _ in range(60):
+        s = gen.rand_lts(rng, ("p",), max_states=5)
+        t = gen.rand_lts(rng, ("p",), max_states=5)
+        for d in (s.n + t.n, s.n + t.n + 7):
+            assert L.bisimilar_to_depth(s, t, d) == (L.bisimilar(s, t) is not None)
+
+
 def test_noetherian_subsets():
     t = L.make_lts(["p"], 3, [(0, 1), (0, 2)], {})
     # every subset of a tree is noetherian

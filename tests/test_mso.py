@@ -145,7 +145,7 @@ def test_dagger_agreement_random():
         edges = [(0, t + 1) for t in range(k)]
         cols = {t + 1: [a for a in ("a1", "a2") if rng.random() < 0.5] for t in range(k)}
         lts = L.make_lts(("a1", "a2"), k + 1, edges, cols, init=0)
-        m = mc.onestep_model_at(lts, 0, ("a1", "a2"), [lts.holds("a1"), lts.holds("a2")])
+        m = o.model_of_types(frozenset(cols[t + 1]) for t in range(k))  # the successors of 0
         counter = [0]
 
         def fresh(base):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from muaut import fixpoint as fx
 from muaut import gen
 from muaut import lts as L
 from muaut import mucalc as mc
@@ -53,12 +54,29 @@ def test_bisimulation_invariance():
         assert (s.init in mc.semantics_eval(f, s)) == (t.init in mc.semantics_eval(f, t))
 
 
+def test_modal_step_on_dense_successor_sets():
+    # out-degrees past the rank: the capped type counts of the successors
+    # must decide the modality as the full successor model does
+    rng = random.Random(23)
+    for i in range(30):
+        alpha = gen.rand_onestep(rng, ("a1", "a2"), rng.randint(1, 3),
+                                 sorted(o.DIALECTS)[i % 3], positive=True)
+        lts = gen.rand_lts(rng, ("p", "q"), max_states=9, edge_prob=0.8)
+        f = mc.Modal(alpha.ast, (mc.Prop("p"), mc.Prop("q")))
+        want = frozenset(
+            s for s in lts.states()
+            if o.eval_finite(alpha.ast, o.model_of_types(
+                frozenset(a for a, p in (("a1", "p"), ("a2", "q")) if t in lts.holds(p))
+                for t in lts.successors(s))))
+        assert mc.semantics_eval(f, lts) == want, o.pretty(alpha.ast)
+
+
 def test_monotone_dependency_and_iteration_bound():
     rng = random.Random(22)
     for _ in range(25):
         lts = gen.rand_lts(rng, ("p",), max_states=5)
         body = mc.MOr((gen.rand_mu(rng, ("p",), depth=1, mode="any"), mc.dia(mc.Prop("r"))))
-        stages = mc.approximant_trace(body, "r", lts)
+        stages = fx.lfp(fx.formula_functional(body, "r", lts))[1]
         assert len(stages) <= lts.n + 1
         for lo, hi in zip(stages, stages[1:]):
             assert lo <= hi

@@ -13,6 +13,7 @@ from muaut import gen
 from muaut import onestep as o
 from muaut.onestep import normalform as nf
 from muaut.onestep.models import _min_valuations_range
+from muaut.syntax import MAX_NESTING
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -38,6 +39,47 @@ def test_empty_domain_clauses():
         assert o.eval_finite(f, empty) == want
     both = o.parse("(A x. a(x)) & (E y. a(y))", "FOE1INF").ast
     assert not o.eval_finite(both, empty)
+    for text, want in [("A x. E y. a(y)", True), ("E x. A y. a(y)", False),
+                       ("Ainf x. E y. a(y)", True), ("Einf x. A y. a(y)", False),
+                       ("W x.(a(x), b(x))", True), ("true", True), ("false", False),
+                       ("(A x. a(x)) | E x. b(x)", True)]:
+        f = o.parse(text, "FOE1INF").ast
+        assert o.eval_finite(f, empty) == want, text
+        assert o.eval_capped(f, {}, [()]) == [want], text
+
+
+def _exact(mm: o.OneStepModel) -> o.WeightedOneStepModel:
+    """The weighted model counting each type of mm exactly."""
+    types = [mm.element_type(d) for d in range(mm.size)]
+    return o.weighted(("a", "b"), {tp: types.count(tp) for tp in set(types)})
+
+
+def test_shadowed_binders_take_their_own_slot():
+    for text in ["E x. (a(x) & E x. b(x))", "E x. ((E x. b(x)) & a(x))",
+                 "E x. ((A x. b(x)) | (a(x) & E y. (y!=x & E x. (x=y & !a(x)))))",
+                 "A x. (E x. a(x) | b(x))"]:
+        f = o.parse(text).ast
+        for mm in o.all_models(("a", "b"), 3):
+            assert o.eval_finite(f, mm) == o.eval_weighted(f, _exact(mm)), (text, mm)
+    assert o.eval_finite(o.parse("E x. ((E x. b(x)) & a(x))").ast, m(2, a=[0], b=[1]))
+    assert not o.eval_finite(o.parse("E x. ((E x. a(x)) & b(x))").ast, m(2, a=[0]))
+
+
+@pytest.mark.parametrize("text", [
+    "E x. " * MAX_NESTING + "a(x)",
+    "E x. (a(x) & " * (MAX_NESTING // 2) + "a(x)" + ")" * (MAX_NESTING // 2),
+])
+def test_sentence_nested_to_the_limit_evaluates(text):
+    f = o.parse(text).ast
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        assert o.eval_finite(f, m(1, a=[0]))
+        assert o.eval_finite(f, m(2, a=[1]))
+        assert not o.eval_finite(f, m(1))
+        assert not o.eval_finite(f, m(0))
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_weighted_infinity():
@@ -117,6 +159,37 @@ def test_exact_count_pass_matches_every_finite_model():
         got = o.eval_counts(o.expand_sugar(f.ast), types, exact)
         for mm, counts in models:
             assert got[column[counts]] == o.eval_finite(f.ast, mm), (o.pretty(f.ast), counts)
+
+
+def test_capped_counts_match_every_finite_model():
+    models = o.all_models(("a", "b"), 3)
+    for f in _count_oracle_corpus():
+        for mm in models:
+            want = o.eval_finite(f.ast, mm)
+            assert o.eval_capped(f.ast, mm.valuation, [range(mm.size)]) == [want], (o.pretty(f.ast), mm)
+
+
+def test_capped_counts_match_models_past_the_cap():
+    rng = random.Random(31)
+    for i in range(60):
+        f = gen.rand_onestep(rng, ("a", "b"), 3, sorted(o.DIALECTS)[i % 3], positive=False)
+        for _ in range(4):
+            mm = o.model_of_types(frozenset(p for p in ("a", "b") if rng.random() < 0.5)
+                                  for _ in range(rng.randint(4, 9)))
+            want = o.eval_finite(f.ast, mm)
+            assert o.eval_capped(f.ast, mm.valuation, [range(mm.size)]) == [want], (o.pretty(f.ast), mm)
+
+
+def test_eval_counts_expands_w_sugar():
+    texts = ["W x.(a(x), b(x))", "W x.(a(x) & b(x), !a(x))", "E y. W x.(x=y | a(x), b(x))",
+             "A y. (a(y) | W x.(x!=y & b(x), a(x) | b(x)))"]
+    models = o.all_weighted_models(("a", "b"), 2, with_omega=True)
+    types = [tp for tp, _ in models[0].counts]
+    counts = np.array([[wm.count(tp) for wm in models] for tp in types], dtype=float)
+    for text in texts:
+        f = o.parse(text, "FOE1INF").ast
+        got = o.eval_counts(f, types, counts)
+        assert list(got) == [o.eval_weighted(f, wm) for wm in models], text
 
 
 def test_dual_table_and_involution():
