@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .. import onestep as o
 from ..lts import LTS, PropSet, json_list, json_shape
+from ..onestep.models import _min_valuations_range
 from ..paritygame import EXISTS, FORALL, ParityGame, _sccs, build_arena, solve
 
 
@@ -99,8 +101,18 @@ class AlphabetMismatch(ValueError):
 @dataclass(frozen=True)
 class AcceptanceGame:
     game: ParityGame
-    positions: tuple
+    codes: tuple  # the positions as built, indexed like the game
+    nodes: int    # the system's size, the stride of the basic codes
     root: int
+
+    @cached_property
+    def positions(self) -> tuple:
+        """The codes decoded to ("b", state, node) and ("v", frozenset of
+        (predicate, node) pairs)."""
+        n = self.nodes
+        return tuple(("v", frozenset((pred_name(c // n), c % n) for c in code))
+                     if type(code) is tuple else ("b", *divmod(code, n))
+                     for code in self.codes)
 
 
 def acceptance_game(aut: ParityAutomaton, lts: LTS, full_enumeration: bool = False) -> AcceptanceGame:
@@ -110,28 +122,34 @@ def acceptance_game(aut: ParityAutomaton, lts: LTS, full_enumeration: bool = Fal
     priority; her moves are valuations of the state predicates over the
     node's successors satisfying the transition entry.  Valuation
     positions belong to Forall with priority 0.  Minimal valuations
-    suffice by monotonicity; they are computed once per (entry,
-    out-degree) and relabelled onto each node's successors
-    (`onestep.min_valuations_memo`).  The full enumeration
-    (`onestep.all_valuations`) is a regression oracle.
+    suffice by monotonicity; they are read, sorted, from the memo behind
+    `onestep.min_valuations_memo` (one entry per transition entry and
+    out-degree) and relabelled onto each node's successors.  The full
+    enumeration (`onestep.all_valuations`) is a regression oracle.
+
+    The arena is built over integer codes: the basic position (a, s) is
+    a * lts.n + s, and a valuation position is the tuple of the basic
+    codes it moves to, in the order of its sorted (predicate, node) pairs,
+    so it expands to itself.  `positions` decodes them on demand.
     """
     if aut.props.names != lts.props.names:
         raise AlphabetMismatch("automaton alphabet %r vs system %r" % (aut.props.names, lts.props.names))
-    succ = lts.successor_table()
+    n, succ = lts.n, lts.successor_table()
+    base = {pred_name(a): a * n for a in range(aut.n)}
 
     def expand(pos):
-        if pos[0] == "v":
-            return FORALL, 0, [("b", pred_state(a), t) for (a, t) in sorted(pos[1])]
-        _, a, s = pos
-        f = aut.entry(a, lts.colours[s])
+        if type(pos) is tuple:
+            return FORALL, 0, pos
+        a, s = divmod(pos, n)
+        f, ss = aut.entry(a, lts.colours[s]), succ[s]
         if full_enumeration:
-            vals = o.all_valuations(f, succ[s])
+            vals = [tuple(base[b] + t for b, t in sorted(v)) for v in o.all_valuations(f, ss)]
         else:
-            vals = o.min_valuations_memo(f, succ[s])
-        return EXISTS, aut.omega[a], [("v", v) for v in vals]
+            vals = [tuple(base[b] + ss[d] for b, d in mv) for mv in _min_valuations_range(f, len(ss))]
+        return EXISTS, aut.omega[a], vals
 
-    game, positions = build_arena([("b", aut.init, lts.init)], expand)
-    return AcceptanceGame(game, positions, 0)
+    game, codes = build_arena([aut.init * n + lts.init], expand)
+    return AcceptanceGame(game, codes, n, 0)
 
 
 def accepts(aut: ParityAutomaton, lts: LTS) -> bool:

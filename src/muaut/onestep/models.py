@@ -383,14 +383,13 @@ def _or(a, b):
     return a | b
 
 
-def all_models(preds: tuple[str, ...], max_size: int) -> list[OneStepModel]:
-    """Every finite model up to max_size elements (including the empty one)."""
-    out = []
+@lru_cache(maxsize=8)
+def all_models(preds: tuple[str, ...], max_size: int) -> tuple[OneStepModel, ...]:
+    """Every finite model up to max_size elements (including the empty one),
+    memoized for the process: the oracle loops sweep the same few spaces."""
     types = [frozenset(c) for c in _subsets(preds)]
-    for size in range(max_size + 1):
-        for combo in product(types, repeat=size):
-            out.append(model_of_types(combo))
-    return out
+    return tuple(model_of_types(combo) for size in range(max_size + 1)
+                 for combo in product(types, repeat=size))
 
 
 def all_weighted_models(preds: tuple[str, ...], max_count: int, with_omega: bool) -> list[WeightedOneStepModel]:
@@ -469,10 +468,11 @@ def min_valuations(f: Formula, domain: tuple[int, ...]) -> list[frozenset[tuple[
 
 # memoized per (interned formula, out-degree) for the whole process: game
 # builds over many systems meet the same entries at the same out-degrees;
-# each valuation is kept as a tuple, a quarter of a small frozenset's size
+# each valuation is kept as a sorted tuple, a quarter of a small frozenset's
+# size, in an order that does not depend on the hash seed
 @lru_cache(maxsize=512)
 def _min_valuations_range(f: Formula, k: int) -> tuple[tuple[tuple[str, int], ...], ...]:
-    return tuple(tuple(mv) for mv in min_valuations(f, tuple(range(k))))
+    return tuple(tuple(sorted(mv)) for mv in min_valuations(f, tuple(range(k))))
 
 
 def min_valuations_memo(f: Formula, succ: tuple[int, ...]) -> list[frozenset[tuple[str, int]]]:

@@ -567,6 +567,35 @@ def test_memoized_min_valuations_match_direct():
     assert info.currsize <= info.maxsize < 6 * len(entries)
 
 
+def test_memoized_min_valuations_do_not_depend_on_hash_seed():
+    # every valuation is stored sorted, so the acceptance arena's order of
+    # moves out of a valuation position is the same in every process; the
+    # construct's entries mention q0..q10, so "q10" sorts before "q2"
+    script = (
+        "import random\n"
+        "from muaut import automata as au, gen, onestep as o\n"
+        "from muaut.onestep.models import _min_valuations_range\n"
+        "entries = [f.ast for d in (o.FOE1, o.FOE1INF)\n"
+        "           for f in gen.enumerate_sentences(('a', 'b'), 2, d) if o.is_positive(f.ast)]\n"
+        "aut = gen.rand_automaton(random.Random(32), ('p',), 3, dialect=o.FOE1INF, want='cw')\n"
+        "sim = au.finitary_construct(aut)\n"
+        "entries += [sim.delta[k] for k in sorted(sim.delta, key=lambda k: (k[0], sorted(k[1])))]\n"
+        "for f in entries:\n"
+        "    for k in range(5):\n"
+        "        vals = _min_valuations_range(f, k)\n"
+        "        print(all(list(v) == sorted(v) for v in vals), o.pretty(f), k, vals)\n"
+    )
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        outs.append(subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                   capture_output=True, text=True).stdout)
+    lines = outs[0].splitlines()
+    assert len(lines) > 1000 and all(line.startswith("True ") for line in lines)
+    assert "q10" in outs[0] and outs[0] == outs[1]
+
+
 @pytest.mark.parametrize("text", ["(" * 2000 + "a(x)" + ")" * 2000, "E x. " * 2000 + "a(x)"])
 def test_deep_nesting_is_a_parse_error(text):
     with pytest.raises(o.ParseError, match="formula nesting too deep"):

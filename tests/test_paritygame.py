@@ -152,6 +152,51 @@ def test_arenas_match_recorded_corpus():
     assert [_fingerprint(a) for a in _arena_corpus()] == RECORDED_ARENAS
 
 
+# (positions, moves, digest) of the acceptance arenas of `_extra_arena_corpus`,
+# recorded from the string-keyed acceptance arena that preceded integer
+# position codes: 11-state constructs, whose valuations order "q10" before
+# "q2", and full-enumeration arenas.
+RECORDED_EXTRA_ARENAS = [
+    (106, 265, 'da63ad95ae7805be'), (1, 0, '0fe794e9e296a3ba'), (1, 0, '520e16cacb2b6219'),
+    (321, 1054, '7f20b292b80e36f7'), (2, 1, 'e808d3cdd80bd332'), (2, 1, 'c8350f9e67009493'),
+    (118, 272, 'aa8718b0da85eab1'), (7, 6, '491b51e6bf8035b8'), (5, 4, 'f12bcdf43793633e'),
+    (64, 160, '5f4460dfcaf51502'), (1, 0, '2b3db6d7936a7b37'), (91, 220, 'd86004400c1f2896'),
+    (1, 0, '2b3db6d7936a7b37'), (343, 1068, 'ddad5bc5e799ea2b'), (596, 2455, '4f97e754d5632612'),
+    (13, 18, 'c75db27b000f1e14'), (17, 37, '1bb6e4ce0169d5f1'), (27, 63, '5c54934dc58c3617'),
+    (5, 6, '1f2002858560c264'), (1, 0, '166eb17acb81ab16'), (8, 11, '8413043378c59825'),
+    (12, 23, '3a73cac7fc2dcdc9'), (7, 12, '10d69860023d010e'), (1, 0, '93a517005ea72dfc'),
+    (8, 10, 'aee47260c401c3da'), (4, 5, '4680bb5ceaeef7ed'), (1, 0, '26be57d9e1a100e2'),
+    (2, 1, '892425fe3a72456c'),
+]
+
+
+def _extra_arena_corpus():
+    rng = random.Random(32)
+
+    def system(n, deg):
+        edges = [(a, b) for a in range(n) for b in rng.sample(range(n), rng.randint(1, min(deg, n)))]
+        cols = {s: ["p"] if rng.random() < 0.4 else [] for s in range(n)}
+        return L.make_lts(("p",), n, edges, cols, init=rng.randrange(n))
+
+    for _ in range(8):
+        aut = gen.rand_automaton(rng, ("p",), 3, dialect=o.FOE1INF, want="cw")
+        yield au.acceptance_game(au.finitary_construct(aut), system(20, 5))
+        aut = gen.rand_automaton(rng, ("p",), 3, dialect=o.FOE1, want="weak")
+        yield au.acceptance_game(au.noetherian_construct(aut), system(20, 5))
+    for _ in range(12):
+        aut = gen.rand_automaton(rng, ("p",), rng.randint(1, 2),
+                                 dialect=rng.choice([o.FOE1, o.FOE1INF]), want="any")
+        yield au.acceptance_game(aut, system(rng.randint(2, 6), 3), full_enumeration=True)
+
+
+def test_construct_and_full_enumeration_arenas_match_recorded():
+    arenas = list(_extra_arena_corpus())
+    assert [_fingerprint(a) for a in arenas] == RECORDED_EXTRA_ARENAS
+    # the corpus reaches the state whose predicate sorts before "q2"
+    assert any(name == "q10" for a in arenas for pos in a.positions
+               if pos[0] == "v" for name, _ in pos[1])
+
+
 def test_build_arena_numbers_in_discovery_order():
     # a chain 0 -> 1 -> 2 with a back edge; positions are the integers
     def expand(pos):
