@@ -13,6 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .. import onestep as o
+from ..onestep.models import _all_types
 from .core import (ParityAutomaton, classify_automaton, pred_name,
                    pred_state)
 
@@ -25,11 +26,6 @@ class ConstructError(ValueError):
 
 def _macro_index(n: int, subset: frozenset[int]) -> int:
     return n + sum(1 << a for a in subset)
-
-
-def _all_subsets(n: int):
-    for mask in range(1 << n):
-        yield frozenset(a for a in range(n) if mask >> a & 1)
 
 
 def _lift_type(n: int, tp: frozenset[str]) -> frozenset[str]:
@@ -81,7 +77,7 @@ def _construct(aut: ParityAutomaton, finitary: bool) -> ParityAutomaton:
     for c in aut.props.colours():
         for a in range(n):
             delta[(a, c)] = aut.entry(a, c)
-        for subset in _all_subsets(n):
+        for subset in _all_types(range(n)):
             conj_entry = o.conj(aut.entry(a, c) for a in sorted(subset))
             delta[(_macro_index(n, subset), c)] = _macro_entry(conj_entry, n, finitary)
     omega = tuple(aut.omega) + tuple(1 for _ in range(1 << n))

@@ -14,7 +14,7 @@ from functools import cached_property
 from .. import onestep as o
 from ..lts import LTS, PropSet, json_list, json_shape
 from ..onestep.models import _min_valuations_range
-from ..paritygame import EXISTS, FORALL, ParityGame, _sccs, build_arena, solve
+from ..paritygame import EXISTS, ParityGame, _sccs, build_arena, solve
 
 
 def pred_name(state: int) -> str:
@@ -122,15 +122,16 @@ def acceptance_game(aut: ParityAutomaton, lts: LTS, full_enumeration: bool = Fal
     priority; her moves are valuations of the state predicates over the
     node's successors satisfying the transition entry.  Valuation
     positions belong to Forall with priority 0.  Minimal valuations
-    suffice by monotonicity; they are read, sorted, from the memo behind
-    `onestep.min_valuations_memo` (one entry per transition entry and
-    out-degree) and relabelled onto each node's successors.  The full
-    enumeration (`onestep.all_valuations`) is a regression oracle.
+    suffice by monotonicity; they are read, sorted, from the
+    `onestep.models._min_valuations_range` memo (one entry per transition
+    entry and out-degree) and relabelled onto each node's successors.  The
+    full enumeration (`onestep.all_valuations`) is a regression oracle.
 
     The arena is built over integer codes: the basic position (a, s) is
     a * lts.n + s, and a valuation position is the tuple of the basic
     codes it moves to, in the order of its sorted (predicate, node) pairs,
-    so it expands to itself.  `positions` decodes them on demand.
+    which `build_arena` makes Forall's choice.  `positions` decodes them
+    on demand.
     """
     if aut.props.names != lts.props.names:
         raise AlphabetMismatch("automaton alphabet %r vs system %r" % (aut.props.names, lts.props.names))
@@ -138,8 +139,6 @@ def acceptance_game(aut: ParityAutomaton, lts: LTS, full_enumeration: bool = Fal
     base = {pred_name(a): a * n for a in range(aut.n)}
 
     def expand(pos):
-        if type(pos) is tuple:
-            return FORALL, 0, pos
         a, s = divmod(pos, n)
         f, ss = aut.entry(a, lts.colours[s]), succ[s]
         if full_enumeration:

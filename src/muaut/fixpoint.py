@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 from .lts import LTS, noetherian_subset, reach
 from .mucalc import MuFormula, open_eval
-from .paritygame import EXISTS, FORALL, ParityGame, _sccs, build_arena, solve
+from .paritygame import EXISTS, ParityGame, _sccs, build_arena, solve
 
 UNFOLDING_CARRIER_LIMIT = 12
 
@@ -92,44 +92,42 @@ def _playable_sets(f: MonotoneFunctional) -> list[frozenset[int]]:
     for s in sorted(f.carrier):
         for stage in stages:
             if s in f(stage):
-                shrunk = stage
-                for t in sorted(stage):
-                    cand = shrunk - {t}
-                    if s in f(cand):
-                        shrunk = cand
-                out.add(shrunk)
+                out.add(_shrink(f, s, stage))
     return sorted(out, key=lambda x: (len(x), sorted(x)))
+
+
+def _shrink(f: MonotoneFunctional, s: int, xs: frozenset[int]) -> frozenset[int]:
+    """Drop the members of xs in ascending order while s stays in the image."""
+    for t in sorted(xs):
+        if s in f(xs - {t}):
+            xs = xs - {t}
+    return xs
 
 
 @dataclass(frozen=True)
 class UnfoldingGame:
     game: ParityGame
-    positions: tuple
-    state_index: dict = field(hash=False)
+    positions: tuple  # a state is its int, a set the sorted tuple of its members
 
 
 def unfolding_game(f: MonotoneFunctional) -> UnfoldingGame:
     """Exists picks a set her state belongs to the image of; Forall picks a
-    member of it.  Every infinite play is lost by Exists, so her winning
-    region on the carrier is exactly the least fixpoint."""
-    sets = _playable_sets(f)
-    images = {xs: f(xs) for xs in sets}
-    states = sorted(f.carrier)
+    member of it.  Every infinite play passes her positions of priority 1
+    infinitely often and is lost by her, so her winning region on the
+    carrier, the roots of the arena, is exactly the least fixpoint."""
+    images = {tuple(sorted(xs)): f(xs) for xs in _playable_sets(f)}
 
-    def expand(pos):
-        kind, v = pos
-        if kind == "s":
-            return EXISTS, 1, [("X", xs) for xs in sets if v in images[xs]]
-        return FORALL, 1, [("s", s) for s in sorted(v)]
+    def expand(v):
+        return EXISTS, 1, [xs for xs, image in images.items() if v in image]
 
-    game, positions = build_arena([("s", s) for s in states], expand)
-    return UnfoldingGame(game, positions, {s: i for i, s in enumerate(states)})
+    game, positions = build_arena(sorted(f.carrier), expand)
+    return UnfoldingGame(game, positions)
 
 
 def unfolding_region(f: MonotoneFunctional) -> frozenset[int]:
     ug = unfolding_game(f)
     sol = solve(ug.game)
-    return frozenset(s for s, i in ug.state_index.items() if i in sol.win_exists)
+    return frozenset(ug.positions[i] for i in range(len(f.carrier)) if i in sol.win_exists)
 
 
 def descending_strategy(f: MonotoneFunctional) -> dict[int, frozenset[int]]:
@@ -195,15 +193,9 @@ def finite_witness(f: MonotoneFunctional, s: int) -> Optional[frozenset[int]]:
         prev = set()
         for u in layers[-1]:
             # a small subset of stage i supporting u, shrunk greedily
-            base = stages[i]
-            if u not in f(base):
+            if u not in f(stages[i]):
                 raise AssertionError("trace inconsistency")
-            shrunk = base
-            for t in sorted(base):
-                cand = shrunk - {t}
-                if u in f(cand):
-                    shrunk = cand
-            prev |= shrunk
+            prev |= _shrink(f, u, stages[i])
         layers.append(frozenset(prev))
     return frozenset().union(*layers)
 

@@ -9,7 +9,7 @@ from .bridge import NotFO1Error, fo1_modal_bridge
 from .classify import (FragmentReport, classify, in_cocontinuous,
                        in_conoetherian, in_continuous, in_noetherian,
                        is_guarded, is_plain_modal)
-from .game import EvalGame, binder_priorities, build_eval_game, game_value, modality_moves
+from .game import EvalGame, binder_priorities, build_eval_game, game_value
 from .guard import guard_transform
 from .semantics import UnboundLetterError, open_eval, semantics_eval
 

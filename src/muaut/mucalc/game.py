@@ -10,9 +10,10 @@ winning condition under the max-even convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .. import onestep as o
 from ..lts import LTS
+from ..onestep.models import _min_valuations_range
 from ..paritygame import EXISTS, FORALL, ParityGame, build_arena, solve
 from .ast import (MAnd, Modal, MOr, Mu, MuFormula, NegProp, Nu, Prop,
                   check_wf, free_letters, subformulas)
@@ -41,75 +42,69 @@ def binder_priorities(f: MuFormula) -> dict[str, int]:
 @dataclass(frozen=True)
 class EvalGame:
     game: ParityGame
-    positions: tuple  # parallel description of each position
+    codes: tuple  # the positions as built, indexed like the game
+    subs: tuple   # the distinct subformulas in the order of str
     root: int
 
-
-def modality_moves(g: Modal, lts: LTS, s: int, full_enumeration: bool = False):
-    """Witness sets available to Exists at a modality position.
-
-    By monotonicity, subset-minimal witness sets suffice: any satisfying
-    set extends a minimal one and only offers Forall more options.  They
-    come from minimal valuations over range(k) for out-degree k, relabelled
-    onto the successors, and a bounded process-wide memo
-    (`onestep.min_valuations_memo`) keeps those per (one-step formula,
-    out-degree).  The full enumeration (`onestep.all_valuations`) is kept
-    as a regression oracle.
-    """
-    succ = lts.successors(s)
-    if full_enumeration:
-        arg = {a: i for i, a in enumerate(g.pred_names())}
-        return [frozenset((arg[a], t) for (a, t) in v)
-                for v in o.all_valuations(g.alpha, succ, g.pred_names())]
-    return _minimal_witness_sets(g, succ)
-
-
-def _minimal_witness_sets(g: Modal, succ: tuple[int, ...]):
-    """Minimal witness sets over succ as (argument index, successor) pairs,
-    read off the memoized minimal valuations (see min_valuations_memo)."""
-    arg = {a: i for i, a in enumerate(g.pred_names())}
-    out = {frozenset((arg[a], t) for (a, t) in v)
-           for v in o.min_valuations_memo(g.alpha, succ)}
-    return sorted(out, key=lambda z: (len(z), sorted(z)))
+    @cached_property
+    def positions(self) -> tuple:
+        """The codes decoded to ("f", subformula, state) and ("z", frozenset
+        of (subformula, state) pairs)."""
+        subs, m = self.subs, len(self.subs)
+        return tuple(("z", frozenset((subs[c % m], c // m) for c in code))
+                     if type(code) is tuple else ("f", subs[code % m], code // m)
+                     for code in self.codes)
 
 
 def build_eval_game(f: MuFormula, lts: LTS) -> EvalGame:
-    """The evaluation game of f on lts, rooted at (f, initial state)."""
+    """The evaluation game of f on lts, rooted at (f, initial state).
+
+    The arena is built over integer codes: with the m distinct subformulas
+    numbered in the order of str, the position (g, s) is s * m + index[g],
+    and a witness set is the sorted tuple of the codes Forall picks from,
+    which `build_arena` makes his choice.  By monotonicity, subset-minimal
+    witness sets suffice: any satisfying set extends a minimal one and only
+    offers Forall more options.  They are the minimal valuations over
+    range(k) for out-degree k, read from the `onestep.models._min_valuations_range`
+    memo and relabelled onto the successors.
+    """
     check_wf(f)
     missing = free_letters(f) - set(lts.props.names)
     if missing:
         raise ValueError("letters not in the alphabet: %r" % sorted(missing))
     prio = binder_priorities(f)
-    binder_body: dict[str, MuFormula] = {}
-    for g in subformulas(f):
-        if isinstance(g, (Mu, Nu)):
-            binder_body[g.var] = g.body
     succ = lts.successor_table()
+    subs = tuple(sorted(dict.fromkeys(subformulas(f)), key=str))
+    binder_body = {g.var: g.body for g in subs if isinstance(g, (Mu, Nu))}
+    m = len(subs)
+    index = {g: i for i, g in enumerate(subs)}
+    arg_index = {g: dict(zip(g.pred_names(), map(index.__getitem__, g.args)))
+                 for g in subs if isinstance(g, Modal)}
 
     def expand(pos):
-        if pos[0] == "z":
-            return FORALL, 0, [("f", g, t) for (g, t) in sorted(pos[1], key=lambda p: (p[1], str(p[0])))]
-        _, g, s = pos
+        s, g = divmod(pos, m)
+        base, g = s * m, subs[g]
         match g:
             case Prop(p) if p not in binder_body:
                 return (FORALL if p in lts.colours[s] else EXISTS), 0, ()
             case NegProp(p):
                 return (EXISTS if p in lts.colours[s] else FORALL), 0, ()
             case Prop(p):  # forced unfolding move
-                return EXISTS, prio[p], [("f", binder_body[p], s)]
+                return EXISTS, prio[p], [base + index[binder_body[p]]]
             case MOr(args):
-                return EXISTS, 0, [("f", a, s) for a in args]
+                return EXISTS, 0, [base + index[a] for a in args]
             case MAnd(args):
-                return FORALL, 0, [("f", a, s) for a in args]
-            case Modal(_, args):
-                return EXISTS, 0, [("z", frozenset((args[ai], t) for (ai, t) in z))
-                                   for z in _minimal_witness_sets(g, succ[s])]
+                return FORALL, 0, [base + index[a] for a in args]
+            case Modal(alpha, _):
+                ss, arg = succ[s], arg_index[g]
+                return EXISTS, 0, [tuple(sorted({ss[d] * m + arg[a] for a, d in mv}))
+                                   for mv in _min_valuations_range(alpha, len(ss))]
             case Mu(_, b) | Nu(_, b):  # forced move
-                return EXISTS, 0, [("f", b, s)]
+                return EXISTS, 0, [base + index[b]]
         raise TypeError(g)
 
-    game, positions = build_arena([("f", f, lts.init)], expand)
-    return EvalGame(game, positions, 0)
+    game, codes = build_arena([lts.init * m + index[f]], expand)
+    return EvalGame(game, codes, subs, 0)
 
 
 def game_value(f: MuFormula, lts: LTS) -> bool:

@@ -13,7 +13,7 @@ from .fragments import (FragmentFlags, cocontinuous_entry, continuous_entry,
 from .models import (OMEGA, OneStepModel, WeightedOneStepModel, all_models,
                      all_valuations, all_weighted_models, eval_capped, eval_counts,
                      eval_finite, eval_weighted, min_valuations,
-                     min_valuations_memo, model_of_types, weighted)
+                     model_of_types, weighted)
 from .normalform import (BasicForm, BasicFormDisjunct, NotContinuousError,
                          NotPositiveError, ProfileBlowupError,
                          diamond_translate, equivalent, expand,

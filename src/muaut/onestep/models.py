@@ -383,11 +383,17 @@ def _or(a, b):
     return a | b
 
 
+def _all_types(preds: Sequence) -> list[frozenset]:
+    """Every subset of preds, in the order of its bit mask over preds."""
+    return [frozenset(p for i, p in enumerate(preds) if mask >> i & 1)
+            for mask in range(1 << len(preds))]
+
+
 @lru_cache(maxsize=8)
 def all_models(preds: tuple[str, ...], max_size: int) -> tuple[OneStepModel, ...]:
     """Every finite model up to max_size elements (including the empty one),
     memoized for the process: the oracle loops sweep the same few spaces."""
-    types = [frozenset(c) for c in _subsets(preds)]
+    types = _all_types(preds)
     return tuple(model_of_types(combo) for size in range(max_size + 1)
                  for combo in product(types, repeat=size))
 
@@ -397,17 +403,11 @@ def all_weighted_models(preds: tuple[str, ...], max_count: int, with_omega: bool
     classes: list[Union[int, float]] = list(range(max_count + 1))
     if with_omega:
         classes.append(OMEGA)
-    types = [frozenset(c) for c in _subsets(preds)]
+    types = _all_types(preds)
     out = []
     for combo in product(classes, repeat=len(types)):
         out.append(weighted(preds, dict(zip(types, combo))))
     return out
-
-
-def _subsets(items):
-    items = tuple(items)
-    for mask in range(1 << len(items)):
-        yield tuple(items[i] for i in range(len(items)) if mask >> i & 1)
 
 
 def min_valuations(f: Formula, domain: tuple[int, ...]) -> list[frozenset[tuple[str, int]]]:
@@ -469,23 +469,13 @@ def min_valuations(f: Formula, domain: tuple[int, ...]) -> list[frozenset[tuple[
 # memoized per (interned formula, out-degree) for the whole process: game
 # builds over many systems meet the same entries at the same out-degrees;
 # each valuation is kept as a sorted tuple, a quarter of a small frozenset's
-# size, in an order that does not depend on the hash seed
+# size, in an order that does not depend on the hash seed.  Satisfaction
+# compares elements only for equality, so relabelling d -> succ[d] onto an
+# ascending tuple of distinct successors gives min_valuations(f, succ), in
+# the same order
 @lru_cache(maxsize=512)
 def _min_valuations_range(f: Formula, k: int) -> tuple[tuple[tuple[str, int], ...], ...]:
     return tuple(tuple(sorted(mv)) for mv in min_valuations(f, tuple(range(k))))
-
-
-def min_valuations_memo(f: Formula, succ: tuple[int, ...]) -> list[frozenset[tuple[str, int]]]:
-    """min_valuations(f, succ) for an ascending tuple of distinct elements,
-    read off min_valuations(f, range(len(succ))), which a bounded
-    process-wide memo keeps per (f, len(succ)).
-
-    Satisfaction compares elements only for equality, so relabelling
-    d -> succ[d] maps the valuations over range(k) onto those over succ;
-    the relabelling is monotone, so the order is kept as well.
-    """
-    return [frozenset([(a, succ[d]) for a, d in mv])
-            for mv in _min_valuations_range(f, len(succ))]
 
 
 def all_valuations(f: Formula, domain: tuple[int, ...], preds=None) -> list[frozenset[tuple[str, int]]]:

@@ -47,7 +47,7 @@ from .ast import (FO1, FOE1, FOE1INF, And, DialectError, Eq, Exists,
                   ExistsInf, Forall, ForallInf, Formula, Neq, Or,
                   OneStepFormula, conj, disj, expand_sugar, is_positive,
                   predicates, rank, sentence, type_atom)
-from .models import OMEGA, eval_counts, eval_finite
+from .models import OMEGA, _all_types, eval_counts, eval_finite
 
 PROFILE_LIMIT = 1 << 20
 LEAF_CACHE_BYTES = 64 << 20
@@ -89,13 +89,6 @@ class BasicForm:
     dialect: str
     preds: tuple[str, ...]
     disjuncts: tuple[BasicFormDisjunct, ...]
-
-
-def _all_types(preds: tuple[str, ...]) -> list[frozenset[str]]:
-    out = []
-    for mask in range(1 << len(preds)):
-        out.append(frozenset(p for i, p in enumerate(preds) if mask >> i & 1))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -70,10 +70,12 @@ def build_arena(roots, expand) -> tuple[ParityGame, tuple]:
     """The game on every position reachable from the distinct roots, which
     are numbered 0..k-1 in order.
 
-    expand(pos) returns (owner, priority, successor positions).  Positions
-    are numbered in discovery order and expanded last-discovered first, so
-    the numbering depends only on roots and expand.  Returns the game and
-    the position descriptions, indexed like the game.
+    A position that is a tuple is Forall's choice among the positions it
+    holds, with priority 0; for every other position, expand(pos) returns
+    (owner, priority, successor positions).  Positions are numbered in
+    discovery order and expanded last-discovered first, so the numbering
+    depends only on roots and expand.  Returns the game and the position
+    descriptions, indexed like the game.
     """
     desc = list(roots)
     index = {pos: i for i, pos in enumerate(desc)}
@@ -83,7 +85,7 @@ def build_arena(roots, expand) -> tuple[ParityGame, tuple]:
     while todo:
         pos = todo.pop()
         i = index[pos]
-        owner[i], priority[i], succs = expand(pos)
+        owner[i], priority[i], succs = (FORALL, 0, pos) if type(pos) is tuple else expand(pos)
         row = []
         for q in succs:
             j = index.get(q)

@@ -31,7 +31,7 @@ def test_unbound_letter_rejected():
 def test_eval_game_spec_rows():
     lts = L.make_lts(["p"], 1, [(0, 0)], {0: ["p"]})
     eg = mc.build_eval_game(mc.Prop("p"), lts)
-    root = eg.positions[eg.root]
+    assert eg.positions[eg.root] == ("f", mc.Prop("p"), 0)
     assert eg.game.owner[eg.root] == 1 and not eg.game.moves[eg.root]  # Forall stuck
     assert mc.game_value(mc.parse("nu x. dia x"), lts)
 
@@ -194,9 +194,9 @@ def test_modality_moves_match_full_enumeration():
         lts = gen.rand_lts(rng, ("p",), max_states=4)
         for g in mc.subformulas(f):
             if isinstance(g, mc.Modal) and len(g.args) * 3 <= 12:
-                for s in lts.states():
-                    mins = set(mc.modality_moves(g, lts, s))
-                    full = set(mc.modality_moves(g, lts, s, full_enumeration=True))
+                for succ in lts.successor_table():
+                    mins = set(o.min_valuations(g.alpha, succ))
+                    full = set(o.all_valuations(g.alpha, succ, g.pred_names()))
                     assert mins <= full
                     assert all(any(w <= z for w in mins) for z in full)
 

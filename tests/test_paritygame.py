@@ -197,6 +197,57 @@ def test_construct_and_full_enumeration_arenas_match_recorded():
                if pos[0] == "v" for name, _ in pos[1])
 
 
+# (positions, moves, order-free digest, game value) of the evaluation arenas
+# of `_wide_modal_corpus`, recorded from the frozenset-keyed evaluation game
+# that preceded integer position codes.  Its modalities have 10-12 arguments,
+# so the memo's names put "a10" before "a2" and the moves out of a modality
+# position are numbered in another order than then; the digest covers the
+# set of (position, owner, priority, sorted targets) rows, which does not
+# depend on the numbering.
+RECORDED_WIDE_MODAL_ARENAS = [
+    (4, 3, '91a35010ca842159', True), (9, 10, 'd22669b9728096e5', True),
+    (51, 166, '3c8d6d0e53a69c4c', True), (43, 76, 'bcb721f4f3b21489', True),
+    (15, 19, '7467ce8c03a30975', True), (16, 33, 'd62cf7042cc94f65', False),
+    (40, 108, '044a88cd37cb0e38', True), (20, 33, '1e3958a76cae3243', True),
+    (53, 121, 'e87a86c359f8102b', False), (61, 299, 'fdd591ab855f90b4', False),
+    (72, 153, 'd2cf79082a6b3b7c', True), (10, 15, '7a3bda5ba449d6f5', True),
+]
+
+
+def _wide_modal_corpus():
+    rng = random.Random(33)
+    pool = [mc.Prop("x"), mc.Prop("y"), mc.Prop("p"), mc.NegProp("q"),
+            mc.dia(mc.Prop("x")), mc.MAnd((mc.Prop("q"), mc.Prop("y")))]
+    for _ in range(12):
+        k = rng.randint(10, 12)
+        names = tuple("a%d" % (i + 1) for i in range(k))
+        parts = [gen.rand_onestep(rng, names, 2, rng.choice([o.FOE1, o.FOE1INF])).ast
+                 for _ in range(3)]
+        a, b, c = rng.sample(names[1:9], 2) + rng.sample(names[9:], 1)
+        parts.append(o.parse("E x. E y. %s(x) & %s(y) | %s(x) & %s(y)" % (a, c, b, c)).ast)
+        alpha = o.disj(parts) if rng.random() < 0.7 else o.conj([parts[0], parts[3]])
+        f = mc.Nu("x", mc.Mu("y", mc.Modal(alpha, tuple(rng.choice(pool) for _ in range(k)))))
+        n = rng.randint(3, 6)
+        edges = [(s, t) for s in range(n) for t in rng.sample(range(n), rng.randint(1, 3))]
+        cols = {s: [p for p in ("p", "q") if rng.random() < 0.5] for s in range(n)}
+        yield f, L.make_lts(("p", "q"), n, edges, cols, init=rng.randrange(n))
+
+
+def _order_free_fingerprint(f, lts):
+    eg = mc.build_eval_game(f, lts)
+    g, pos = eg.game, eg.positions
+    rows = sorted(_canon((pos[i], g.owner[i], g.priority[i],
+                          tuple(sorted(_canon(pos[j]) for j in g.moves[i]))))
+                  for i in range(g.n))
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()[:16]
+    return g.n, sum(map(len, g.moves)), digest, mc.game_value(f, lts)
+
+
+def test_wide_modality_arenas_match_recorded():
+    fingerprints = [_order_free_fingerprint(f, lts) for f, lts in _wide_modal_corpus()]
+    assert fingerprints == RECORDED_WIDE_MODAL_ARENAS
+
+
 def test_build_arena_numbers_in_discovery_order():
     # a chain 0 -> 1 -> 2 with a back edge; positions are the integers
     def expand(pos):
@@ -209,6 +260,20 @@ def test_build_arena_numbers_in_discovery_order():
         assert positions == want
         assert g.moves == moves
         assert g.owner == tuple(p % 2 for p in want) and g.priority == want
+
+    # a tuple is Forall's choice among the positions it holds, with
+    # priority 0; expand is never called on it
+    calls = []
+
+    def expand(pos):
+        calls.append(pos)
+        return pg.EXISTS, pos + 1, [(1, 2)] if pos == 0 else []
+
+    g, positions = pg.build_arena([0], expand)
+    assert positions == (0, (1, 2), 1, 2) and calls == [0, 2, 1]
+    assert g.moves == ((1,), (2, 3), (), ())
+    assert g.owner == (pg.EXISTS, pg.FORALL, pg.EXISTS, pg.EXISTS)
+    assert g.priority == (1, 0, 2, 3)
 
 
 # --- SCCs, the cycle-parity helper and the solver at depth ---------------
