@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, combinations
 from typing import Callable, Optional
 
 from .lts import LTS, noetherian_subset, reach
 from .mucalc import MuFormula, open_eval
+from .onestep.models import _subsets_by_size
 from .paritygame import EXISTS, ParityGame, _sccs, build_arena, solve
 
 UNFOLDING_CARRIER_LIMIT = 12
@@ -83,8 +83,7 @@ def _playable_sets(f: MonotoneFunctional) -> list[frozenset[int]]:
                          % UNFOLDING_CARRIER_LIMIT)
     xs = sorted(f.carrier)
     if n <= 8:
-        return [frozenset(c) for c in chain.from_iterable(
-            combinations(xs, k) for k in range(n + 1))]
+        return [frozenset(c) for c in _subsets_by_size(xs)]
     # larger carriers: approximant stages and greedily shrunk variants
     # (monotonicity makes small witness sets optimal for Exists)
     _, stages = lfp(f)
@@ -207,12 +206,11 @@ def brute_force_witness(f: MonotoneFunctional, s: int, noetherian_only: bool = F
     if len(f.carrier) > 8:
         raise ValueError("carrier too large for subset enumeration")
     xs = sorted(f.carrier)
-    for k in range(len(xs) + 1):
-        for combo in combinations(xs, k):
-            cand = frozenset(combo)
-            if noetherian_only and f.lts is not None and not noetherian_subset(f.lts, cand):
-                continue
-            fix, _ = lfp(restrict(f, cand))
-            if s in fix:
-                return cand
+    for combo in _subsets_by_size(xs):
+        cand = frozenset(combo)
+        if noetherian_only and f.lts is not None and not noetherian_subset(f.lts, cand):
+            continue
+        fix, _ = lfp(restrict(f, cand))
+        if s in fix:
+            return cand
     return None

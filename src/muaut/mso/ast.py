@@ -22,6 +22,11 @@ MODES = (STANDARD, FINITE, NOETHERIAN)
 
 LOGIC_MODE = {"smso": STANDARD, "wmso": FINITE, "nmso": NOETHERIAN}
 
+# the notations (see syntax.pretty) that both sorts share
+_NOT = (None, "~", ("body", 2))
+_OR = (0, ("left", 1), " | ", ("right", 0))
+_EX = (0, "ex {var}. ", ("body", 0))
+
 
 # --- one-sorted -----------------------------------------------------------
 
@@ -29,12 +34,14 @@ LOGIC_MODE = {"smso": STANDARD, "wmso": FINITE, "nmso": NOETHERIAN}
 class Down(Node):
     """The letter holds exactly at the distinguished state."""
     p: str
+    notation = (None, "down {p}")
 
 
 @dataclass(frozen=True, eq=False)
 class SubsetOf(Node):
     left: str
     right: str
+    notation = (None, "{left} sub {right}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,12 +49,14 @@ class RelStep(Node):
     """Every left-state has an edge to some right-state."""
     left: str
     right: str
+    notation = (None, "Rel({left},{right})")
 
 
 @dataclass(frozen=True, eq=False)
 class Not1(Node):
     body: "Mso1"
     subs = ("body",)
+    notation = _NOT
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,6 +64,7 @@ class Or1(Node):
     left: "Mso1"
     right: "Mso1"
     subs = ("left", "right")
+    notation = _OR
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,6 +73,7 @@ class Exists1(Node):
     body: "Mso1"
     mode: str
     subs = ("body",)
+    notation = _EX
 
 
 Mso1 = Union[Down, SubsetOf, RelStep, Not1, Or1, Exists1]
@@ -71,49 +82,34 @@ Mso1 = Union[Down, SubsetOf, RelStep, Not1, Or1, Exists1]
 free_letters1 = attrgetter("facts")  # stored on each node (see Node.derive)
 
 
-def pretty1(f: Mso1, _level: int = 0) -> str:
-    match f:
-        case Down(p):
-            return "down %s" % p
-        case SubsetOf(a, b):
-            return "%s sub %s" % (a, b)
-        case RelStep(a, b):
-            return "Rel(%s,%s)" % (a, b)
-        case Not1(b):
-            return "~" + pretty1(b, 2)
-        case Or1(a, b):
-            s = "%s | %s" % (pretty1(a, 1), pretty1(b, 0))
-            return "(" + s + ")" if _level > 0 else s
-        case Exists1(v, b, _):
-            s = "ex %s. %s" % (v, pretty1(b, 0))
-            return "(" + s + ")" if _level > 0 else s
-    raise TypeError(f)
-
-
 # --- two-sorted -----------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class PredApp(Node):
     p: str
     x: str
+    notation = (None, "{p}({x})")
 
 
 @dataclass(frozen=True, eq=False)
 class RelApp(Node):
     x: str
     y: str
+    notation = (None, "R({x},{y})")
 
 
 @dataclass(frozen=True, eq=False)
 class EqVar(Node):
     x: str
     y: str
+    notation = (None, "{x}={y}")
 
 
 @dataclass(frozen=True, eq=False)
 class Not2(Node):
     body: "Mso2"
     subs = ("body",)
+    notation = _NOT
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,6 +117,7 @@ class Or2(Node):
     left: "Mso2"
     right: "Mso2"
     subs = ("left", "right")
+    notation = _OR
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,6 +125,7 @@ class ExistsVar(Node):
     var: str
     body: "Mso2"
     subs = ("body",)
+    notation = _EX
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,6 +134,7 @@ class ExistsSet(Node):
     body: "Mso2"
     mode: str
     subs = ("body",)
+    notation = _EX
 
 
 Mso2 = Union[PredApp, RelApp, EqVar, Not2, Or2, ExistsVar, ExistsSet]
@@ -173,28 +172,6 @@ def substitute_atom(f: Mso2, name: str, maker) -> Mso2:
         case ExistsSet(p, _, _) if p == name:
             return f
     return f.rebuild(lambda g: substitute_atom(g, name, maker))
-
-
-def pretty2(f: Mso2, _level: int = 0) -> str:
-    match f:
-        case PredApp(p, x):
-            return "%s(%s)" % (p, x)
-        case RelApp(x, y):
-            return "R(%s,%s)" % (x, y)
-        case EqVar(x, y):
-            return "%s=%s" % (x, y)
-        case Not2(b):
-            return "~" + pretty2(b, 2)
-        case Or2(a, b):
-            s = "%s | %s" % (pretty2(a, 1), pretty2(b, 0))
-            return "(" + s + ")" if _level > 0 else s
-        case ExistsVar(v, b):
-            s = "ex %s. %s" % (v, pretty2(b, 0))
-            return "(" + s + ")" if _level > 0 else s
-        case ExistsSet(p, b, _):
-            s = "ex %s. %s" % (p, pretty2(b, 0))
-            return "(" + s + ")" if _level > 0 else s
-    raise TypeError(f)
 
 
 # --- parsing --------------------------------------------------------------

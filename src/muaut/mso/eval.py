@@ -7,9 +7,8 @@ silently elsewhere), and the common-ancestor criterion for noetherian.
 """
 from __future__ import annotations
 
-from itertools import chain, combinations
-
 from ..lts import LTS, noetherian_subset
+from ..onestep.models import _subsets_by_size
 from .ast import (Down, EqVar, Exists1, ExistsSet, ExistsVar, Mso1, Mso2,
                   Not1, Not2, Or1, Or2, PredApp, RelApp, RelStep, SubsetOf,
                   NOETHERIAN)
@@ -19,14 +18,8 @@ class UnboundError(ValueError):
     pass
 
 
-def _subsets(states) -> list[frozenset[int]]:
-    xs = list(states)
-    return [frozenset(c) for c in chain.from_iterable(
-        combinations(xs, k) for k in range(len(xs) + 1))]
-
-
 def _candidates(lts: LTS, mode: str) -> list[frozenset[int]]:
-    subs = _subsets(lts.states())
+    subs = [frozenset(c) for c in _subsets_by_size(lts.states())]
     if mode == NOETHERIAN:
         return [x for x in subs if noetherian_subset(lts, x)]
     return subs

@@ -8,6 +8,8 @@ one-step sentence to the successors of the current individual variable.
 """
 from __future__ import annotations
 
+from functools import reduce
+
 from .. import mucalc as mc
 from .. import onestep as o
 from .ast import (EqVar, ExistsSet, ExistsVar, Mso2, Not2, Or2, PredApp,
@@ -37,17 +39,8 @@ def onestep_dagger(alpha: o.Formula, v: str, fresh) -> Mso2:
                 return EqVar(x, y)
             case o.Neq(x, y):
                 return Not2(EqVar(x, y))
-            case o.And(args):
-                if not args:
-                    return Not2(_false(v))
-                return conj2(go(a) for a in args)
-            case o.Or(args):
-                if not args:
-                    return _false(v)
-                out = go(args[0])
-                for a in args[1:]:
-                    out = Or2(out, go(a))
-                return out
+            case o.And(args) | o.Or(args):
+                return _junction2(g, map(go, args), v)
             case o.Exists(x, b):
                 return ExistsVar(x, and2(RelApp(v, x), go(b)))
             case o.Forall(x, b):
@@ -73,6 +66,17 @@ def onestep_dagger(alpha: o.Formula, v: str, fresh) -> Mso2:
 
 def _false(v: str) -> Mso2:
     return Not2(EqVar(v, v))
+
+
+def _junction2(g, parts, v: str) -> Mso2:
+    """The n-ary conjunction or disjunction g (one-step or fixpoint) over
+    its translated parts, built in order: `conj2`, or left-nested `Or2`;
+    truth or falsity at v when there are no parts."""
+    parts = list(parts)
+    conjunction = isinstance(g, (o.And, mc.MAnd))
+    if not parts:
+        return Not2(_false(v)) if conjunction else _false(v)
+    return conj2(parts) if conjunction else reduce(Or2, parts)
 
 
 def _freshen_vars(alpha: o.Formula, fresh) -> o.Formula:
@@ -128,17 +132,8 @@ def mu_to_mso(f: mc.MuFormula, logic: str) -> Mso2:
                 return PredApp(p, v)
             case mc.NegProp(p):
                 return Not2(PredApp(p, v))
-            case mc.MAnd(args):
-                if not args:
-                    return Not2(_false(v))
-                return conj2(tr(a, v) for a in args)
-            case mc.MOr(args):
-                if not args:
-                    return _false(v)
-                out = tr(args[0], v)
-                for a in args[1:]:
-                    out = Or2(out, tr(a, v))
-                return out
+            case mc.MAnd(args) | mc.MOr(args):
+                return _junction2(g, (tr(a, v) for a in args), v)
             case mc.Modal(alpha, args):
                 # globally fresh quantified variables rule out shadowing
                 # when argument translations are substituted for atoms

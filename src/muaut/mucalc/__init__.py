@@ -3,8 +3,9 @@
 from .ast import (MAnd, MBOT, MOr, MTOP, Modal, Mu, MuFormula, MuParseError,
                   NegProp, Nu, Prop, IllFormedError, bound_letters, box,
                   check_wf, dia, free_letters, is_box, is_dia, mand,
-                  modal_dialect, mor, negate, parse, pretty, refresh,
+                  modal_dialect, mor, negate, parse, refresh,
                   simplify, subformulas, substitute)
+from ..syntax import pretty
 from .bridge import NotFO1Error, fo1_modal_bridge
 from .classify import (FragmentReport, classify, in_cocontinuous,
                        in_conoetherian, in_continuous, in_noetherian,

@@ -16,29 +16,33 @@ from typing import Iterable, Union
 
 from .. import onestep as o
 from ..onestep.parse import formula as onestep_formula
-from ..syntax import Cursor, Node, ParseError, junction
+from ..syntax import Cursor, Node, ParseError, infix, junction
 
 
 @dataclass(frozen=True, eq=False)
 class Prop(Node):
     name: str
+    notation = (None, "{name}")
 
 
 @dataclass(frozen=True, eq=False)
 class NegProp(Node):
     name: str
+    notation = (None, "~{name}")
 
 
 @dataclass(frozen=True, eq=False)
 class MAnd(Node):
     args: tuple["MuFormula", ...]
     subs = ("args",)
+    notation = infix(" & ", 2, 1, "true")
 
 
 @dataclass(frozen=True, eq=False)
 class MOr(Node):
     args: tuple["MuFormula", ...]
     subs = ("args",)
+    notation = infix(" | ", 1, 0, "false")
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,6 +54,14 @@ class Modal(Node):
     args: tuple["MuFormula", ...]
     subs = ("args",)
 
+    @property
+    def notation(self):
+        if is_dia(self):
+            return (None, "dia ", ("args", 3))
+        if is_box(self):
+            return (None, "box ", ("args", 3))
+        return (None, "<", ("alpha", 0), ">(", ("args", 0, ", "), ")")
+
     def pred_names(self) -> tuple[str, ...]:
         return tuple("a%d" % (i + 1) for i in range(len(self.args)))
 
@@ -59,6 +71,7 @@ class Mu(Node):
     var: str
     body: "MuFormula"
     subs = ("body",)
+    notation = (0, "mu {var}. ", ("body", 0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,6 +79,7 @@ class Nu(Node):
     var: str
     body: "MuFormula"
     subs = ("body",)
+    notation = (0, "nu {var}. ", ("body", 0))
 
 
 MuFormula = Union[Prop, NegProp, MAnd, MOr, Modal, Mu, Nu]
@@ -241,37 +255,6 @@ def simplify(f: MuFormula) -> MuFormula:
             b = simplify(b)
             return f.rebuild(lambda _: b) if p in free_letters(b) else b
     return f.rebuild(simplify)
-
-
-def pretty(f: MuFormula, _level: int = 0) -> str:
-    match f:
-        case Prop(p):
-            return p
-        case NegProp(p):
-            return "~" + p
-        case MAnd(args):
-            if not args:
-                return "true"
-            s = " & ".join(pretty(a, 2) for a in args)
-            return "(" + s + ")" if _level > 1 else s
-        case MOr(args):
-            if not args:
-                return "false"
-            s = " | ".join(pretty(a, 1) for a in args)
-            return "(" + s + ")" if _level > 0 else s
-        case Modal(alpha, args):
-            if is_dia(f):
-                return "dia " + pretty(args[0], 3)
-            if is_box(f):
-                return "box " + pretty(args[0], 3)
-            return "<%s>(%s)" % (o.pretty(alpha), ", ".join(pretty(a) for a in args))
-        case Mu(p, b):
-            s = "mu %s. %s" % (p, pretty(b))
-            return "(" + s + ")" if _level > 0 else s
-        case Nu(p, b):
-            s = "nu %s. %s" % (p, pretty(b))
-            return "(" + s + ")" if _level > 0 else s
-    raise TypeError(f)
 
 
 MuParseError = ParseError

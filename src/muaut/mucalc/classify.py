@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .. import onestep as o
 from .ast import (Modal, Mu, MuFormula, NegProp, Nu, Prop, is_box, is_dia,
                   free_letters, subformulas)
+from .guard import _unguarded_occurs
 
 
 def in_grammar(f: MuFormula, q: frozenset[str], binder: type, fragment=None) -> bool:
@@ -65,18 +66,8 @@ def _body_in_grammar(g: Mu | Nu, continuous: bool) -> bool:
 
 def is_guarded(f: MuFormula) -> bool:
     """Every bound-letter occurrence has a modality between it and its binder."""
-
-    def go(g: MuFormula, unguarded: frozenset[str]) -> bool:
-        match g:
-            case Prop(p):
-                return p not in unguarded
-            case Modal():
-                unguarded = frozenset()
-            case Mu(p, _) | Nu(p, _):
-                unguarded = unguarded | {p}
-        return all(go(a, unguarded) for a in g.children())
-
-    return go(f, frozenset())
+    return not any(_unguarded_occurs(g.body, g.var)
+                   for g in subformulas(f) if isinstance(g, (Mu, Nu)))
 
 
 def is_plain_modal(f: MuFormula) -> bool:

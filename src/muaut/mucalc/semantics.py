@@ -44,15 +44,8 @@ def open_eval(f: MuFormula, lts: LTS, env: dict[str, frozenset[int]]) -> frozens
             case Modal(alpha, args):
                 val = dict(zip(g.pred_names(), (sem(a, env) for a in args)))
                 return frozenset(s for s, ok in enumerate(o.eval_capped(alpha, val, succ)) if ok)
-            case Mu(p, b):
-                x: frozenset[int] = frozenset()
-                while True:
-                    nxt = sem(b, {**env, p: x})
-                    if nxt == x:
-                        return x
-                    x = nxt
-            case Nu(p, b):
-                x = full
+            case Mu(p, b) | Nu(p, b):
+                x = frozenset() if type(g) is Mu else full
                 while True:
                     nxt = sem(b, {**env, p: x})
                     if nxt == x:

@@ -4,7 +4,7 @@ from .ast import (DIALECTS, FO1, FOE1, FOE1INF, And, DialectError, Eq, Exists,
                   ExistsInf, Forall, ForallInf, Formula, Neq, NegPred,
                   OneStepFormula, Or, Pred, W, TOP, BOT, conj,
                   disj, dual, expand_sugar, free_vars, is_positive,
-                  min_dialect, predicates, pretty, rank, rename_pred,
+                  min_dialect, predicates, rank, rename_pred,
                   sentence, type_atom)
 from .fragments import (FragmentFlags, cocontinuous_entry, continuous_entry,
                         fragment_check, in_cocontinuous_fragment,
@@ -21,6 +21,6 @@ from .normalform import (BasicForm, BasicFormDisjunct, NotContinuousError,
                          satisfying_restriction_exists,
                          to_basic_form, to_continuous_basic_form)
 from .parse import parse, parse_formula
-from ..syntax import ParseError
+from ..syntax import ParseError, pretty
 
 __all__ = [n for n in dir() if not n.startswith("_")]

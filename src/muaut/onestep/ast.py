@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Union
 
-from ..syntax import Node, junction, union
+from ..syntax import Node, infix, junction, union
 
 FO1 = "FO1"
 FOE1 = "FOE1"
@@ -55,36 +55,42 @@ class _OneStep(Node):
 class Pred(_OneStep):
     name: str
     var: str
+    notation = (None, "{name}({var})")
 
 
 @dataclass(frozen=True, eq=False)
 class NegPred(_OneStep):
     name: str
     var: str
+    notation = (None, "!{name}({var})")
 
 
 @dataclass(frozen=True, eq=False)
 class Eq(_OneStep):
     left: str
     right: str
+    notation = (None, "{left}={right}")
 
 
 @dataclass(frozen=True, eq=False)
 class Neq(_OneStep):
     left: str
     right: str
+    notation = (None, "{left}!={right}")
 
 
 @dataclass(frozen=True, eq=False)
 class And(_OneStep):
     args: tuple["Formula", ...]
     subs = ("args",)
+    notation = infix(" & ", 2, 1, "true")
 
 
 @dataclass(frozen=True, eq=False)
 class Or(_OneStep):
     args: tuple["Formula", ...]
     subs = ("args",)
+    notation = infix(" | ", 1, 0, "false")
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,6 +98,7 @@ class Exists(_OneStep):
     var: str
     body: "Formula"
     subs = ("body",)
+    notation = (0, "E {var}. ", ("body", 0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,6 +106,7 @@ class Forall(_OneStep):
     var: str
     body: "Formula"
     subs = ("body",)
+    notation = (0, "A {var}. ", ("body", 0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,6 +114,7 @@ class ExistsInf(_OneStep):
     var: str
     body: "Formula"
     subs = ("body",)
+    notation = (0, "Einf {var}. ", ("body", 0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,6 +122,7 @@ class ForallInf(_OneStep):
     var: str
     body: "Formula"
     subs = ("body",)
+    notation = (0, "Ainf {var}. ", ("body", 0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,6 +133,7 @@ class W(_OneStep):
     finite: "Formula"
     cofinite: "Formula"
     subs = ("finite", "cofinite")
+    notation = (None, "W {var}.(", ("finite", 0), ", ", ("cofinite", 0), ")")
 
 
 Formula = Union[Pred, NegPred, Eq, Neq, And, Or, Exists, Forall, ExistsInf, ForallInf, W]
@@ -205,44 +216,6 @@ def sentence(ast: Formula, dialect: str | None = None, preds: Iterable[str] | No
 def type_atom(tp: Iterable[str], var: str) -> Formula:
     """Positive description of a type: the conjunction of its predicates."""
     return conj(Pred(a, var) for a in sorted(tp))
-
-
-def pretty(f: Formula, _level: int = 0) -> str:
-    """Concrete syntax accepted back by the parser."""
-    match f:
-        case Pred(a, x):
-            return "%s(%s)" % (a, x)
-        case NegPred(a, x):
-            return "!%s(%s)" % (a, x)
-        case Eq(x, y):
-            return "%s=%s" % (x, y)
-        case Neq(x, y):
-            return "%s!=%s" % (x, y)
-        case And(args):
-            if not args:
-                return "true"
-            s = " & ".join(pretty(a, 2) for a in args)
-            return "(" + s + ")" if _level > 1 else s
-        case Or(args):
-            if not args:
-                return "false"
-            s = " | ".join(pretty(a, 1) for a in args)
-            return "(" + s + ")" if _level > 0 else s
-        case Exists(x, b):
-            s = "E %s. %s" % (x, pretty(b))
-            return "(" + s + ")" if _level > 0 else s
-        case Forall(x, b):
-            s = "A %s. %s" % (x, pretty(b))
-            return "(" + s + ")" if _level > 0 else s
-        case ExistsInf(x, b):
-            s = "Einf %s. %s" % (x, pretty(b))
-            return "(" + s + ")" if _level > 0 else s
-        case ForallInf(x, b):
-            s = "Ainf %s. %s" % (x, pretty(b))
-            return "(" + s + ")" if _level > 0 else s
-        case W(x, fin, cof):
-            return "W %s.(%s, %s)" % (x, pretty(fin), pretty(cof))
-    raise TypeError(f)
 
 
 def rename_pred(f: Formula, mapping: dict[str, str]) -> Formula:

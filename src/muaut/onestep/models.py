@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
-from typing import Iterable, Sequence, Union
+from itertools import chain, combinations, product
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -389,6 +389,12 @@ def _all_types(preds: Sequence) -> list[frozenset]:
             for mask in range(1 << len(preds))]
 
 
+def _subsets_by_size(xs: Sequence) -> Iterator[tuple]:
+    """Every subset of xs as a tuple, smallest first, each size in the
+    order of `combinations`."""
+    return chain.from_iterable(combinations(xs, k) for k in range(len(xs) + 1))
+
+
 @lru_cache(maxsize=8)
 def all_models(preds: tuple[str, ...], max_size: int) -> tuple[OneStepModel, ...]:
     """Every finite model up to max_size elements (including the empty one),
@@ -489,11 +495,10 @@ def all_valuations(f: Formula, domain: tuple[int, ...], preds=None) -> list[froz
     idx = {d: i for i, d in enumerate(domain)}
     pairs = [(a, d) for a in preds for d in domain]
     out = []
-    for k in range(len(pairs) + 1):
-        for combo in combinations(pairs, k):
-            val = {a: frozenset(idx[d] for b, d in combo if b == a) for a in preds}
-            if eval_finite(f, OneStepModel(len(domain), val)):
-                out.append(frozenset(combo))
+    for combo in _subsets_by_size(pairs):
+        val = {a: frozenset(idx[d] for b, d in combo if b == a) for a in preds}
+        if eval_finite(f, OneStepModel(len(domain), val)):
+            out.append(frozenset(combo))
     return out
 
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, combinations_with_replacement, product
+from itertools import combinations_with_replacement, product
 from typing import Optional
 
 import numpy as np
@@ -47,7 +47,7 @@ from .ast import (FO1, FOE1, FOE1INF, And, DialectError, Eq, Exists,
                   ExistsInf, Forall, ForallInf, Formula, Neq, Or,
                   OneStepFormula, conj, disj, expand_sugar, is_positive,
                   predicates, rank, sentence, type_atom)
-from .models import OMEGA, _all_types, eval_counts, eval_finite
+from .models import OMEGA, _all_types, _subsets_by_size, eval_counts, eval_finite
 
 PROFILE_LIMIT = 1 << 20
 LEAF_CACHE_BYTES = 64 << 20
@@ -518,11 +518,7 @@ def satisfying_restriction_exists(f: OneStepFormula, m, b: frozenset[str]) -> bo
     """
     exts = [sorted(m.valuation.get(a, frozenset())) for a in sorted(b)]
     names = sorted(b)
-
-    def powerset(xs):
-        return chain.from_iterable(combinations(xs, k) for k in range(len(xs) + 1))
-
-    for combo in product(*[list(powerset(e)) for e in exts]):
+    for combo in product(*[list(_subsets_by_size(e)) for e in exts]):
         val = dict(m.valuation)
         for a, sub in zip(names, combo):
             val[a] = frozenset(sub)

@@ -3,7 +3,8 @@
 Every AST node class is a frozen dataclass over `Node`, which interns nodes,
 stores their facts and gives the structural walkers `children` and `rebuild`.
 The one-step, fixpoint and second-order parsers are rule sets over `Cursor`
-and keep only their own atom and prefix rules.  Identifiers are
+and keep only their own atom and prefix rules; `pretty` prints all three
+from the `notation` each node class declares.  Identifiers are
 `[A-Za-z_][A-Za-z_0-9]*`; keywords are whole identifiers, never prefixes.
 """
 from __future__ import annotations
@@ -54,9 +55,11 @@ class Node(metaclass=_Interned):
     `subs`; each such field holds one node or a tuple of nodes of the same
     syntax.  `subs` is no dataclass field, so repr and `__match_args__` are
     the plain dataclass ones.  `derive` gives a node's facts from its kids'.
+    Each class also declares its `notation`, which `pretty` prints.
     """
 
     subs: tuple[str, ...] = ()
+    notation: tuple
 
     def __hash__(self) -> int:
         return self._hash
@@ -125,6 +128,51 @@ def junction(cls, args, zero):
         else:
             flat.append(a)
     return flat[0] if len(flat) == 1 else cls(tuple(flat))
+
+
+def infix(sep: str, level: int, bind: int, unit: str) -> property:
+    """The notation of an n-ary connective over `args`: the arguments at
+    `level` joined by sep, parenthesized above `bind`; `unit` when empty."""
+    return property(lambda f: (bind, ("args", level, sep)) if f.args else (None, unit))
+
+
+def pretty(f: Node) -> str:
+    """Concrete syntax that the grammar of f reads back as f.
+
+    A notation is `(bind, *parts)`: the node is parenthesized when printed
+    at a level above bind (never when bind is None).  A part is a format
+    string over the node's fields, or `(field, level)` / `(field, level,
+    separator)` for the formulas in that field, each printed at level and
+    joined by separator.  Printed on an explicit stack of pending texts and
+    (node, level) pairs, so depth is bounded by memory alone."""
+    out = []
+    stack = [(f, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        node, level = item
+        notation = node.notation
+        bind = notation[0]
+        if bind is not None and level > bind:
+            out.append("(")
+            stack.append(")")
+        for i in range(len(notation) - 1, 0, -1):
+            part = notation[i]
+            if type(part) is str:
+                stack.append(part.format_map(node.__dict__) if "{" in part else part)
+                continue
+            v = getattr(node, part[0])
+            if type(v) is not tuple:
+                stack.append((v, part[1]))
+                continue
+            if v:
+                lvl = part[1]
+                for c in v[:0:-1]:
+                    stack += ((c, lvl), part[2])
+                stack.append((v[0], lvl))
+    return "".join(out)
 
 
 # Deepest nesting any grammar accepts, counted over parentheses, prefix
