@@ -22,10 +22,12 @@ MODES = (STANDARD, FINITE, NOETHERIAN)
 
 LOGIC_MODE = {"smso": STANDARD, "wmso": FINITE, "nmso": NOETHERIAN}
 
-# the notations (see syntax.pretty) that both sorts share
+# the notations (see syntax.pretty) that both sorts share; `|` parses
+# left-nested and `ex` scopes as far right as it can, so a right operand
+# of `|` is parenthesized when it is a `|`, a left one when it is an `ex`
 _NOT = (None, "~", ("body", 2))
-_OR = (0, ("left", 1), " | ", ("right", 0))
-_EX = (0, "ex {var}. ", ("body", 0))
+_OR = (0, ("left", 2), " | ", ("right", 1))
+_EX = (1, "ex {var}. ", ("body", 0))
 
 
 # --- one-sorted -----------------------------------------------------------

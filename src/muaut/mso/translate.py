@@ -80,7 +80,7 @@ def _junction2(g, parts, v: str) -> Mso2:
 
 
 def _freshen_vars(alpha: o.Formula, fresh) -> o.Formula:
-    """alpha without sugar, every quantified variable renamed fresh("u")."""
+    """alpha without sugar, every quantified variable renamed fresh("w")."""
 
     def go(g: o.Formula, ren: dict[str, str]) -> o.Formula:
         match g:
@@ -90,8 +90,8 @@ def _freshen_vars(alpha: o.Formula, fresh) -> o.Formula:
                 return type(g)(ren[x], ren[y])
             case o.And() | o.Or():
                 return g.rebuild(lambda a: go(a, ren))
-        u = fresh("u")
-        return type(g)(u, go(g.body, {**ren, g.var: u}))
+        w = fresh("w")
+        return type(g)(w, go(g.body, {**ren, g.var: w}))
 
     return go(o.expand_sugar(alpha), {})
 
@@ -126,40 +126,42 @@ def mu_to_mso(f: mc.MuFormula, logic: str) -> Mso2:
         counter[0] += 1
         return "%s%d" % (base, counter[0])
 
-    def tr(g: mc.MuFormula, v: str) -> Mso2:
+    def tr(g: mc.MuFormula, v: str, ren: dict[str, str]) -> Mso2:
+        """g at the individual variable v, each bound letter p read as the
+        set variable ren[p]."""
         match g:
             case mc.Prop(p):
-                return PredApp(p, v)
+                return PredApp(ren.get(p, p), v)
             case mc.NegProp(p):
                 return Not2(PredApp(p, v))
             case mc.MAnd(args) | mc.MOr(args):
-                return _junction2(g, (tr(a, v) for a in args), v)
+                return _junction2(g, (tr(a, v, ren) for a in args), v)
             case mc.Modal(alpha, args):
                 # globally fresh quantified variables rule out shadowing
                 # when argument translations are substituted for atoms
                 body = onestep_dagger(_freshen_vars(alpha, fresh), v, fresh)
                 for i, arg in enumerate(args):
                     body = substitute_atom(body, "a%d" % (i + 1),
-                                           lambda x, arg=arg: tr(arg, x))
+                                           lambda x, arg=arg: tr(arg, x, ren))
                 return body
             case mc.Mu(p, b):
-                return _mu_clause(p, b, v)
+                return _mu_clause(p, b, v, ren)
             case mc.Nu(p, b):
-                inner = mc.Mu(p, mc.negate(b, frozenset({p})))
-                return Not2(_mu_clause(inner.var, inner.body, v))
+                return Not2(_mu_clause(p, mc.negate(b, frozenset({p})), v, ren))
         raise TypeError(g)
 
-    def _mu_clause(p: str, body: mc.MuFormula, v: str) -> Mso2:
+    def _mu_clause(p: str, body: mc.MuFormula, v: str, ren: dict[str, str]) -> Mso2:
         q = fresh("set")
+        r = fresh("set")  # p as a set variable, named in its sort
         w = fresh("w")
-        subset = forall_var(w, implies2(PredApp(p, w), PredApp(q, w)))
+        subset = forall_var(w, implies2(PredApp(r, w), PredApp(q, w)))
         prefix = forall_var(
-            w, implies2(and2(PredApp(q, w), tr(body, w)), PredApp(p, w)))
+            w, implies2(and2(PredApp(q, w), tr(body, w, {**ren, p: r})), PredApp(r, w)))
         # p quantified in the logic's own mode, restricted to q
-        inner = forall_set(p, implies2(and2(subset, prefix), PredApp(p, v)), mode)
+        inner = forall_set(r, implies2(and2(subset, prefix), PredApp(r, v)), mode)
         return ExistsSet(q, inner, mode)
 
-    return tr(f, "v")
+    return tr(f, "v", {})
 
 
 def mu_holds_via_mso(f: mc.MuFormula, lts, logic: str) -> bool:

@@ -145,8 +145,7 @@ def pretty(f: Node) -> str:
     separator)` for the formulas in that field, each printed at level and
     joined by separator.  Printed on an explicit stack of pending texts and
     (node, level) pairs, so depth is bounded by memory alone."""
-    out = []
-    stack = [(f, 0)]
+    out, stack = [], [(f, 0)]
     while stack:
         item = stack.pop()
         if type(item) is str:
@@ -154,24 +153,21 @@ def pretty(f: Node) -> str:
             continue
         node, level = item
         notation = node.notation
-        bind = notation[0]
-        if bind is not None and level > bind:
+        if notation[0] is not None and level > notation[0]:
             out.append("(")
             stack.append(")")
-        for i in range(len(notation) - 1, 0, -1):
-            part = notation[i]
+        for part in reversed(notation[1:]):
             if type(part) is str:
                 stack.append(part.format_map(node.__dict__) if "{" in part else part)
                 continue
-            v = getattr(node, part[0])
-            if type(v) is not tuple:
-                stack.append((v, part[1]))
+            kids = getattr(node, part[0])
+            if type(kids) is not tuple:
+                stack.append((kids, part[1]))
                 continue
-            if v:
-                lvl = part[1]
-                for c in v[:0:-1]:
-                    stack += ((c, lvl), part[2])
-                stack.append((v[0], lvl))
+            for c in kids[:0:-1]:
+                stack += ((c, part[1]), part[2])
+            if kids:
+                stack.append((kids[0], part[1]))
     return "".join(out)
 
 

@@ -112,6 +112,33 @@ def test_mso_cli(capsys, loop_file, tmp_path):
     assert capsys.readouterr().out.strip() == "true"
 
 
+# a chain and a system with a cycle, both rooted at 0
+SYSTEMS = [
+    {"props": ["p", "q"], "states": 3, "edges": [[0, 1], [1, 2]],
+     "colors": {"0": ["q"], "1": ["q"], "2": ["p"]}, "init": 0},
+    {"props": ["p", "q"], "states": 3, "edges": [[0, 1], [0, 2], [1, 0], [2, 2]],
+     "colors": {"0": ["q"], "1": ["q"], "2": ["p"]}, "init": 0},
+]
+
+
+@pytest.mark.parametrize("formula,logic,answers", [
+    ("mu x. p | dia x", "wmso", ["true", "true"]), ("mu x. p | box x", "nmso", ["true", "false"]),
+    ("mu x. <E y. E z. y != z & a1(y) & a2(z)>(x, q) | p", "wmso", ["false", "true"]),
+])
+def test_frommu_text_evaluates_as_the_formula(formula, logic, answers, capsys, tmp_path):
+    assert cli.main(["mso", "frommu", formula, "--logic", logic]) == 0
+    text = capsys.readouterr().out.strip()
+    for i, system in enumerate(SYSTEMS):
+        path = tmp_path / ("s%d.json" % i)
+        path.write_text(json.dumps(system))
+        assert cli.main(["mu", "eval", formula, "--lts", str(path)]) == 0
+        want = capsys.readouterr().out.splitlines()[0]
+        assert want == answers[i]
+        assert cli.main(["mso", "eval", "--two-sorted", text, "--logic", logic,
+                         "--lts", str(path)]) == 0
+        assert capsys.readouterr().out.strip() == want
+
+
 def test_aut_cli(capsys, tmp_path, loop_file):
     assert cli.main(["aut", "fromformula", "mu x. dia x", "--props", "p,q"]) == 0
     aut_json = capsys.readouterr().out

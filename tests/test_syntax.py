@@ -25,7 +25,10 @@ from muaut.syntax import MAX_NESTING, Node, ParseError
 
 # sha256 of `_corpus_lines()`, recorded with the hand-written parsers the
 # shared core replaced; the ASTs (and so their reprs) must not change.
-CORPUS_DIGEST = "a4d1969579c2d0c17dcfee3c0e97a6fec70c50b40a4e1bf77423254a16566640"
+# Re-recorded once, when two-sorted text began to read back as the formula
+# it prints: only the 375 `mso2` lines of `mu_to_mso` outputs that had not
+# read back changed.
+CORPUS_DIGEST = "e682a7513e3fdaf74fc1760ffc20b00beadc39f2f4edf19f0207cd869dc90d21"
 
 MSO1_POOL = [
     "down p", "p sub q", "Rel(p,q)", "ex r. (r sub p)", "ex r. (down r | Rel(r,q))",
@@ -38,18 +41,18 @@ MSO2_POOL = ["p(v)", "ex x. (R(v,x) | x=v)", "ex s. s(v)", "x=y", "ex x. R(v,x)"
 
 @functools.lru_cache(maxsize=1)
 def _corpus():
-    """(grammar, text, parsed AST) for every text of the corpus."""
+    """(grammar, text, parsed AST, printed AST) for every text of the corpus."""
     out = []
     for dialect in o.DIALECTS:
         for f in gen.enumerate_sentences(("a", "b"), 2, dialect):
             text = o.pretty(f.ast)
-            out.append(("onestep", text, o.parse(text, dialect, f.preds)))
+            out.append(("onestep", text, o.parse(text, dialect, f.preds), f.ast))
     rng = random.Random(41)
     for i in range(300):
         dialect = o.DIALECTS[i % 3]
         f = gen.rand_onestep(rng, ("a", "b", "c"), 3, dialect, positive=i % 2 == 0)
         text = o.pretty(f.ast)
-        out.append(("onestep", text, o.parse(text, dialect, f.preds)))
+        out.append(("onestep", text, o.parse(text, dialect, f.preds), f.ast))
     rng = random.Random(42)
     mus = []
     for mode in ("any", "af", "cont"):
@@ -59,14 +62,16 @@ def _corpus():
                                 modalities=modalities)
                 mus.append(f)
                 text = mc.pretty(f)
-                out.append(("mu", text, mc.parse(text)))
+                out.append(("mu", text, mc.parse(text), f))
     for logic in ("wmso", "nmso", "smso"):
         for text in MSO1_POOL:
-            text = mso.pretty1(mso.parse1(text, logic))
-            out.append(("mso1 " + logic, text, mso.parse1(text, logic)))
+            f = mso.parse1(text, logic)
+            text = mso.pretty1(f)
+            out.append(("mso1 " + logic, text, mso.parse1(text, logic), f))
         for text in MSO2_POOL:
-            text = mso.pretty2(mso.parse2(text, logic))
-            out.append(("mso2 " + logic, text, mso.parse2(text, logic)))
+            f = mso.parse2(text, logic)
+            text = mso.pretty2(f)
+            out.append(("mso2 " + logic, text, mso.parse2(text, logic), f))
     for f in mus:
         for logic in ("wmso", "nmso"):
             try:
@@ -74,13 +79,13 @@ def _corpus():
             except mso.FragmentError:
                 continue
             text = mso.pretty2(g)
-            out.append(("mso2 " + logic, text, mso.parse2(text, logic)))
+            out.append(("mso2 " + logic, text, mso.parse2(text, logic), g))
     return tuple(out)
 
 
 def _corpus_lines():
     """One line per parsed text: its grammar, the text and the AST's repr."""
-    return ["%s\t%s\t%r" % line for line in _corpus()]
+    return ["%s\t%s\t%r" % line[:3] for line in _corpus()]
 
 
 def test_corpus_parses_to_the_recorded_asts():
@@ -90,9 +95,17 @@ def test_corpus_parses_to_the_recorded_asts():
     assert digest == CORPUS_DIGEST
 
 
+def test_every_corpus_formula_reads_back_as_itself():
+    # `printed` is the AST each text was printed from, such as a `mu_to_mso` output
+    for grammar, text, f, printed in _corpus():
+        assert _parser(grammar)(syntax.pretty(printed)) is printed is getattr(f, "ast", f), text
+
+
 # sha256 of `_walker_lines()`, recorded with the match-based walkers that
-# the node layer's children/rebuild replaced.
-WALKER_DIGEST = "01d7806b7a31bd2ae9704f1da47bf01fd33a51d4eeb2e0ce3891a8d2aefeabc7"
+# the node layer's children/rebuild replaced.  Re-recorded with the corpus
+# digest: only those 375 `mso2` rows and the `mu_to_mso` entries of `mu`
+# rows changed, which now name variables in their sort.
+WALKER_DIGEST = "d6b5a9fcd91f71be922f74e1baaca42f0b5c07d805a9e25ded9dfcb7d157079c"
 
 SIGMA = {"p": mc.dia(mc.Prop("q")), "q": mc.mor((mc.Prop("p"), mc.Nu("y", mc.box(mc.Prop("y")))))}
 
@@ -108,7 +121,7 @@ def _walker_lines():
     """One line per corpus text: the outputs of every structural walker
     that applies to its grammar."""
     out = []
-    for grammar, text, f in _corpus():
+    for grammar, text, f, _ in _corpus():
         if grammar == "onestep":
             f = f.ast
             row = [o.expand_sugar(f), o.dual(f), o.rename_pred(f, {"a": "b", "b": "c"}),
@@ -152,7 +165,7 @@ def test_subformula_fields_are_the_fields_that_hold_formulas(classes, formula):
         assert "subs" not in cls.__match_args__
     # and in parsed formulas: subformula fields hold nodes of the same syntax, other fields none
     seen = set()
-    for _, _, f in _corpus():
+    for _, _, f, _ in _corpus():
         for g in _nodes(getattr(f, "ast", f)):
             if type(g) not in classes:
                 break
@@ -168,6 +181,19 @@ def _nodes(f):
     yield f
     for c in f.children():
         yield from _nodes(c)
+
+
+@pytest.mark.parametrize("classes,formula", SYNTAXES, ids=[name for _, name in SYNTAXES])
+def test_every_node_class_declares_a_notation_and_prints(classes, formula):
+    assert o.pretty is mc.pretty is mso.pretty1 is mso.pretty2 is syntax.pretty
+    first = {}
+    for grammar, _, f, _ in _corpus():
+        for g in _nodes(getattr(f, "ast", f)):
+            first.setdefault(type(g), (grammar, g))
+    for cls in classes:
+        assert "notation" in vars(cls), cls
+        grammar, g = first[cls]
+        assert _parser(grammar)(syntax.pretty(g)) is g, g
 
 
 A, B, X = o.Pred("a", "x"), o.Neq("x", "y"), o.Eq("x", "x")
@@ -256,7 +282,54 @@ def test_nesting_limit_does_not_depend_on_the_stack(case, frames):
         _from_depth(frames, lambda: parse(text))
 
 
+def _deep(n):
+    """(grammar, builder of a formula of nesting depth n or 2n from
+    constructors, its text) for shapes of each grammar."""
+    def build(leaf, wrap):  # wrap(f, i) is f wrapped at step i
+        return lambda: functools.reduce(wrap, range(n), leaf)
+
+    a, b, p, q = o.Pred("a", "x"), o.Pred("b", "x"), mc.Prop("p"), mc.Prop("q")
+    alpha = o.Exists("x", o.Or((o.Pred("a1", "x"), o.Pred("a2", "x"))))
+    d, x = mso.Down("p"), mso.EqVar("x", "v")
+    return [
+        ("onestep", build(a, lambda f, i: o.Exists("x", f)), "E x. " * n + "a(x)"),
+        ("onestep", build(b, lambda f, i: o.W("x", a, f)), "W x.(a(x), " * n + "b(x)" + ")" * n),
+        ("onestep", build(a, lambda f, i: o.And((a, o.Or((b, f))))),
+         "a(x) & (b(x) | " * n + "a(x)" + ")" * n),
+        ("mu", build(p, lambda f, i: mc.dia(f)), "dia " * n + "p"),
+        ("mu", build(q, lambda f, i: mc.Modal(alpha, (p, f))),
+         "<E x. a1(x) | a2(x)>(p, " * n + "q" + ")" * n),
+        ("mu", build(q, lambda f, i: mc.Nu("z%d" % i, mc.MAnd((p, f)))),
+         "".join("nu z%d. p & (" % i for i in range(n - 1, 0, -1))
+         + "nu z0. p & q" + ")" * (n - 1)),
+        ("mso1 wmso", build(d, lambda f, i: mso.Not1(f)), "~" * n + "down p"),
+        ("mso1 wmso", build(mso.Down("q"), lambda f, i: mso.Or1(d, f)),
+         "down p | (" * (n - 1) + "down p | down q" + ")" * (n - 1)),
+        ("mso2 wmso", build(mso.RelApp("v", "x"), lambda f, i: mso.ExistsVar("x", f)),
+         "ex x. " * n + "R(v,x)"),
+        ("mso2 wmso", build(x, lambda f, i: mso.Or2(f, mso.PredApp("p", "v"))),
+         "(" * (n - 1) + "x=v" + " | p(v))" * (n - 1) + " | p(v)"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(len(_deep(2))))
+@pytest.mark.parametrize("frames", [0, 300])
+def test_printing_depth_does_not_depend_on_the_stack(case, frames):
+    _, build, text = _deep(10 ** 4)[case]
+    f = build()
+    assert _from_depth(frames, lambda: syntax.pretty(f)) == text
+    grammar, build, text = _deep(MAX_NESTING // 2 - 1)[case]
+    f = build()
+    assert syntax.pretty(f) == text and _parser(grammar)(text) is f
+
+
 PARSERS = {"onestep": o.parse_formula, "mu": mc.parse, "mso1": mso.parse1, "mso2": mso.parse2}
+
+
+def _parser(grammar):
+    """The parser of a corpus grammar such as "mso2 wmso", with its logic."""
+    kind, _, logic = grammar.partition(" ")
+    return functools.partial(PARSERS[kind], logic=logic) if logic else PARSERS[kind]
 
 
 @pytest.mark.parametrize("grammar,text", [
