@@ -38,13 +38,11 @@ class MonotoneFunctional:
         return out
 
 
-def formula_functional(body: MuFormula, var: str, lts: LTS,
-                       env: dict[str, frozenset[int]] | None = None) -> MonotoneFunctional:
+def formula_functional(body: MuFormula, var: str, lts: LTS) -> MonotoneFunctional:
     """The functional X -> meaning of the body with the letter set to X."""
-    base = dict(env or {})
 
     def apply(xs: frozenset[int]) -> frozenset[int]:
-        return open_eval(body, lts, {**base, var: xs})
+        return open_eval(body, lts, {var: xs})
 
     return MonotoneFunctional(frozenset(lts.states()), apply, lts)
 

@@ -102,8 +102,8 @@ class LTS:
         """Extension of letter p (the valuation view of the colouring)."""
         return frozenset(s for s in range(self.n) if p in self.colours[s])
 
-    def reachable(self, start: Optional[int] = None) -> frozenset[int]:
-        return reach(self.successor_table(), (self.init if start is None else start,))
+    def reachable(self) -> frozenset[int]:
+        return reach(self.successor_table(), (self.init,))
 
     def to_json(self) -> dict:
         colors = {

@@ -181,6 +181,7 @@ def substitute_atom(f: Mso2, name: str, maker) -> Mso2:
 INDIVIDUAL_VARS = re.compile(r"^[v-z][0-9]*$")
 # convention: v,w,x,y,z (optionally indexed) are individual variables,
 # anything else is a proposition letter / set variable
+KEYWORDS = frozenset({"ex", "down", "Rel", "R"})  # names that cannot open an atom
 
 
 MsoParseError = ParseError

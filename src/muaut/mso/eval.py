@@ -25,15 +25,20 @@ def _candidates(lts: LTS, mode: str) -> list[frozenset[int]]:
     return subs
 
 
-def eval_mso(f: Mso1, lts: LTS, env: dict[str, frozenset[int]] | None = None) -> bool:
-    def ext(p: str, env: dict[str, frozenset[int]]) -> frozenset[int]:
-        if p in env:
-            return env[p]
-        if p in lts.props:
-            return lts.holds(p)
-        raise UnboundError("letter %r neither bound nor in the alphabet" % p)
+def eval_mso(f: Mso1 | Mso2, lts: LTS, assignment: dict[str, int] | None = None) -> bool:
+    """Truth of a formula of either sort, its free individual variables
+    read from the assignment.  A letter is a set: bound, or the extension
+    of a proposition of the system."""
+    held = {p: lts.holds(p) for p in lts.props}
+    candidates: dict[str, list[frozenset[int]]] = {}  # per mode, built once
 
-    def go(g: Mso1, env: dict[str, frozenset[int]]) -> bool:
+    def ext(p: str, env: dict[str, frozenset[int]]) -> frozenset[int]:
+        out = env[p] if p in env else held.get(p)
+        if out is None:
+            raise UnboundError("letter %r neither bound nor in the alphabet" % p)
+        return out
+
+    def go(g, asg: dict[str, int], env: dict[str, frozenset[int]]) -> bool:
         match g:
             case Down(p):
                 return ext(p, env) == frozenset({lts.init})
@@ -42,48 +47,32 @@ def eval_mso(f: Mso1, lts: LTS, env: dict[str, frozenset[int]] | None = None) ->
             case RelStep(a, b):
                 right = ext(b, env)
                 return all(any((s, t) in lts.edges for t in right) for s in ext(a, env))
-            case Not1(b):
-                return not go(b, env)
-            case Or1(a, b):
-                return go(a, env) or go(b, env)
-            case Exists1(v, b, mode):
-                return any(go(b, {**env, v: x}) for x in _candidates(lts, mode))
-        raise TypeError(g)
-
-    return go(f, env or {})
-
-
-def eval_mso2(f: Mso2, lts: LTS, assignment: dict[str, int],
-              env: dict[str, frozenset[int]] | None = None) -> bool:
-    env = env or {}
-
-    def go(g: Mso2, asg: dict[str, int], env: dict[str, frozenset[int]]) -> bool:
-        match g:
             case PredApp(p, x):
                 if x not in asg:
                     raise UnboundError("unassigned variable %r" % x)
-                if p in env:
-                    return asg[x] in env[p]
-                if p in lts.props:
-                    return p in lts.colours[asg[x]]
-                raise UnboundError("letter %r neither bound nor in the alphabet" % p)
+                return asg[x] in ext(p, env)
             case RelApp(x, y):
                 return (asg[x], asg[y]) in lts.edges
             case EqVar(x, y):
                 return asg[x] == asg[y]
-            case Not2(b):
+            case Not1(b) | Not2(b):
                 return not go(b, asg, env)
-            case Or2(a, b):
+            case Or1(a, b) | Or2(a, b):
                 return go(a, asg, env) or go(b, asg, env)
             case ExistsVar(v, b):
                 return any(go(b, {**asg, v: s}, env) for s in lts.states())
-            case ExistsSet(p, b, mode):
-                return any(go(b, asg, {**env, p: x}) for x in _candidates(lts, mode))
+            case Exists1(v, b, mode) | ExistsSet(v, b, mode):
+                if mode not in candidates:
+                    candidates[mode] = _candidates(lts, mode)
+                return any(go(b, asg, {**env, v: x}) for x in candidates[mode])
         raise TypeError(g)
 
-    return go(f, assignment, env)
+    return go(f, assignment or {}, {})
 
 
-def holds_at_init2(f: Mso2, lts: LTS, v: str = "v") -> bool:
+eval_mso2 = eval_mso
+
+
+def holds_at_init2(f: Mso2, lts: LTS) -> bool:
     """The designated-variable convention: evaluate with v at the root."""
-    return eval_mso2(f, lts, {v: lts.init})
+    return eval_mso(f, lts, {"v": lts.init})

@@ -12,7 +12,7 @@ from functools import reduce
 
 from .. import mucalc as mc
 from .. import onestep as o
-from .ast import (EqVar, ExistsSet, ExistsVar, Mso2, Not2, Or2, PredApp,
+from .ast import (KEYWORDS, EqVar, ExistsSet, ExistsVar, Mso2, Not2, Or2, PredApp,
                   RelApp, and2, conj2, forall_set, forall_var, implies2,
                   substitute_atom, FINITE, NOETHERIAN)
 
@@ -120,10 +120,17 @@ def mu_to_mso(f: mc.MuFormula, logic: str) -> Mso2:
         if dialect == o.FOE1INF:
             raise FragmentError("noetherian target cannot host infinity modalities")
 
+    free = mc.free_letters(f)
+    if free & KEYWORDS:
+        raise FragmentError("letter %r is a keyword of the two-sorted syntax"
+                            % min(free & KEYWORDS))
     counter = [0]
 
     def fresh(base: str) -> str:
+        """base<n> for the next n whose name is no free letter of f."""
         counter[0] += 1
+        while "%s%d" % (base, counter[0]) in free:
+            counter[0] += 1
         return "%s%d" % (base, counter[0])
 
     def tr(g: mc.MuFormula, v: str, ren: dict[str, str]) -> Mso2:

@@ -37,7 +37,7 @@ output usable as an automaton transition entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement, product
 from typing import Optional
 
@@ -51,8 +51,6 @@ from .models import OMEGA, _all_types, _subsets_by_size, eval_counts, eval_finit
 
 PROFILE_LIMIT = 1 << 20
 LEAF_CACHE_BYTES = 64 << 20
-
-_OMEGA_REP = 10 ** 9  # representative count for an infinite class
 
 
 class NotPositiveError(ValueError):
@@ -95,45 +93,80 @@ class BasicForm:
 # profile spaces
 
 
-@dataclass(frozen=True)
 class _Space:
-    preds: tuple[str, ...]
-    reps: tuple  # representative count per class, in class order
-    has_omega: bool
+    """The truncated multiplicity profiles over the types of preds: each
+    type takes one class, counted by one of reps (OMEGA for infinitely
+    many).  The types are in rank order (by size, then by sorted names), and
+    a profile's index reads its classes as base-len(reps) digits, the first
+    type's most significant, so the grid axes and the record columns share
+    one order.  A space also keeps the inclusion tables the pruner walks and
+    the maps of its profiles onto its sub-spaces."""
 
-    @property
-    def types(self):
-        return _all_types(self.preds)
+    def __init__(self, preds: tuple[str, ...], reps: tuple):
+        self.preds, self.reps = preds, reps
+        self.types = tuple(sorted(_all_types(preds), key=lambda tp: (len(tp), sorted(tp))))
+        self.size = len(reps) ** len(self.types)
+        self.cylinders: dict = {}  # sub-space preds -> profile index map onto it
 
-    @property
-    def size(self) -> int:
-        return len(self.reps) ** (1 << len(self.preds))
+    @cached_property
+    def index(self) -> dict:  # type -> rank
+        return {tp: j for j, tp in enumerate(self.types)}
+
+    @cached_property
+    def sup(self) -> np.ndarray:  # sup[s, u]: types[s] <= types[u]
+        return np.array([[s <= u for u in self.types] for s in self.types], dtype=bool)
+
+    @cached_property
+    def sups(self) -> tuple[tuple[int, ...], ...]:  # supersets of each type, rank order
+        return tuple(tuple(np.flatnonzero(row).tolist()) for row in self.sup)
+
+    @cached_property
+    def match_order(self) -> tuple[int, ...]:  # longest first, rank order within a length
+        return tuple(sorted(range(len(self.types)), key=lambda j: -len(self.types[j])))
+
+    def cylinder(self, sub: "_Space") -> np.ndarray:
+        """Per profile, the index of its restriction to the sub-space: the
+        counts of the types over each sub-space type summed and truncated.
+        A sub-space class is summed over its types' grid axes only, so the
+        one full-size array is the index itself."""
+        idx = self.cylinders.get(sub.preds)
+        if idx is None:
+            k, n, m = len(self.reps), len(self.types), len(sub.types)
+            reps = np.array(self.reps, dtype=np.float32)
+            top = max(rep for rep in self.reps if rep != OMEGA)
+            subset = frozenset(sub.preds)
+            idx = np.zeros((k,) * n, dtype=np.int64)
+            for j, u in enumerate(sub.types):
+                total = sum(reps.reshape((k,) + (1,) * (n - 1 - t))
+                            for t, tp in enumerate(self.types) if tp & subset == u)
+                cls = np.where(total == OMEGA, k - 1, np.minimum(total, top))
+                idx += cls.astype(np.int64) * k ** (m - 1 - j)
+            idx = self.cylinders[sub.preds] = idx.reshape(-1)
+        return idx
+
+
+@lru_cache(maxsize=64)
+def _space(preds: tuple[str, ...], reps: tuple) -> _Space:
+    return _Space(preds, reps)
 
 
 def _space_for(dialect: str, preds: tuple[str, ...], r: int) -> _Space:
     if dialect == FO1:
-        return _Space(preds, (0, 1), False)
-    reps = tuple(range(r)) + (r,)
-    if dialect == FOE1INF:
-        return _Space(preds, reps + (_OMEGA_REP,), True)
-    return _Space(preds, reps, False)
-
-
-def _count_rows(ntypes: int, reps: np.ndarray) -> list[np.ndarray]:
-    """Per type, the count reps[class] it has in every profile, as a
-    read-only broadcast view over the grid of profiles (one axis per type,
-    so the flat order is the odometer order of the profile index)."""
-    k = len(reps)
-    return [np.broadcast_to(reps.reshape((k,) + (1,) * (ntypes - 1 - t)), (k,) * ntypes)
-            for t in range(ntypes)]
+        return _space(preds, (0, 1))
+    return _space(preds, tuple(range(r + 1)) + ((OMEGA,) if dialect == FOE1INF else ()))
 
 
 @lru_cache(maxsize=32)
-def _leaf_counts(ntypes: int, reps: tuple) -> tuple[list[np.ndarray], dict]:
-    """The count rows of a profile space for `eval_counts`, omega as OMEGA,
-    with the packed availability columns its walks share."""
-    reps = np.array([OMEGA if rep == _OMEGA_REP else rep for rep in reps], dtype=np.float32)
-    return _count_rows(ntypes, reps), {}
+def _grid(ntypes: int, reps: tuple) -> tuple[list[np.ndarray], dict]:
+    """The count rows of every profile space of this shape for
+    `eval_counts`, with the packed availability columns its walks share.
+    Row t is the count of type t in every profile, a read-only broadcast
+    view over the grid of profiles (one axis per type, so the flat order is
+    the odometer order of the profile index)."""
+    k = len(reps)
+    reps = np.array(reps, dtype=np.float32)
+    return [np.broadcast_to(reps.reshape((k,) + (1,) * (ntypes - 1 - t)), (k,) * ntypes)
+            for t in range(ntypes)], {}
 
 
 class _LeafCache(dict):
@@ -177,42 +210,12 @@ def _sat_vector(ast: Formula, space: _Space) -> np.ndarray:
         hit = _leaf_cache.get(key)
         if hit is not None:
             return hit
-        types = space.types
-        out = eval_counts(ast, types, *_leaf_counts(len(types), space.reps))
+        out = eval_counts(ast, space.types, *_grid(len(space.types), space.reps))
         out.setflags(write=False)
         _leaf_cache.put(key, out)
         return out
-    sub = _Space(leaf_preds, space.reps, space.has_omega)
-    sub_sat = _sat_vector(ast, sub)
-    mapping = _cylinder_map(space, sub)
-    return sub_sat[mapping]
-
-
-@lru_cache(maxsize=256)
-def _cylinder_cache_key(joint_preds, reps, has_omega, sub_preds):
-    joint = _Space(joint_preds, reps, has_omega)
-    sub = _Space(sub_preds, reps, has_omega)
-    counts = _count_rows(1 << len(joint_preds), np.array(reps, dtype=np.int64))
-    sub_types = sub.types
-    k = len(reps)
-    r = k - (2 if has_omega else 1)
-    idx = np.zeros(joint.size, dtype=np.int64)
-    joint_types = joint.types
-    subset = frozenset(sub_preds)
-    for u_i, u in enumerate(sub_types):
-        total = np.zeros(counts[0].shape, dtype=np.int64)
-        for t_i, t in enumerate(joint_types):
-            if t & subset == u:
-                total += counts[t_i]
-        cls = np.minimum(total, r)
-        if has_omega:
-            cls = np.where(total >= _OMEGA_REP, r + 1, cls)
-        idx = idx * k + cls.reshape(-1)
-    return idx
-
-
-def _cylinder_map(joint: _Space, sub: _Space) -> np.ndarray:
-    return _cylinder_cache_key(joint.preds, joint.reps, joint.has_omega, sub.preds)
+    sub = _space(leaf_preds, space.reps)
+    return _sat_vector(ast, sub)[space.cylinder(sub)]
 
 
 # ---------------------------------------------------------------------------
@@ -222,54 +225,14 @@ def _cylinder_map(joint: _Space, sub: _Space) -> np.ndarray:
 # (len, sorted): W holds witness counts, C cover bits and I inf-cover bits.
 
 
-@dataclass(frozen=True, eq=False)
-class _Ranked:
-    """The types over a predicate tuple in rank order, with the inclusion
-    tables the pruner walks."""
-
-    types: tuple[frozenset[str], ...]
-    index: dict  # type -> rank
-    masks: tuple[int, ...]  # position of each ranked type in `_all_types`
-    sup: np.ndarray  # sup[s, u]: types[s] <= types[u]
-    sups: tuple[tuple[int, ...], ...]  # supersets of each type, rank order
-    match_order: tuple[int, ...]  # longest first, rank order within a length
-
-
-@lru_cache(maxsize=256)
-def _ranked(preds: tuple[str, ...]) -> _Ranked:
-    by_mask = _all_types(preds)
-    masks = tuple(sorted(range(len(by_mask)),
-                         key=lambda j: (len(by_mask[j]), sorted(by_mask[j]))))
-    types = tuple(by_mask[j] for j in masks)
-    sup = np.array([[s <= u for u in types] for s in types], dtype=bool)
-    sups = tuple(tuple(np.flatnonzero(row).tolist()) for row in sup)
-    match_order = tuple(sorted(range(len(types)), key=lambda j: -len(types[j])))
-    return _Ranked(types, {tp: j for j, tp in enumerate(types)}, masks, sup, sups,
-                   match_order)
-
-
-@lru_cache(maxsize=256)
-def _class_records(dialect: str, preds: tuple[str, ...], r: int):
-    """Per ranked type, the weight of its class digit in a profile index;
-    per class, the witness count and cover / inf-cover bits it yields."""
-    space = _space_for(dialect, preds, r)
-    k, ntypes = len(space.reps), 1 << len(preds)
-    weights = np.array([k ** (ntypes - 1 - j) for j in _ranked(preds).masks], dtype=np.int64)
-    r = 1 if dialect == FO1 else r  # FO1 only tells realized types from absent ones
-    inf = np.array([space.has_omega and rep == _OMEGA_REP for rep in space.reps])
-    wit = np.array([min(rep, r) for rep in space.reps], dtype=np.int16)
-    cov = np.array([rep >= r for rep in space.reps]) & ~inf
-    return k, weights, wit, cov, inf
-
-
-def _subsumed(w, c, i, W, C, I, dialect: str, rk: _Ranked) -> np.ndarray:
+def _subsumed(w, c, i, W, C, I, dialect: str, space: _Space) -> np.ndarray:
     """Rows that the record (w, c, i) subsumes.
 
     Sound, incomplete: every model of a marked row models the record.  The
     witness match is greedy: the record's witnesses, longest first, each
     take the first available superset type of the row in rank order.
     """
-    sup = rk.sup
+    sup = space.sup
     above = sup[c | i].any(0)  # types lying above a cover type of the record
     # every cover type of the row, and every infinite tail, must land
     # inside the record's; each demanded infinite type must ride on an
@@ -285,11 +248,11 @@ def _subsumed(w, c, i, W, C, I, dialect: str, rk: _Ranked) -> np.ndarray:
     if not len(cand):
         return out
     avail = W[cand]
-    for s in rk.match_order:
+    for s in space.match_order:
         if not w[s]:
             continue
         need = np.full(len(cand), w[s], dtype=W.dtype)
-        for u in rk.sups[s]:
+        for u in space.sups[s]:
             take = np.minimum(need, avail[:, u])
             avail[:, u] -= take
             need -= take
@@ -307,7 +270,7 @@ def _canonical_order(W, C, I) -> np.ndarray:
     return np.lexsort(keys.T[::-1])
 
 
-def _prune(W, C, I, dialect: str, rk: _Ranked) -> tuple[BasicFormDisjunct, ...]:
+def _prune(W, C, I, dialect: str, space: _Space) -> tuple[BasicFormDisjunct, ...]:
     """Greedy pass over the rows in canonical order: the next unmarked row
     is kept and marks every later row it subsumes.  Only kept rows are
     materialized."""
@@ -318,8 +281,8 @@ def _prune(W, C, I, dialect: str, rk: _Ranked) -> tuple[BasicFormDisjunct, ...]:
         kept.append(top)
         if len(rows):
             rows = rows[~_subsumed(W[top], C[top], I[top], W[rows], C[rows], I[rows],
-                                   dialect, rk)]
-    return _disjuncts(W[kept], C[kept], I[kept], dialect, rk.types)
+                                   dialect, space)]
+    return _disjuncts(W[kept], C[kept], I[kept], dialect, space.types)
 
 
 def _disjuncts(W, C, I, dialect: str, types) -> tuple[BasicFormDisjunct, ...]:
@@ -333,38 +296,43 @@ def _disjuncts(W, C, I, dialect: str, types) -> tuple[BasicFormDisjunct, ...]:
     return tuple(out)
 
 
-def _rows(disjuncts, rk: _Ranked):
+def _rows(disjuncts, space: _Space):
     """The W, C, I arrays of already materialized records."""
-    W = np.zeros((len(disjuncts), len(rk.types)), dtype=np.int16)
+    W = np.zeros((len(disjuncts), len(space.types)), dtype=np.int16)
     C = np.zeros(W.shape, dtype=bool)
     I = np.zeros(W.shape, dtype=bool)
     for row, d in enumerate(disjuncts):
         for tp in d.witnesses:
-            W[row, rk.index[tp]] += 1
-        C[row, [rk.index[tp] for tp in d.cover]] = True
-        I[row, [rk.index[tp] for tp in d.inf_cover or ()]] = True
+            W[row, space.index[tp]] += 1
+        C[row, [space.index[tp] for tp in d.cover]] = True
+        I[row, [space.index[tp] for tp in d.inf_cover or ()]] = True
     return W, C, I
 
 
-def _occurring(f: OneStepFormula) -> tuple[Formula, tuple[str, ...]]:
+def _profile_space(f: OneStepFormula) -> tuple[Formula, _Space]:
+    """The sugar-free sentence and its profile space over the occurring
+    predicates."""
     ast = expand_sugar(f.ast)
-    return ast, tuple(sorted(predicates(ast)))
+    return ast, _space_for(f.dialect, tuple(sorted(predicates(ast))), max(rank(ast), 1))
 
 
 def _records(f: OneStepFormula):
-    """W, C, I rows of every satisfying truncated profile, and the ranked
-    types they range over."""
-    ast, occ = _occurring(f)
-    r = max(rank(ast), 1)
-    space = _space_for(f.dialect, occ, r)
+    """W, C, I rows of every satisfying truncated profile, and the profile
+    space whose types they range over."""
+    ast, space = _profile_space(f)
     if space.size > PROFILE_LIMIT:
         raise ProfileBlowupError(
             "profile space %d exceeds limit (%d predicates occurring, depth %d)"
-            % (space.size, len(occ), r))
-    sat = _sat_vector(ast, space)
-    k, weights, wit, cov, inf = _class_records(f.dialect, occ, r)
-    cls = np.flatnonzero(sat)[:, None] // weights % k  # (profiles, ranked types)
-    return wit[cls], cov[cls], inf[cls], _ranked(occ)
+            % (space.size, len(space.preds), max(rank(ast), 1)))
+    k, n = len(space.reps), len(space.types)
+    cls = np.flatnonzero(_sat_vector(ast, space))[:, None] // k ** np.arange(n - 1, -1, -1) % k
+    # per class: the witness count, capped at the largest finite count (FO1
+    # only tells realized types from absent ones), and the cover bits
+    reps = np.array(space.reps)
+    inf = reps == OMEGA
+    top = reps[~inf].max()
+    return (np.minimum(reps, top).astype(np.int16)[cls], ((reps >= top) & ~inf)[cls],
+            inf[cls], space)
 
 
 @lru_cache(maxsize=4096)
@@ -377,8 +345,8 @@ def to_basic_form(f: OneStepFormula) -> BasicForm:
     """
     if not is_positive(f.ast):
         raise NotPositiveError("basic forms are defined for positive sentences")
-    W, C, I, rk = _records(f)
-    return BasicForm(f.dialect, f.preds, _prune(W, C, I, f.dialect, rk))
+    W, C, I, space = _records(f)
+    return BasicForm(f.dialect, f.preds, _prune(W, C, I, f.dialect, space))
 
 
 def record_sentence(witness_types: list[frozenset[str]], cover_types: list[frozenset[str]],
@@ -418,7 +386,7 @@ def expand(bf: BasicForm) -> OneStepFormula:
                     bf.dialect, bf.preds)
 
 
-def to_continuous_basic_form(f: OneStepFormula, b: frozenset[str], verify_bound: int | None = None) -> BasicForm:
+def to_continuous_basic_form(f: OneStepFormula, b: frozenset[str]) -> BasicForm:
     """Basic form whose universal/infinite part avoids the predicates in b.
 
     Defined for the FO1 and FOE1INF dialects.  The input must be positive
@@ -428,16 +396,16 @@ def to_continuous_basic_form(f: OneStepFormula, b: frozenset[str], verify_bound:
     if f.dialect == FOE1:
         raise DialectError("continuous basic forms exist for FO1 and FOE1INF only")
     bf = to_basic_form(f)
-    rk = _ranked(_occurring(f)[1])
-    W, C, I = _rows(bf.disjuncts, rk)
+    space = _profile_space(f)[1]
+    W, C, I = _rows(bf.disjuncts, space)
     if f.dialect == FO1:
-        C = C @ np.array([[s - b == u for u in rk.types] for s in rk.types])
+        C = C @ np.array([[s - b == u for u in space.types] for s in space.types])
     else:
-        hits = np.array([bool(s & b) for s in rk.types])
+        hits = np.array([bool(s & b) for s in space.types])
         keep = ~(I & hits).any(1)
         W, C, I = W[keep], C[keep], I[keep]
-    out = BasicForm(f.dialect, f.preds, _prune(W, C, I, f.dialect, rk))
-    bound = verify_bound if verify_bound is not None else rank(f.ast) + 1
+    out = BasicForm(f.dialect, f.preds, _prune(W, C, I, f.dialect, space))
+    bound = rank(f.ast) + 1
     if not equivalent(f, expand(out), bound):
         raise NotContinuousError(
             "input is not continuous in %r within bound %d" % (sorted(b), bound))
@@ -478,8 +446,7 @@ def equivalent(f: OneStepFormula, g: OneStepFormula, bound: int) -> bool:
     need_omega = f.dialect == FOE1INF or g.dialect == FOE1INF
     k = min(bound, max(rank(f.ast), rank(g.ast), 1))
     if len(preds) <= 3 or need_omega:
-        space = _Space(preds, tuple(range(k + 1)) + ((_OMEGA_REP,) if need_omega else ()),
-                       need_omega)
+        space = _space(preds, tuple(range(k + 1)) + ((OMEGA,) if need_omega else ()))
         if space.size <= PROFILE_LIMIT:
             fa = _sat_vector(expand_sugar(f.ast), space)
             ga = _sat_vector(expand_sugar(g.ast), space)

@@ -112,18 +112,23 @@ def test_mso_cli(capsys, loop_file, tmp_path):
     assert capsys.readouterr().out.strip() == "true"
 
 
-# a chain and a system with a cycle, both rooted at 0
+# a chain and a system with a cycle, both rooted at 0; besides p and q,
+# letters named like a fresh set variable of `mu_to_mso` or like words of
+# the two-sorted syntax
+LETTERS = ["p", "q", "set2", "sub", "E", "v"]
 SYSTEMS = [
-    {"props": ["p", "q"], "states": 3, "edges": [[0, 1], [1, 2]],
-     "colors": {"0": ["q"], "1": ["q"], "2": ["p"]}, "init": 0},
-    {"props": ["p", "q"], "states": 3, "edges": [[0, 1], [0, 2], [1, 0], [2, 2]],
-     "colors": {"0": ["q"], "1": ["q"], "2": ["p"]}, "init": 0},
+    {"props": LETTERS, "states": 3, "edges": [[0, 1], [1, 2]],
+     "colors": {"0": ["q"], "1": ["q", "sub", "E", "v"], "2": ["p", "set2"]}, "init": 0},
+    {"props": LETTERS, "states": 3, "edges": [[0, 1], [0, 2], [1, 0], [2, 2]],
+     "colors": {"0": ["q"], "1": ["q", "sub", "E", "v"], "2": ["p", "set2"]}, "init": 0},
 ]
 
 
 @pytest.mark.parametrize("formula,logic,answers", [
     ("mu x. p | dia x", "wmso", ["true", "true"]), ("mu x. p | box x", "nmso", ["true", "false"]),
     ("mu x. <E y. E z. y != z & a1(y) & a2(z)>(x, q) | p", "wmso", ["false", "true"]),
+    ("mu x. set2 | dia x", "wmso", ["true", "true"]),
+    ("mu x. (sub & E & v) | box x", "nmso", ["true", "false"]),
 ])
 def test_frommu_text_evaluates_as_the_formula(formula, logic, answers, capsys, tmp_path):
     assert cli.main(["mso", "frommu", formula, "--logic", logic]) == 0
@@ -137,6 +142,12 @@ def test_frommu_text_evaluates_as_the_formula(formula, logic, answers, capsys, t
         assert cli.main(["mso", "eval", "--two-sorted", text, "--logic", logic,
                          "--lts", str(path)]) == 0
         assert capsys.readouterr().out.strip() == want
+
+
+@pytest.mark.parametrize("letter", ["ex", "R", "Rel", "down"])
+def test_frommu_refuses_letters_named_by_keywords(letter, capsys):
+    assert cli.main(["mso", "frommu", "mu x. %s | dia x" % letter, "--logic", "wmso"]) == 2
+    assert "letter %r" % letter in capsys.readouterr().err
 
 
 def test_aut_cli(capsys, tmp_path, loop_file):

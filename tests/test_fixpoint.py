@@ -55,6 +55,21 @@ def test_unfolding_game_region_is_lfp():
         assert fx.unfolding_region(F) == fx.lfp(F)[0]
 
 
+@pytest.mark.parametrize("n", [9, 10, 12])
+def test_unfolding_region_is_lfp_past_eight_states(n):
+    # past eight states Exists plays only the approximant stages and their
+    # shrunk variants; on a chain with p at n-3 and q everywhere but at 2
+    # both least fixpoints are proper and nonempty
+    lts = L.make_lts(["p", "q"], n, [(s, s + 1) for s in range(n - 1)],
+                     {s: ["q"] + ["p"] * (s == n - 3) for s in range(n) if s != 2})
+    p, q, r = mc.Prop("p"), mc.Prop("q"), mc.Prop("r")
+    for body in (mc.MOr((p, mc.dia(r))), mc.MOr((p, mc.MAnd((q, mc.dia(r)))))):
+        F = fx.formula_functional(body, "r", lts)
+        fix = fx.lfp(F)[0]
+        assert fix and fix != F.carrier
+        assert fx.unfolding_region(F) == fix
+
+
 def test_unfolding_game_trivial_cases():
     const = fx.MonotoneFunctional(frozenset({0}), lambda x: frozenset({0}))
     assert fx.unfolding_region(const) == frozenset({0})

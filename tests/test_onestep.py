@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import random
@@ -141,9 +142,8 @@ def test_eval_counts_matches_weighted_oracle_on_every_profile():
         ast = o.expand_sugar(f.ast)
         occ = tuple(sorted(o.predicates(ast)))
         space = nf._space_for(f.dialect, occ, max(o.rank(ast), 1))
-        got = o.eval_counts(ast, space.types, *nf._leaf_counts(len(space.types), space.reps))
-        reps = [o.OMEGA if rep == nf._OMEGA_REP else rep for rep in space.reps]
-        for j, profile in enumerate(itertools.product(reps, repeat=len(space.types))):
+        got = o.eval_counts(ast, space.types, *nf._grid(len(space.types), space.reps))
+        for j, profile in enumerate(itertools.product(space.reps, repeat=len(space.types))):
             counts = {tp: c for tp, c in zip(space.types, profile) if c}
             assert got[j] == o.models.eval_weighted_raw(ast, counts), (o.pretty(f.ast), counts)
 
@@ -492,6 +492,37 @@ def test_pruner_matches_reference_on_criterion_entries(monkeypatch):
     corpus = _criterion_entries(monkeypatch)
     compared = _check_against_reference(corpus)
     assert compared == len(corpus) - 1  # only the 64,256-record entry is past the cap
+
+
+# sha256 of `_nf_lines`, recorded before the profile spaces took one type
+# order and one omega encoding; the normal forms must not drift
+NF_DIGEST = "23aa8f370370105068e10d5ef305e1a613c2d09fe7b451537e6102389f5d7ec5"
+
+
+def _nf_lines():
+    """One line per normal form, types printed as sorted names: the positive
+    rank-2 enumerated sentences over a, b in every dialect, and random
+    positive ones over a, b, c, whose leaves reach the cylinder maps."""
+    corpus = [f for d in sorted(o.DIALECTS) for f in gen.enumerate_sentences(("a", "b"), 2, d)
+              if o.is_positive(f.ast)]
+    rng = random.Random(16)
+    corpus += [gen.rand_onestep(rng, ("a", "b", "c"), 2, o.DIALECTS[i % 3], positive=True)
+               for i in range(300)]
+
+    def types(ts):
+        return sorted(sorted(t) for t in ts)
+
+    for f in corpus:
+        yield "%s %s %r\n" % (f.dialect, o.pretty(f.ast), [
+            ([sorted(t) for t in r.witnesses], types(r.cover),
+             None if r.inf_cover is None else types(r.inf_cover))
+            for r in o.to_basic_form(f).disjuncts])
+
+
+def test_normal_forms_match_the_recorded_digest():
+    text = "".join(_nf_lines())
+    assert text.count("\n") == 1122
+    assert hashlib.sha256(text.encode()).hexdigest() == NF_DIGEST
 
 
 def test_largest_construct_entry_is_fast():
