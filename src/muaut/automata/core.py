@@ -202,10 +202,10 @@ def classify_automaton(aut: ParityAutomaton) -> ClusterReport:
                 for colour in aut.props.colours():
                     f = aut.entry(a, colour)
                     if aut.omega[a] % 2 == 1:
-                        if not o.continuous_entry(f, mpreds):
+                        if not o.in_continuous_fragment(f, mpreds):
                             cw = False
                     else:
-                        if not o.cocontinuous_entry(f, mpreds):
+                        if not o.in_cocontinuous_fragment(f, mpreds):
                             cw = False
     return ClusterReport(clusters, degenerate, weak, cw)
 

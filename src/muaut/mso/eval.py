@@ -38,6 +38,11 @@ def eval_mso(f: Mso1 | Mso2, lts: LTS, assignment: dict[str, int] | None = None)
             raise UnboundError("letter %r neither bound nor in the alphabet" % p)
         return out
 
+    def at(x: str, asg: dict[str, int]) -> int:
+        if x not in asg:
+            raise UnboundError("unassigned variable %r" % x)
+        return asg[x]
+
     def go(g, asg: dict[str, int], env: dict[str, frozenset[int]]) -> bool:
         match g:
             case Down(p):
@@ -48,13 +53,11 @@ def eval_mso(f: Mso1 | Mso2, lts: LTS, assignment: dict[str, int] | None = None)
                 right = ext(b, env)
                 return all(any((s, t) in lts.edges for t in right) for s in ext(a, env))
             case PredApp(p, x):
-                if x not in asg:
-                    raise UnboundError("unassigned variable %r" % x)
-                return asg[x] in ext(p, env)
+                return at(x, asg) in ext(p, env)
             case RelApp(x, y):
-                return (asg[x], asg[y]) in lts.edges
+                return (at(x, asg), at(y, asg)) in lts.edges
             case EqVar(x, y):
-                return asg[x] == asg[y]
+                return at(x, asg) == at(y, asg)
             case Not1(b) | Not2(b):
                 return not go(b, asg, env)
             case Or1(a, b) | Or2(a, b):

@@ -124,6 +124,11 @@ def mu_to_mso(f: mc.MuFormula, logic: str) -> Mso2:
     if free & KEYWORDS:
         raise FragmentError("letter %r is a keyword of the two-sorted syntax"
                             % min(free & KEYWORDS))
+    # a modality's argument atoms are named stem1, stem2, ... apart from the
+    # free letters, so substituting one argument captures no letter of another
+    stem = "a"
+    while any(p.startswith(stem) and p[len(stem):].isdigit() for p in free):
+        stem = "_" + stem
     counter = [0]
 
     def fresh(base: str) -> str:
@@ -146,10 +151,11 @@ def mu_to_mso(f: mc.MuFormula, logic: str) -> Mso2:
             case mc.Modal(alpha, args):
                 # globally fresh quantified variables rule out shadowing
                 # when argument translations are substituted for atoms
+                atoms = ["%s%d" % (stem, i + 1) for i in range(len(args))]
+                alpha = o.rename_pred(alpha, dict(zip(g.pred_names(), atoms)))
                 body = onestep_dagger(_freshen_vars(alpha, fresh), v, fresh)
-                for i, arg in enumerate(args):
-                    body = substitute_atom(body, "a%d" % (i + 1),
-                                           lambda x, arg=arg: tr(arg, x, ren))
+                for atom, arg in zip(atoms, args):
+                    body = substitute_atom(body, atom, lambda x, arg=arg: tr(arg, x, ren))
                 return body
             case mc.Mu(p, b):
                 return _mu_clause(p, b, v, ren)

@@ -287,8 +287,8 @@ def _unary(c: Cursor) -> MuFormula:
         alpha = onestep_formula(c)
         c.expect(">")
         c.expect("(")
-        args = [c.infix(_unary, MOr, MAnd)]
-        while c.peek() == ",":
+        args = [] if c.peek() == ")" else [c.infix(_unary, MOr, MAnd)]
+        while args and c.peek() == ",":
             c.take()
             args.append(c.infix(_unary, MOr, MAnd))
         c.expect(")")

@@ -6,10 +6,8 @@ from .ast import (DIALECTS, FO1, FOE1, FOE1INF, And, DialectError, Eq, Exists,
                   disj, dual, expand_sugar, free_vars, is_positive,
                   min_dialect, predicates, rank, rename_pred,
                   sentence, type_atom)
-from .fragments import (FragmentFlags, cocontinuous_entry, continuous_entry,
-                        fragment_check, in_cocontinuous_fragment,
-                        in_continuous_fragment, match_nabla, separates,
-                        separation_sufficient)
+from .fragments import (in_cocontinuous_fragment, in_continuous_fragment,
+                        separates, separation_sufficient)
 from .models import (OMEGA, OneStepModel, WeightedOneStepModel, all_models,
                      all_valuations, all_weighted_models, eval_capped, eval_counts,
                      eval_finite, eval_weighted, min_valuations,

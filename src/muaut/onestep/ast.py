@@ -152,13 +152,17 @@ def disj(args: Iterable[Formula]) -> Formula:
 
 
 def expand_sugar(f: Formula) -> Formula:
-    """Rewrite every W node into its quantifier definition."""
+    """Rewrite every W node into its quantifier definition.  The result is
+    stored on f, as its facts are, so an interned formula is expanded once."""
     if f.facts.sugar_free:
         return f
-    f = f.rebuild(expand_sugar)
-    if isinstance(f, W):
-        return And((Forall(f.var, Or((f.finite, f.cofinite))), ForallInf(f.var, f.cofinite)))
-    return f
+    out = f.__dict__.get("expanded")
+    if out is None:
+        out = f.rebuild(expand_sugar)
+        if isinstance(out, W):
+            out = And((Forall(out.var, Or((out.finite, out.cofinite))), ForallInf(out.var, out.cofinite)))
+        f.__dict__["expanded"] = out
+    return out
 
 
 # the stored facts of a formula (see Facts), read as functions

@@ -44,9 +44,9 @@ from typing import Optional
 import numpy as np
 
 from .ast import (FO1, FOE1, FOE1INF, And, DialectError, Eq, Exists,
-                  ExistsInf, Forall, ForallInf, Formula, Neq, Or,
-                  OneStepFormula, conj, disj, expand_sugar, is_positive,
-                  predicates, rank, sentence, type_atom)
+                  ExistsInf, Forall, Formula, Neq, Or, OneStepFormula, W,
+                  conj, disj, expand_sugar, is_positive, predicates, rank,
+                  sentence, type_atom)
 from .models import OMEGA, _all_types, _subsets_by_size, eval_counts, eval_finite
 
 PROFILE_LIMIT = 1 << 20
@@ -352,20 +352,21 @@ def to_basic_form(f: OneStepFormula) -> BasicForm:
 def record_sentence(witness_types: list[frozenset[str]], cover_types: list[frozenset[str]],
                     inf_types: list[frozenset[str]] | None = None) -> Formula:
     """Witness/cover sentence over arbitrary predicate names, with the
-    distinctness guards interleaved for early backtracking."""
+    distinctness guards interleaved for early backtracking.
+
+    With inf_types the cover is W z.(z=x1 | ... | cover, inf), the shape of
+    the continuous grammar, with one Einf conjunct per inf type.  Since
+    W z.(f, g) is A z.(f | g) & Ainf z. g, that reads A z.(...) & Ainf z.(inf)
+    when the cover types hold the inf types, as they do in every record."""
     xs = ["x%d" % (i + 1) for i in range(len(witness_types))]
-    body: Formula = Forall(
-        "z",
-        disj([Eq("z", x) for x in xs] + [type_atom(s, "z") for s in cover_types]),
-    )
+    cover = disj([Eq("z", x) for x in xs] + [type_atom(s, "z") for s in cover_types])
+    body: Formula = (Forall("z", cover) if inf_types is None
+                     else W("z", cover, disj(type_atom(s, "z") for s in inf_types)))
     for i in reversed(range(len(xs))):
         guards: list[Formula] = [Neq(xs[i], xs[j]) for j in range(i)]
         body = Exists(xs[i], conj(guards + [type_atom(witness_types[i], xs[i]), body]))
     if inf_types is not None:
-        parts: list[Formula] = [body]
-        parts += [ExistsInf("y", type_atom(s, "y")) for s in inf_types]
-        parts.append(ForallInf("y", disj(type_atom(s, "y") for s in inf_types)))
-        body = conj(parts)
+        body = conj([body] + [ExistsInf("y", type_atom(s, "y")) for s in inf_types])
     return body
 
 

@@ -171,6 +171,24 @@ def test_criterion_7_translation_fragments():
     _report("7 translation fragment guarantees (both directions)", bad, n, t0)
 
 
+def test_criterion_7_on_construct_outputs():
+    # finitary constructs are continuous-weak and noetherian ones weak, so
+    # their formulas, printed and read back, land in the continuous and
+    # alternation-free calculi
+    t0 = time.time()
+    rng = random.Random(105)
+    bad = 0
+    for dialect, want, construct, fragment in (
+            (o.FOE1INF, "cw", au.finitary_construct, "continuous_calculus"),
+            (o.FOE1, "weak", au.noetherian_construct, "alternation_free")):
+        for _ in range(60):
+            aut = gen.rand_automaton(rng, ("p",), rng.choice([1, 2]), dialect=dialect, want=want)
+            f = au.to_formula(construct(aut))
+            if mc.parse(mc.pretty(f)) is not f or not getattr(mc.classify(f), fragment):
+                bad += 1
+    _report("7 translation fragment guarantees on construct outputs", bad, 120, t0)
+
+
 def test_criterion_8_mu_to_mso():
     t0 = time.time()
     rng = random.Random(108)

@@ -264,22 +264,35 @@ def test_random_automata_are_pinned():
     assert digest.hexdigest() == "78bd756f1db5a4105edb90b6436e9d06a05d315bc7e662952a347090e800afe7"
 
 
+def _macro_atoms_per_type(f: o.Formula, macro: frozenset[str]) -> int:
+    """The most macro predicates on one variable among the atoms of one
+    conjunction of f: a record's types are such conjunctions."""
+    stack, most = [f], 0
+    while stack:
+        g = stack.pop()
+        stack.extend(g.children())
+        if isinstance(g, o.And):
+            on = [a.var for a in g.args if isinstance(a, o.Pred) and a.name in macro]
+            most = max([most] + [on.count(x) for x in on])
+    return most
+
+
 def test_lifted_entries_are_macro_separating():
     # every lifted disjunct uses only empty or singleton macro types
     rng = random.Random(11)
     aut = gen.rand_automaton(rng, ("p",), 2, dialect=o.FOE1, want="weak")
     sim = au.noetherian_construct(aut)
     macro_preds = frozenset(au.pred_name(q) for q in sim.macro_states)
+    lifted = 0
     for q in sim.macro_states:
         for c in sim.props.colours():
             entry = sim.entry(q, c)
-            disjuncts = entry.args if isinstance(entry, o.Or) else (entry,)
-            for d in disjuncts:
-                shape = o.match_nabla(d)
-                if shape is None:
-                    continue  # the plain conjunction disjunct
-                wits, cover, _ = shape
-                assert o.separation_sufficient(list(wits) + list(cover), macro_preds)
+            lifted += bool(o.predicates(entry) & macro_preds)
+            assert _macro_atoms_per_type(entry, macro_preds) <= 1
+    assert lifted
+    # the detector sees a type with two macro predicates
+    two = o.record_sentence([frozenset({"q2", "q3"})], [frozenset()])
+    assert _macro_atoms_per_type(two, macro_preds) == 2
 
 
 def test_construct_preconditions():

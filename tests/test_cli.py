@@ -144,6 +144,24 @@ def test_frommu_text_evaluates_as_the_formula(formula, logic, answers, capsys, t
         assert capsys.readouterr().out.strip() == want
 
 
+@pytest.mark.parametrize("logic", ["wmso", "nmso"])
+def test_frommu_keeps_letters_named_like_argument_atoms(logic, capsys, tmp_path):
+    # the letter a2 is the first argument; substituting the second argument
+    # for the modality's atom a2 must not reach it
+    formula = "<E y. E z. y != z & a1(y) & a2(z)>(a2, q)"
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"props": ["a2", "q"], "states": 3, "edges": [[0, 1], [0, 2]],
+                                "colors": {"1": ["a2"], "2": ["q"]}, "init": 0}))
+    assert cli.main(["mu", "eval", formula, "--lts", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "true"
+    assert cli.main(["mso", "frommu", formula, "--logic", logic]) == 0
+    text = capsys.readouterr().out.strip()
+    assert "a2(" in text
+    assert cli.main(["mso", "eval", "--two-sorted", text, "--logic", logic,
+                     "--lts", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "true"
+
+
 @pytest.mark.parametrize("letter", ["ex", "R", "Rel", "down"])
 def test_frommu_refuses_letters_named_by_keywords(letter, capsys):
     assert cli.main(["mso", "frommu", "mu x. %s | dia x" % letter, "--logic", "wmso"]) == 2
@@ -257,6 +275,21 @@ def test_well_typed_json_still_loads(tmp_path, capsys):
     assert cli.main(["aut", "classify", "--in", str(path)]) == 0
 
 
+@pytest.mark.parametrize("entry,continuous", [
+    # a record ending in its infinite part as a separate Ainf conjunct: not
+    # in the continuous grammar, though equivalent to the W form below
+    ("(E x1. q0(x1) & (A z. z=x1 | q0(z) | q1(z))) & (Einf y. q1(y)) & (Ainf y. q1(y))", False),
+    ("E x1. q0(x1) & W z.(z=x1 | q0(z) | q1(z), q1(z)) & (Einf y. q1(y))", True),
+])
+def test_aut_classify_reads_continuity_off_the_grammar(entry, continuous, tmp_path, capsys):
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"dialect": "FOE1INF", "props": ["p"], "states": 2, "init": 0,
+                                "omega": [1, 0], "delta": {"0,": entry, "0,p": entry,
+                                                           "1,": "true", "1,p": "true"}}))
+    assert cli.main(["aut", "classify", "--in", str(path)]) == 0
+    assert "weak=True continuous-weak=%s" % continuous in capsys.readouterr().out
+
+
 def test_game_solve_on_a_deep_ladder(tmp_path, capsys):
     n = 3000
     path = tmp_path / "ladder.json"
@@ -305,6 +338,12 @@ def test_game_owner_tags(tags, tmp_path, capsys):
 def test_two_sorted_eval_rejects_one_sorted_atoms(formula, capsys, loop_file):
     assert cli.main(["mso", "eval", "--two-sorted", formula, "--lts", loop_file]) == 2
     assert "one-sorted atom" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("formula", ["p(x)", "R(v,x)", "x=v"])
+def test_two_sorted_eval_names_an_unassigned_variable(formula, capsys, loop_file):
+    assert cli.main(["mso", "eval", "--two-sorted", formula, "--lts", loop_file]) == 2
+    assert capsys.readouterr().err.strip() == "error: unassigned variable 'x'"
 
 
 @pytest.mark.parametrize("argv,missing", [

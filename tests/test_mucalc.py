@@ -218,6 +218,16 @@ def test_parse_pretty_round_trip():
         assert mc.parse(mc.pretty(f)) == f
 
 
+def test_modality_without_arguments_reads_back():
+    # `to_formula` gives an entry that names no state such a modality
+    for text in ("<false>()", "~p & <A x. true>() | p & <false>()"):
+        f = mc.parse(text)
+        assert mc.pretty(f) == text and mc.parse(mc.pretty(f)) is f
+    assert mc.parse("<false>()") == mc.Modal(o.BOT, ())
+    with pytest.raises(mc.MuParseError):
+        mc.parse("<false>(,)")
+
+
 @pytest.mark.parametrize("text", ["dia " * 1500 + "p", "(" * 2000 + "p" + ")" * 2000,
                                   "<E x. " + "(" * 2000 + "a1(x)" + ")" * 2000 + ">(p)"])
 def test_deep_nesting_is_a_parse_error(text):

@@ -233,8 +233,9 @@ def test_fragment_check_examples():
     assert o.in_continuous_fragment(o.parse("W x.(b(x), c(x))", "FOE1INF").ast, b)
     assert o.in_continuous_fragment(o.parse("E x. b(x)").ast, b)
     assert not o.in_continuous_fragment(o.parse("Einf x. b(x)", "FOE1INF").ast, b)
-    flags = o.fragment_check(o.parse_formula("E x. (!a(x) | E y. a(y))"), frozenset({"a"}))
-    assert not flags.positive
+    negated = o.parse_formula("E x. (!a(x) | E y. a(y))")
+    assert not o.in_continuous_fragment(negated, frozenset({"a"}))
+    assert not o.in_cocontinuous_fragment(negated, frozenset({"a"}))
 
 
 def test_monotonicity_of_positive_sentences():
@@ -499,20 +500,25 @@ def test_pruner_matches_reference_on_criterion_entries(monkeypatch):
 NF_DIGEST = "23aa8f370370105068e10d5ef305e1a613c2d09fe7b451537e6102389f5d7ec5"
 
 
-def _nf_lines():
-    """One line per normal form, types printed as sorted names: the positive
-    rank-2 enumerated sentences over a, b in every dialect, and random
-    positive ones over a, b, c, whose leaves reach the cylinder maps."""
+def _nf_corpus() -> list[o.OneStepFormula]:
+    """The positive rank-2 enumerated sentences over a, b in every dialect,
+    and random positive ones over a, b, c, whose leaves reach the cylinder
+    maps."""
     corpus = [f for d in sorted(o.DIALECTS) for f in gen.enumerate_sentences(("a", "b"), 2, d)
               if o.is_positive(f.ast)]
     rng = random.Random(16)
     corpus += [gen.rand_onestep(rng, ("a", "b", "c"), 2, o.DIALECTS[i % 3], positive=True)
                for i in range(300)]
+    return corpus
+
+
+def _nf_lines():
+    """One line per normal form of `_nf_corpus`, types printed as sorted names."""
 
     def types(ts):
         return sorted(sorted(t) for t in ts)
 
-    for f in corpus:
+    for f in _nf_corpus():
         yield "%s %s %r\n" % (f.dialect, o.pretty(f.ast), [
             ([sorted(t) for t in r.witnesses], types(r.cover),
              None if r.inf_cover is None else types(r.inf_cover))
@@ -523,6 +529,64 @@ def test_normal_forms_match_the_recorded_digest():
     text = "".join(_nf_lines())
     assert text.count("\n") == 1122
     assert hashlib.sha256(text.encode()).hexdigest() == NF_DIGEST
+    # every expanded normal form prints as text that reads back as itself
+    for f in _nf_corpus():
+        e = o.expand(o.to_basic_form(f))
+        assert o.parse(o.pretty(e.ast), e.dialect, e.preds).ast is e.ast, o.pretty(e.ast)
+
+
+# sha256 of `_continuity_lines`, recorded with the record-shape recognizer
+# that decided continuity before records were written in the grammar's W
+# shape; the grammar must give the same answer on every pair
+CONTINUITY_DIGEST = "d276450048210fceaa424281d357eb8a703484c7056981720d1dff5b7bf41be5"
+
+
+def _continuity_lines():
+    """One line per (record or entry, B) pair, named without printing the
+    record: every record of a `_nf_corpus` normal form and the expanded
+    entry, and every entry of the criterion-7 constructs and each of its
+    disjuncts, each with every set B of its predicates; with the answers of
+    `in_continuous_fragment` and `in_cocontinuous_fragment`."""
+
+    def subsets(preds):
+        return [frozenset(c) for k in range(len(preds) + 1)
+                for c in itertools.combinations(sorted(preds), k)]
+
+    def lines(name, formulas, preds):
+        for i, g in enumerate(formulas):
+            for b in subsets(preds(g)):
+                yield "%s %s %s %d %d\n" % (name, i, sorted(b), o.in_continuous_fragment(g, b),
+                                             o.in_cocontinuous_fragment(g, b))
+
+    for f in _nf_corpus():
+        bf = o.to_basic_form(f)
+        formulas = [o.expand_disjunct(d, f.dialect) for d in bf.disjuncts] + [o.expand(bf).ast]
+        yield from lines("%s %s" % (f.dialect, o.pretty(f.ast)), formulas, lambda g: f.preds)
+    for j, sim in enumerate(_criterion_7_constructs()):
+        for (a, c), e in sorted(sim.delta.items(), key=lambda kv: (kv[0][0], sorted(kv[0][1]))):
+            formulas = list(e.args) + [e] if isinstance(e, o.Or) else [e]
+            yield from lines("%d %d %s" % (j, a, sorted(c)), formulas, o.predicates)
+
+
+def _criterion_7_constructs() -> list[au.ParityAutomaton]:
+    """60 finitary constructs of 1-2-state continuous-weak automata, then 60
+    noetherian constructs of weak ones (gen seed 105)."""
+    rng = random.Random(105)
+    out = []
+    for dialect, want, construct in ((o.FOE1INF, "cw", au.finitary_construct),
+                                     (o.FOE1, "weak", au.noetherian_construct)):
+        for _ in range(60):
+            out.append(construct(gen.rand_automaton(rng, ("p",), rng.choice([1, 2]),
+                                                    dialect=dialect, want=want)))
+    return out
+
+
+def test_continuity_matches_the_recorded_digest():
+    text = "".join(_continuity_lines())
+    answers = [line.rsplit(" ", 2)[1:] for line in text.splitlines()]
+    assert len(answers) == 35_162
+    assert [sum(a[k] == "1" for a in answers) for k in (0, 1)] == [23_565, 18_536]
+    assert hashlib.sha256(text.encode()).hexdigest() == CONTINUITY_DIGEST
 
 
 def test_largest_construct_entry_is_fast():
