@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .. import mucalc as mc
 from .. import onestep as o
-from ..lts import PropSet, reach
+from ..lts import PropSet
 from ..paritygame import _sccs
 from .core import (ParityAutomaton, classify_automaton, occurrence_edges,
                    pred_name, pred_state)
@@ -57,12 +57,9 @@ def to_formula(aut: ParityAutomaton) -> mc.MuFormula:
         if not states:
             return {}
         graph = {a: sorted(t for t in edges[a] if t in states) for a in states}
-        # pick a source cluster: nothing outside it (within `states`) reaches it
-        for top in sorted((frozenset(c) for c in _sccs(sorted(states), graph)), key=min):
-            if not top & reach(graph, [t for a in states - top for t in graph[a]]):
-                break
-        else:
-            raise AssertionError("the clusters of a finite graph have a source")
+        # clusters come sinks first, so the last is a source: nothing
+        # outside it (within `states`) reaches it
+        top = frozenset(_sccs(sorted(states), graph)[-1])
         rest = translate(states - top)
 
         def entry_formula(b: int, images: dict[int, mc.MuFormula]) -> mc.MuFormula:

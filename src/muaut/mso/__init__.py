@@ -4,8 +4,7 @@ from .ast import (Down, EqVar, Exists1, ExistsSet, ExistsVar, FINITE,
                   LOGIC_MODE, MODES, Mso1, Mso2, MsoParseError, NOETHERIAN,
                   Not1, Not2, Or1, Or2, PredApp, RelApp, RelStep, STANDARD,
                   SubsetOf, and2, conj2, forall_set, forall_var,
-                  free_letters1, implies2, parse1, parse2,
-                  substitute_atom)
+                  free_letters1, implies2, parse1, parse2)
 from ..syntax import pretty as pretty1, pretty as pretty2
 from .compile import (CompileError, base_down, base_rel, base_subset,
                       compile_mso)

@@ -166,16 +166,6 @@ def conj2(parts) -> Mso2:
     return out
 
 
-def substitute_atom(f: Mso2, name: str, maker) -> Mso2:
-    """Replace every atom name(x) by maker(x); maker returns a formula."""
-    match f:
-        case PredApp(p, x) if p == name:
-            return maker(x)
-        case ExistsSet(p, _, _) if p == name:
-            return f
-    return f.rebuild(lambda g: substitute_atom(g, name, maker))
-
-
 # --- parsing --------------------------------------------------------------
 
 INDIVIDUAL_VARS = re.compile(r"^[v-z][0-9]*$")

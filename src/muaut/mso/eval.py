@@ -4,8 +4,13 @@ Set quantifiers range over all subsets, filtered by the quantifier mode:
 no filter for standard, none for finite either (every subset of a finite
 system is finite; the coincidence is asserted by tests, not assumed
 silently elsewhere), and the common-ancestor criterion for noetherian.
+Candidates are produced smallest first, as quantifiers ask for them; a
+quantifier's truth is memoized on the values of its free names.
 """
 from __future__ import annotations
+
+from itertools import count
+from typing import Iterator
 
 from ..lts import LTS, noetherian_subset
 from ..onestep.models import _subsets_by_size
@@ -18,10 +23,11 @@ class UnboundError(ValueError):
     pass
 
 
-def _candidates(lts: LTS, mode: str) -> list[frozenset[int]]:
-    subs = [frozenset(c) for c in _subsets_by_size(lts.states())]
+def _candidates(lts: LTS, mode: str) -> Iterator[frozenset[int]]:
+    """The subsets a quantifier of the mode ranges over, smallest first."""
+    subs = map(frozenset, _subsets_by_size(lts.states()))
     if mode == NOETHERIAN:
-        return [x for x in subs if noetherian_subset(lts, x)]
+        return (x for x in subs if noetherian_subset(lts, x))
     return subs
 
 
@@ -30,7 +36,19 @@ def eval_mso(f: Mso1 | Mso2, lts: LTS, assignment: dict[str, int] | None = None)
     read from the assignment.  A letter is a set: bound, or the extension
     of a proposition of the system."""
     held = {p: lts.holds(p) for p in lts.props}
-    candidates: dict[str, list[frozenset[int]]] = {}  # per mode, built once
+    made: dict[str, tuple[list, Iterator]] = {}  # per mode: candidates kept so far, the rest
+
+    def candidates(mode: str) -> Iterator[frozenset[int]]:
+        """The mode's candidates in order, each produced once and kept."""
+        if mode not in made:
+            made[mode] = [], _candidates(lts, mode)
+        kept, rest = made[mode]
+        for i in count():
+            if i == len(kept):
+                kept.append(next(rest, None))  # None past the last
+            if kept[i] is None:
+                return
+            yield kept[i]
 
     def ext(p: str, env: dict[str, frozenset[int]]) -> frozenset[int]:
         out = env[p] if p in env else held.get(p)
@@ -42,6 +60,8 @@ def eval_mso(f: Mso1 | Mso2, lts: LTS, assignment: dict[str, int] | None = None)
         if x not in asg:
             raise UnboundError("unassigned variable %r" % x)
         return asg[x]
+
+    memo: dict[tuple, bool] = {}  # (quantifier node, values of its free names) -> truth
 
     def go(g, asg: dict[str, int], env: dict[str, frozenset[int]]) -> bool:
         match g:
@@ -62,13 +82,17 @@ def eval_mso(f: Mso1 | Mso2, lts: LTS, assignment: dict[str, int] | None = None)
                 return not go(b, asg, env)
             case Or1(a, b) | Or2(a, b):
                 return go(a, asg, env) or go(b, asg, env)
-            case ExistsVar(v, b):
-                return any(go(b, {**asg, v: s}, env) for s in lts.states())
-            case Exists1(v, b, mode) | ExistsSet(v, b, mode):
-                if mode not in candidates:
-                    candidates[mode] = _candidates(lts, mode)
-                return any(go(b, asg, {**env, v: x}) for x in candidates[mode])
-        raise TypeError(g)
+        # a quantifier's truth depends only on the values of its free names
+        key = (g, *[(asg.get(n), env.get(n)) for n in g.facts])
+        if key not in memo:
+            match g:
+                case ExistsVar(v, b):
+                    memo[key] = any(go(b, {**asg, v: s}, env) for s in lts.states())
+                case Exists1(v, b, mode) | ExistsSet(v, b, mode):
+                    memo[key] = any(go(b, asg, {**env, v: x}) for x in candidates(mode))
+                case _:
+                    raise TypeError(g)
+        return memo[key]
 
     return go(f, assignment or {}, {})
 

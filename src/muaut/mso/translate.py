@@ -3,8 +3,11 @@
 The least-binder clause quantifies a restriction set q (finite for the
 weak logic, noetherian for the noetherian one) and says v lies in every
 prefixpoint of the q-restricted functional; greatest binders go through
-the dual least binder.  Modalities translate by relativizing their
-one-step sentence to the successors of the current individual variable.
+the dual least binder.  Modalities relativize their one-step sentence to
+the successors of the current individual variable.  Individual variables
+are reused level by level, as in the finite-variable standard translation
+(Blackburn, de Rijke & Venema, Modal Logic, 2001, 2.4), so a translation
+at v has only v free and each subformula is translated once per variable.
 """
 from __future__ import annotations
 
@@ -14,54 +17,54 @@ from .. import mucalc as mc
 from .. import onestep as o
 from .ast import (KEYWORDS, EqVar, ExistsSet, ExistsVar, Mso2, Not2, Or2, PredApp,
                   RelApp, and2, conj2, forall_set, forall_var, implies2,
-                  substitute_atom, FINITE, NOETHERIAN)
+                  FINITE, NOETHERIAN)
 
 
 class FragmentError(ValueError):
     pass
 
 
-def onestep_dagger(alpha: o.Formula, v: str, fresh) -> Mso2:
+def _point(j: int, v: str) -> str:
+    """The j-th (from 1) of w1, w2, ... that is not v."""
+    return "w%d" % (j + 1) if v in ["w%d" % i for i in range(1, j + 1)] else "w%d" % j
+
+
+def onestep_dagger(alpha: o.Formula, v: str, fresh, atom) -> Mso2:
     """Relativize a one-step sentence to the successors of v.
 
-    Predicate atoms stay atoms (to be substituted later); the infinity
-    quantifier becomes "outside every finite set there is a witness".
+    Each predicate atom a(x) becomes atom(a, y), y the individual variable
+    of x; the infinity quantifier becomes "outside every finite set there
+    is a witness".
     """
-    alpha = o.expand_sugar(alpha)
 
-    def go(g: o.Formula) -> Mso2:
+    def go(g: o.Formula, names: dict[str, str], depth: int) -> Mso2:
         match g:
             case o.Pred(a, x):
-                return PredApp(a, x)
+                return atom(a, names[x])
             case o.NegPred(a, x):
-                return Not2(PredApp(a, x))
+                return Not2(atom(a, names[x]))
             case o.Eq(x, y):
-                return EqVar(x, y)
+                return EqVar(names[x], names[y])
             case o.Neq(x, y):
-                return Not2(EqVar(x, y))
+                return Not2(EqVar(names[x], names[y]))
             case o.And(args) | o.Or(args):
-                return _junction2(g, map(go, args), v)
-            case o.Exists(x, b):
-                return ExistsVar(x, and2(RelApp(v, x), go(b)))
-            case o.Forall(x, b):
-                return forall_var(x, implies2(RelApp(v, x), go(b)))
-            case o.ExistsInf(x, b):
+                return _junction2(g, (go(a, names, depth) for a in args), v)
+        y = _point(depth + 1, v)
+        body = go(g.body, {**names, g.var: y}, depth + 1)
+        match g:
+            case o.Exists():
+                return ExistsVar(y, and2(RelApp(v, y), body))
+            case o.Forall():
+                return forall_var(y, implies2(RelApp(v, y), body))
+            case o.ExistsInf() | o.ForallInf():
                 p = fresh("fin")
-                return forall_set(
-                    p,
-                    ExistsVar(x, conj2([RelApp(v, x), Not2(PredApp(p, x)), go(b)])),
-                    FINITE,
-                )
-            case o.ForallInf(x, b):
-                p = fresh("fin")
-                return Not2(forall_set(
-                    p,
-                    ExistsVar(x, conj2([RelApp(v, x), Not2(PredApp(p, x)), Not2(go(b))])),
-                    FINITE,
-                ))
+                dual = isinstance(g, o.ForallInf)  # a finite set holds every counterexample
+                out = forall_set(p, ExistsVar(y, conj2(
+                    [RelApp(v, y), Not2(PredApp(p, y)), Not2(body) if dual else body])), FINITE)
+                return Not2(out) if dual else out
         raise TypeError(g)
 
-    return go(alpha)
+    return go(o.expand_sugar(alpha), {}, 0)
 
 
 def _false(v: str) -> Mso2:
@@ -77,23 +80,6 @@ def _junction2(g, parts, v: str) -> Mso2:
     if not parts:
         return Not2(_false(v)) if conjunction else _false(v)
     return conj2(parts) if conjunction else reduce(Or2, parts)
-
-
-def _freshen_vars(alpha: o.Formula, fresh) -> o.Formula:
-    """alpha without sugar, every quantified variable renamed fresh("w")."""
-
-    def go(g: o.Formula, ren: dict[str, str]) -> o.Formula:
-        match g:
-            case o.Pred(a, x) | o.NegPred(a, x):
-                return type(g)(a, ren[x])
-            case o.Eq(x, y) | o.Neq(x, y):
-                return type(g)(ren[x], ren[y])
-            case o.And() | o.Or():
-                return g.rebuild(lambda a: go(a, ren))
-        w = fresh("w")
-        return type(g)(w, go(g.body, {**ren, g.var: w}))
-
-    return go(o.expand_sugar(alpha), {})
 
 
 def mu_to_mso(f: mc.MuFormula, logic: str) -> Mso2:
@@ -124,11 +110,8 @@ def mu_to_mso(f: mc.MuFormula, logic: str) -> Mso2:
     if free & KEYWORDS:
         raise FragmentError("letter %r is a keyword of the two-sorted syntax"
                             % min(free & KEYWORDS))
-    # a modality's argument atoms are named stem1, stem2, ... apart from the
-    # free letters, so substituting one argument captures no letter of another
-    stem = "a"
-    while any(p.startswith(stem) and p[len(stem):].isdigit() for p in free):
-        stem = "_" + stem
+    # bound letters are pairwise distinct and not free, so each names one binder
+    mc.check_wf(f)
     counter = [0]
 
     def fresh(base: str) -> str:
@@ -138,43 +121,44 @@ def mu_to_mso(f: mc.MuFormula, logic: str) -> Mso2:
             counter[0] += 1
         return "%s%d" % (base, counter[0])
 
-    def tr(g: mc.MuFormula, v: str, ren: dict[str, str]) -> Mso2:
-        """g at the individual variable v, each bound letter p read as the
-        set variable ren[p]."""
+    sets: dict[str, tuple[str, str]] = {}  # bound letter -> (restriction q, itself as r)
+    memo: dict[tuple[mc.MuFormula, str], Mso2] = {}
+
+    def tr(g: mc.MuFormula, v: str) -> Mso2:
+        """g at the individual variable v, translated once per pair."""
+        if (g, v) not in memo:
+            memo[g, v] = _tr(g, v)
+        return memo[g, v]
+
+    def _tr(g: mc.MuFormula, v: str) -> Mso2:
         match g:
             case mc.Prop(p):
-                return PredApp(ren.get(p, p), v)
+                return PredApp(p if p in free else sets[p][1], v)
             case mc.NegProp(p):
                 return Not2(PredApp(p, v))
             case mc.MAnd(args) | mc.MOr(args):
-                return _junction2(g, (tr(a, v, ren) for a in args), v)
+                return _junction2(g, (tr(a, v) for a in args), v)
             case mc.Modal(alpha, args):
-                # globally fresh quantified variables rule out shadowing
-                # when argument translations are substituted for atoms
-                atoms = ["%s%d" % (stem, i + 1) for i in range(len(args))]
-                alpha = o.rename_pred(alpha, dict(zip(g.pred_names(), atoms)))
-                body = onestep_dagger(_freshen_vars(alpha, fresh), v, fresh)
-                for atom, arg in zip(atoms, args):
-                    body = substitute_atom(body, atom, lambda x, arg=arg: tr(arg, x, ren))
-                return body
+                arg = dict(zip(g.pred_names(), args))
+                return onestep_dagger(alpha, v, fresh, lambda a, y: tr(arg[a], y))
             case mc.Mu(p, b):
-                return _mu_clause(p, b, v, ren)
+                return _mu_clause(p, b, v)
             case mc.Nu(p, b):
-                return Not2(_mu_clause(p, mc.negate(b, frozenset({p})), v, ren))
+                return Not2(_mu_clause(p, mc.negate(b, frozenset({p})), v))
         raise TypeError(g)
 
-    def _mu_clause(p: str, body: mc.MuFormula, v: str, ren: dict[str, str]) -> Mso2:
-        q = fresh("set")
-        r = fresh("set")  # p as a set variable, named in its sort
-        w = fresh("w")
+    def _mu_clause(p: str, body: mc.MuFormula, v: str) -> Mso2:
+        if p not in sets:
+            sets[p] = fresh("set"), fresh("set")
+        q, r = sets[p]
+        w = _point(1, v)
         subset = forall_var(w, implies2(PredApp(r, w), PredApp(q, w)))
-        prefix = forall_var(
-            w, implies2(and2(PredApp(q, w), tr(body, w, {**ren, p: r})), PredApp(r, w)))
+        prefix = forall_var(w, implies2(and2(PredApp(q, w), tr(body, w)), PredApp(r, w)))
         # p quantified in the logic's own mode, restricted to q
         inner = forall_set(r, implies2(and2(subset, prefix), PredApp(r, v)), mode)
         return ExistsSet(q, inner, mode)
 
-    return tr(f, "v", {})
+    return tr(f, "v")
 
 
 def mu_holds_via_mso(f: mc.MuFormula, lts, logic: str) -> bool:

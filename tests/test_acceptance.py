@@ -4,6 +4,7 @@ Run with `pytest -s tests/test_acceptance.py` to see the lines as they
 complete.  Every criterion demands zero violations at the stated instance
 counts; sizes are pinned here, not calibrated elsewhere.
 """
+import functools
 import random
 import time
 
@@ -171,22 +172,62 @@ def test_criterion_7_translation_fragments():
     _report("7 translation fragment guarantees (both directions)", bad, n, t0)
 
 
+@functools.lru_cache(maxsize=1)
+def _construct_formulas():
+    """(formula, fragment, logic) for 60 finitary constructs of random
+    continuous-weak automata and 60 noetherian constructs of weak ones."""
+    rng = random.Random(105)
+    out = []
+    for dialect, want, construct, fragment, logic in (
+            (o.FOE1INF, "cw", au.finitary_construct, "continuous_calculus", "wmso"),
+            (o.FOE1, "weak", au.noetherian_construct, "alternation_free", "nmso")):
+        for _ in range(60):
+            aut = gen.rand_automaton(rng, ("p",), rng.choice([1, 2]), dialect=dialect, want=want)
+            out.append((au.to_formula(construct(aut)), fragment, logic))
+    return tuple(out)
+
+
 def test_criterion_7_on_construct_outputs():
     # finitary constructs are continuous-weak and noetherian ones weak, so
     # their formulas, printed and read back, land in the continuous and
     # alternation-free calculi
     t0 = time.time()
-    rng = random.Random(105)
-    bad = 0
-    for dialect, want, construct, fragment in (
-            (o.FOE1INF, "cw", au.finitary_construct, "continuous_calculus"),
-            (o.FOE1, "weak", au.noetherian_construct, "alternation_free")):
-        for _ in range(60):
-            aut = gen.rand_automaton(rng, ("p",), rng.choice([1, 2]), dialect=dialect, want=want)
-            f = au.to_formula(construct(aut))
-            if mc.parse(mc.pretty(f)) is not f or not getattr(mc.classify(f), fragment):
-                bad += 1
+    bad = sum(mc.parse(mc.pretty(f)) is not f or not getattr(mc.classify(f), fragment)
+              for f, fragment, _ in _construct_formulas())
     _report("7 translation fragment guarantees on construct outputs", bad, 120, t0)
+
+
+def _distinct_nodes(roots):
+    seen = set()
+    todo = list(roots)
+    while todo:
+        g = todo.pop()
+        if g not in seen:
+            seen.add(g)
+            todo.extend(g.children())
+    return seen
+
+
+def test_criterion_8_on_construct_outputs():
+    # each subformula is translated once per individual variable, so the
+    # translation's distinct nodes grow linearly with the distinct
+    # subformulas and the expanded sentences of the distinct modalities;
+    # and it agrees with the semantics on trees
+    t0 = time.time()
+    rng = random.Random(108)
+    bad = 0
+    for f, _, logic in _construct_formulas():
+        star = mso.mu_to_mso(f, logic)
+        subs = _distinct_nodes([f])
+        size = len(subs) + sum(len(_distinct_nodes([o.expand_sugar(g.alpha)]))
+                               for g in subs if isinstance(g, mc.Modal))
+        if len(_distinct_nodes([star])) > 16 * size:
+            bad += 1
+        for _ in range(2):
+            tree = gen.rand_tree(rng, ("p",), depth=1)
+            if mso.holds_at_init2(star, tree) != (tree.init in mc.semantics_eval(f, tree)):
+                bad += 1
+    _report("8 translation size and agreement on construct outputs", bad, 120, t0)
 
 
 def test_criterion_8_mu_to_mso():

@@ -3,6 +3,9 @@ import json
 import pytest
 
 from muaut import cli
+from muaut import lts as L
+from muaut import mso
+from muaut import mucalc as mc
 from muaut import onestep as o
 from muaut.automata.constructs import _macro_entry
 from muaut.onestep.models import _min_valuations_range
@@ -112,15 +115,25 @@ def test_mso_cli(capsys, loop_file, tmp_path):
     assert capsys.readouterr().out.strip() == "true"
 
 
+def test_mso_eval_stops_at_the_first_witness_set(capsys, tmp_path):
+    # 2^40 subsets per quantifier; the empty set, tried first, is a witness
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"props": ["p"], "states": 40, "colors": {}, "init": 0,
+                                "edges": [[i, i + 1] for i in range(39)]}))
+    assert cli.main(["mso", "eval", "ex q. ex r. (q sub p) | Rel(q,r)", "--logic", "smso",
+                     "--lts", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "true"
+
+
 # a chain and a system with a cycle, both rooted at 0; besides p and q,
-# letters named like a fresh set variable of `mu_to_mso` or like words of
-# the two-sorted syntax
-LETTERS = ["p", "q", "set2", "sub", "E", "v"]
+# letters named like a fresh set variable or an individual variable of
+# `mu_to_mso`, or like words of the two-sorted syntax
+LETTERS = ["p", "q", "set2", "sub", "E", "v", "w1"]
 SYSTEMS = [
     {"props": LETTERS, "states": 3, "edges": [[0, 1], [1, 2]],
-     "colors": {"0": ["q"], "1": ["q", "sub", "E", "v"], "2": ["p", "set2"]}, "init": 0},
+     "colors": {"0": ["q"], "1": ["q", "sub", "E", "v"], "2": ["p", "set2", "w1"]}, "init": 0},
     {"props": LETTERS, "states": 3, "edges": [[0, 1], [0, 2], [1, 0], [2, 2]],
-     "colors": {"0": ["q"], "1": ["q", "sub", "E", "v"], "2": ["p", "set2"]}, "init": 0},
+     "colors": {"0": ["q"], "1": ["q", "sub", "E", "v"], "2": ["p", "set2", "w1"]}, "init": 0},
 ]
 
 
@@ -129,6 +142,7 @@ SYSTEMS = [
     ("mu x. <E y. E z. y != z & a1(y) & a2(z)>(x, q) | p", "wmso", ["false", "true"]),
     ("mu x. set2 | dia x", "wmso", ["true", "true"]),
     ("mu x. (sub & E & v) | box x", "nmso", ["true", "false"]),
+    ("mu x. w1 | box x", "nmso", ["true", "false"]),
 ])
 def test_frommu_text_evaluates_as_the_formula(formula, logic, answers, capsys, tmp_path):
     assert cli.main(["mso", "frommu", formula, "--logic", logic]) == 0
@@ -146,8 +160,8 @@ def test_frommu_text_evaluates_as_the_formula(formula, logic, answers, capsys, t
 
 @pytest.mark.parametrize("logic", ["wmso", "nmso"])
 def test_frommu_keeps_letters_named_like_argument_atoms(logic, capsys, tmp_path):
-    # the letter a2 is the first argument; substituting the second argument
-    # for the modality's atom a2 must not reach it
+    # the letter a2 is the first argument, and the modality's atom a2 stands
+    # for the second: translating the atom must leave the letter alone
     formula = "<E y. E z. y != z & a1(y) & a2(z)>(a2, q)"
     path = tmp_path / "s.json"
     path.write_text(json.dumps({"props": ["a2", "q"], "states": 3, "edges": [[0, 1], [0, 2]],
@@ -196,8 +210,23 @@ def test_deep_nesting_exits_cleanly(capsys):
 
 def test_overflow_past_the_parser_exits_cleanly(capsys):
     # parses (within MAX_NESTING), then overflows the stack in the translation
-    assert cli.main(["mso", "frommu", "dia " * 150 + "p"]) == 2
+    assert cli.main(["mso", "frommu", "dia " * 199 + "p"]) == 2
     assert capsys.readouterr().err == "error: formula too deep to process\n"
+
+
+@pytest.mark.parametrize("colors", [{0: ["p"]}, {}])
+def test_frommu_of_a_deep_formula_evaluates_as_the_formula(colors, capsys, tmp_path):
+    # the printed text nests past MAX_NESTING, so the formula it prints is evaluated
+    formula = "dia " * 150 + "p"
+    lts = L.make_lts(["p"], 1, [(0, 0)], colors)
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(lts.to_json()))
+    assert cli.main(["mu", "eval", formula, "--lts", str(path)]) == 0
+    want = capsys.readouterr().out.splitlines()[0]
+    assert cli.main(["mso", "frommu", formula, "--logic", "wmso"]) == 0
+    g = mso.mu_to_mso(mc.parse(formula), "wmso")
+    assert capsys.readouterr().out.strip() == mso.pretty2(g)
+    assert str(mso.holds_at_init2(g, lts)).lower() == want
 
 
 @pytest.mark.parametrize("suite", sorted(cli.SUITES))

@@ -126,16 +126,15 @@ def test_dagger_examples():
         return "%s%d" % (base, counter[0])
 
     import muaut.onestep as o
-    dag = mso.onestep_dagger(o.parse("E x. a1(x)").ast, "v", fresh)
-    assert dag == mso.ExistsVar("x", mso.and2(mso.RelApp("v", "x"), mso.PredApp("a1", "x")))
-    top = mso.onestep_dagger(o.TOP, "v", fresh)
+    dag = mso.onestep_dagger(o.parse("E x. a1(x)").ast, "v", fresh, mso.PredApp)
+    assert dag == mso.ExistsVar("w1", mso.and2(mso.RelApp("v", "w1"), mso.PredApp("a1", "w1")))
+    top = mso.onestep_dagger(o.TOP, "v", fresh, mso.PredApp)
     lts = L.make_lts(["a1"], 1, [], {})
     assert mso.eval_mso2(top, lts, {"v": 0})
 
 
 def test_dagger_agreement_random():
     import muaut.onestep as o
-    from muaut.mso.translate import _freshen_vars
 
     rng = random.Random(8)
     for _ in range(40):
@@ -152,7 +151,7 @@ def test_dagger_agreement_random():
             counter[0] += 1
             return "%s%d" % (base, counter[0])
 
-        dag = mso.onestep_dagger(_freshen_vars(alpha.ast, fresh), "v", fresh)
+        dag = mso.onestep_dagger(alpha.ast, "v", fresh, mso.PredApp)
         assert o.eval_finite(alpha.ast, m) == mso.eval_mso2(dag, lts, {"v": 0})
 
 
@@ -171,6 +170,9 @@ def test_mu_to_mso_fragment_enforcement():
     with pytest.raises(mso.FragmentError):
         mso.mu_to_mso(box_mu, "wmso")
     mso.mu_to_mso(box_mu, "nmso")
+    # each bound letter names one binder, so one that is also free is refused
+    with pytest.raises(mc.IllFormedError):
+        mso.mu_to_mso(mc.MAnd((mc.Prop("p"), mc.Mu("p", mc.dia(mc.Prop("p"))))), "wmso")
 
 
 def test_mu_to_mso_agreement():
