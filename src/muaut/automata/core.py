@@ -40,6 +40,8 @@ class ParityAutomaton:
             raise ValueError("priority map not total")
         if not (0 <= self.init < self.n):
             raise ValueError("initial state out of range")
+        if not all(0 <= q < self.n for q in self.macro_states):
+            raise ValueError("macro states out of range: %r" % sorted(self.macro_states))
         colours = self.props.colours()
         for a in range(self.n):
             for c in colours:

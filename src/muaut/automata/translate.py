@@ -40,7 +40,7 @@ def _var(a: int) -> str:
 def _modal_of_entry(f: o.Formula, images: dict[int, mc.MuFormula]) -> mc.MuFormula:
     """Turn a transition entry into a modality applied to state images."""
     states = sorted(pred_state(p) for p in o.predicates(f))
-    renaming = {pred_name(s): "a%d" % (i + 1) for i, s in enumerate(states)}
+    renaming = dict(zip(map(pred_name, states), mc.arg_names(len(states))))
     alpha = o.rename_pred(f, renaming)
     args = tuple(images[s] for s in states)
     return mc.Modal(alpha, args) if states else mc.Modal(alpha, ())
@@ -114,6 +114,9 @@ def from_formula(f: mc.MuFormula, props: PropSet | None = None) -> ParityAutomat
     mc.check_wf(f)
     if props is None:
         props = PropSet(tuple(sorted(mc.free_letters(f))))
+    missing = mc.free_letters(f) - set(props.names)
+    if missing:
+        raise ValueError("letters not in the alphabet: %r" % sorted(missing))
     g = mc.guard_transform(f)
     dialect = mc.modal_dialect(g)
     prio = mc.binder_priorities(g)
@@ -156,8 +159,7 @@ def from_formula(f: mc.MuFormula, props: PropSet | None = None) -> ParityAutomat
                 tag = dominant(path)
                 occurring = o.predicates(alpha)
                 renaming = {}
-                for i, a in enumerate(args):
-                    name = "a%d" % (i + 1)
+                for name, a in zip(chi.pred_names(), args):
                     if name in occurring:
                         renaming[name] = pred_name(intern(_State(a, tag)))
                 return o.rename_pred(alpha, renaming)

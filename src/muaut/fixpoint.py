@@ -181,6 +181,8 @@ def finite_witness(f: MonotoneFunctional, s: int) -> Optional[frozenset[int]]:
     """A finite restriction set X with s in the least fixpoint of the
     restriction, built backwards through the approximants; None when s is
     not in the fixpoint at all."""
+    if s not in f.carrier:
+        raise ValueError("unknown state %d" % s)
     fix, stages = lfp(f)
     if s not in fix:
         return None

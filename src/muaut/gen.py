@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 
 from . import lts as L
+from . import mucalc as mc
 from . import onestep as o
 
 
@@ -139,8 +140,8 @@ def enumerate_sentences(preds=("a", "b"), max_rank: int = 2, dialect: str = o.FO
 def _cont_modal_pool(rng, dialect, n_active, n_free):
     """Small pool of one-step formulas continuous in the first n_active
     argument predicates (a1..a{n_active}), over n_active+n_free args."""
-    act = ["a%d" % (i + 1) for i in range(n_active)]
-    fre = ["a%d" % (i + 1) for i in range(n_active, n_active + n_free)]
+    names = list(mc.arg_names(n_active + n_free))
+    act, fre = names[:n_active], names[n_active:]
     pool = []
     if act:
         pick = rng.sample(act, rng.randint(1, len(act)))
@@ -163,7 +164,6 @@ def rand_mu(rng: random.Random, props=("p", "q"), depth: int = 3, mode: str = "a
     modalities on letter-free subtrees (plus continuous-shaped ones on
     active paths in 'cont' mode).
     """
-    from . import mucalc as mc
     counter = [0]
 
     def fresh():
@@ -178,8 +178,7 @@ def rand_mu(rng: random.Random, props=("p", "q"), depth: int = 3, mode: str = "a
     def general_modal(d, active, kind):
         n = rng.randint(1, 2)
         dialect = modalities
-        alpha = rand_onestep(rng, tuple("a%d" % (i + 1) for i in range(n)), 1,
-                             dialect, positive=True).ast
+        alpha = rand_onestep(rng, mc.arg_names(n), 1, dialect, positive=True).ast
         args = tuple(go(d - 1, (), "free") for _ in range(n))
         return mc.Modal(alpha, args)
 

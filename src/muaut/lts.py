@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional
 
+from .syntax import IDENTIFIER
+
 MAX_PROPS = 8
 
 
@@ -26,6 +28,9 @@ class PropSet:
     names: tuple[str, ...]
 
     def __post_init__(self):
+        for p in self.names:
+            if not (isinstance(p, str) and IDENTIFIER.fullmatch(p)):
+                raise ValueError("proposition letter %r is not an identifier" % (p,))
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate proposition letters: %r" % (self.names,))
         if len(self.names) > MAX_PROPS:

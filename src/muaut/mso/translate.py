@@ -34,8 +34,12 @@ def onestep_dagger(alpha: o.Formula, v: str, fresh, atom) -> Mso2:
 
     Each predicate atom a(x) becomes atom(a, y), y the individual variable
     of x; the infinity quantifier becomes "outside every finite set there
-    is a witness".
+    is a witness".  Every infinity quantifier of one call binds the same
+    set name, drawn at the first: an inner one shadows an outer one only in
+    its own body, where the outer set is not referred to, and equal
+    sub-translations then share their nodes.
     """
+    fin: list[str] = []
 
     def go(g: o.Formula, names: dict[str, str], depth: int) -> Mso2:
         match g:
@@ -57,7 +61,9 @@ def onestep_dagger(alpha: o.Formula, v: str, fresh, atom) -> Mso2:
             case o.Forall():
                 return forall_var(y, implies2(RelApp(v, y), body))
             case o.ExistsInf() | o.ForallInf():
-                p = fresh("fin")
+                if not fin:
+                    fin.append(fresh("fin"))
+                p = fin[0]
                 dual = isinstance(g, o.ForallInf)  # a finite set holds every counterexample
                 out = forall_set(p, ExistsVar(y, conj2(
                     [RelApp(v, y), Not2(PredApp(p, y)), Not2(body) if dual else body])), FINITE)

@@ -63,7 +63,13 @@ class Modal(Node):
         return (None, "<", ("alpha", 0), ">(", ("args", 0, ", "), ")")
 
     def pred_names(self) -> tuple[str, ...]:
-        return tuple("a%d" % (i + 1) for i in range(len(self.args)))
+        return arg_names(len(self.args))
+
+
+def arg_names(n: int) -> tuple[str, ...]:
+    """a1, ..., an: the predicates by which a modality's one-step sentence
+    names its n arguments, in order."""
+    return tuple("a%d" % (i + 1) for i in range(n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,20 +94,24 @@ MTOP = MAnd(())
 MBOT = MOr(())
 
 
+_DIA = o.Exists("x", o.Pred(arg_names(1)[0], "x"))
+_BOX = o.Forall("x", o.Pred(arg_names(1)[0], "x"))
+
+
 def dia(f: MuFormula) -> Modal:
-    return Modal(o.Exists("x", o.Pred("a1", "x")), (f,))
+    return Modal(_DIA, (f,))
 
 
 def box(f: MuFormula) -> Modal:
-    return Modal(o.Forall("x", o.Pred("a1", "x")), (f,))
+    return Modal(_BOX, (f,))
 
 
 def is_dia(f: MuFormula) -> bool:
-    return isinstance(f, Modal) and len(f.args) == 1 and f.alpha == o.Exists("x", o.Pred("a1", "x"))
+    return isinstance(f, Modal) and len(f.args) == 1 and f.alpha is _DIA
 
 
 def is_box(f: MuFormula) -> bool:
-    return isinstance(f, Modal) and len(f.args) == 1 and f.alpha == o.Forall("x", o.Pred("a1", "x"))
+    return isinstance(f, Modal) and len(f.args) == 1 and f.alpha is _BOX
 
 
 def mand(args: Iterable[MuFormula]) -> MuFormula:

@@ -9,8 +9,8 @@ binders, so membership in the restricted calculi survives the rewrite.
 from __future__ import annotations
 
 from .. import onestep as o
-from .ast import (MAnd, Modal, MOr, Mu, MuFormula, Nu, box, dia, free_letters,
-                  is_box, is_dia, mand, mor, refresh)
+from .ast import (MAnd, Modal, MOr, Mu, MuFormula, Nu, arg_names, box, dia,
+                  free_letters, is_box, is_dia, mand, mor, refresh)
 
 
 class NotFO1Error(ValueError):
@@ -23,13 +23,14 @@ def _rewrite(bf: o.BasicForm, args, dual: bool = False) -> MuFormula:
     dual modality (diamonds and boxes, conjunctions and disjunctions
     swapped)."""
     dia_, box_, and_, or_ = (box, dia, mor, mand) if dual else (dia, box, mand, mor)
+    arg = dict(zip(arg_names(len(args)), args))
     disjuncts = []
     for d in bf.disjuncts:
         parts: list[MuFormula] = []
         for tp in d.witnesses:
-            parts.append(dia_(and_(args[int(a[1:]) - 1] for a in sorted(tp))))
+            parts.append(dia_(and_(arg[a] for a in sorted(tp))))
         parts.append(box_(or_(
-            and_(args[int(a[1:]) - 1] for a in sorted(s))
+            and_(arg[a] for a in sorted(s))
             for s in sorted(d.cover, key=sorted)
         )))
         disjuncts.append(and_(parts))

@@ -32,7 +32,7 @@ def in_grammar(f: MuFormula, q: frozenset[str], binder: type, fragment=None) -> 
             return isinstance(f, binder) and in_grammar(b, q | {p}, binder, fragment)
         case Modal(alpha, args) if fragment is not None:
             touching = frozenset(
-                "a%d" % (i + 1) for i, a in enumerate(args) if free_letters(a) & q
+                name for name, a in zip(f.pred_names(), args) if free_letters(a) & q
             )
             if not fragment(alpha, touching):
                 return False

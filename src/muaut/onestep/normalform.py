@@ -8,19 +8,20 @@ the satisfying ones, and emits witness/cover disjuncts.  The truncation
 bound is an implementation lemma validated by the exhaustive agreement
 tests, not silently assumed.
 
-The sweep is organized for speed: satisfaction is computed as a boolean
-vector over the profile space, factored through conjunctions and
-disjunctions, with leaves evaluated on their own (much smaller) predicate
-space and cylindrified onto the joint space by multiplicity aggregation.
-A leaf is evaluated on all of its profiles in one walk of its quantifier
-tree (`eval_counts`): a profile enters only through tests "a fresh element
-of type t is left when u are pinned" (count > u, or count omega for the
-infinity quantifiers), so each quantifier option carries a bit column over
-the profiles and the quantifiers fold those columns with | and &.  The
-per-type counts are broadcast views over the profile grid, and the bit
-columns are shared by every leaf over the same space.  `equivalent` runs
-the same walk over the exact count vectors up to its bound, which stand
-for every finite model up to isomorphism.
+Each sentence has one profile space, over the predicates that occur in it,
+and every sweep of the sentence runs on that space: satisfaction is a
+boolean vector over its profiles, factored through conjunctions and
+disjunctions so that each leaf is swept once and kept (bounded in bytes)
+for the next sentence that shares it.  A leaf is evaluated on all profiles
+in one walk of its quantifier tree (`eval_counts`): a profile enters only
+through tests "a fresh element of type t is left when u are pinned" (count
+> u, or count omega for the infinity quantifiers), so each quantifier
+option carries a bit column over the profiles and the quantifiers fold
+those columns with | and &.  The per-type counts are broadcast views over
+the profile grid, and the bit columns are shared by every leaf over a space
+of the same shape.  `equivalent` runs the same walk over the exact count
+vectors up to its bound, which stand for every finite model up to
+isomorphism.
 
 Records are pruned as arrays.  Over the types in rank order (by size, then
 by sorted names), each satisfying profile becomes one row of three
@@ -99,18 +100,14 @@ class _Space:
     many).  The types are in rank order (by size, then by sorted names), and
     a profile's index reads its classes as base-len(reps) digits, the first
     type's most significant, so the grid axes and the record columns share
-    one order.  A space also keeps the inclusion tables the pruner walks and
-    the maps of its profiles onto its sub-spaces."""
+    one order.  A space also keeps the inclusion tables the pruner walks.
+    Every leaf of a sentence is swept on the sentence's space, whatever
+    predicates the leaf itself names."""
 
     def __init__(self, preds: tuple[str, ...], reps: tuple):
         self.preds, self.reps = preds, reps
         self.types = tuple(sorted(_all_types(preds), key=lambda tp: (len(tp), sorted(tp))))
         self.size = len(reps) ** len(self.types)
-        self.cylinders: dict = {}  # sub-space preds -> profile index map onto it
-
-    @cached_property
-    def index(self) -> dict:  # type -> rank
-        return {tp: j for j, tp in enumerate(self.types)}
 
     @cached_property
     def sup(self) -> np.ndarray:  # sup[s, u]: types[s] <= types[u]
@@ -123,26 +120,6 @@ class _Space:
     @cached_property
     def match_order(self) -> tuple[int, ...]:  # longest first, rank order within a length
         return tuple(sorted(range(len(self.types)), key=lambda j: -len(self.types[j])))
-
-    def cylinder(self, sub: "_Space") -> np.ndarray:
-        """Per profile, the index of its restriction to the sub-space: the
-        counts of the types over each sub-space type summed and truncated.
-        A sub-space class is summed over its types' grid axes only, so the
-        one full-size array is the index itself."""
-        idx = self.cylinders.get(sub.preds)
-        if idx is None:
-            k, n, m = len(self.reps), len(self.types), len(sub.types)
-            reps = np.array(self.reps, dtype=np.float32)
-            top = max(rep for rep in self.reps if rep != OMEGA)
-            subset = frozenset(sub.preds)
-            idx = np.zeros((k,) * n, dtype=np.int64)
-            for j, u in enumerate(sub.types):
-                total = sum(reps.reshape((k,) + (1,) * (n - 1 - t))
-                            for t, tp in enumerate(self.types) if tp & subset == u)
-                cls = np.where(total == OMEGA, k - 1, np.minimum(total, top))
-                idx += cls.astype(np.int64) * k ** (m - 1 - j)
-            idx = self.cylinders[sub.preds] = idx.reshape(-1)
-        return idx
 
 
 @lru_cache(maxsize=64)
@@ -204,18 +181,14 @@ def _sat_vector(ast: Formula, space: _Space) -> np.ndarray:
             for a in args:
                 out |= _sat_vector(a, space)
             return out
-    leaf_preds = tuple(sorted(predicates(ast)))
-    if leaf_preds == space.preds:
-        key = (ast, space.preds, space.reps)
-        hit = _leaf_cache.get(key)
-        if hit is not None:
-            return hit
-        out = eval_counts(ast, space.types, *_grid(len(space.types), space.reps))
-        out.setflags(write=False)
-        _leaf_cache.put(key, out)
-        return out
-    sub = _space(leaf_preds, space.reps)
-    return _sat_vector(ast, sub)[space.cylinder(sub)]
+    key = (ast, space.preds, space.reps)
+    hit = _leaf_cache.get(key)
+    if hit is not None:
+        return hit
+    out = eval_counts(ast, space.types, *_grid(len(space.types), space.reps))
+    out.setflags(write=False)
+    _leaf_cache.put(key, out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -296,34 +269,18 @@ def _disjuncts(W, C, I, dialect: str, types) -> tuple[BasicFormDisjunct, ...]:
     return tuple(out)
 
 
-def _rows(disjuncts, space: _Space):
-    """The W, C, I arrays of already materialized records."""
-    W = np.zeros((len(disjuncts), len(space.types)), dtype=np.int16)
-    C = np.zeros(W.shape, dtype=bool)
-    I = np.zeros(W.shape, dtype=bool)
-    for row, d in enumerate(disjuncts):
-        for tp in d.witnesses:
-            W[row, space.index[tp]] += 1
-        C[row, [space.index[tp] for tp in d.cover]] = True
-        I[row, [space.index[tp] for tp in d.inf_cover or ()]] = True
-    return W, C, I
-
-
-def _profile_space(f: OneStepFormula) -> tuple[Formula, _Space]:
-    """The sugar-free sentence and its profile space over the occurring
-    predicates."""
-    ast = expand_sugar(f.ast)
-    return ast, _space_for(f.dialect, tuple(sorted(predicates(ast))), max(rank(ast), 1))
-
-
 def _records(f: OneStepFormula):
-    """W, C, I rows of every satisfying truncated profile, and the profile
-    space whose types they range over."""
-    ast, space = _profile_space(f)
+    """W, C, I rows of every satisfying truncated profile of a positive
+    sentence, and its profile space, over the occurring predicates, whose
+    types they range over."""
+    if not is_positive(f.ast):
+        raise NotPositiveError("basic forms are defined for positive sentences")
+    ast = expand_sugar(f.ast)
+    r = max(rank(ast), 1)
+    space = _space_for(f.dialect, tuple(sorted(predicates(ast))), r)
     if space.size > PROFILE_LIMIT:
-        raise ProfileBlowupError(
-            "profile space %d exceeds limit (%d predicates occurring, depth %d)"
-            % (space.size, len(space.preds), max(rank(ast), 1)))
+        raise ProfileBlowupError("profile space %d exceeds limit (%d predicates occurring, depth %d)"
+                                 % (space.size, len(space.preds), r))
     k, n = len(space.reps), len(space.types)
     cls = np.flatnonzero(_sat_vector(ast, space))[:, None] // k ** np.arange(n - 1, -1, -1) % k
     # per class: the witness count, capped at the largest finite count (FO1
@@ -343,8 +300,6 @@ def to_basic_form(f: OneStepFormula) -> BasicForm:
     space; absent ones are unconstrained either way.  Records implied by a
     weaker kept record are pruned.
     """
-    if not is_positive(f.ast):
-        raise NotPositiveError("basic forms are defined for positive sentences")
     W, C, I, space = _records(f)
     return BasicForm(f.dialect, f.preds, _prune(W, C, I, f.dialect, space))
 
@@ -392,13 +347,13 @@ def to_continuous_basic_form(f: OneStepFormula, b: frozenset[str]) -> BasicForm:
 
     Defined for the FO1 and FOE1INF dialects.  The input must be positive
     and b-continuous; non-continuous inputs are detected by a bounded
-    semantic equivalence check and rejected.
+    semantic equivalence check and rejected.  The sentence's own records
+    are rewritten before pruning: for FO1 each cover type s becomes s - b,
+    and for FOE1INF the records whose infinite part meets b are dropped.
     """
     if f.dialect == FOE1:
         raise DialectError("continuous basic forms exist for FO1 and FOE1INF only")
-    bf = to_basic_form(f)
-    space = _profile_space(f)[1]
-    W, C, I = _rows(bf.disjuncts, space)
+    W, C, I, space = _records(f)
     if f.dialect == FO1:
         C = C @ np.array([[s - b == u for u in space.types] for s in space.types])
     else:

@@ -176,7 +176,8 @@ def pretty(f: Node) -> str:
 # level, so parsing stays far inside the interpreter's recursion limit.
 MAX_NESTING = 200
 
-_TOKEN = re.compile(r"\s*(?:([A-Za-z_][A-Za-z_0-9]*|!=|[<>()!=&|.,~])|(\S))")
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_TOKEN = re.compile(r"\s*(?:(%s|!=|[<>()!=&|.,~])|(\S))" % IDENTIFIER.pattern)
 
 
 class ParseError(ValueError):

@@ -264,6 +264,25 @@ def test_random_automata_are_pinned():
     assert digest.hexdigest() == "78bd756f1db5a4105edb90b6436e9d06a05d315bc7e662952a347090e800afe7"
 
 
+CONSTRUCT_DIGEST = "9b6ac019280155051cd6ac2b1911eabe481d01f1c629fa0eb8272b1112d1f39d"
+
+
+def test_criterion_5_constructs_are_pinned():
+    # the finitary and noetherian constructs of the criterion-5 stream (gen
+    # seed 105: each automaton, then its check tree), as the bench draws them
+    rng = random.Random(105)
+    outs = []
+    for dialect, want, construct in ((o.FOE1INF, "cw", au.finitary_construct),
+                                     (o.FOE1, "weak", au.noetherian_construct)):
+        for _ in range(60):
+            aut = gen.rand_automaton(rng, ("p",), rng.choice([1, 2, 2, 3]),
+                                     dialect=dialect, want=want)
+            gen.rand_tree(rng, ("p",), depth=3, max_branch=2)
+            outs.append(construct(aut).to_json())
+    digest = hashlib.sha256(json.dumps(outs, sort_keys=True).encode()).hexdigest()
+    assert digest == CONSTRUCT_DIGEST
+
+
 def _macro_atoms_per_type(f: o.Formula, macro: frozenset[str]) -> int:
     """The most macro predicates on one variable among the atoms of one
     conjunction of f: a record's types are such conjunctions."""

@@ -191,12 +191,26 @@ def test_aut_cli(capsys, tmp_path, loop_file):
     assert capsys.readouterr().out.strip() == "false"
     assert cli.main(["aut", "classify", "--in", str(path)]) == 0
     assert "weak=True" in capsys.readouterr().out
+    # a letter outside --props would read as false at every state
+    assert cli.main(["aut", "fromformula", "mu x. p | dia x", "--props", "q"]) == 2
+    assert "letters not in the alphabet: ['p']" in capsys.readouterr().err
 
 
 def test_fix_cli(capsys, loop_file):
     assert cli.main(["fix", "trace", "p | dia r", "--var", "r", "--lts", loop_file]) == 0
     assert "fixpoint:" in capsys.readouterr().out
     assert cli.main(["fix", "unfold", "p | dia r", "--var", "r", "--lts", loop_file]) == 0
+    capsys.readouterr()
+    assert cli.main(["fix", "witness", "p | dia r", "--var", "r", "--lts", loop_file,
+                     "--state", "9"]) == 2
+    assert "unknown state 9" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("props", ["", "p,", "p q", "1p", "p-q"])
+def test_letters_that_are_not_identifiers_are_refused(props, capsys):
+    # with --props "" the colours {} and {""} wrote the same transition key
+    assert cli.main(["mso", "compile", "ex r. down r", "--props", props]) == 2
+    assert "is not an identifier" in capsys.readouterr().err
 
 
 def test_parse_error_exit_code(capsys, loop_file):
@@ -273,7 +287,7 @@ _MISTYPED = [
     ("model", {"size": -1}), ("model", {"size": 2.5}), ("model", {"size": True}),
     ("model", {"size": "2"}), ("model", {"size": 2, "valuation": {"a": [0.5]}}),
     ("model", {"size": 2, "valuation": {"a": [True]}}), ("model", {"size": 2, "valuation": {"a": [2]}}),
-    ("model", {"size": 2, "valuation": {"a": "01"}}),
+    ("model", {"size": 2, "valuation": {"a": "01"}}), ("aut", {**_AUT, "macro": [5]}),
 ]
 
 

@@ -502,8 +502,8 @@ NF_DIGEST = "23aa8f370370105068e10d5ef305e1a613c2d09fe7b451537e6102389f5d7ec5"
 
 def _nf_corpus() -> list[o.OneStepFormula]:
     """The positive rank-2 enumerated sentences over a, b in every dialect,
-    and random positive ones over a, b, c, whose leaves reach the cylinder
-    maps."""
+    and random positive ones over a, b, c, many of whose leaves name fewer
+    predicates than their sentence and are swept on its space."""
     corpus = [f for d in sorted(o.DIALECTS) for f in gen.enumerate_sentences(("a", "b"), 2, d)
               if o.is_positive(f.ast)]
     rng = random.Random(16)
@@ -587,6 +587,36 @@ def test_continuity_matches_the_recorded_digest():
     assert len(answers) == 35_162
     assert [sum(a[k] == "1" for a in answers) for k in (0, 1)] == [23_565, 18_536]
     assert hashlib.sha256(text.encode()).hexdigest() == CONTINUITY_DIGEST
+
+
+# sha256 of `_continuous_nf_lines`, recorded while continuous basic forms
+# were rewritten from the pruned records of `to_basic_form`; rewriting the
+# sentence's own profile records must give the same forms and refusals
+CONTINUOUS_NF_DIGEST = "bb9217d88224a5011d5931a65193f253f61d9993f4ee25995df390dc799f24fd"
+
+
+def _continuous_nf_lines():
+    """One line per FO1 or FOE1INF sentence of `_nf_corpus` and set B of its
+    predicates: the records of its continuous basic form, or the refusal."""
+    for f in _nf_corpus():
+        if f.dialect == o.FOE1:
+            continue
+        preds = sorted(o.predicates(f.ast))
+        for b in itertools.chain.from_iterable(
+                itertools.combinations(preds, k) for k in range(len(preds) + 1)):
+            try:
+                out = [([sorted(w) for w in r.witnesses], sorted(sorted(s) for s in r.cover),
+                        None if r.inf_cover is None else sorted(sorted(s) for s in r.inf_cover))
+                       for r in o.to_continuous_basic_form(f, frozenset(b)).disjuncts]
+            except o.NotContinuousError as e:
+                out = "NotContinuousError: %s" % e
+            yield "%s %s %s %r\n" % (f.dialect, o.pretty(f.ast), list(b), out)
+
+
+def test_continuous_normal_forms_match_the_recorded_digest():
+    lines = list(_continuous_nf_lines())
+    assert len(lines) == 2321 and sum("NotContinuousError" in x for x in lines) == 972
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == CONTINUOUS_NF_DIGEST
 
 
 def test_largest_construct_entry_is_fast():

@@ -29,8 +29,10 @@ from muaut.syntax import MAX_NESTING, Node, ParseError
 # it prints: only the 375 `mso2` lines of `mu_to_mso` outputs that had not
 # read back changed.  Re-recorded again when `mu_to_mso` began to reuse
 # individual variables level by level: only 253 `mso2` lines of its
-# outputs changed (130 wmso, 123 nmso).
-CORPUS_DIGEST = "1ae6de44545083fb10b0d17aecb5fe95c5f006b2662b06e0677dac2a413c446c"
+# outputs changed (130 wmso, 123 nmso).  Re-recorded when one `onestep_dagger`
+# call began to bind one `fin` set name for all its infinity quantifiers:
+# only 1 wmso `mso2` line changed.
+CORPUS_DIGEST = "a6bb14e436e6bcb34a215f4802e079b5addf466412973bab2b11125c1738cf68"
 
 MSO1_POOL = [
     "down p", "p sub q", "Rel(p,q)", "ex r. (r sub p)", "ex r. (down r | Rel(r,q))",
@@ -109,8 +111,10 @@ def test_every_corpus_formula_reads_back_as_itself():
 # rows changed, which now name variables in their sort.  Re-recorded with
 # it again: only the `mu_to_mso` entries of 131 `mu` rows and the `mso2`
 # rows changed; an `mso2` row now records its stored facts in place of the
-# outputs of a deleted substitution walker.
-WALKER_DIGEST = "0698fdc0b5576af2333062435f513d0020314365faecec217c739c7a1dd136c1"
+# outputs of a deleted substitution walker.  Re-recorded with the corpus
+# digest for the one `fin` name per `onestep_dagger` call: only that wmso
+# `mso2` row and the `mu_to_mso` entry of one `mu` row changed.
+WALKER_DIGEST = "e72d30d259d6c6eb01be779a30ee423f852fdcb46fe3890d5557a6839bcfa006"
 
 SIGMA = {"p": mc.dia(mc.Prop("q")), "q": mc.mor((mc.Prop("p"), mc.Nu("y", mc.box(mc.Prop("y")))))}
 
