@@ -7,17 +7,18 @@ original alternating behaviour.  Macro-entries disjoin a lifted normal
 form of the conjoined original entries with the plain conjunction.  The
 noetherian construct is identical except that its lifting carries no
 cardinality constraints, bounding only the well-founded (vertical) part.
+Only the macro-states reachable from {init} are built, at most
+MAX_MACRO_STATES of them, and every output is trimmed (`core.trim`).
 """
 from __future__ import annotations
 
 from functools import lru_cache
 
 from .. import onestep as o
-from ..onestep.models import _all_types
-from .core import (ParityAutomaton, classify_automaton, pred_name,
-                   pred_state)
+from .core import (ParityAutomaton, _reachable_automaton, classify_automaton,
+                   pred_name, pred_state)
 
-MAX_CONSTRUCT_STATES = 4
+MAX_MACRO_STATES = 16
 
 
 class ConstructError(ValueError):
@@ -62,8 +63,9 @@ def _macro_entry(conj_entry: o.Formula, n: int, finitary: bool) -> o.Formula:
 
 
 def _construct(aut: ParityAutomaton, finitary: bool) -> ParityAutomaton:
-    if aut.n > MAX_CONSTRUCT_STATES:
-        raise ConstructError("construct limited to %d states" % MAX_CONSTRUCT_STATES)
+    """The construct on the states reachable from the macro-state {init},
+    numbered as `trim` of the full powerset construct, in which macro-state
+    n + sum(2^a for a in S) stands for the subset S of states."""
     rep = classify_automaton(aut)
     if finitary:
         if aut.dialect != o.FOE1INF or not rep.continuous_weak:
@@ -71,20 +73,24 @@ def _construct(aut: ParityAutomaton, finitary: bool) -> ParityAutomaton:
     else:
         if aut.dialect not in (o.FOE1, o.FO1) or not rep.weak:
             raise ConstructError("noetherian construct needs a weak FOE1 automaton")
-    n = aut.n
-    total = n + (1 << n)
-    delta = {}
-    for c in aut.props.colours():
-        for a in range(n):
-            delta[(a, c)] = aut.entry(a, c)
-        for subset in _all_types(range(n)):
-            conj_entry = o.conj(aut.entry(a, c) for a in sorted(subset))
-            delta[(_macro_index(n, subset), c)] = _macro_entry(conj_entry, n, finitary)
-    omega = tuple(aut.omega) + tuple(1 for _ in range(1 << n))
-    init = _macro_index(n, frozenset({aut.init}))
-    dialect = o.FOE1INF if finitary else o.FOE1
-    return ParityAutomaton(dialect, aut.props, total, init, omega, delta,
-                           macro_states=frozenset(range(n, total)))
+    n, colours = aut.n, aut.props.colours()
+    built = 0
+
+    def row(a):
+        nonlocal built
+        if a < n:
+            return [aut.entry(a, c) for c in colours]
+        built += 1
+        if built > MAX_MACRO_STATES:
+            raise ConstructError("construct limited to %d macro-states (MAX_MACRO_STATES)"
+                                 % MAX_MACRO_STATES)
+        subset = [b for b in range(n) if (a - n) >> b & 1]
+        return [_macro_entry(o.conj(aut.entry(b, c) for b in subset), n, finitary)
+                for c in colours]
+
+    return _reachable_automaton(o.FOE1INF if finitary else o.FOE1, aut.props,
+                                _macro_index(n, frozenset({aut.init})), row,
+                                lambda a: aut.omega[a] if a < n else 1, range(n, n + (1 << n)))
 
 
 def finitary_construct(aut: ParityAutomaton) -> ParityAutomaton:
@@ -103,21 +109,22 @@ def project(aut: ParityAutomaton, p: str) -> ParityAutomaton:
     """Existential projection over a letter.
 
     State-sort entries are read without the letter; macro-sort entries
-    disjoin both readings, which lets the non-deterministic mode guess the
-    variant labelling.
+    disjoin both readings, written once when they are the same entry,
+    which lets the non-deterministic mode guess the variant labelling.
+    The output is trimmed.
     """
     if p not in aut.props.names:
         raise ValueError("letter %r not in the alphabet" % p)
     props = aut.props.without_letter(p)
-    delta = {}
-    for c in props.colours():
-        for a in range(aut.n):
-            if a in aut.macro_states:
-                delta[(a, c)] = o.disj([aut.entry(a, c), aut.entry(a, c | {p})])
-            else:
-                delta[(a, c)] = aut.entry(a, c)
-    return ParityAutomaton(aut.dialect, props, aut.n, aut.init, aut.omega,
-                           delta, aut.macro_states)
+
+    def row(a):
+        if a not in aut.macro_states:
+            return [aut.entry(a, c) for c in props.colours()]
+        both = [(aut.entry(a, c), aut.entry(a, c | {p})) for c in props.colours()]
+        return [e if e is f else o.disj([e, f]) for e, f in both]
+
+    return _reachable_automaton(aut.dialect, props, aut.init, row, aut.omega.__getitem__,
+                                aut.macro_states)
 
 
 def diamond_automaton(aut: ParityAutomaton) -> ParityAutomaton:

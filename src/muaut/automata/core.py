@@ -224,31 +224,62 @@ def normalize_weak_priorities(aut: ParityAutomaton) -> ParityAutomaton:
                            tuple(w % 2 for w in aut.omega), aut.delta, aut.macro_states)
 
 
+def _reachable_automaton(dialect: str, props: PropSet, init: int, row, omega, macro) -> ParityAutomaton:
+    """The automaton on the states reachable from init through entry
+    predicates, numbered in BFS order: colours in `props.colours()` order
+    and the predicates of an entry by state number, so "q2" before "q10".
+    row(a) lists the entries of old state a over the colours, naming old
+    states; omega(a) is its priority and macro holds the old macro-states.
+    row is called once per reachable state, in the new numbering's order."""
+    colours = props.colours()
+    order, rows, number = [init], [], {init: 0}
+    for a in order:
+        rows.append(row(a))
+        for f in rows[-1]:
+            for s in sorted(map(pred_state, o.predicates(f))):
+                if s not in number:
+                    number[s] = len(order)
+                    order.append(s)
+    names = {pred_name(a): pred_name(i) for a, i in number.items() if a != i}
+    delta = {(i, c): o.rename_pred(f, names) if names else f
+             for i, fs in enumerate(rows) for c, f in zip(colours, fs)}
+    return ParityAutomaton(dialect, props, len(order), 0, tuple(omega(a) for a in order), delta,
+                           frozenset(i for i, a in enumerate(order) if a in macro))
+
+
+def trim(aut: ParityAutomaton) -> ParityAutomaton:
+    """The states reachable from the initial one, renumbered in BFS order
+    (see `_reachable_automaton`)."""
+    colours = aut.props.colours()
+    return _reachable_automaton(aut.dialect, aut.props, aut.init,
+                                lambda a: [aut.entry(a, c) for c in colours],
+                                aut.omega.__getitem__, aut.macro_states)
+
+
 def _shift_formula(f: o.Formula, offset: int) -> o.Formula:
     return o.rename_pred(f, {p: pred_name(pred_state(p) + offset) for p in o.predicates(f)})
 
 
 def union_automaton(a0: ParityAutomaton, a1: ParityAutomaton) -> ParityAutomaton:
     """Disjoint union plus a fresh initial state whose entries disjoin the
-    two initial entries; the new state forms its own degenerate cluster."""
+    two initial entries; the new state forms its own degenerate cluster.
+    Trimmed: the fresh state is 0 and only states it reaches are kept."""
     if a0.props.names != a1.props.names:
         raise AlphabetMismatch("alphabets differ")
     dialect = max(a0.dialect, a1.dialect, key=o.DIALECTS.index)
-    n = a0.n + a1.n + 1
-    init = n - 1
-    delta = {}
-    for c in a0.props.colours():
-        for a in range(a0.n):
-            delta[(a, c)] = a0.entry(a, c)
-        for a in range(a1.n):
-            delta[(a + a0.n, c)] = _shift_formula(a1.entry(a, c), a0.n)
-        delta[(init, c)] = o.disj([
-            a0.entry(a0.init, c),
-            _shift_formula(a1.entry(a1.init, c), a0.n),
-        ])
+    init = a0.n + a1.n
+
+    def row(a):
+        if a < a0.n:
+            return [a0.entry(a, c) for c in a0.props.colours()]
+        if a < init:
+            return [_shift_formula(a1.entry(a - a0.n, c), a0.n) for c in a0.props.colours()]
+        return [o.disj([a0.entry(a0.init, c), _shift_formula(a1.entry(a1.init, c), a0.n)])
+                for c in a0.props.colours()]
+
     omega = a0.omega + a1.omega + (1,)
     macro = a0.macro_states | frozenset(m + a0.n for m in a1.macro_states)
-    return ParityAutomaton(dialect, a0.props, n, init, omega, delta, macro)
+    return _reachable_automaton(dialect, a0.props, init, row, omega.__getitem__, macro)
 
 
 def constant_automaton(props: PropSet, value: bool, dialect: str = o.FOE1INF) -> ParityAutomaton:

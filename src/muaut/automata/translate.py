@@ -114,9 +114,7 @@ def from_formula(f: mc.MuFormula, props: PropSet | None = None) -> ParityAutomat
     mc.check_wf(f)
     if props is None:
         props = PropSet(tuple(sorted(mc.free_letters(f))))
-    missing = mc.free_letters(f) - set(props.names)
-    if missing:
-        raise ValueError("letters not in the alphabet: %r" % sorted(missing))
+    props.require(mc.free_letters(f))
     g = mc.guard_transform(f)
     dialect = mc.modal_dialect(g)
     prio = mc.binder_priorities(g)

@@ -366,7 +366,8 @@ def _cmd_mu(args) -> int:
 def _cmd_aut(args) -> int:
     if args.action == "fromformula":
         f = mc.parse(args.formula)
-        props = L.PropSet(tuple(args.props.split(","))) if args.props else None
+        # an empty --props names the letter "", refused as in mso compile
+        props = None if args.props is None else L.PropSet(tuple(args.props.split(",")))
         aut = au.from_formula(f, props)
         print(json.dumps(aut.to_json(), indent=2, sort_keys=True))
         return 0

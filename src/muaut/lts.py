@@ -21,6 +21,10 @@ class SignatureError(ValueError):
     """Raised when two systems disagree on their proposition alphabet."""
 
 
+class UnboundLetterError(ValueError):
+    """Raised when a formula's free letters are not all in the alphabet."""
+
+
 @dataclass(frozen=True)
 class PropSet:
     """Ordered finite set of proposition letters (at most MAX_PROPS)."""
@@ -52,6 +56,13 @@ class PropSet:
             if p not in self.names:
                 raise ValueError("unknown proposition letter %r" % p)
         return c
+
+    def require(self, letters: Iterable[str]) -> None:
+        """Refuse letters outside this alphabet: a formula's free letters
+        must all be in the alphabet it is built or evaluated over."""
+        missing = [p for p in letters if p not in self.names]
+        if missing:
+            raise UnboundLetterError("letters not in the alphabet: %r" % sorted(missing))
 
     def colours(self) -> tuple[frozenset[str], ...]:
         """All colours in binary-counter order of the letter ordering."""

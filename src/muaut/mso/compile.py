@@ -61,9 +61,7 @@ def compile_mso(f: Mso1, logic: str, props: PropSet) -> ParityAutomaton:
         raise CompileError("compilation targets the wmso and nmso logics")
     mode = LOGIC_MODE[logic]
     dialect = o.FOE1INF if logic == "wmso" else o.FOE1
-    missing = free_letters1(f) - set(props.names)
-    if missing:
-        raise CompileError("free letters %r not in the alphabet" % sorted(missing))
+    props.require(free_letters1(f))
 
     def go(g: Mso1, ps: PropSet) -> ParityAutomaton:
         match g:

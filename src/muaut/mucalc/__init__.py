@@ -5,6 +5,7 @@ from .ast import (MAnd, MBOT, MOr, MTOP, Modal, Mu, MuFormula, MuParseError,
                   check_wf, dia, free_letters, is_box, is_dia, mand,
                   modal_dialect, mor, negate, parse, refresh,
                   simplify, subformulas, substitute)
+from ..lts import UnboundLetterError
 from ..syntax import pretty
 from .bridge import NotFO1Error, fo1_modal_bridge
 from .classify import (FragmentReport, classify, in_cocontinuous,
@@ -12,6 +13,6 @@ from .classify import (FragmentReport, classify, in_cocontinuous,
                        is_guarded, is_plain_modal)
 from .game import EvalGame, binder_priorities, build_eval_game, game_value
 from .guard import guard_transform
-from .semantics import UnboundLetterError, open_eval, semantics_eval
+from .semantics import open_eval, semantics_eval
 
 __all__ = [n for n in dir() if not n.startswith("_")]

@@ -69,9 +69,7 @@ def build_eval_game(f: MuFormula, lts: LTS) -> EvalGame:
     memo and relabelled onto the successors.
     """
     check_wf(f)
-    missing = free_letters(f) - set(lts.props.names)
-    if missing:
-        raise ValueError("letters not in the alphabet: %r" % sorted(missing))
+    lts.props.require(free_letters(f))
     prio = binder_priorities(f)
     succ = lts.successor_table()
     subs = tuple(sorted(dict.fromkeys(subformulas(f)), key=str))

@@ -7,10 +7,6 @@ from .ast import (MAnd, Modal, MOr, Mu, MuFormula, NegProp, Nu, Prop,
                   check_wf, free_letters)
 
 
-class UnboundLetterError(ValueError):
-    pass
-
-
 def open_eval(f: MuFormula, lts: LTS, env: dict[str, frozenset[int]]) -> frozenset[int]:
     """Meaning of a formula whose extra letters are interpreted by env.
 
@@ -19,9 +15,7 @@ def open_eval(f: MuFormula, lts: LTS, env: dict[str, frozenset[int]]) -> frozens
     Modalities evaluate pointwise on the one-step model of the successors,
     read from its capped type counts.
     """
-    missing = free_letters(f) - set(lts.props.names) - set(env)
-    if missing:
-        raise UnboundLetterError("letters not in the alphabet: %r" % sorted(missing))
+    lts.props.require(free_letters(f) - set(env))
     full = frozenset(lts.states())
     succ = lts.successor_table()
 

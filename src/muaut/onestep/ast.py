@@ -7,6 +7,7 @@ the API surface; subformulas may have free variables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Union
 
@@ -223,6 +224,21 @@ def type_atom(tp: Iterable[str], var: str) -> Formula:
 
 
 def rename_pred(f: Formula, mapping: dict[str, str]) -> Formula:
-    if isinstance(f, (Pred, NegPred)):
-        return type(f)(mapping.get(f.name, f.name), f.var)
-    return f.rebuild(lambda g: rename_pred(g, mapping))
+    """f with each predicate p in mapping renamed to mapping[p]."""
+    return _renamed(f, tuple(sorted((p, mapping[p]) for p in predicates(f) if p in mapping)))
+
+
+# memoized per (interned formula, renaming of its predicates): automata are
+# renumbered entry by entry, and a stream of small automata repeats entries
+@lru_cache(maxsize=512)
+def _renamed(f: Formula, pairs: tuple[tuple[str, str], ...]) -> Formula:
+    mapping = dict(pairs)
+
+    def go(g: Formula) -> Formula:
+        if mapping.keys().isdisjoint(predicates(g)):
+            return g
+        if isinstance(g, (Pred, NegPred)):
+            return type(g)(mapping[g.name], g.var)
+        return g.rebuild(go)
+
+    return go(f)

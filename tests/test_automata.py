@@ -9,7 +9,11 @@ from muaut import gen
 from muaut import lts as L
 from muaut import mucalc as mc
 from muaut import onestep as o
+from muaut.automata import constructs
 from muaut.automata.constructs import _macro_entry
+from muaut.onestep.ast import _renamed
+
+from construct_reference import full_finitary, full_noetherian
 
 
 def props(*names):
@@ -141,6 +145,42 @@ def test_union_automaton():
         assert au.accepts(u, lts) == au.accepts(other, lts)
 
 
+def test_union_is_trimmed():
+    # the fresh initial state is 0; operand states it cannot reach go
+    ps = props("p")
+    delta = {(a, c): o.Exists("x", o.Pred("q0", "x")) if a == 0 else o.TOP
+             for a in range(2) for c in ps.colours()}
+    a0 = au.ParityAutomaton(o.FOE1, ps, 2, 0, (2, 3), delta)
+    u = au.union_automaton(a0, au.constant_automaton(ps, False, o.FOE1))
+    assert (u.n, u.init, u.omega) == (2, 0, (1, 2))
+    assert [o.pretty(u.entry(a, frozenset())) for a in (0, 1)] == ["E x. q1(x)", "E x. q1(x)"]
+
+
+def test_trim_numbers_states_in_bfs_order():
+    # colours in order, then an entry's predicates by state number, so q2
+    # comes before q10; states 1, 3 and 11 are unreachable and dropped
+    ps = props("p")
+    empty, full = ps.colours()
+    delta = {(a, c): o.BOT for a in range(12) for c in ps.colours()}
+    delta[(0, empty)] = o.parse_formula("(E x. q10(x)) & (E x. q2(x))")
+    delta[(0, full)] = o.parse_formula("E x. q4(x)")
+    delta[(2, empty)] = o.parse_formula("A x. q0(x)")
+    delta[(10, full)] = o.parse_formula("E x. q7(x) & q5(x)")
+    delta[(1, empty)] = delta[(11, full)] = o.parse_formula("E x. q3(x)")
+    aut = au.ParityAutomaton(o.FOE1, ps, 12, 0, tuple(range(12)), delta,
+                             macro_states=frozenset({1, 4, 10}))
+    t = au.trim(aut)
+    assert t.omega == (0, 2, 10, 4, 5, 7)  # old states in their new order
+    assert t.init == 0 and t.macro_states == frozenset({2, 3})
+    assert o.pretty(t.entry(0, empty)) == "(E x. q2(x)) & (E x. q1(x))"
+    assert o.pretty(t.entry(2, full)) == "E x. q5(x) & q4(x)"
+    assert au.trim(t).to_json() == t.to_json()
+    rng = random.Random(18)
+    for _ in range(20):
+        lts = gen.rand_lts(rng, ("p",), max_states=4)
+        assert au.accepts(aut, lts) == au.accepts(t, lts)
+
+
 def test_to_formula_agreement_and_fragments():
     rng = random.Random(6)
     for _ in range(30):
@@ -228,8 +268,9 @@ def test_noetherian_construct():
 
 
 def test_warm_macro_entries_equal_cold_ones():
-    # macro entries come from a process-wide memo; a construct that reads
-    # them back, some stored for other automata, equals one built cold
+    # macro entries and their renumberings come from process-wide memos; a
+    # construct that reads them back, some stored for other automata,
+    # equals one built cold
     rng = random.Random(17)
     jobs = []
     for i in range(30):
@@ -244,12 +285,13 @@ def test_warm_macro_entries_equal_cold_ones():
     cold = []
     for construct, aut in jobs:
         _macro_entry.cache_clear()
+        _renamed.cache_clear()
         cold.append(construct(aut))
-    hits = _macro_entry.cache_info().hits
+    hits = _macro_entry.cache_info().hits, _renamed.cache_info().hits
     for (construct, aut), sim in zip(jobs, cold):
         warm = construct(aut)
         assert warm.to_json() == sim.to_json() and warm.delta == sim.delta
-    assert _macro_entry.cache_info().hits > hits
+    assert _macro_entry.cache_info().hits > hits[0] and _renamed.cache_info().hits > hits[1]
 
 
 def test_random_automata_are_pinned():
@@ -268,17 +310,21 @@ CONSTRUCT_DIGEST = "9b6ac019280155051cd6ac2b1911eabe481d01f1c629fa0eb8272b1112d1
 
 
 def test_criterion_5_constructs_are_pinned():
-    # the finitary and noetherian constructs of the criterion-5 stream (gen
-    # seed 105: each automaton, then its check tree), as the bench draws them
+    # the full powerset constructs of the criterion-5 stream (gen seed 105:
+    # each automaton, then its check tree), as the bench draws them; the
+    # library builds only the reachable macro-states, which is their trim
     rng = random.Random(105)
     outs = []
-    for dialect, want, construct in ((o.FOE1INF, "cw", au.finitary_construct),
-                                     (o.FOE1, "weak", au.noetherian_construct)):
+    for dialect, want, construct, full in (
+            (o.FOE1INF, "cw", au.finitary_construct, full_finitary),
+            (o.FOE1, "weak", au.noetherian_construct, full_noetherian)):
         for _ in range(60):
             aut = gen.rand_automaton(rng, ("p",), rng.choice([1, 2, 2, 3]),
                                      dialect=dialect, want=want)
             gen.rand_tree(rng, ("p",), depth=3, max_branch=2)
-            outs.append(construct(aut).to_json())
+            reference = full(aut)
+            outs.append(reference.to_json())
+            assert construct(aut).to_json() == au.trim(reference).to_json()
     digest = hashlib.sha256(json.dumps(outs, sort_keys=True).encode()).hexdigest()
     assert digest == CONSTRUCT_DIGEST
 
@@ -310,8 +356,8 @@ def test_lifted_entries_are_macro_separating():
             assert _macro_atoms_per_type(entry, macro_preds) <= 1
     assert lifted
     # the detector sees a type with two macro predicates
-    two = o.record_sentence([frozenset({"q2", "q3"})], [frozenset()])
-    assert _macro_atoms_per_type(two, macro_preds) == 2
+    two = o.record_sentence([frozenset(sorted(macro_preds)[:2])], [frozenset()])
+    assert len(macro_preds) >= 2 and _macro_atoms_per_type(two, macro_preds) == 2
 
 
 def test_construct_preconditions():
@@ -319,6 +365,16 @@ def test_construct_preconditions():
     aut = gen.rand_automaton(rng, ("p",), 2, dialect=o.FOE1, want="weak")
     with pytest.raises(au.ConstructError):
         au.finitary_construct(aut)  # wrong dialect
+
+
+def test_construct_bounds_the_macro_states_built(monkeypatch):
+    # a 4-state input is built; the bound counts macro-states, not inputs
+    aut = gen.rand_automaton(random.Random(1), ("p",), 4, dialect=o.FOE1, want="weak")
+    sim = au.noetherian_construct(aut)
+    assert len(sim.macro_states) == 9 and sim.n == 13
+    monkeypatch.setattr(constructs, "MAX_MACRO_STATES", 8)
+    with pytest.raises(au.ConstructError, match="8 macro-states .MAX_MACRO_STATES."):
+        au.noetherian_construct(aut)
 
 
 def test_projection_lemma_brute_force():
@@ -354,6 +410,15 @@ def test_project_ignoring_letter():
     for _ in range(10):
         lts = gen.rand_lts(rng, ("p",), max_states=4)
         assert au.accepts(proj, lts)
+
+
+def test_project_writes_a_repeated_entry_once():
+    # both readings of r give the same entry at the macro-state: one disjunct
+    ps2 = props("p", "r")
+    delta = {(0, c): o.Exists("x", o.Pred("q0", "x")) for c in ps2.colours()}
+    aut = au.ParityAutomaton(o.FOE1, ps2, 1, 0, (1,), delta, macro_states=frozenset({0}))
+    proj = au.project(aut, "r")
+    assert all(proj.entry(0, c) is delta[(0, c)] for c in proj.props.colours())
 
 
 def test_diamond_automaton():

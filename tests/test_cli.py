@@ -8,6 +8,7 @@ from muaut import mso
 from muaut import mucalc as mc
 from muaut import onestep as o
 from muaut.automata.constructs import _macro_entry
+from muaut.onestep.ast import _renamed
 from muaut.onestep.models import _min_valuations_range
 
 
@@ -213,6 +214,17 @@ def test_letters_that_are_not_identifiers_are_refused(props, capsys):
     assert "is not an identifier" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["aut", "fromformula", "mu x. p | dia x"],
+                                  ["mso", "compile", "ex r. Rel(r,p) | down r"]])
+def test_empty_props_is_read_one_way(argv, capsys):
+    # an empty --props names the letter "" in every command; an absent one
+    # means the formula's own letters (mso compile defaults to p,q)
+    assert cli.main(argv + ["--props", ""]) == 2
+    assert "proposition letter '' is not an identifier" in capsys.readouterr().err
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["props"] == (["p"] if argv[0] == "aut" else ["p", "q"])
+
+
 def test_parse_error_exit_code(capsys, loop_file):
     assert cli.main(["mu", "eval", "mu x. ((", "--lts", loop_file]) == 2
 
@@ -248,6 +260,7 @@ def test_fuzz_instances_repeat_with_warm_caches(suite):
     # the process-wide memos hold entries from the first run on the second
     _macro_entry.cache_clear()
     _min_valuations_range.cache_clear()
+    _renamed.cache_clear()
     runs = [[cli.SUITES[suite](cli._instance_rng(7, i)) for i in range(20)] for _ in range(2)]
     assert runs[0] == runs[1]
 

@@ -118,6 +118,18 @@ def test_compiler_mode_mismatch_rejected():
         mso.compile_mso(f, "wmso", L.PropSet(("p",)))
 
 
+def test_free_letters_outside_the_alphabet_are_one_error():
+    loop = L.make_lts(["p"], 1, [(0, 0)], {})
+    f = mc.parse("p | dia r")
+    for check in (lambda: mso.compile_mso(mso.parse1("ex s. Rel(s,r)"), "wmso", loop.props),
+                  lambda: au.from_formula(f, loop.props),
+                  lambda: mc.build_eval_game(f, loop),
+                  lambda: mc.open_eval(f, loop, {})):
+        with pytest.raises(L.UnboundLetterError, match=r"^letters not in the alphabet: \['r'\]$"):
+            check()
+    assert mc.open_eval(f, loop, {"r": frozenset()}) == frozenset()
+
+
 def test_dagger_examples():
     counter = [0]
 

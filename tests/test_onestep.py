@@ -16,7 +16,10 @@ from muaut.onestep import normalform as nf
 from muaut.onestep.models import _min_valuations_range
 from muaut.syntax import MAX_NESTING
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+from construct_reference import full_finitary, full_noetherian
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src")
 
 
 def m(size, **val):
@@ -480,8 +483,8 @@ def _criterion_entries(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(o, "to_basic_form", record)
         rng = random.Random(105)
-        for dialect, want, construct in ((o.FOE1INF, "cw", au.finitary_construct),
-                                         (o.FOE1, "weak", au.noetherian_construct)):
+        for dialect, want, construct in ((o.FOE1INF, "cw", full_finitary),
+                                         (o.FOE1, "weak", full_noetherian)):
             for _ in range(30):
                 construct(gen.rand_automaton(rng, ("p",), rng.choice([1, 2, 2, 3]),
                                              dialect=dialect, want=want))
@@ -569,12 +572,12 @@ def _continuity_lines():
 
 
 def _criterion_7_constructs() -> list[au.ParityAutomaton]:
-    """60 finitary constructs of 1-2-state continuous-weak automata, then 60
-    noetherian constructs of weak ones (gen seed 105)."""
+    """60 full finitary constructs of 1-2-state continuous-weak automata,
+    then 60 full noetherian constructs of weak ones (gen seed 105)."""
     rng = random.Random(105)
     out = []
-    for dialect, want, construct in ((o.FOE1INF, "cw", au.finitary_construct),
-                                     (o.FOE1, "weak", au.noetherian_construct)):
+    for dialect, want, construct in ((o.FOE1INF, "cw", full_finitary),
+                                     (o.FOE1, "weak", full_noetherian)):
         for _ in range(60):
             out.append(construct(gen.rand_automaton(rng, ("p",), rng.choice([1, 2]),
                                                     dialect=dialect, want=want)))
@@ -696,15 +699,16 @@ def test_memoized_min_valuations_match_direct():
 def test_memoized_min_valuations_do_not_depend_on_hash_seed():
     # every valuation is stored sorted, so the acceptance arena's order of
     # moves out of a valuation position is the same in every process; the
-    # construct's entries mention q0..q10, so "q10" sorts before "q2"
+    # full construct's entries mention q0..q10, so "q10" sorts before "q2"
     script = (
         "import random\n"
-        "from muaut import automata as au, gen, onestep as o\n"
+        "from muaut import gen, onestep as o\n"
         "from muaut.onestep.models import _min_valuations_range\n"
+        "from construct_reference import full_finitary\n"
         "entries = [f.ast for d in (o.FOE1, o.FOE1INF)\n"
         "           for f in gen.enumerate_sentences(('a', 'b'), 2, d) if o.is_positive(f.ast)]\n"
         "aut = gen.rand_automaton(random.Random(32), ('p',), 3, dialect=o.FOE1INF, want='cw')\n"
-        "sim = au.finitary_construct(aut)\n"
+        "sim = full_finitary(aut)\n"
         "entries += [sim.delta[k] for k in sorted(sim.delta, key=lambda k: (k[0], sorted(k[1])))]\n"
         "for f in entries:\n"
         "    for k in range(5):\n"
@@ -714,7 +718,7 @@ def test_memoized_min_valuations_do_not_depend_on_hash_seed():
     outs = []
     for seed in ("0", "1"):
         env = dict(os.environ, PYTHONHASHSEED=seed,
-                   PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+                   PYTHONPATH=os.pathsep.join([SRC, TESTS, os.environ.get("PYTHONPATH", "")]))
         outs.append(subprocess.run([sys.executable, "-c", script], env=env, check=True,
                                    capture_output=True, text=True).stdout)
     lines = outs[0].splitlines()

@@ -152,21 +152,23 @@ def test_arenas_match_recorded_corpus():
     assert [_fingerprint(a) for a in _arena_corpus()] == RECORDED_ARENAS
 
 
-# (positions, moves, digest) of the acceptance arenas of `_extra_arena_corpus`,
-# recorded from the string-keyed acceptance arena that preceded integer
-# position codes: 11-state constructs, whose valuations order "q10" before
-# "q2", and full-enumeration arenas.
+# (positions, moves, digest) of the acceptance arenas of `_extra_arena_corpus`:
+# constructs, whose valuations order "q10" before "q2" in the last one, and
+# full-enumeration arenas.  Positions and moves were recorded from the
+# string-keyed acceptance arena that preceded integer position codes; the
+# digests of the constructs were recorded again when constructs were
+# trimmed, which renumbers their states and keeps their arenas' sizes.
 RECORDED_EXTRA_ARENAS = [
-    (106, 265, 'da63ad95ae7805be'), (1, 0, '0fe794e9e296a3ba'), (1, 0, '520e16cacb2b6219'),
-    (321, 1054, '7f20b292b80e36f7'), (2, 1, 'e808d3cdd80bd332'), (2, 1, 'c8350f9e67009493'),
-    (118, 272, 'aa8718b0da85eab1'), (7, 6, '491b51e6bf8035b8'), (5, 4, 'f12bcdf43793633e'),
-    (64, 160, '5f4460dfcaf51502'), (1, 0, '2b3db6d7936a7b37'), (91, 220, 'd86004400c1f2896'),
-    (1, 0, '2b3db6d7936a7b37'), (343, 1068, 'ddad5bc5e799ea2b'), (596, 2455, '4f97e754d5632612'),
-    (13, 18, 'c75db27b000f1e14'), (17, 37, '1bb6e4ce0169d5f1'), (27, 63, '5c54934dc58c3617'),
+    (106, 265, 'e4d1a789261d73bb'), (1, 0, '6a0eb23edd06bb81'), (1, 0, '61cf5b4db733bb87'),
+    (321, 1054, '01e0c65861350cc8'), (2, 1, '59053ccb6a21d4a6'), (2, 1, 'ec8e69f99846d569'),
+    (118, 272, '829b1265941715dd'), (7, 6, '90dac4b7c2c53633'), (5, 4, 'ee581c6b738c9213'),
+    (64, 160, '4eeacf7b80cce8c8'), (1, 0, '0e0560c8b05f2227'), (91, 220, 'ebeb337e321ddef5'),
+    (1, 0, '0e0560c8b05f2227'), (343, 1068, '60901fb086f7373e'), (596, 2455, '5e8a0cacc834293b'),
+    (13, 18, '63e18e6f2c9b30cf'), (17, 37, '1bb6e4ce0169d5f1'), (27, 63, '5c54934dc58c3617'),
     (5, 6, '1f2002858560c264'), (1, 0, '166eb17acb81ab16'), (8, 11, '8413043378c59825'),
     (12, 23, '3a73cac7fc2dcdc9'), (7, 12, '10d69860023d010e'), (1, 0, '93a517005ea72dfc'),
     (8, 10, 'aee47260c401c3da'), (4, 5, '4680bb5ceaeef7ed'), (1, 0, '26be57d9e1a100e2'),
-    (2, 1, '892425fe3a72456c'),
+    (2, 1, '892425fe3a72456c'), (633, 2146, 'c1c697455da3a6ed'),
 ]
 
 
@@ -187,6 +189,10 @@ def _extra_arena_corpus():
         aut = gen.rand_automaton(rng, ("p",), rng.randint(1, 2),
                                  dialect=rng.choice([o.FOE1, o.FOE1INF]), want="any")
         yield au.acceptance_game(aut, system(rng.randint(2, 6), 3), full_enumeration=True)
+    # a 4-state input, whose construct has 13 states: the constructs of the
+    # 3-state ones above are trimmed to at most 9
+    aut = gen.rand_automaton(random.Random(1), ("p",), 4, dialect=o.FOE1, want="weak")
+    yield au.acceptance_game(au.noetherian_construct(aut), system(20, 5))
 
 
 def test_construct_and_full_enumeration_arenas_match_recorded():
