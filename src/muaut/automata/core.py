@@ -212,16 +212,30 @@ def classify_automaton(aut: ParityAutomaton) -> ClusterReport:
     return ClusterReport(clusters, degenerate, weak, cw)
 
 
-class NotWeakError(ValueError):
-    pass
+def collapse_priorities(aut: ParityAutomaton, neutral: frozenset[int] = frozenset()) -> ParityAutomaton:
+    """Set the priorities of each parity-pure cluster to plain 0 or 1.
 
-
-def normalize_weak_priorities(aut: ParityAutomaton) -> ParityAutomaton:
-    """Collapse priorities of a weak automaton to {0,1} by parity."""
-    if not classify_automaton(aut).weak:
-        raise NotWeakError("priority normalization needs a weak automaton")
+    A cluster whose states outside `neutral` share one parity gets that
+    parity, and a cluster of neutral states only gets 0.  The caller
+    promises that neutral states never form a cycle among themselves, so
+    every cycle of a cluster passes a state of the cluster's parity: giving
+    the whole cluster that parity changes no winner.  Mixed clusters keep
+    their priorities.  On a weak automaton, with no neutral states, every
+    priority becomes its parity.
+    """
+    rep = classify_automaton(aut)
+    omega = list(aut.omega)
+    for cluster in rep.clusters:
+        parities = {aut.omega[a] % 2 for a in cluster if a not in neutral}
+        if len(parities) == 1:
+            par = parities.pop()
+            for a in cluster:
+                omega[a] = par
+        elif not parities:
+            for a in cluster:
+                omega[a] = 0
     return ParityAutomaton(aut.dialect, aut.props, aut.n, aut.init,
-                           tuple(w % 2 for w in aut.omega), aut.delta, aut.macro_states)
+                           tuple(omega), aut.delta, aut.macro_states)
 
 
 def _reachable_automaton(dialect: str, props: PropSet, init: int, row, omega, macro) -> ParityAutomaton:

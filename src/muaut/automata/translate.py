@@ -22,7 +22,7 @@ from .. import mucalc as mc
 from .. import onestep as o
 from ..lts import PropSet
 from ..paritygame import _sccs
-from .core import (ParityAutomaton, classify_automaton, occurrence_edges,
+from .core import (ParityAutomaton, collapse_priorities, occurrence_edges,
                    pred_name, pred_state)
 
 
@@ -183,29 +183,7 @@ def from_formula(f: mc.MuFormula, props: PropSet | None = None) -> ParityAutomat
         omega.append(prio[st.tag] if st.tag is not None else 0)
     neutral = frozenset(i for i, st in enumerate(order) if st.tag is None)
     aut = ParityAutomaton(dialect, props, n, states[root], tuple(omega), delta)
-    return _collapse_pure_clusters(aut, neutral)
+    # untagged states never form a cycle among themselves: a modality-free
+    # expansion that unfolds no variable descends strictly through the formula
+    return collapse_priorities(aut, neutral)
 
-
-def _collapse_pure_clusters(aut: ParityAutomaton, neutral: frozenset[int]) -> ParityAutomaton:
-    """Set the priorities of each parity-pure cluster to plain 0 or 1.
-
-    Untagged states never form a cycle among themselves (a modality-free
-    expansion that unfolds no variable descends strictly through the
-    formula), so every cycle of a cluster passes a tagged state: once the
-    tagged parities of a cluster agree, giving the whole cluster that
-    parity changes no winner.  Mixed clusters keep the depth-derived
-    priorities, which encode variable dominance directly.
-    """
-    rep = classify_automaton(aut)
-    omega = list(aut.omega)
-    for cluster in rep.clusters:
-        parities = {aut.omega[a] % 2 for a in cluster if a not in neutral}
-        if len(parities) == 1:
-            par = parities.pop()
-            for a in cluster:
-                omega[a] = par
-        elif not parities:
-            for a in cluster:
-                omega[a] = 0
-    return ParityAutomaton(aut.dialect, aut.props, aut.n, aut.init,
-                           tuple(omega), aut.delta, aut.macro_states)

@@ -25,7 +25,6 @@ from . import paritygame as pg
 SIZE_CAPS = {
     "max_states": 6,
     "aut_states": 3,
-    "formula_depth": 3,
     "props": ("p", "q"),
 }
 
@@ -414,7 +413,7 @@ def _cmd_aut(args) -> int:
 def _cmd_mso(args) -> int:
     if args.action == "frommu":
         f = mc.parse(args.formula)
-        print(mso.pretty2(mso.mu_to_mso(f, args.logic)))
+        print(mso.pretty(mso.mu_to_mso(f, args.logic)))
         return 0
     if args.action == "eval":
         lts = L.load(args.lts)
@@ -468,37 +467,34 @@ def _cmd_fix(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=1)
-    common.add_argument("--json", dest="json_path", default=None, help="write the report as JSON")
-    common.add_argument("--force", action="store_true")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=1)
+    reported = argparse.ArgumentParser(add_help=False)
+    reported.add_argument("--json", dest="json_path", default=None, help="write the report as JSON")
     p = argparse.ArgumentParser(prog="wb", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_parser(name):
-        return sub.add_parser(name, parents=[common])
-
-    sp = add_parser("lts")
+    sp = sub.add_parser("lts")
     sp.add_argument("action", choices=["validate", "bisim"])
     sp.add_argument("file")
     sp.add_argument("other", nargs="?")
 
-    sp = add_parser("onestep")
+    sp = sub.add_parser("onestep")
     sp.add_argument("action", choices=["eval", "dual", "nf", "diamond"])
     sp.add_argument("formula")
     sp.add_argument("--dialect", choices=list(o.DIALECTS), default=None)
     sp.add_argument("--model", help="JSON file with size/valuation", default=None)
 
-    sp = add_parser("game")
+    sp = sub.add_parser("game")
     sp.add_argument("action", choices=["solve"])
     sp.add_argument("file")
 
-    sp = add_parser("mu")
+    sp = sub.add_parser("mu")
     sp.add_argument("action", choices=["eval", "game", "classify", "guard"])
     sp.add_argument("formula")
     sp.add_argument("--lts")
 
-    sp = add_parser("aut")
+    sp = sub.add_parser("aut", parents=[seeded])
     sp.add_argument("action", choices=["accept", "complement", "classify", "toformula",
                                        "fromformula", "simulate", "project", "diamond"])
     sp.add_argument("formula", nargs="?")
@@ -510,26 +506,27 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--check-equiv", action="store_true")
     sp.add_argument("--trees", type=int, default=30)
 
-    sp = add_parser("mso")
+    sp = sub.add_parser("mso")
     sp.add_argument("action", choices=["eval", "compile", "frommu"])
     sp.add_argument("formula")
     sp.add_argument("--logic", choices=["wmso", "nmso", "smso"], default="wmso")
     sp.add_argument("--lts")
     sp.add_argument("--props", default="p,q")
     sp.add_argument("--two-sorted", action="store_true")
+    sp.add_argument("--force", action="store_true")
 
-    sp = add_parser("fix")
+    sp = sub.add_parser("fix")
     sp.add_argument("action", choices=["trace", "witness", "unfold"])
     sp.add_argument("formula")
     sp.add_argument("--var", required=True)
     sp.add_argument("--lts", required=True)
     sp.add_argument("--state", type=int, default=0)
 
-    sp = add_parser("fuzz")
+    sp = sub.add_parser("fuzz", parents=[seeded, reported])
     sp.add_argument("suite", choices=sorted(SUITES))
     sp.add_argument("--n", type=int, default=100)
 
-    sp = add_parser("replay")
+    sp = sub.add_parser("replay", parents=[reported])
     sp.add_argument("file")
 
     return p

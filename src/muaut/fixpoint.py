@@ -75,22 +75,11 @@ def restrict(f: MonotoneFunctional, xs: frozenset[int]) -> MonotoneFunctional:
 
 
 def _playable_sets(f: MonotoneFunctional) -> list[frozenset[int]]:
-    n = len(f.carrier)
-    if n > UNFOLDING_CARRIER_LIMIT:
+    """Every subset of the carrier, smallest first."""
+    if len(f.carrier) > UNFOLDING_CARRIER_LIMIT:
         raise ValueError("carrier too large for the unfolding game (limit %d)"
                          % UNFOLDING_CARRIER_LIMIT)
-    xs = sorted(f.carrier)
-    if n <= 8:
-        return [frozenset(c) for c in _subsets_by_size(xs)]
-    # larger carriers: approximant stages and greedily shrunk variants
-    # (monotonicity makes small witness sets optimal for Exists)
-    _, stages = lfp(f)
-    out = set(stages)
-    for s in sorted(f.carrier):
-        for stage in stages:
-            if s in f(stage):
-                out.add(_shrink(f, s, stage))
-    return sorted(out, key=lambda x: (len(x), sorted(x)))
+    return [frozenset(c) for c in _subsets_by_size(sorted(f.carrier))]
 
 
 def _shrink(f: MonotoneFunctional, s: int, xs: frozenset[int]) -> frozenset[int]:

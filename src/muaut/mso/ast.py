@@ -1,9 +1,11 @@
 """Monadic second-order syntax, one-sorted and two-sorted.
 
-Second-order quantifiers carry a mode: standard (all subsets), finite, or
-noetherian; a logic instance uses one mode uniformly.  The minimal
-connective set matches the grammars (negation, disjunction, existentials);
-conjunction, implication and universals are provided as derived builders.
+The two sorts are one logic: they share negation, disjunction and the set
+quantifier, whose classes belong to both `Mso1` and `Mso2`, and differ only
+in their atoms and in the two-sorted individual quantifier.  Second-order
+quantifiers carry a mode: standard (all subsets), finite, or noetherian; a
+logic instance uses one mode uniformly.  Conjunction, implication and
+universals are provided as derived builders.
 """
 from __future__ import annotations
 
@@ -13,21 +15,41 @@ from functools import partial, reduce
 from operator import attrgetter
 from typing import Union
 
-from ..syntax import Cursor, Node, ParseError
+from ..syntax import Cursor, Node
 
 STANDARD = "standard"
 FINITE = "finite"
 NOETHERIAN = "noetherian"
-MODES = (STANDARD, FINITE, NOETHERIAN)
 
 LOGIC_MODE = {"smso": STANDARD, "wmso": FINITE, "nmso": NOETHERIAN}
 
-# the notations (see syntax.pretty) that both sorts share; `|` parses
-# left-nested and `ex` scopes as far right as it can, so a right operand
-# of `|` is parenthesized when it is a `|`, a left one when it is an `ex`
-_NOT = (None, "~", ("body", 2))
-_OR = (0, ("left", 2), " | ", ("right", 1))
-_EX = (1, "ex {var}. ", ("body", 0))
+
+# --- shared connectives ---------------------------------------------------
+# `|` parses left-nested and `ex` scopes as far right as it can, so a right
+# operand of `|` is parenthesized when it is a `|`, a left one when it is an `ex`
+
+@dataclass(frozen=True, eq=False)
+class Not(Node):
+    body: "Mso"
+    subs = ("body",)
+    notation = (None, "~", ("body", 2))
+
+
+@dataclass(frozen=True, eq=False)
+class Or(Node):
+    left: "Mso"
+    right: "Mso"
+    subs = ("left", "right")
+    notation = (0, ("left", 2), " | ", ("right", 1))
+
+
+@dataclass(frozen=True, eq=False)
+class ExistsSet(Node):
+    var: str
+    body: "Mso"
+    mode: str
+    subs = ("body",)
+    notation = (1, "ex {var}. ", ("body", 0))
 
 
 # --- one-sorted -----------------------------------------------------------
@@ -54,31 +76,7 @@ class RelStep(Node):
     notation = (None, "Rel({left},{right})")
 
 
-@dataclass(frozen=True, eq=False)
-class Not1(Node):
-    body: "Mso1"
-    subs = ("body",)
-    notation = _NOT
-
-
-@dataclass(frozen=True, eq=False)
-class Or1(Node):
-    left: "Mso1"
-    right: "Mso1"
-    subs = ("left", "right")
-    notation = _OR
-
-
-@dataclass(frozen=True, eq=False)
-class Exists1(Node):
-    var: str
-    body: "Mso1"
-    mode: str
-    subs = ("body",)
-    notation = _EX
-
-
-Mso1 = Union[Down, SubsetOf, RelStep, Not1, Or1, Exists1]
+Mso1 = Union[Down, SubsetOf, RelStep, Not, Or, ExistsSet]
 
 
 free_letters1 = attrgetter("facts")  # stored on each node (see Node.derive)
@@ -108,54 +106,31 @@ class EqVar(Node):
 
 
 @dataclass(frozen=True, eq=False)
-class Not2(Node):
-    body: "Mso2"
-    subs = ("body",)
-    notation = _NOT
-
-
-@dataclass(frozen=True, eq=False)
-class Or2(Node):
-    left: "Mso2"
-    right: "Mso2"
-    subs = ("left", "right")
-    notation = _OR
-
-
-@dataclass(frozen=True, eq=False)
 class ExistsVar(Node):
     var: str
-    body: "Mso2"
+    body: "Mso"
     subs = ("body",)
-    notation = _EX
+    notation = ExistsSet.notation
 
 
-@dataclass(frozen=True, eq=False)
-class ExistsSet(Node):
-    var: str
-    body: "Mso2"
-    mode: str
-    subs = ("body",)
-    notation = _EX
-
-
-Mso2 = Union[PredApp, RelApp, EqVar, Not2, Or2, ExistsVar, ExistsSet]
+Mso2 = Union[PredApp, RelApp, EqVar, Not, Or, ExistsVar, ExistsSet]
+Mso = Union[Mso1, Mso2]
 
 
 def and2(a: Mso2, b: Mso2) -> Mso2:
-    return Not2(Or2(Not2(a), Not2(b)))
+    return Not(Or(Not(a), Not(b)))
 
 
 def implies2(a: Mso2, b: Mso2) -> Mso2:
-    return Or2(Not2(a), b)
+    return Or(Not(a), b)
 
 
 def forall_var(x: str, body: Mso2) -> Mso2:
-    return Not2(ExistsVar(x, Not2(body)))
+    return Not(ExistsVar(x, Not(body)))
 
 
 def forall_set(p: str, body: Mso2, mode: str) -> Mso2:
-    return Not2(ExistsSet(p, Not2(body), mode))
+    return Not(ExistsSet(p, Not(body), mode))
 
 
 def conj2(parts) -> Mso2:
@@ -174,12 +149,8 @@ INDIVIDUAL_VARS = re.compile(r"^[v-z][0-9]*$")
 KEYWORDS = frozenset({"ex", "down", "Rel", "R"})  # names that cannot open an atom
 
 
-MsoParseError = ParseError
-
-
 def _parse(text: str, logic: str, sorted2: bool):
     mode = LOGIC_MODE[logic]
-    Not, Or = (Not2, Or2) if sorted2 else (Not1, Or1)
     make_or = partial(reduce, Or)  # left-nested binary disjunctions
 
     def unary(c: Cursor):
@@ -197,9 +168,9 @@ def _parse(text: str, logic: str, sorted2: bool):
             v = c.name()
             c.expect(".")
             b = c.infix(unary, make_or)
-            if not sorted2:
-                return c.leave(Exists1(v, b, mode))
-            return c.leave(ExistsVar(v, b) if INDIVIDUAL_VARS.match(v) else ExistsSet(v, b, mode))
+            if sorted2 and INDIVIDUAL_VARS.match(v):
+                return c.leave(ExistsVar(v, b))
+            return c.leave(ExistsSet(v, b, mode))
         if t == "down":
             if sorted2:
                 raise c.error("one-sorted atom 'down' in a two-sorted formula")

@@ -9,11 +9,11 @@ the set quantifier is projection over the matching simulation construct
 from __future__ import annotations
 
 from .. import onestep as o
-from ..automata import (ParityAutomaton, complement, finitary_construct,
-                        noetherian_construct, normalize_weak_priorities, project,
+from ..automata import (ParityAutomaton, collapse_priorities, complement,
+                        finitary_construct, noetherian_construct, project,
                         union_automaton)
 from ..lts import PropSet
-from .ast import (Down, Exists1, Mso1, Not1, Or1, RelStep, SubsetOf, LOGIC_MODE,
+from .ast import (Down, ExistsSet, Mso1, Not, Or, RelStep, SubsetOf, LOGIC_MODE,
                   free_letters1)
 
 
@@ -71,16 +71,16 @@ def compile_mso(f: Mso1, logic: str, props: PropSet) -> ParityAutomaton:
                 return base_subset(ps, p, q, dialect)
             case RelStep(p, q):
                 return base_rel(ps, p, q, dialect)
-            case Or1(a, b):
+            case Or(a, b):
                 return union_automaton(go(a, ps), go(b, ps))
-            case Not1(b):
+            case Not(b):
                 return complement(go(b, ps))
-            case Exists1(p, b, m):
+            case ExistsSet(p, b, m):
                 if m != mode:
                     raise CompileError("quantifier mode %r inside a %s compilation" % (m, logic))
                 sub = go(b, ps.with_letter(p))
                 construct = finitary_construct if logic == "wmso" else noetherian_construct
-                return project(construct(normalize_weak_priorities(sub)), p)
+                return project(construct(collapse_priorities(sub)), p)
         raise TypeError(g)
 
     return go(f, props)

@@ -14,9 +14,8 @@ from typing import Iterator
 
 from ..lts import LTS, noetherian_subset
 from ..onestep.models import _subsets_by_size
-from .ast import (Down, EqVar, Exists1, ExistsSet, ExistsVar, Mso1, Mso2,
-                  Not1, Not2, Or1, Or2, PredApp, RelApp, RelStep, SubsetOf,
-                  NOETHERIAN)
+from .ast import (Down, EqVar, ExistsSet, ExistsVar, Mso, Mso2, Not, Or, PredApp,
+                  RelApp, RelStep, SubsetOf, NOETHERIAN)
 
 
 class UnboundError(ValueError):
@@ -31,7 +30,7 @@ def _candidates(lts: LTS, mode: str) -> Iterator[frozenset[int]]:
     return subs
 
 
-def eval_mso(f: Mso1 | Mso2, lts: LTS, assignment: dict[str, int] | None = None) -> bool:
+def eval_mso(f: Mso, lts: LTS, assignment: dict[str, int] | None = None) -> bool:
     """Truth of a formula of either sort, its free individual variables
     read from the assignment.  A letter is a set: bound, or the extension
     of a proposition of the system."""
@@ -78,9 +77,9 @@ def eval_mso(f: Mso1 | Mso2, lts: LTS, assignment: dict[str, int] | None = None)
                 return (at(x, asg), at(y, asg)) in lts.edges
             case EqVar(x, y):
                 return at(x, asg) == at(y, asg)
-            case Not1(b) | Not2(b):
+            case Not(b):
                 return not go(b, asg, env)
-            case Or1(a, b) | Or2(a, b):
+            case Or(a, b):
                 return go(a, asg, env) or go(b, asg, env)
         # a quantifier's truth depends only on the values of its free names
         key = (g, *[(asg.get(n), env.get(n)) for n in g.facts])
@@ -88,16 +87,13 @@ def eval_mso(f: Mso1 | Mso2, lts: LTS, assignment: dict[str, int] | None = None)
             match g:
                 case ExistsVar(v, b):
                     memo[key] = any(go(b, {**asg, v: s}, env) for s in lts.states())
-                case Exists1(v, b, mode) | ExistsSet(v, b, mode):
+                case ExistsSet(v, b, mode):
                     memo[key] = any(go(b, asg, {**env, v: x}) for x in candidates(mode))
                 case _:
                     raise TypeError(g)
         return memo[key]
 
     return go(f, assignment or {}, {})
-
-
-eval_mso2 = eval_mso
 
 
 def holds_at_init2(f: Mso2, lts: LTS) -> bool:

@@ -15,7 +15,7 @@ from functools import reduce
 
 from .. import mucalc as mc
 from .. import onestep as o
-from .ast import (KEYWORDS, EqVar, ExistsSet, ExistsVar, Mso2, Not2, Or2, PredApp,
+from .ast import (KEYWORDS, EqVar, ExistsSet, ExistsVar, Mso2, Not, Or, PredApp,
                   RelApp, and2, conj2, forall_set, forall_var, implies2,
                   FINITE, NOETHERIAN)
 
@@ -46,11 +46,11 @@ def onestep_dagger(alpha: o.Formula, v: str, fresh, atom) -> Mso2:
             case o.Pred(a, x):
                 return atom(a, names[x])
             case o.NegPred(a, x):
-                return Not2(atom(a, names[x]))
+                return Not(atom(a, names[x]))
             case o.Eq(x, y):
                 return EqVar(names[x], names[y])
             case o.Neq(x, y):
-                return Not2(EqVar(names[x], names[y]))
+                return Not(EqVar(names[x], names[y]))
             case o.And(args) | o.Or(args):
                 return _junction2(g, (go(a, names, depth) for a in args), v)
         y = _point(depth + 1, v)
@@ -66,26 +66,26 @@ def onestep_dagger(alpha: o.Formula, v: str, fresh, atom) -> Mso2:
                 p = fin[0]
                 dual = isinstance(g, o.ForallInf)  # a finite set holds every counterexample
                 out = forall_set(p, ExistsVar(y, conj2(
-                    [RelApp(v, y), Not2(PredApp(p, y)), Not2(body) if dual else body])), FINITE)
-                return Not2(out) if dual else out
+                    [RelApp(v, y), Not(PredApp(p, y)), Not(body) if dual else body])), FINITE)
+                return Not(out) if dual else out
         raise TypeError(g)
 
     return go(o.expand_sugar(alpha), {}, 0)
 
 
 def _false(v: str) -> Mso2:
-    return Not2(EqVar(v, v))
+    return Not(EqVar(v, v))
 
 
 def _junction2(g, parts, v: str) -> Mso2:
     """The n-ary conjunction or disjunction g (one-step or fixpoint) over
-    its translated parts, built in order: `conj2`, or left-nested `Or2`;
+    its translated parts, built in order: `conj2`, or left-nested `Or`;
     truth or falsity at v when there are no parts."""
     parts = list(parts)
     conjunction = isinstance(g, (o.And, mc.MAnd))
     if not parts:
-        return Not2(_false(v)) if conjunction else _false(v)
-    return conj2(parts) if conjunction else reduce(Or2, parts)
+        return Not(_false(v)) if conjunction else _false(v)
+    return conj2(parts) if conjunction else reduce(Or, parts)
 
 
 def mu_to_mso(f: mc.MuFormula, logic: str) -> Mso2:
@@ -141,7 +141,7 @@ def mu_to_mso(f: mc.MuFormula, logic: str) -> Mso2:
             case mc.Prop(p):
                 return PredApp(p if p in free else sets[p][1], v)
             case mc.NegProp(p):
-                return Not2(PredApp(p, v))
+                return Not(PredApp(p, v))
             case mc.MAnd(args) | mc.MOr(args):
                 return _junction2(g, (tr(a, v) for a in args), v)
             case mc.Modal(alpha, args):
@@ -150,7 +150,7 @@ def mu_to_mso(f: mc.MuFormula, logic: str) -> Mso2:
             case mc.Mu(p, b):
                 return _mu_clause(p, b, v)
             case mc.Nu(p, b):
-                return Not2(_mu_clause(p, mc.negate(b, frozenset({p})), v))
+                return Not(_mu_clause(p, mc.negate(b, frozenset({p})), v))
         raise TypeError(g)
 
     def _mu_clause(p: str, body: mc.MuFormula, v: str) -> Mso2:

@@ -1,12 +1,12 @@
 """Fixpoint calculi over one-step modalities."""
 
-from .ast import (MAnd, MBOT, MOr, MTOP, Modal, Mu, MuFormula, MuParseError,
+from .ast import (MAnd, MBOT, MOr, MTOP, Modal, Mu, MuFormula,
                   NegProp, Nu, Prop, IllFormedError, arg_names, bound_letters, box,
                   check_wf, dia, free_letters, is_box, is_dia, mand,
                   modal_dialect, mor, negate, parse, refresh,
                   simplify, subformulas, substitute)
 from ..lts import UnboundLetterError
-from ..syntax import pretty
+from ..syntax import ParseError, pretty
 from .bridge import NotFO1Error, fo1_modal_bridge
 from .classify import (FragmentReport, classify, in_cocontinuous,
                        in_conoetherian, in_continuous, in_noetherian,

@@ -16,7 +16,7 @@ from typing import Iterable, Union
 
 from .. import onestep as o
 from ..onestep.parse import formula as onestep_formula
-from ..syntax import Cursor, Node, ParseError, infix, junction
+from ..syntax import Cursor, Node, infix, junction
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,9 +265,6 @@ def simplify(f: MuFormula) -> MuFormula:
             b = simplify(b)
             return f.rebuild(lambda _: b) if p in free_letters(b) else b
     return f.rebuild(simplify)
-
-
-MuParseError = ParseError
 
 
 def _unary(c: Cursor) -> MuFormula:

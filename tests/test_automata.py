@@ -114,17 +114,21 @@ def test_normalize_weak_priorities():
         aut = gen.rand_automaton(rng, ("p",), 2, dialect=o.FOE1INF, want="weak")
         shifted = au.ParityAutomaton(aut.dialect, aut.props, aut.n, aut.init,
                                      tuple(w + 2 for w in aut.omega), aut.delta)
-        norm = au.normalize_weak_priorities(shifted)
-        assert set(norm.omega) <= {0, 1}
+        norm = au.collapse_priorities(shifted)
+        assert norm.omega == tuple(w % 2 for w in aut.omega)
         lts = gen.rand_lts(rng, ("p",), max_states=4)
         assert au.accepts(norm, lts) == au.accepts(shifted, lts)
+    # a cluster of mixed parities keeps its priorities, and so its acceptance
     nonweak_delta = {}
     for c in props("p").colours():
         nonweak_delta[(0, c)] = o.Exists("x", o.Pred("q1", "x"))
         nonweak_delta[(1, c)] = o.Exists("x", o.Pred("q0", "x"))
     nonweak = au.ParityAutomaton(o.FOE1, props("p"), 2, 0, (0, 1), nonweak_delta)
-    with pytest.raises(au.NotWeakError):
-        au.normalize_weak_priorities(nonweak)
+    kept = au.collapse_priorities(nonweak)
+    assert kept.omega == (0, 1)
+    for _ in range(15):
+        lts = gen.rand_lts(rng, ("p",), max_states=4)
+        assert au.accepts(kept, lts) == au.accepts(nonweak, lts)
 
 
 def test_union_automaton():

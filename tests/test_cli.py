@@ -251,7 +251,7 @@ def test_frommu_of_a_deep_formula_evaluates_as_the_formula(colors, capsys, tmp_p
     want = capsys.readouterr().out.splitlines()[0]
     assert cli.main(["mso", "frommu", formula, "--logic", "wmso"]) == 0
     g = mso.mu_to_mso(mc.parse(formula), "wmso")
-    assert capsys.readouterr().out.strip() == mso.pretty2(g)
+    assert capsys.readouterr().out.strip() == mso.pretty(g)
     assert str(mso.holds_at_init2(g, lts)).lower() == want
 
 
@@ -423,3 +423,19 @@ def test_missing_companion_argument_exits_2(argv, missing, capsys):
     assert cli.main(argv) == 2
     assert "error: %s %s needs %s" % (argv[0], argv[1], missing) in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["lts", "validate", "F", "--force"], 2),
+    (["game", "solve", "F", "--json", "out"], 2),
+    (["mu", "classify", "X", "--seed", "3"], 2),
+    (["fuzz", "dual", "--n", "5", "--seed", "7", "--json", "out"], 0),
+])
+def test_options_exist_only_where_they_are_read(argv, code, capsys, tmp_path, monkeypatch):
+    # --seed belongs to fuzz and aut, --json to fuzz and replay, --force to mso
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == code
+    if code:
+        assert "unrecognized arguments: %s" % argv[3] in capsys.readouterr().err
+    else:
+        assert json.loads((tmp_path / "out").read_text())["passed"] == 5

@@ -56,10 +56,10 @@ def test_unfolding_game_region_is_lfp():
 
 
 @pytest.mark.parametrize("n", [9, 10, 12])
-def test_unfolding_region_is_lfp_past_eight_states(n):
-    # past eight states Exists plays only the approximant stages and their
-    # shrunk variants; on a chain with p at n-3 and q everywhere but at 2
-    # both least fixpoints are proper and nonempty
+def test_unfolding_region_is_lfp_past_eight_states(n, monkeypatch):
+    # Exists may offer every subset of the carrier up to its limit, so the
+    # game is built without the least fixpoint it decides; on a chain with p
+    # at n-3 and q everywhere but at 2 both least fixpoints are proper and nonempty
     lts = L.make_lts(["p", "q"], n, [(s, s + 1) for s in range(n - 1)],
                      {s: ["q"] + ["p"] * (s == n - 3) for s in range(n) if s != 2})
     p, q, r = mc.Prop("p"), mc.Prop("q"), mc.Prop("r")
@@ -67,7 +67,9 @@ def test_unfolding_region_is_lfp_past_eight_states(n):
         F = fx.formula_functional(body, "r", lts)
         fix = fx.lfp(F)[0]
         assert fix and fix != F.carrier
-        assert fx.unfolding_region(F) == fix
+        with monkeypatch.context() as m:
+            m.setattr(fx, "lfp", lambda f: pytest.fail("the game asked for the least fixpoint"))
+            assert fx.unfolding_region(F) == fix
 
 
 def test_unfolding_game_trivial_cases():

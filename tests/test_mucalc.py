@@ -224,12 +224,12 @@ def test_modality_without_arguments_reads_back():
         f = mc.parse(text)
         assert mc.pretty(f) == text and mc.parse(mc.pretty(f)) is f
     assert mc.parse("<false>()") == mc.Modal(o.BOT, ())
-    with pytest.raises(mc.MuParseError):
+    with pytest.raises(mc.ParseError):
         mc.parse("<false>(,)")
 
 
 @pytest.mark.parametrize("text", ["dia " * 1500 + "p", "(" * 2000 + "p" + ")" * 2000,
                                   "<E x. " + "(" * 2000 + "a1(x)" + ")" * 2000 + ">(p)"])
 def test_deep_nesting_is_a_parse_error(text):
-    with pytest.raises(mc.MuParseError, match="formula nesting too deep"):
+    with pytest.raises(mc.ParseError, match="formula nesting too deep"):
         mc.parse(text)

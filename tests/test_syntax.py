@@ -31,8 +31,11 @@ from muaut.syntax import MAX_NESTING, Node, ParseError
 # individual variables level by level: only 253 `mso2` lines of its
 # outputs changed (130 wmso, 123 nmso).  Re-recorded when one `onestep_dagger`
 # call began to bind one `fin` set name for all its infinity quantifiers:
-# only 1 wmso `mso2` line changed.
-CORPUS_DIGEST = "a6bb14e436e6bcb34a215f4802e079b5addf466412973bab2b11125c1738cf68"
+# only 1 wmso `mso2` line changed.  Re-recorded when the two sorts began to
+# share one class per connective: 556 of the 3,643 lines changed, each one
+# equal to its old line after renaming `Not1(`/`Not2(` to `Not(`, `Or1(`/`Or2(`
+# to `Or(` and `Exists1(` to `ExistsSet(`; no grammar or text column changed.
+CORPUS_DIGEST = "f56472550b23fc771376a128dc0d7a901892f7b9721bcd772fc611e7ccc79058"
 
 MSO1_POOL = [
     "down p", "p sub q", "Rel(p,q)", "ex r. (r sub p)", "ex r. (down r | Rel(r,q))",
@@ -70,11 +73,11 @@ def _corpus():
     for logic in ("wmso", "nmso", "smso"):
         for text in MSO1_POOL:
             f = mso.parse1(text, logic)
-            text = mso.pretty1(f)
+            text = mso.pretty(f)
             out.append(("mso1 " + logic, text, mso.parse1(text, logic), f))
         for text in MSO2_POOL:
             f = mso.parse2(text, logic)
-            text = mso.pretty2(f)
+            text = mso.pretty(f)
             out.append(("mso2 " + logic, text, mso.parse2(text, logic), f))
     for f in mus:
         for logic in ("wmso", "nmso"):
@@ -82,7 +85,7 @@ def _corpus():
                 g = mso.mu_to_mso(f, logic)
             except mso.FragmentError:
                 continue
-            text = mso.pretty2(g)
+            text = mso.pretty(g)
             out.append(("mso2 " + logic, text, mso.parse2(text, logic), g))
     return tuple(out)
 
@@ -113,8 +116,10 @@ def test_every_corpus_formula_reads_back_as_itself():
 # rows changed; an `mso2` row now records its stored facts in place of the
 # outputs of a deleted substitution walker.  Re-recorded with the corpus
 # digest for the one `fin` name per `onestep_dagger` call: only that wmso
-# `mso2` row and the `mu_to_mso` entry of one `mu` row changed.
-WALKER_DIGEST = "e72d30d259d6c6eb01be779a30ee423f852fdcb46fe3890d5557a6839bcfa006"
+# `mso2` row and the `mu_to_mso` entry of one `mu` row changed.  Re-recorded
+# with the corpus digest for the shared connective classes: 260 rows changed,
+# each one only by the same renaming.
+WALKER_DIGEST = "2d4bc994ac805007a730ccfa58d17ca31db7533bd8e79c51653138dbc720f09c"
 
 SIGMA = {"p": mc.dia(mc.Prop("q")), "q": mc.mor((mc.Prop("p"), mc.Nu("y", mc.box(mc.Prop("y")))))}
 
@@ -157,13 +162,16 @@ def test_walkers_give_the_recorded_outputs():
     assert digest == WALKER_DIGEST
 
 
-# each AST's node classes and the name of its formula type
-SYNTAXES = [(typing.get_args(o.Formula), "Formula"), (typing.get_args(mc.MuFormula), "MuFormula"),
-            (typing.get_args(mso.Mso1), "Mso1"), (typing.get_args(mso.Mso2), "Mso2")]
+# each AST's node classes, the name its subformula fields are annotated
+# with, and its corpus grammar; the two MSO syntaxes share Not, Or and ExistsSet
+SYNTAXES = {"Formula": (typing.get_args(o.Formula), "Formula", "onestep"),
+            "MuFormula": (typing.get_args(mc.MuFormula), "MuFormula", "mu"),
+            "Mso1": (typing.get_args(mso.Mso1), "Mso", "mso1"),
+            "Mso2": (typing.get_args(mso.Mso2), "Mso", "mso2")}
 
 
-@pytest.mark.parametrize("classes,formula", SYNTAXES, ids=[name for _, name in SYNTAXES])
-def test_subformula_fields_are_the_fields_that_hold_formulas(classes, formula):
+@pytest.mark.parametrize("classes,formula,grammar", SYNTAXES.values(), ids=SYNTAXES)
+def test_subformula_fields_are_the_fields_that_hold_formulas(classes, formula, grammar):
     # annotations are strings such as "'Formula'", "tuple['Formula', ...]" or "o.Formula"
     for cls in classes:
         assert issubclass(cls, Node)
@@ -171,12 +179,13 @@ def test_subformula_fields_are_the_fields_that_hold_formulas(classes, formula):
                  '"', "") in (formula, "tuple[%s, ...]" % formula)]
         assert list(cls.subs) == typed, cls
         assert "subs" not in cls.__match_args__
-    # and in parsed formulas: subformula fields hold nodes of the same syntax, other fields none
+    # and in parsed formulas of the grammar: subformula fields hold nodes of
+    # its syntax, other fields none
     seen = set()
-    for _, _, f, _ in _corpus():
+    for tag, _, f, _ in _corpus():
+        if tag.split()[0] != grammar:
+            continue
         for g in _nodes(getattr(f, "ast", f)):
-            if type(g) not in classes:
-                break
             seen.add(type(g))
             for name in g.__match_args__:
                 v = getattr(g, name)
@@ -191,17 +200,18 @@ def _nodes(f):
         yield from _nodes(c)
 
 
-@pytest.mark.parametrize("classes,formula", SYNTAXES, ids=[name for _, name in SYNTAXES])
-def test_every_node_class_declares_a_notation_and_prints(classes, formula):
-    assert o.pretty is mc.pretty is mso.pretty1 is mso.pretty2 is syntax.pretty
-    first = {}
-    for grammar, _, f, _ in _corpus():
-        for g in _nodes(getattr(f, "ast", f)):
-            first.setdefault(type(g), (grammar, g))
+@pytest.mark.parametrize("classes,formula,grammar", SYNTAXES.values(), ids=SYNTAXES)
+def test_every_node_class_declares_a_notation_and_prints(classes, formula, grammar):
+    assert o.pretty is mc.pretty is mso.pretty is syntax.pretty
+    first = {}  # each class's first node in the grammar's corpus, read by that grammar
+    for tag, _, f, _ in _corpus():
+        if tag.split()[0] == grammar:
+            for g in _nodes(getattr(f, "ast", f)):
+                first.setdefault(type(g), (tag, g))
     for cls in classes:
         assert "notation" in vars(cls), cls
-        grammar, g = first[cls]
-        assert _parser(grammar)(syntax.pretty(g)) is g, g
+        tag, g = first[cls]
+        assert _parser(tag)(syntax.pretty(g)) is g, g
 
 
 A, B, X = o.Pred("a", "x"), o.Neq("x", "y"), o.Eq("x", "x")
@@ -220,15 +230,23 @@ REBUILDS = [
     (mc.MAnd((P, Q)), Q, Y, mc.MAnd((P, Y))), (mc.MOr((P, Q)), P, Y, mc.MOr((Y, Q))),
     (mc.Modal(ALPHA, (P, Q)), Q, Y, mc.Modal(ALPHA, (P, Y))),
     (mc.Mu("p", P), P, Y, mc.Mu("p", Y)), (mc.Nu("p", P), P, Y, mc.Nu("p", Y)),
-    (mso.Not1(D1), D1, X1, mso.Not1(X1)), (mso.Or1(D1, D2), D2, X1, mso.Or1(D1, X1)),
-    (mso.Exists1("r", D1, mso.FINITE), D1, X1, mso.Exists1("r", X1, mso.FINITE)),
-    (mso.Not2(D3), D3, X2, mso.Not2(X2)), (mso.Or2(D3, D4), D3, X2, mso.Or2(X2, D4)),
+    (mso.Not(D1), D1, X1, mso.Not(X1)), (mso.Or(D1, D2), D2, X1, mso.Or(D1, X1)),
+    (mso.ExistsSet("r", D1, mso.FINITE), D1, X1, mso.ExistsSet("r", X1, mso.FINITE)),
+    (mso.Not(D3), D3, X2, mso.Not(X2)), (mso.Or(D3, D4), D3, X2, mso.Or(X2, D4)),
     (mso.ExistsVar("w", D4), D4, X2, mso.ExistsVar("w", X2)),
     (mso.ExistsSet("p", D3, mso.NOETHERIAN), D3, X2, mso.ExistsSet("p", X2, mso.NOETHERIAN)),
 ]
 
 
-@pytest.mark.parametrize("node,old,new,want", REBUILDS, ids=[type(r[0]).__name__ for r in REBUILDS])
+def _rebuild_id(node, old, new, want):
+    """The node's class, with the sort of its children when both MSO syntaxes have it."""
+    name = type(node).__name__
+    if all(type(node) in typing.get_args(s) for s in (mso.Mso1, mso.Mso2)):
+        name += "1" if type(old) in typing.get_args(mso.Mso1) else "2"
+    return name
+
+
+@pytest.mark.parametrize("node,old,new,want", REBUILDS, ids=[_rebuild_id(*r) for r in REBUILDS])
 def test_rebuild(node, old, new, want):
     assert node.rebuild(lambda c: c) is node
     assert node.rebuild(lambda c: new if c == old else c) == want
@@ -263,10 +281,10 @@ def _nested(n):
             "nu z%d. (p & " % i for i in range(n // 2)) + "p" + ")" * (n // 2))),
         # the innermost modality's quantifier is one level deeper
         (mc.parse, mc.pretty, "<E x. a1(x) | a2(x)>(p, " * (n - 1) + "q" + ")" * (n - 1)),
-        (mso.parse1, mso.pretty1, _depth(n, 1, "~", "down p")),
-        (mso.parse1, mso.pretty1, _depth(n, 2, "ex r. (down r | ", "r sub p", ")")),
-        (mso.parse2, mso.pretty2, _depth(n, 1, "(", "p(v)", ")")),
-        (mso.parse2, mso.pretty2, _depth(n, 1, "ex x. ", "R(v,x)")),
+        (mso.parse1, mso.pretty, _depth(n, 1, "~", "down p")),
+        (mso.parse1, mso.pretty, _depth(n, 2, "ex r. (down r | ", "r sub p", ")")),
+        (mso.parse2, mso.pretty, _depth(n, 1, "(", "p(v)", ")")),
+        (mso.parse2, mso.pretty, _depth(n, 1, "ex x. ", "R(v,x)")),
     ]
 
 
@@ -310,12 +328,12 @@ def _deep(n):
         ("mu", build(q, lambda f, i: mc.Nu("z%d" % i, mc.MAnd((p, f)))),
          "".join("nu z%d. p & (" % i for i in range(n - 1, 0, -1))
          + "nu z0. p & q" + ")" * (n - 1)),
-        ("mso1 wmso", build(d, lambda f, i: mso.Not1(f)), "~" * n + "down p"),
-        ("mso1 wmso", build(mso.Down("q"), lambda f, i: mso.Or1(d, f)),
+        ("mso1 wmso", build(d, lambda f, i: mso.Not(f)), "~" * n + "down p"),
+        ("mso1 wmso", build(mso.Down("q"), lambda f, i: mso.Or(d, f)),
          "down p | (" * (n - 1) + "down p | down q" + ")" * (n - 1)),
         ("mso2 wmso", build(mso.RelApp("v", "x"), lambda f, i: mso.ExistsVar("x", f)),
          "ex x. " * n + "R(v,x)"),
-        ("mso2 wmso", build(x, lambda f, i: mso.Or2(f, mso.PredApp("p", "v"))),
+        ("mso2 wmso", build(x, lambda f, i: mso.Or(f, mso.PredApp("p", "v"))),
          "(" * (n - 1) + "x=v" + " | p(v))" * (n - 1) + " | p(v)"),
     ]
 
@@ -356,11 +374,11 @@ def test_punctuation_is_not_a_name(grammar, text):
 def test_letters_that_start_with_a_keyword_round_trip(letter):
     for mode, logic in ((mso.FINITE, "wmso"), (mso.NOETHERIAN, "nmso")):
         for f in (mso.Down(letter), mso.SubsetOf(letter, "p"), mso.RelStep("p", letter),
-                  mso.Exists1(letter, mso.Not1(mso.Down(letter)), mode),
-                  mso.Or1(mso.Down(letter), mso.SubsetOf("q", letter))):
-            assert mso.parse1(mso.pretty1(f), logic) == f
-        f2 = mso.ExistsSet(letter, mso.Or2(mso.PredApp(letter, "v"), mso.RelApp("v", "x")), mode)
-        assert mso.parse2(mso.pretty2(f2), logic) == f2
+                  mso.ExistsSet(letter, mso.Not(mso.Down(letter)), mode),
+                  mso.Or(mso.Down(letter), mso.SubsetOf("q", letter))):
+            assert mso.parse1(mso.pretty(f), logic) == f
+        f2 = mso.ExistsSet(letter, mso.Or(mso.PredApp(letter, "v"), mso.RelApp("v", "x")), mode)
+        assert mso.parse2(mso.pretty(f2), logic) == f2
     assert mso.parse1("down express") == mso.Down("express")
 
 
@@ -408,7 +426,7 @@ def test_malformed_inputs_are_rejected(grammar, text):
 
 
 def test_one_error_type():
-    assert o.ParseError is mc.MuParseError is mso.MsoParseError is ParseError
+    assert o.ParseError is mc.ParseError is mso.ParseError is ParseError
     assert issubclass(ParseError, ValueError)
 
 
@@ -427,7 +445,7 @@ def test_equal_parses_are_one_node():
 
 def test_node_classes_compare_by_identity_and_keep_the_stored_hash():
     # a node class declared without eq=False would get the recursive dataclass ones
-    for classes, _ in SYNTAXES:
+    for classes, _, _ in SYNTAXES.values():
         for cls in classes:
             assert cls.__eq__ is object.__eq__ and cls.__hash__ is Node.__hash__, cls
 
