@@ -126,8 +126,10 @@ def acceptance_game(aut: ParityAutomaton, lts: LTS, full_enumeration: bool = Fal
     positions belong to Forall with priority 0.  Minimal valuations
     suffice by monotonicity; they are read, sorted, from the
     `onestep.models._min_valuations_range` memo (one entry per transition
-    entry and out-degree) and relabelled onto each node's successors.  The
-    full enumeration (`onestep.all_valuations`) is a regression oracle.
+    entry and out-degree), turned once per (state, colour, out-degree) into
+    a template of (base code, successor index) pairs, and relabelled onto
+    each node's successors.  The full enumeration (`onestep.all_valuations`)
+    is a regression oracle.
 
     The arena is built over integer codes: the basic position (a, s) is
     a * lts.n + s, and a valuation position is the tuple of the basic
@@ -139,14 +141,20 @@ def acceptance_game(aut: ParityAutomaton, lts: LTS, full_enumeration: bool = Fal
         raise AlphabetMismatch("automaton alphabet %r vs system %r" % (aut.props.names, lts.props.names))
     n, succ = lts.n, lts.successor_table()
     base = {pred_name(a): a * n for a in range(aut.n)}
+    templates: dict[tuple, list] = {}  # (state, colour, out-degree) -> [((base, index), ...)]
 
     def expand(pos):
         a, s = divmod(pos, n)
-        f, ss = aut.entry(a, lts.colours[s]), succ[s]
+        colour, ss = lts.colours[s], succ[s]
         if full_enumeration:
+            f = aut.entry(a, colour)
             vals = [tuple(base[b] + t for b, t in sorted(v)) for v in o.all_valuations(f, ss)]
         else:
-            vals = [tuple(base[b] + ss[d] for b, d in mv) for mv in _min_valuations_range(f, len(ss))]
+            key = (a, colour, len(ss))
+            if key not in templates:
+                templates[key] = [tuple((base[b], d) for b, d in mv)
+                                  for mv in _min_valuations_range(aut.entry(a, colour), len(ss))]
+            vals = [tuple(c + ss[d] for c, d in mv) for mv in templates[key]]
         return EXISTS, aut.omega[a], vals
 
     game, codes = build_arena([aut.init * n + lts.init], expand)

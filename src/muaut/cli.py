@@ -419,7 +419,7 @@ def _cmd_mso(args) -> int:
         lts = L.load(args.lts)
         if args.two_sorted:
             f2 = mso.parse2(args.formula, args.logic)
-            print(str(mso.holds_at_init2(f2, lts)).lower())
+            print(str(mso.holds_at_init(f2, lts)).lower())
         else:
             f1 = mso.parse1(args.formula, args.logic)
             print(str(mso.eval_mso(f1, lts)).lower())

@@ -81,35 +81,46 @@ class PropSet:
         return PropSet(tuple(q for q in self.names if q != p))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LTS:
     """Pointed LTS with proposition colouring.
 
-    The constructor does not validate; use validate() to check invariants
-    on possibly malformed data.
+    The transition relation is kept once, as the successor table: the
+    constructor places each edge under its source and refuses an edge whose
+    source is not a state.  It checks nothing else; use validate() to check
+    invariants on possibly malformed data.
     """
 
     props: PropSet
     n: int
-    edges: frozenset[tuple[int, int]]
+    _succ: tuple[tuple[int, ...], ...]
     colours: tuple[frozenset[str], ...]
     init: int
 
-    def successors(self, s: int) -> tuple[int, ...]:
-        return tuple(sorted(t for (u, t) in self.edges if u == s))
+    def __init__(self, props: PropSet, n: int, edges: Iterable[tuple[int, int]],
+                 colours: tuple[frozenset[str], ...], init: int):
+        out: list[set[int]] = [set() for _ in range(n)]
+        for u, t in edges:
+            if not 0 <= u < n:
+                raise ValueError("invalid LTS: dangling source %d" % u)
+            out[u].add(t)
+        self._fill(props, n, tuple(tuple(sorted(ts)) for ts in out), colours, init)
+
+    def _fill(self, *values) -> "LTS":
+        for name, value in zip(("props", "n", "_succ", "colours", "init"), values):
+            object.__setattr__(self, name, value)
+        return self
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The transition relation as (source, target) pairs, derived from
+        the successor table."""
+        return frozenset((u, t) for u, ts in enumerate(self._succ) for t in ts)
 
     def successor_table(self) -> tuple[tuple[int, ...], ...]:
-        """Every state's successors, ascending, from one pass over the edges.
-
-        Whole-system walks read this once instead of calling successors()
-        per state, which scans every edge each time.  It is not cached on
-        the system, which would keep a second copy of the edges alive for
-        the system's lifetime; callers hold it for one walk.
-        """
-        out: list[list[int]] = [[] for _ in range(self.n)]
-        for u, t in self.edges:
-            out[u].append(t)
-        return tuple(tuple(sorted(ts)) for ts in out)
+        """Every state's distinct successors, ascending: the system's stored
+        transition relation, built once when the system is made."""
+        return self._succ
 
     def states(self) -> range:
         return range(self.n)
@@ -128,7 +139,7 @@ class LTS:
         return {
             "props": list(self.props.names),
             "states": self.n,
-            "edges": sorted([list(e) for e in self.edges]),
+            "edges": [[u, t] for u, ts in enumerate(self._succ) for t in ts],
             "colors": colors,
             "init": self.init,
         }
@@ -157,7 +168,7 @@ def make_lts(
     """Build and validate an LTS; unlisted states get the empty colour."""
     ps = PropSet(tuple(props))
     cols = tuple(ps.canon(colours.get(s, ())) for s in range(n))
-    lts = LTS(ps, n, frozenset((int(a), int(b)) for a, b in edges), cols, init)
+    lts = LTS(ps, n, ((int(a), int(b)) for a, b in edges), cols, init)
     rep = validate(lts)
     if not rep.ok:
         raise ValueError("invalid LTS: " + "; ".join(rep.errors))
@@ -193,8 +204,8 @@ def from_json(data: dict) -> LTS:
     with json_shape("LTS"):
         ps = PropSet(tuple(json_list(data["props"], "props")))
         n = int(data["states"])
-        edges = frozenset((int(a), int(b))
-                          for a, b in json_list(data.get("edges", []), "edges", of_lists=True))
+        edges = ((int(a), int(b))
+                 for a, b in json_list(data.get("edges", []), "edges", of_lists=True))
         colmap = {int(k): json_list(v, "a colour") for k, v in data.get("colors", {}).items()}
         cols = [frozenset(colmap.get(s, ())) for s in range(n)]
         lts = LTS(ps, n, edges, tuple(cols), int(data.get("init", 0)))
@@ -235,11 +246,8 @@ def validate(lts: LTS) -> ValidationReport:
     errors = []
     if not (0 <= lts.init < lts.n):
         errors.append("initial state %d out of range" % lts.init)
-    for (a, b) in sorted(lts.edges):
-        if not (0 <= a < lts.n):
-            errors.append("dangling source %d" % a)
-        if not (0 <= b < lts.n):
-            errors.append("dangling target %d" % b)
+    succ = lts.successor_table()
+    errors.extend("dangling target %d" % t for ts in succ for t in ts if not 0 <= t < lts.n)
     if len(lts.colours) != lts.n:
         errors.append("colouring not total: %d entries for %d states" % (len(lts.colours), lts.n))
     else:
@@ -255,9 +263,10 @@ def validate(lts: LTS) -> ValidationReport:
     if len(reach) == lts.n:
         indegree = [0] * lts.n
         source = [0] * lts.n
-        for (a, b) in lts.edges:
-            indegree[b] += 1
-            source[b] = a
+        for a, ts in enumerate(succ):
+            for b in ts:
+                indegree[b] += 1
+                source[b] = a
         others = [s for s in range(lts.n) if s != lts.init]
         if indegree[lts.init] == 0 and all(indegree[s] == 1 for s in others):
             tree = TreeCertificate(lts.init, {s: source[s] for s in others})
@@ -275,7 +284,7 @@ def p_variant(lts: LTS, p: str, xs: Iterable[int]) -> LTS:
         frozenset((c - {p}) | ({p} if s in xset else set()))
         for s, c in enumerate(lts.colours)
     )
-    return LTS(props, lts.n, lts.edges, cols, lts.init)
+    return object.__new__(LTS)._fill(props, lts.n, lts.successor_table(), cols, lts.init)
 
 
 def _refine_partition(colours, succ) -> list[int]:
@@ -284,13 +293,10 @@ def _refine_partition(colours, succ) -> list[int]:
     ids: dict = {}
     block_of = [ids.setdefault(c, len(ids)) for c in colours]
     while True:
-        sigs = {}
-        new = []
-        for s in range(len(block_of)):
-            sig = (block_of[s], frozenset(block_of[t] for t in succ[s]))
-            if sig not in sigs:
-                sigs[sig] = len(sigs)
-            new.append(sigs[sig])
+        sigs: dict = {}  # blocks numbered in order of first occurrence
+        block = block_of.__getitem__
+        new = [sigs.setdefault((b, frozenset(map(block, ts))), len(sigs))
+               for b, ts in zip(block_of, succ)]
         if new == block_of:
             return block_of
         block_of = new
@@ -301,7 +307,8 @@ def bisimilar(s: LTS, t: LTS) -> Optional[frozenset[tuple[int, int]]]:
 
     Runs partition refinement on the disjoint union; when the initial states
     end up in the same block, returns the full cross relation of same-block
-    state pairs (a bisimulation containing the initial pair).
+    state pairs (a bisimulation containing the initial pair), read off the
+    blocks: each state of s is paired with the states of t in its block.
     """
     if s.props.names != t.props.names:
         raise SignatureError("proposition alphabets differ: %r vs %r" % (s.props.names, t.props.names))
@@ -311,13 +318,10 @@ def bisimilar(s: LTS, t: LTS) -> Optional[frozenset[tuple[int, int]]]:
     block_of = _refine_partition(s.colours + t.colours, succ)
     if block_of[s.init] != block_of[t.init + s.n]:
         return None
-    rel = frozenset(
-        (u, v)
-        for u in range(s.n)
-        for v in range(t.n)
-        if block_of[u] == block_of[v + s.n]
-    )
-    return rel
+    mates: dict[int, list[int]] = {}
+    for v in range(t.n):
+        mates.setdefault(block_of[v + s.n], []).append(v)
+    return frozenset((u, v) for u in range(s.n) for v in mates.get(block_of[u], ()))
 
 
 def is_bisimulation(s: LTS, t: LTS, rel: Iterable[tuple[int, int]]) -> bool:
@@ -379,7 +383,7 @@ def unravel_to_depth(lts: LTS, d: int) -> LTS:
             if len(ext) <= d:
                 queue.append(ext)
     cols = tuple(lts.colours[p[-1]] for p in paths)
-    return LTS(lts.props, len(paths), frozenset(edges), cols, 0)
+    return LTS(lts.props, len(paths), edges, cols, 0)
 
 
 def noetherian_subset(lts: LTS, xs: Iterable[int]) -> bool:
@@ -401,9 +405,10 @@ def noetherian_subset(lts: LTS, xs: Iterable[int]) -> bool:
 
 def quotient(lts: LTS) -> LTS:
     """Bisimulation quotient (same alphabet, bisimilar to the input)."""
-    block_of = _refine_partition(lts.colours, lts.successor_table())
+    succ = lts.successor_table()
+    block_of = _refine_partition(lts.colours, succ)
     nblocks = max(block_of) + 1
-    edges = frozenset((block_of[a], block_of[b]) for (a, b) in lts.edges)
+    edges = ((block_of[a], block_of[b]) for a, ts in enumerate(succ) for b in ts)
     cols: list[frozenset[str]] = [frozenset()] * nblocks
     for s in range(lts.n):
         cols[block_of[s]] = lts.colours[s]

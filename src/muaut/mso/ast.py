@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from functools import partial, reduce
 from operator import attrgetter
-from typing import Union
+from typing import Iterable, Union
 
 from ..syntax import Cursor, Node
 
@@ -79,7 +79,7 @@ class RelStep(Node):
 Mso1 = Union[Down, SubsetOf, RelStep, Not, Or, ExistsSet]
 
 
-free_letters1 = attrgetter("facts")  # stored on each node (see Node.derive)
+free_names = attrgetter("facts")  # stored on each node (see Node.derive)
 
 
 # --- two-sorted -----------------------------------------------------------
@@ -117,11 +117,7 @@ Mso2 = Union[PredApp, RelApp, EqVar, Not, Or, ExistsVar, ExistsSet]
 Mso = Union[Mso1, Mso2]
 
 
-def and2(a: Mso2, b: Mso2) -> Mso2:
-    return Not(Or(Not(a), Not(b)))
-
-
-def implies2(a: Mso2, b: Mso2) -> Mso2:
+def implies(a: Mso, b: Mso) -> Mso:
     return Or(Not(a), b)
 
 
@@ -133,12 +129,9 @@ def forall_set(p: str, body: Mso2, mode: str) -> Mso2:
     return Not(ExistsSet(p, Not(body), mode))
 
 
-def conj2(parts) -> Mso2:
-    parts = list(parts)
-    out = parts[0]
-    for p in parts[1:]:
-        out = and2(out, p)
-    return out
+def conj(parts: Iterable[Mso]) -> Mso:
+    """The left-nested conjunction of the parts, as Not/Or nodes."""
+    return reduce(lambda a, b: Not(Or(Not(a), Not(b))), parts)
 
 
 # --- parsing --------------------------------------------------------------

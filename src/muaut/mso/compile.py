@@ -14,7 +14,7 @@ from ..automata import (ParityAutomaton, collapse_priorities, complement,
                         union_automaton)
 from ..lts import PropSet
 from .ast import (Down, ExistsSet, Mso1, Not, Or, RelStep, SubsetOf, LOGIC_MODE,
-                  free_letters1)
+                  free_names)
 
 
 class CompileError(ValueError):
@@ -61,7 +61,7 @@ def compile_mso(f: Mso1, logic: str, props: PropSet) -> ParityAutomaton:
         raise CompileError("compilation targets the wmso and nmso logics")
     mode = LOGIC_MODE[logic]
     dialect = o.FOE1INF if logic == "wmso" else o.FOE1
-    props.require(free_letters1(f))
+    props.require(free_names(f))
 
     def go(g: Mso1, ps: PropSet) -> ParityAutomaton:
         match g:

@@ -35,6 +35,7 @@ def eval_mso(f: Mso, lts: LTS, assignment: dict[str, int] | None = None) -> bool
     read from the assignment.  A letter is a set: bound, or the extension
     of a proposition of the system."""
     held = {p: lts.holds(p) for p in lts.props}
+    succ = lts.successor_table()
     made: dict[str, tuple[list, Iterator]] = {}  # per mode: candidates kept so far, the rest
 
     def candidates(mode: str) -> Iterator[frozenset[int]]:
@@ -70,11 +71,11 @@ def eval_mso(f: Mso, lts: LTS, assignment: dict[str, int] | None = None) -> bool
                 return ext(a, env) <= ext(b, env)
             case RelStep(a, b):
                 right = ext(b, env)
-                return all(any((s, t) in lts.edges for t in right) for s in ext(a, env))
+                return all(any(t in right for t in succ[s]) for s in ext(a, env))
             case PredApp(p, x):
                 return at(x, asg) in ext(p, env)
             case RelApp(x, y):
-                return (at(x, asg), at(y, asg)) in lts.edges
+                return at(y, asg) in succ[at(x, asg)]
             case EqVar(x, y):
                 return at(x, asg) == at(y, asg)
             case Not(b):
@@ -96,6 +97,6 @@ def eval_mso(f: Mso, lts: LTS, assignment: dict[str, int] | None = None) -> bool
     return go(f, assignment or {}, {})
 
 
-def holds_at_init2(f: Mso2, lts: LTS) -> bool:
+def holds_at_init(f: Mso2, lts: LTS) -> bool:
     """The designated-variable convention: evaluate with v at the root."""
     return eval_mso(f, lts, {"v": lts.init})

@@ -16,7 +16,7 @@ from functools import reduce
 from .. import mucalc as mc
 from .. import onestep as o
 from .ast import (KEYWORDS, EqVar, ExistsSet, ExistsVar, Mso2, Not, Or, PredApp,
-                  RelApp, and2, conj2, forall_set, forall_var, implies2,
+                  RelApp, conj, forall_set, forall_var, implies,
                   FINITE, NOETHERIAN)
 
 
@@ -57,15 +57,15 @@ def onestep_dagger(alpha: o.Formula, v: str, fresh, atom) -> Mso2:
         body = go(g.body, {**names, g.var: y}, depth + 1)
         match g:
             case o.Exists():
-                return ExistsVar(y, and2(RelApp(v, y), body))
+                return ExistsVar(y, conj((RelApp(v, y), body)))
             case o.Forall():
-                return forall_var(y, implies2(RelApp(v, y), body))
+                return forall_var(y, implies(RelApp(v, y), body))
             case o.ExistsInf() | o.ForallInf():
                 if not fin:
                     fin.append(fresh("fin"))
                 p = fin[0]
                 dual = isinstance(g, o.ForallInf)  # a finite set holds every counterexample
-                out = forall_set(p, ExistsVar(y, conj2(
+                out = forall_set(p, ExistsVar(y, conj(
                     [RelApp(v, y), Not(PredApp(p, y)), Not(body) if dual else body])), FINITE)
                 return Not(out) if dual else out
         raise TypeError(g)
@@ -79,13 +79,13 @@ def _false(v: str) -> Mso2:
 
 def _junction2(g, parts, v: str) -> Mso2:
     """The n-ary conjunction or disjunction g (one-step or fixpoint) over
-    its translated parts, built in order: `conj2`, or left-nested `Or`;
+    its translated parts, built in order: `conj`, or left-nested `Or`;
     truth or falsity at v when there are no parts."""
     parts = list(parts)
     conjunction = isinstance(g, (o.And, mc.MAnd))
     if not parts:
         return Not(_false(v)) if conjunction else _false(v)
-    return conj2(parts) if conjunction else reduce(Or, parts)
+    return conj(parts) if conjunction else reduce(Or, parts)
 
 
 def mu_to_mso(f: mc.MuFormula, logic: str) -> Mso2:
@@ -158,16 +158,16 @@ def mu_to_mso(f: mc.MuFormula, logic: str) -> Mso2:
             sets[p] = fresh("set"), fresh("set")
         q, r = sets[p]
         w = _point(1, v)
-        subset = forall_var(w, implies2(PredApp(r, w), PredApp(q, w)))
-        prefix = forall_var(w, implies2(and2(PredApp(q, w), tr(body, w)), PredApp(r, w)))
+        subset = forall_var(w, implies(PredApp(r, w), PredApp(q, w)))
+        prefix = forall_var(w, implies(conj((PredApp(q, w), tr(body, w))), PredApp(r, w)))
         # p quantified in the logic's own mode, restricted to q
-        inner = forall_set(r, implies2(and2(subset, prefix), PredApp(r, v)), mode)
+        inner = forall_set(r, implies(conj((subset, prefix)), PredApp(r, v)), mode)
         return ExistsSet(q, inner, mode)
 
     return tr(f, "v")
 
 
 def mu_holds_via_mso(f: mc.MuFormula, lts, logic: str) -> bool:
-    from .eval import holds_at_init2
+    from .eval import holds_at_init
 
-    return holds_at_init2(mu_to_mso(f, logic), lts)
+    return holds_at_init(mu_to_mso(f, logic), lts)

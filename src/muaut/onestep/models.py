@@ -418,58 +418,71 @@ def all_weighted_models(preds: tuple[str, ...], max_count: int, with_omega: bool
 
 def min_valuations(f: Formula, domain: tuple[int, ...]) -> list[frozenset[tuple[str, int]]]:
     """Minimal valuations (as pred/element pair sets) satisfying a positive
-    formula on the given domain.
+    formula on the given domain, fewest pairs first, then by sorted pairs.
 
     Soundness and completeness rest on monotonicity: every satisfying
     valuation extends a generated one, and every generated one satisfies f.
     Used to enumerate the meaningful moves in acceptance and evaluation
-    games without scanning all valuations.
+    games without scanning all valuations.  The walk keeps each valuation
+    as a bit mask over (predicate, domain position) and converts only the
+    minimal ones back to pairs.
     """
     f = expand_sugar(f)
+    preds = sorted(predicates(f))
+    k = len(domain)
+    offset = {a: i * k for i, a in enumerate(preds)}
+    pos = {d: i for i, d in enumerate(domain)}
 
-    def go(g: Formula, env: dict[str, int]) -> list[frozenset[tuple[str, int]]]:
+    def go(g: Formula, env: dict[str, int]) -> list[int]:
         match g:
             case Pred(a, x):
-                return [frozenset({(a, env[x])})]
+                return [1 << (offset[a] + pos[env[x]])]
             case NegPred():
                 raise ValueError("min_valuations requires a positive formula")
             case Eq(x, y):
-                return [frozenset()] if env[x] == env[y] else []
+                return [0] if env[x] == env[y] else []
             case Neq(x, y):
-                return [frozenset()] if env[x] != env[y] else []
+                return [0] if env[x] != env[y] else []
             case And(args):
-                acc = [frozenset()]
+                acc = [0]
                 for a in args:
                     nxt = go(a, env)
-                    acc = _prune([u | v for u in acc for v in nxt])
+                    acc = _minimal([u | v for u in acc for v in nxt])
                     if not acc:
                         return []
                 return acc
             case Or(args):
-                out = []
-                for a in args:
-                    out.extend(go(a, env))
-                return _prune(out)
+                return _minimal([m for a in args for m in go(a, env)])
             case Exists(x, b):
-                out = []
-                for d in domain:
-                    out.extend(go(b, {**env, x: d}))
-                return _prune(out)
+                return _minimal([m for d in domain for m in go(b, {**env, x: d})])
             case Forall(x, b):
-                acc = [frozenset()]
+                acc = [0]
                 for d in domain:
                     nxt = go(b, {**env, x: d})
-                    acc = _prune([u | v for u in acc for v in nxt])
+                    acc = _minimal([u | v for u in acc for v in nxt])
                     if not acc:
                         return []
                 return acc
             case ExistsInf():
                 return []
             case ForallInf():
-                return [frozenset()]
+                return [0]
         raise TypeError(g)
 
-    return go(f, {})
+    def pairs(mask: int) -> frozenset[tuple[str, int]]:
+        return frozenset((preds[b // k], domain[b % k])
+                         for b in range(mask.bit_length()) if mask >> b & 1)
+
+    return sorted(map(pairs, go(f, {})), key=lambda s: (len(s), sorted(s)))
+
+
+def _minimal(masks: list[int]) -> list[int]:
+    """The subset-minimal masks, each once."""
+    out: list[int] = []
+    for m in sorted(set(masks), key=int.bit_count):
+        if all(t & m != t for t in out):
+            out.append(m)
+    return out
 
 
 # memoized per (interned formula, out-degree) for the whole process: game
@@ -499,14 +512,4 @@ def all_valuations(f: Formula, domain: tuple[int, ...], preds=None) -> list[froz
         val = {a: frozenset(idx[d] for b, d in combo if b == a) for a in preds}
         if eval_finite(f, OneStepModel(len(domain), val)):
             out.append(frozenset(combo))
-    return out
-
-
-def _prune(sets: list[frozenset]) -> list[frozenset]:
-    """Keep only subset-minimal entries, deduplicated."""
-    uniq = sorted(set(sets), key=lambda s: (len(s), sorted(s)))
-    out: list[frozenset] = []
-    for s in uniq:
-        if not any(t <= s for t in out):
-            out.append(s)
     return out

@@ -225,7 +225,7 @@ def test_criterion_8_on_construct_outputs():
             bad += 1
         for _ in range(2):
             tree = gen.rand_tree(rng, ("p",), depth=1)
-            if mso.holds_at_init2(star, tree) != (tree.init in mc.semantics_eval(f, tree)):
+            if mso.holds_at_init(star, tree) != (tree.init in mc.semantics_eval(f, tree)):
                 bad += 1
     _report("8 translation size and agreement on construct outputs", bad, 120, t0)
 
@@ -241,7 +241,7 @@ def test_criterion_8_mu_to_mso():
                         mode="cont" if logic == "wmso" else "af")
         lts = gen.rand_lts(rng, ("p", "q"), max_states=5 if depth == 1 else 4)
         star = mso.mu_to_mso(f, logic)
-        if mso.holds_at_init2(star, lts) != (lts.init in mc.semantics_eval(f, lts)):
+        if mso.holds_at_init(star, lts) != (lts.init in mc.semantics_eval(f, lts)):
             bad += 1
     _report("8 mu-calculus to second-order translation", bad, 100, t0)
 

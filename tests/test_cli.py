@@ -252,7 +252,7 @@ def test_frommu_of_a_deep_formula_evaluates_as_the_formula(colors, capsys, tmp_p
     assert cli.main(["mso", "frommu", formula, "--logic", "wmso"]) == 0
     g = mso.mu_to_mso(mc.parse(formula), "wmso")
     assert capsys.readouterr().out.strip() == mso.pretty(g)
-    assert str(mso.holds_at_init2(g, lts)).lower() == want
+    assert str(mso.holds_at_init(g, lts)).lower() == want
 
 
 @pytest.mark.parametrize("suite", sorted(cli.SUITES))

@@ -90,6 +90,47 @@ def test_bisimilar_equivalence_on_family():
                     assert rel[i, k]
 
 
+def _greatest_bisimulation(s, t):
+    """Definition-level oracle: from every same-colour pair, drop each pair
+    whose forth or back condition fails, until nothing changes."""
+    ssucc, tsucc = s.successor_table(), t.successor_table()
+    rel = {(u, v) for u in s.states() for v in t.states() if s.colours[u] == t.colours[v]}
+    while True:
+        keep = {(u, v) for u, v in rel
+                if all(any((u2, v2) in rel for v2 in tsucc[v]) for u2 in ssucc[u])
+                and all(any((u2, v2) in rel for u2 in ssucc[u]) for v2 in tsucc[v])}
+        if keep == rel:
+            return frozenset(rel)
+        rel = keep
+
+
+def test_bisimilar_is_the_greatest_bisimulation():
+    rng = random.Random(17)
+    seen = {"none": 0, "sizes differ": 0, "quotient": 0}
+    for i in range(90):
+        s = gen.rand_lts(rng, ("p", "q"), max_states=7, edge_prob=rng.choice([0.15, 0.35]))
+        if i % 3 == 0:
+            t = L.quotient(s)
+            seen["quotient"] += 1
+        elif i % 3 == 1:  # s with a copy of one state: bisimilar, one state larger
+            u = rng.randrange(s.n)
+            edges = set(s.edges) | {(a, s.n) for a, b in s.edges if b == u}
+            edges |= {(s.n, b) for a, b in s.edges if a == u}
+            t = L.make_lts(("p", "q"), s.n + 1, edges,
+                           {x: s.colours[x] for x in s.states()} | {s.n: s.colours[u]}, s.init)
+        else:
+            t = gen.rand_lts(rng, ("p", "q"), max_states=7)
+        want = _greatest_bisimulation(s, t)
+        rel = L.bisimilar(s, t)
+        if (s.init, t.init) in want:
+            assert rel == want
+        else:
+            assert rel is None
+            seen["none"] += 1
+        seen["sizes differ"] += rel is not None and s.n != t.n
+    assert min(seen.values()) >= 10, seen
+
+
 def test_quotient_is_bisimilar():
     rng = random.Random(3)
     for _ in range(20):
@@ -105,7 +146,7 @@ def test_unravel_self_loop_and_counts():
     assert u.n == 3 and L.validate(u).tree is not None
     branching = L.make_lts(["p"], 2, [(0, 0), (0, 1), (1, 0), (1, 1)], {})
     u3 = L.unravel_to_depth(branching, 3)
-    leaves = [s for s in u3.states() if not u3.successors(s)]
+    leaves = [s for s, ts in enumerate(u3.successor_table()) if not ts]
     assert len(leaves) == 2 ** 3
 
 
@@ -160,6 +201,7 @@ def test_noetherian_matches_explicit_bundle_search():
     rng = random.Random(7)
     for _ in range(25):
         s = gen.rand_lts(rng, ("p",), max_states=4, edge_prob=0.3)
+        succ = s.successor_table()
         xs = frozenset(st for st in s.states() if rng.random() < 0.5)
 
         def paths_from(root, limit):
@@ -168,7 +210,7 @@ def test_noetherian_matches_explicit_bundle_search():
             for _ in range(limit):
                 nxt = []
                 for path in frontier:
-                    for t in s.successors(path[-1]):
+                    for t in succ[path[-1]]:
                         nxt.append(path + (t,))
                 out.extend(nxt)
                 frontier = nxt
@@ -188,14 +230,22 @@ def test_json_round_trip():
     assert L.from_json(s.to_json()) == s
 
 
-def test_successor_table_matches_successors():
+def test_successor_table_matches_the_edges():
+    # the table is the stored relation: each state's distinct targets,
+    # ascending, whatever the order and repetition of the edges it was made from
     rng = random.Random(13)
     sinks = 0
     for _ in range(60):
-        s = gen.rand_lts(rng, ("p",), max_states=8, edge_prob=rng.choice([0.1, 0.3, 0.6]))
+        n = rng.randint(1, 8)
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3 * n))]
+        s = L.make_lts(["p"], n, edges, {})
         table = s.successor_table()
-        assert len(table) == s.n
+        assert len(table) == s.n and s.successor_table() is table
         for st in s.states():
-            assert table[st] == s.successors(st)
+            assert table[st] == tuple(sorted({t for u, t in edges if u == st}))
             sinks += not table[st]
+        assert s.edges == frozenset(edges)
+        assert L.from_json(s.to_json()) == s
     assert sinks > 0
+    with pytest.raises(ValueError, match="dangling source 5"):
+        L.make_lts(["p"], 2, [(5, 0)], {})

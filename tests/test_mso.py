@@ -139,7 +139,7 @@ def test_dagger_examples():
 
     import muaut.onestep as o
     dag = mso.onestep_dagger(o.parse("E x. a1(x)").ast, "v", fresh, mso.PredApp)
-    assert dag == mso.ExistsVar("w1", mso.and2(mso.RelApp("v", "w1"), mso.PredApp("a1", "w1")))
+    assert dag == mso.ExistsVar("w1", mso.conj((mso.RelApp("v", "w1"), mso.PredApp("a1", "w1"))))
     top = mso.onestep_dagger(o.TOP, "v", fresh, mso.PredApp)
     lts = L.make_lts(["a1"], 1, [], {})
     assert mso.eval_mso(top, lts, {"v": 0})
@@ -195,7 +195,7 @@ def test_mu_to_mso_agreement():
                         mode="cont" if logic == "wmso" else "af")
         star = mso.mu_to_mso(f, logic)
         lts = gen.rand_lts(rng, ("p", "q"), max_states=4)
-        assert mso.holds_at_init2(star, lts) == (lts.init in mc.semantics_eval(f, lts))
+        assert mso.holds_at_init(star, lts) == (lts.init in mc.semantics_eval(f, lts))
 
 
 def test_mu_to_mso_witness_contains_restricted_fixpoint():

@@ -67,7 +67,7 @@ def test_modal_step_on_dense_successor_sets():
             s for s in lts.states()
             if o.eval_finite(alpha.ast, o.model_of_types(
                 frozenset(a for a, p in (("a1", "p"), ("a2", "q")) if t in lts.holds(p))
-                for t in lts.successors(s))))
+                for t in lts.successor_table()[s])))
         assert mc.semantics_eval(f, lts) == want, o.pretty(alpha.ast)
 
 

@@ -696,6 +696,31 @@ def test_memoized_min_valuations_match_direct():
     assert info.currsize <= info.maxsize < 6 * len(entries)
 
 
+def test_min_valuations_are_the_minimal_satisfying_valuations():
+    # definition-level oracle: the subset-minimal members of the full
+    # enumeration, fewest pairs first, then by sorted pairs; the entries name
+    # state predicates q0..q11, so "q10" sorts before "q2"
+    rng = random.Random(21)
+    names = ["q%d" % i for i in range(12)]
+    seen = set()
+    for i in range(300):
+        preds = rng.sample(names, rng.randint(1, 3))
+        if i % 3 == 0:
+            preds = ["q2", "q10"]
+        f = gen.rand_onestep(rng, preds, rng.randint(1, 2), sorted(o.DIALECTS)[i % 3],
+                             positive=True).ast
+        k = i % 5
+        succ = tuple(sorted(rng.sample(range(12), k)))
+        full = o.all_valuations(f, succ)
+        want = sorted((v for v in full if not any(u < v for u in full)),
+                      key=lambda v: (len(v), sorted(v)))
+        got = o.min_valuations(f, succ)
+        assert got == want, (o.pretty(f), succ)
+        seen.add(k)
+        seen.add("q10 before q2" if any({"q2", "q10"} <= {a for a, _ in v} for v in got) else "")
+    assert seen >= {0, 1, 2, 3, 4, "q10 before q2"}
+
+
 def test_memoized_min_valuations_do_not_depend_on_hash_seed():
     # every valuation is stored sorted, so the acceptance arena's order of
     # moves out of a valuation position is the same in every process; the

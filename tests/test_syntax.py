@@ -150,7 +150,7 @@ def _walker_lines():
                 row.append(mc.fo1_modal_bridge(f))
             row += [_or_error(mso.mu_to_mso, f, logic) for logic in ("wmso", "nmso")]
         elif grammar.startswith("mso1"):
-            row = [sorted(mso.free_letters1(f))]
+            row = [sorted(mso.free_names(f))]
         else:
             row = [sorted(f.facts)]
         out.append("%s\t%s\t%r" % (grammar, text, row))
@@ -506,7 +506,7 @@ def test_threads_building_equal_formulas_get_one_node():
 
 # a stored fact of each grammar's formulas (two-sorted MSO stores none)
 FACTS = {o.parse_formula: o.predicates, mc.parse: mc.free_letters,
-         mso.parse1: mso.free_letters1, mso.parse2: lambda f: frozenset()}
+         mso.parse1: mso.free_names, mso.parse2: lambda f: frozenset()}
 
 
 @pytest.mark.parametrize("case", range(len(_nested(2))))
