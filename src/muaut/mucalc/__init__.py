@@ -8,9 +8,8 @@ from .ast import (MAnd, MBOT, MOr, MTOP, Modal, Mu, MuFormula,
 from ..lts import UnboundLetterError
 from ..syntax import ParseError, pretty
 from .bridge import NotFO1Error, fo1_modal_bridge
-from .classify import (FragmentReport, classify, in_cocontinuous,
-                       in_conoetherian, in_continuous, in_noetherian,
-                       is_guarded, is_plain_modal)
+from .classify import (FragmentReport, classify, in_continuous, is_guarded,
+                       is_plain_modal)
 from .game import EvalGame, binder_priorities, build_eval_game, game_value
 from .guard import guard_transform
 from .semantics import open_eval, semantics_eval

@@ -39,29 +39,17 @@ def in_grammar(f: MuFormula, q: frozenset[str], binder: type, fragment=None) -> 
     return all(in_grammar(a, q, binder, fragment) for a in f.children())
 
 
-def in_noetherian(f: MuFormula, q: frozenset[str]) -> bool:
-    return in_grammar(f, q, Mu)
-
-
-def in_conoetherian(f: MuFormula, q: frozenset[str]) -> bool:
-    return in_grammar(f, q, Nu)
-
-
 def in_continuous(f: MuFormula, q: frozenset[str]) -> bool:
     return in_grammar(f, q, Mu, o.in_continuous_fragment)
-
-
-def in_cocontinuous(f: MuFormula, q: frozenset[str]) -> bool:
-    return in_grammar(f, q, Nu, o.in_cocontinuous_fragment)
 
 
 def _body_in_grammar(g: Mu | Nu, continuous: bool) -> bool:
     """Is the binder's body in the grammar for its letter: (co)noetherian,
     or (co)continuous when `continuous`?"""
-    q = frozenset({g.var})
-    if isinstance(g, Mu):
-        return (in_continuous if continuous else in_noetherian)(g.body, q)
-    return (in_cocontinuous if continuous else in_conoetherian)(g.body, q)
+    fragment = None
+    if continuous:
+        fragment = o.in_continuous_fragment if isinstance(g, Mu) else o.in_cocontinuous_fragment
+    return in_grammar(g.body, frozenset({g.var}), type(g), fragment)
 
 
 def is_guarded(f: MuFormula) -> bool:

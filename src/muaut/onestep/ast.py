@@ -32,24 +32,47 @@ class Facts(NamedTuple):
     dialect: str  # smallest dialect containing the formula
     positive: bool  # no negated predicate (inequalities are allowed)
     sugar_free: bool  # no W
+    # predicates B must miss for the formula, if positive, to be B-continuous:
+    # those under A, Ainf or Einf and in the second component of a W (the
+    # quantifiers of W and of its expansion do not count)
+    discontinuous: frozenset[str]
 
 
 class _OneStep(Node):
     def derive(self, kids: list[Facts]) -> Facts:
         match self:
             case Pred(a, x) | NegPred(a, x):
-                return Facts(frozenset({a}), frozenset({x}), 0, FO1, type(self) is Pred, True)
+                return Facts(frozenset({a}), frozenset({x}), 0, FO1, type(self) is Pred, True, frozenset())
             case Eq(x, y) | Neq(x, y):
-                return Facts(frozenset(), frozenset({x, y}), 0, FOE1, True, True)
-        preds, free, ranks, dialects, positive, sugar_free = zip(*kids) if kids else [()] * 6
+                return Facts(frozenset(), frozenset({x, y}), 0, FOE1, True, True, frozenset())
+        preds, free, ranks, dialects, positive, sugar_free, discontinuous = zip(*kids) if kids else [()] * 7
         quantifier = isinstance(self, QUANTIFIERS)
         free = union(free)
         if quantifier and self.var in free:
             free -= {self.var}
+        if isinstance(self, (Forall, ForallInf, ExistsInf)):
+            discontinuous = preds
+        elif isinstance(self, W):
+            discontinuous = discontinuous[0], preds[1]
+        elif type(self) is And and len(self.args) == 2 and (w := _match_expanded_w(self.args)):
+            discontinuous = w[0].facts.discontinuous, w[1].facts.preds
         return Facts(union(preds), free, quantifier + max(ranks, default=0),
                      FOE1INF if isinstance(self, (ExistsInf, ForallInf, W))
                      else max(dialects, key=DIALECTS.index, default=FO1),
-                     all(positive), all(sugar_free) and not isinstance(self, W))
+                     all(positive), all(sugar_free) and not isinstance(self, W), union(discontinuous))
+
+
+def _match_expanded_w(args: tuple[Formula, ...]):
+    """(f, g) when args are those of the expansion of W x.(f, g), that is
+    Ax.(f | g) and Ainf x. g, up to the order of args and of f | g; else None."""
+    for first, second in (args, args[::-1]):
+        match (first, second):
+            case (Forall(x1, Or(parts)), ForallInf(x2, cof)) if x1 == x2 and len(parts) == 2:
+                if parts[1] == cof:
+                    return parts[0], cof
+                if parts[0] == cof:
+                    return parts[1], cof
+    return None
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,60 +10,31 @@ exercised by the test suite on bounded models.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .ast import (And, Exists, ExistsInf, Forall, ForallInf, Formula, Or, W,
-                  dual, is_positive, predicates)
+from .ast import Formula, dual, is_positive
 
 
-# memoized per (interned node, b): an automaton repeats entries across states
-# and colours; the small bound keeps large entries from outliving it
-@lru_cache(maxsize=64)
 def in_continuous_fragment(f: Formula, b: frozenset[str]) -> bool:
     """Membership in the B-continuous grammar.
 
     Grammar: b(x) for b in B, any B-free positive formula, conjunction,
     disjunction, existential quantification, and the W construct whose
     second component is B-free.  The expanded form of W is recognized too.
+    A positive formula lies in it exactly when B misses the predicates its
+    facts record as `discontinuous`.
     """
-    return _continuous(f, b)
+    return is_positive(f) and f.facts.discontinuous.isdisjoint(b)
 
 
-def _continuous(f: Formula, b: frozenset[str]) -> bool:
+def in_cocontinuous_fragment(f: Formula, b: frozenset[str]) -> bool:
+    """Definitionally: the dual lies in the B-continuous grammar.  The
+    dual's `discontinuous` set is stored on f, so each formula is dualized
+    once."""
     if not is_positive(f):
         return False
-    if not predicates(f) & b:
-        return True
-    match f:
-        case W(_, fin, cof):
-            return _continuous(fin, b) and not predicates(cof) & b
-        case And(args) if (w := _match_expanded_w(args)) is not None:
-            return _continuous(w[0], b) and not predicates(w[1]) & b
-        case And() | Or() | Exists():
-            return all(_continuous(a, b) for a in f.children())
-        case Forall() | ForallInf() | ExistsInf():
-            return False
-    return True  # b(x) for b in B
-
-
-def _match_expanded_w(args: tuple[Formula, ...]):
-    """Recognize And(Forall(x, Or(f, g)), ForallInf(x, g)) up to argument order."""
-    if len(args) != 2:
-        return None
-    for first, second in (args, args[::-1]):
-        match (first, second):
-            case (Forall(x1, Or(parts)), ForallInf(x2, cof)) if x1 == x2 and len(parts) == 2:
-                if parts[1] == cof:
-                    return parts[0], cof
-                if parts[0] == cof:
-                    return parts[1], cof
-    return None
-
-
-@lru_cache(maxsize=64)
-def in_cocontinuous_fragment(f: Formula, b: frozenset[str]) -> bool:
-    """Definitionally: the dual lies in the B-continuous grammar."""
-    return is_positive(f) and _continuous(dual(f), b)
+    co = f.__dict__.get("codiscontinuous")
+    if co is None:
+        co = f.__dict__["codiscontinuous"] = dual(f).facts.discontinuous
+    return co.isdisjoint(b)
 
 
 def separation_sufficient(record_types: list[frozenset[str]], b: frozenset[str]) -> bool:

@@ -117,8 +117,9 @@ def union(sets) -> frozenset:
 
 def junction(cls, args, zero):
     """The n-ary node cls over args, with nested cls nodes flattened into
-    it: zero, its absorbing element, when some argument is zero; the
-    argument itself when exactly one remains."""
+    it and each argument kept once, at its first occurrence: zero, its
+    absorbing element, when some argument is zero; the argument itself when
+    exactly one remains."""
     flat = []
     for a in args:
         if isinstance(a, cls):
@@ -127,7 +128,8 @@ def junction(cls, args, zero):
             return zero
         else:
             flat.append(a)
-    return flat[0] if len(flat) == 1 else cls(tuple(flat))
+    flat = tuple(dict.fromkeys(flat))
+    return flat[0] if len(flat) == 1 else cls(flat)
 
 
 def infix(sep: str, level: int, bind: int, unit: str) -> property:

@@ -225,6 +225,76 @@ def test_empty_props_is_read_one_way(argv, capsys):
     assert json.loads(capsys.readouterr().out)["props"] == (["p"] if argv[0] == "aut" else ["p", "q"])
 
 
+GUARD_EXAMPLE = "mu x. a | (nu y. x | dia y)"
+
+# every (command, action) of `wb` once, with one token of its known output;
+# {name} stands for the path of the file of that name in `_cli_files`
+CLI_TABLE = [
+    (["lts", "validate", "{chain}"], "2 states reachable; tree"),
+    (["lts", "bisim", "{chain}", "{chain}"], "bisimilar; relation size 2"),
+    (["onestep", "eval", "E x. a(x)", "--model", "{model}"], "true"),
+    (["onestep", "dual", "Einf x. a(x)"], "Ainf x. a(x)"),
+    (["onestep", "nf", "E x. a(x) & A y. a(y)"], "(E x. a(x)) & (A z. a(z))"),
+    (["onestep", "diamond", "E x. E y. (x!=y & a(x) & a(y))"], "(E x. true) & (E x. a(x)) & (A z. true)"),
+    (["game", "solve", "{game}"], "exists wins: [0]"),
+    (["mu", "eval", GUARD_EXAMPLE, "--lts", "{chain}"], "true\nholds at: [0, 1]"),
+    (["mu", "game", GUARD_EXAMPLE, "--lts", "{chain}"], "exists wins root: true"),
+    (["mu", "classify", GUARD_EXAMPLE], "alternation-free=False continuous=False guarded=False"),
+    (["mu", "guard", GUARD_EXAMPLE], "mu x1. a | dia (nu x2. x1 | dia x2)"),
+    (["aut", "accept", "--in", "{aut}", "--lts", "{ptree}"], "false"),
+    (["aut", "complement", "--in", "{aut}"], '"0,": "A x. q0(x)"'),
+    (["aut", "classify", "--in", "{aut}"], "weak=True continuous-weak=True"),
+    (["aut", "toformula", "--in", "{aut}"], "mu x1. ~p & dia x1 | p & "),
+    (["aut", "fromformula", "mu x. p | dia x", "--props", "p"], '"1,": "E x. q2(x)"'),
+    (["aut", "simulate", "--in", "{aut}"], '"0,": "(E x1. q0(x1) & W z.(z=x1 | q0(z) | q1(z), q1(z)))'),
+    (["aut", "project", "--in", "{aut}", "--letter", "p"], '"props": []'),
+    (["aut", "diamond", "--in", "{aut}"], '"dialect": "FO1"'),
+    (["mso", "eval", "down p", "--lts", "{chain}"], "false"),
+    (["mso", "compile", "down p", "--props", "p"], '"0,p": "A x. q1(x)"'),
+    (["mso", "frommu", "mu x. dia x"], "ex set1. "),
+    (["fix", "trace", "a | dia r", "--var", "r", "--lts", "{chain}"], "stage 2: [0, 1]"),
+    (["fix", "witness", "a | dia r", "--var", "r", "--lts", "{chain}"], "witness: [0, 1]"),
+    (["fix", "unfold", "a | dia r", "--var", "r", "--lts", "{chain}"], "game region: [0, 1]"),
+    *((["fuzz", suite, "--n", "2"], "%s: 2/2 passed" % suite) for suite in sorted(cli.SUITES)),
+    (["replay", "{replay}"], "replay dual#0: 1/1 passed"),
+]
+
+
+def _cli_files(tmp_path) -> dict[str, str]:
+    files = {
+        # 0 -> 1 with a and p at 1: the guarded transformation's example
+        "chain": {"props": ["a", "p"], "states": 2, "edges": [[0, 1]],
+                  "colors": {"1": ["a", "p"]}, "init": 0},
+        "ptree": {"props": ["p"], "states": 2, "edges": [[0, 1]], "colors": {"1": ["p"]}, "init": 0},
+        "model": {"size": 1, "valuation": {"a": [0]}},
+        "game": {"owner": ["E"], "moves": [[0]], "priority": [0]},
+        "aut": {"delta": {"0,": "E x. q0(x)", "0,p": "E x. E y. x!=y & q0(x) & q0(y)"},
+                "dialect": "FOE1INF", "init": 0, "macro": [], "omega": [1], "props": ["p"],
+                "states": 1},
+        "replay": {"replay": {"suite": "dual", "seed": 7, "index": 0}},
+    }
+    paths = {}
+    for name, data in files.items():
+        paths[name] = str(tmp_path / (name + ".json"))
+        with open(paths[name], "w") as fh:
+            json.dump(data, fh)
+    return paths
+
+
+def test_every_command_and_action_runs(capsys, tmp_path):
+    paths = _cli_files(tmp_path)
+    for argv, token in CLI_TABLE:
+        code = cli.main([a.format(**paths) for a in argv])
+        out = capsys.readouterr()
+        assert code == 0 and token in out.out and not out.err, (argv, code, out)
+    # the table names every action (fuzz: every suite) the parser offers
+    offered = set()
+    for command, sub in cli.build_parser()._subparsers._group_actions[0].choices.items():
+        choices = [a.choices for a in sub._actions if a.choices and not a.option_strings]
+        offered |= {(command, c) for c in choices[0]} if choices else {(command, None)}
+    assert {(argv[0], argv[1] if argv[0] != "replay" else None) for argv, _ in CLI_TABLE} == offered
+
+
 def test_parse_error_exit_code(capsys, loop_file):
     assert cli.main(["mu", "eval", "mu x. ((", "--lts", loop_file]) == 2
 

@@ -7,6 +7,7 @@ from muaut import gen
 from muaut import lts as L
 from muaut import mucalc as mc
 from muaut import onestep as o
+from muaut.mucalc import guard
 
 
 def test_semantics_spec_examples():
@@ -123,6 +124,37 @@ def test_guard_transform():
         for _ in range(2):
             lts = gen.rand_lts(rng, ("p", "q"), max_states=5)
             assert mc.semantics_eval(f, lts) == mc.semantics_eval(t, lts)
+
+
+def test_guard_transform_unfolds_an_inner_binder(monkeypatch):
+    # an unguarded occurrence of the outer letter inside an inner binder is
+    # guarded by unfolding that binder once, not by replacing the occurrence:
+    # on 0 -> 1 with a at 1, false in place of x would leave only {1}
+    unfolded = []
+    unfold = guard._unfold_offending_binder
+    monkeypatch.setattr(guard, "_unfold_offending_binder",
+                        lambda f, p: unfolded.append(p) or unfold(f, p))
+    f = mc.parse("mu x. a | (nu y. x | dia y)")
+    t = mc.guard_transform(f)
+    assert t == mc.parse("mu x1. a | dia (nu x2. x1 | dia x2)") and unfolded == ["x"]
+    chain = L.make_lts(("a",), 2, [(0, 1)], {1: ["a"]})
+    assert mc.semantics_eval(f, chain) == mc.semantics_eval(t, chain) == frozenset({0, 1})
+    cut = mc.parse("mu x. a | (nu y. false | dia y)")
+    assert mc.semantics_eval(cut, chain) == frozenset({1})
+    rng = random.Random(25)
+    for text in ("mu x. a | (nu y. x | dia y)", "mu p. nu q. (p & dia q)",
+                 "mu p. mu q. (p | dia q)", "nu p. mu q. ((p & box q) | r)",
+                 "mu p. nu q. mu s. (p | (q & dia s))"):
+        f = mc.parse(text)
+        del unfolded[:]
+        t = mc.guard_transform(f)
+        assert unfolded and mc.is_guarded(t), text
+        rf, rt = mc.classify(f), mc.classify(t)
+        assert rt.alternation_free >= rf.alternation_free, text
+        assert rt.continuous_calculus >= rf.continuous_calculus, text
+        for _ in range(100):
+            lts = gen.rand_lts(rng, ("a", "r"), max_states=5)
+            assert mc.semantics_eval(f, lts) == mc.semantics_eval(t, lts), (text, lts)
 
 
 def test_substitute():

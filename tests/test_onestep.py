@@ -241,6 +241,31 @@ def test_fragment_check_examples():
     assert not o.in_cocontinuous_fragment(negated, frozenset({"a"}))
 
 
+def test_expanded_w_is_continuous_as_w_is():
+    # the W-bearing entries of the 60 finitary criterion-5 constructs (gen
+    # seed 105: each automaton, then its check tree): the grammar gives W,
+    # its expansion, and the expansion as the dual of a dual one answer
+    rng = random.Random(105)
+    entries = {}
+    for _ in range(60):
+        aut = gen.rand_automaton(rng, ("p",), rng.choice([1, 2, 2, 3]),
+                                 dialect=o.FOE1INF, want="cw")
+        gen.rand_tree(rng, ("p",), depth=3, max_branch=2)
+        for e in au.finitary_construct(aut).delta.values():
+            if not e.facts.sugar_free:
+                entries[e] = None
+    pairs = [(f, frozenset(c)) for f in entries for k in range(len(o.predicates(f)) + 1)
+             for c in itertools.combinations(sorted(o.predicates(f)), k)]
+    assert (len(entries), len(pairs)) == (55, 596)
+    answers = []
+    for f, b in pairs:
+        answer = o.in_continuous_fragment(f, b)
+        assert o.in_continuous_fragment(o.expand_sugar(f), b) == answer, (o.pretty(f), b)
+        assert o.in_cocontinuous_fragment(o.dual(f), b) == answer, (o.pretty(f), b)
+        answers.append(answer)
+    assert 0 < sum(answers) < len(answers)
+
+
 def test_monotonicity_of_positive_sentences():
     rng = random.Random(7)
     for _ in range(40):

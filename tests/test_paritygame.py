@@ -209,12 +209,13 @@ def test_construct_and_full_enumeration_arenas_match_recorded():
 # so the memo's names put "a10" before "a2" and the moves out of a modality
 # position are numbered in another order than then; the digest covers the
 # set of (position, owner, priority, sorted targets) rows, which does not
-# depend on the numbering.
+# depend on the numbering.  Row 7 was re-recorded when junctions began keeping
+# each argument once: its modality repeated the disjunct `A v1. a8(v1)`.
 RECORDED_WIDE_MODAL_ARENAS = [
     (4, 3, '91a35010ca842159', True), (9, 10, 'd22669b9728096e5', True),
     (51, 166, '3c8d6d0e53a69c4c', True), (43, 76, 'bcb721f4f3b21489', True),
     (15, 19, '7467ce8c03a30975', True), (16, 33, 'd62cf7042cc94f65', False),
-    (40, 108, '044a88cd37cb0e38', True), (20, 33, '1e3958a76cae3243', True),
+    (40, 108, 'e9bc7d618d9a23f4', True), (20, 33, '1e3958a76cae3243', True),
     (53, 121, 'e87a86c359f8102b', False), (61, 299, 'fdd591ab855f90b4', False),
     (72, 153, 'd2cf79082a6b3b7c', True), (10, 15, '7a3bda5ba449d6f5', True),
 ]
