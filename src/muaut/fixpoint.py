@@ -24,17 +24,23 @@ class MonotoneFunctional:
     """A map on subsets of a finite carrier, assumed monotone.
 
     Monotonicity is spot-checked on random pairs by the tests; formula
-    functionals are monotone by positivity.
+    functionals are monotone by positivity.  Each image is computed once:
+    calls store it keyed by the argument, for the life of the functional.
     """
 
     carrier: frozenset[int]
     apply: Callable[[frozenset[int]], frozenset[int]]
     lts: Optional[LTS] = None  # provenance for noetherian filtering
+    _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, xs: frozenset[int]) -> frozenset[int]:
-        out = self.apply(frozenset(xs))
-        if not out <= self.carrier:
-            raise ValueError("functional left the carrier")
+        xs = frozenset(xs)
+        out = self._images.get(xs)
+        if out is None:
+            out = self.apply(xs)
+            if not out <= self.carrier:
+                raise ValueError("functional left the carrier")
+            self._images[xs] = out
         return out
 
 
@@ -192,6 +198,8 @@ def brute_force_witness(f: MonotoneFunctional, s: int, noetherian_only: bool = F
     """Smallest restriction set whose restricted fixpoint contains s, by
     subset enumeration; optionally only noetherian sets of the underlying
     system are tried."""
+    if s not in f.carrier:
+        raise ValueError("unknown state %d" % s)
     if len(f.carrier) > 8:
         raise ValueError("carrier too large for subset enumeration")
     xs = sorted(f.carrier)

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
 from muaut import cli
+from muaut import fixpoint as fx
 from muaut import lts as L
 from muaut import mso
 from muaut import mucalc as mc
@@ -333,6 +335,26 @@ def test_fuzz_instances_repeat_with_warm_caches(suite):
     _renamed.cache_clear()
     runs = [[cli.SUITES[suite](cli._instance_rng(7, i)) for i in range(20)] for _ in range(2)]
     assert runs[0] == runs[1]
+
+
+def test_diamond_suite_catches_a_wrong_translation(monkeypatch):
+    # the weighted oracle is asked once per realized type set; a wrong
+    # FO1 sentence, here one that forgets the last record, must still
+    # disagree with it on some one-step instance
+    translate = o.diamond_translate
+    monkeypatch.setattr(o, "diamond_translate",
+                        lambda bf: translate(dataclasses.replace(bf, disjuncts=bf.disjuncts[:-1])))
+    runs = [cli._suite_diamond(cli._instance_rng(seed, 0)) for seed in range(50)]
+    assert any(not ok and "dialect" in replay for ok, _, replay in runs)
+
+
+def test_keyfix_suite_catches_an_invalid_witness(monkeypatch):
+    def empty_witness(F, s, noetherian_only=False):
+        return frozenset() if s in fx.lfp(F)[0] else None
+
+    monkeypatch.setattr(fx, "brute_force_witness", empty_witness)
+    runs = [cli._suite_keyfix(cli._instance_rng(seed, 0)) for seed in range(50)]
+    assert any(not ok and detail == "invalid witness" for ok, detail, _ in runs)
 
 
 def test_raising_fuzz_instance_is_a_replayable_failure(monkeypatch, tmp_path, capsys):

@@ -1,4 +1,9 @@
+import collections
+import hashlib
+import itertools
 import random
+import sys
+import threading
 
 import pytest
 
@@ -169,6 +174,17 @@ def test_finite_witness():
             assert (bw is None) == (s not in fix)
 
 
+def test_witness_searches_reject_an_unknown_state():
+    lts = L.make_lts(["p"], 3, [(0, 1), (1, 2)], {2: ["p"]})
+    F = fx.formula_functional(mc.MOr((mc.Prop("p"), mc.dia(mc.Prop("r")))), "r", lts)
+    for s in (9, -1):
+        with pytest.raises(ValueError, match="unknown state %d" % s):
+            fx.finite_witness(F, s)
+        for noeth in (False, True):
+            with pytest.raises(ValueError, match="unknown state %d" % s):
+                fx.brute_force_witness(F, s, noetherian_only=noeth)
+
+
 def test_noetherian_witness_matches_membership():
     rng = random.Random(6)
     for _ in range(25):
@@ -189,3 +205,88 @@ def test_monotonicity_spot_check():
             hi = lo | frozenset(s for s in F.carrier if rng.random() < 0.4)
             pairs.append((lo, hi))
         assert fx.monotone_on_samples(F, pairs)
+
+
+# sha256 of `_witness_lines`, recorded before functionals stored their
+# images; every stage, move and witness set must stay as it was
+WITNESS_DIGEST = "4b57f86a526e1b86c0ee917ac9ff9f5bda3e86e476e632cf72ac8c4e74c3ef75"
+
+
+def _keyfix_corpus():
+    """200 functionals shaped like the keyfix fuzz suite: a continuous or
+    alternation-free body over p, or dia r, on a system of at most 4 states."""
+    rng = random.Random(23)
+    for i in range(200):
+        body = gen.rand_mu(rng, ("p",), depth=2, mode=("cont", "af")[i % 2])
+        body = mc.MOr((body, mc.dia(mc.Prop("r"))))
+        lts = L.p_variant(gen.rand_lts(rng, ("p",), max_states=4), "r", [])
+        yield fx.formula_functional(body, "r", lts)
+
+
+def _witness_lines():
+    def show(xs):
+        return None if xs is None else sorted(xs)
+
+    for F in _keyfix_corpus():
+        _, stages = fx.lfp(F)
+        strat = fx.descending_strategy(F)
+        yield "%r %r %r\n" % ([sorted(st) for st in stages],
+                              sorted((s, sorted(xs)) for s, xs in strat.items()),
+                              sorted(fx.unfolding_region(F)))
+        for s in sorted(F.carrier):
+            yield "  %d %r %r %r\n" % (s, show(fx.finite_witness(F, s)),
+                                       show(fx.brute_force_witness(F, s)),
+                                       show(fx.brute_force_witness(F, s, noetherian_only=True)))
+
+
+def test_witnesses_match_the_recorded_digest():
+    text = "".join(_witness_lines())
+    assert text.count("\n") == 669
+    assert hashlib.sha256(text.encode()).hexdigest() == WITNESS_DIGEST
+
+
+def test_each_set_reaches_apply_once_per_functional():
+    for F in _keyfix_corpus():
+        seen = collections.Counter()
+
+        def apply(xs, inner=F.apply, seen=seen):
+            seen[xs] += 1
+            return inner(xs)
+
+        G = fx.MonotoneFunctional(F.carrier, apply, F.lts)
+        fx.lfp(G)
+        fx.descending_strategy(G)
+        for s in sorted(G.carrier):
+            fx.finite_witness(G, s)
+            fx.brute_force_witness(G, s)
+            fx.brute_force_witness(G, s, noetherian_only=True)
+        fx.unfolding_region(G)  # the game applies G to every subset
+        assert max(seen.values()) == 1
+        assert len(seen) == 2 ** len(G.carrier)
+
+
+def test_threads_sharing_functionals_read_the_serial_witnesses():
+    # a race on the image memo can only compute one image twice
+    def witnesses(F):
+        return [(fx.lfp(F)[1], fx.finite_witness(F, s), fx.brute_force_witness(F, s))
+                for s in sorted(F.carrier)]
+
+    shared = list(itertools.islice(_keyfix_corpus(), 30))
+    want = [witnesses(F) for F in itertools.islice(_keyfix_corpus(), 30)]
+    out = [None] * 8
+
+    def run(i):
+        out[i] = [witnesses(F) for F in shared]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(out))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert all(got == want for got in out)
