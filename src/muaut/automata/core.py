@@ -188,6 +188,11 @@ def occurrence_edges(aut: ParityAutomaton) -> dict[int, set[int]]:
     return out
 
 
+def _clusters(n: int, edges: dict[int, set[int]]) -> tuple[frozenset[int], ...]:
+    """The cells of mutual reachability of the occurrence edges."""
+    return tuple(map(frozenset, _sccs(list(range(n)), {a: sorted(edges[a]) for a in range(n)})))
+
+
 def classify_automaton(aut: ParityAutomaton) -> ClusterReport:
     """Clusters (cells of mutual reachability), weakness and continuity.
 
@@ -196,9 +201,7 @@ def classify_automaton(aut: ParityAutomaton) -> ClusterReport:
     states in the co-continuous one.
     """
     edges = occurrence_edges(aut)
-    graph = {a: sorted(edges[a]) for a in range(aut.n)}
-    comps = _sccs(list(range(aut.n)), graph)
-    clusters = tuple(frozenset(c) for c in comps)
+    clusters = _clusters(aut.n, edges)
     degenerate = tuple(
         len(c) == 1 and next(iter(c)) not in edges[next(iter(c))]
         for c in clusters
@@ -231,9 +234,8 @@ def collapse_priorities(aut: ParityAutomaton, neutral: frozenset[int] = frozense
     their priorities.  On a weak automaton, with no neutral states, every
     priority becomes its parity.
     """
-    rep = classify_automaton(aut)
     omega = list(aut.omega)
-    for cluster in rep.clusters:
+    for cluster in _clusters(aut.n, occurrence_edges(aut)):
         parities = {aut.omega[a] % 2 for a in cluster if a not in neutral}
         if len(parities) == 1:
             par = parities.pop()

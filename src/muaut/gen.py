@@ -249,9 +249,9 @@ def rand_mu(rng: random.Random, props=("p", "q"), depth: int = 3, mode: str = "a
 # ---------------------------------------------------------------------------
 # automata
 
-def _rand_entry_pool(rng, dialect, state_preds, parity=None, max_mention=3):
-    """Builders of candidate transition entries mentioning a few state
-    predicates; the caller draws one and builds only that entry.
+def _rand_entry_pool(rng, dialect, state_preds, parity=None):
+    """Builders of candidate transition entries mentioning one to three
+    state predicates; the caller draws one and builds only that entry.
 
     With parity 1 only continuity-friendly shapes are offered (existential
     over the mentioned states), with parity 0 co-continuous ones; the
@@ -260,7 +260,7 @@ def _rand_entry_pool(rng, dialect, state_preds, parity=None, max_mention=3):
     pool = [lambda: o.TOP, lambda: o.BOT]
     if not state_preds:
         return pool
-    k = min(len(state_preds), max_mention)
+    k = min(len(state_preds), 3)
     mention = rng.sample(list(state_preds), rng.randint(1, k))
     tp = frozenset(rng.sample(mention, rng.randint(1, len(mention))))
     a = rng.choice(mention)
@@ -290,15 +290,14 @@ def _rand_entry_pool(rng, dialect, state_preds, parity=None, max_mention=3):
 
 
 def rand_automaton(rng: random.Random, props=("p",), n_states: int = 2,
-                   dialect: str = o.FOE1INF, want: str = "any",
-                   max_tries: int = 200):
+                   dialect: str = o.FOE1INF, want: str = "any"):
     """Random parity automaton; `want` in {'any','weak','cw'} filters by the
-    classifier (retrying), so weak/continuous-weak requests always hold."""
+    classifier (up to 200 draws), so weak/continuous-weak requests hold."""
     from . import automata as au
 
     ps = L.PropSet(tuple(props))
     preds = [au.pred_name(a) for a in range(n_states)]
-    for _ in range(max_tries):
+    for _ in range(200):
         omega = tuple(rng.choice([0, 1]) for _ in range(n_states))
         delta = {}
         for a in range(n_states):
@@ -314,4 +313,4 @@ def rand_automaton(rng: random.Random, props=("p",), n_states: int = 2,
             return aut
         if want == "cw" and rep.continuous_weak:
             return aut
-    raise RuntimeError("no %s automaton found in %d tries" % (want, max_tries))
+    raise RuntimeError("no %s automaton found in 200 tries" % want)

@@ -132,6 +132,11 @@ class LTS:
     def reachable(self) -> frozenset[int]:
         return reach(self.successor_table(), (self.init,))
 
+    @cached_property
+    def _reach(self) -> tuple[frozenset[int], ...]:
+        # each state's reachable set, stored: noetherian_subset asks per set
+        return tuple(reach(self._succ, (s,)) for s in range(self.n))
+
     def to_json(self) -> dict:
         colors = {
             str(s): sorted(self.colours[s]) for s in range(self.n) if self.colours[s]
@@ -397,10 +402,7 @@ def noetherian_subset(lts: LTS, xs: Iterable[int]) -> bool:
     for s in xset:
         if not (0 <= s < lts.n):
             raise ValueError("unknown state %d" % s)
-    if not xset:
-        return True
-    succ = lts.successor_table()
-    return any(xset <= reach(succ, (s,)) for s in range(lts.n))
+    return not xset or any(xset <= r for r in lts._reach)
 
 
 def quotient(lts: LTS) -> LTS:

@@ -125,15 +125,12 @@ def mor(args: Iterable[MuFormula]) -> MuFormula:
 free_letters = attrgetter("facts")  # stored on each node (see Node.derive)
 
 
-def bound_letters(f: MuFormula) -> list[str]:
-    return [g.var for g in subformulas(f) if isinstance(g, (Mu, Nu))]
-
-
 def subformulas(f: MuFormula) -> list[MuFormula]:
-    """f and its subformulas, in pre-order."""
-    out = [f]
-    for a in f.children():
-        out.extend(subformulas(a))
+    """f and its subformulas, in pre-order, repeats kept."""
+    out, stack = [], [f]
+    while stack:
+        out.append(stack.pop())
+        stack += reversed(out[-1].children())
     return out
 
 
@@ -143,25 +140,19 @@ class IllFormedError(ValueError):
 
 def check_wf(f: MuFormula) -> None:
     """Raise unless binder freshness and bound-positivity hold."""
-    bound = bound_letters(f)
-    if len(bound) != len(set(bound)):
+    subs = subformulas(f)
+    bound = [g.var for g in subs if isinstance(g, (Mu, Nu))]
+    scoped = set(bound)
+    if len(bound) != len(scoped):
         raise IllFormedError("bound letters not pairwise distinct: %r" % bound)
-    free = free_letters(f)
-    clash = free & set(bound)
+    clash = free_letters(f) & scoped
     if clash:
         raise IllFormedError("letters both free and bound: %r" % sorted(clash))
-
-    def neg_check(g: MuFormula, scoped: frozenset[str]):
-        match g:
-            case NegProp(p) if p in scoped:
-                raise IllFormedError("bound letter %r occurs negated" % p)
-            case Mu(p, _) | Nu(p, _):
-                scoped = scoped | {p}
-        for a in g.children():
-            neg_check(a, scoped)
-
-    neg_check(f, frozenset())
-    for g in subformulas(f):
+    # bound letters are distinct and never free: each occurs under its binder only
+    negated = [g.name for g in subs if isinstance(g, NegProp) and g.name in scoped]
+    if negated:
+        raise IllFormedError("bound letter %r occurs negated" % negated[0])
+    for g in subs:
         if isinstance(g, Modal):
             if not o.is_positive(g.alpha):
                 raise IllFormedError("modality formula must be positive: %s" % o.pretty(g.alpha))

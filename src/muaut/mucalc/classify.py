@@ -12,49 +12,43 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .. import onestep as o
+from ..syntax import stored, union
 from .ast import (Modal, Mu, MuFormula, NegProp, Nu, Prop, is_box, is_dia,
                   free_letters, subformulas)
-from .guard import _unguarded_occurs
+from .guard import _unguarded
 
 
-def in_grammar(f: MuFormula, q: frozenset[str], binder: type, fragment=None) -> bool:
-    """Membership in the grammar where the letters q occur only positively,
-    only below binders of class `binder`, and, when `fragment` is given,
-    only in argument positions B of a modality alpha with fragment(alpha, B)."""
-    if not free_letters(f) & q:
-        return True
+@stored
+def _leaving(f: MuFormula) -> tuple[frozenset[str], ...]:
+    """For each of four grammars, the free letters p for which f is outside
+    it: p only positive, below least (grammars 0, 2) or greatest (1, 3) binders
+    and, in 2 and 3, only in positions B of modalities (co)continuous in B,
+    which holds when it holds for each member of B, so p is tested alone."""
     match f:
-        case Prop(p):
-            return p in q
-        case NegProp():
-            return False
+        case Prop():
+            return (frozenset(),) * 4
+        case NegProp(p):
+            return (frozenset({p}),) * 4
         case Mu(p, b) | Nu(p, b):
-            return isinstance(f, binder) and in_grammar(b, q | {p}, binder, fragment)
-        case Modal(alpha, args) if fragment is not None:
-            touching = frozenset(
-                name for name, a in zip(f.pred_names(), args) if free_letters(a) & q
-            )
-            if not fragment(alpha, touching):
-                return False
-    return all(in_grammar(a, q, binder, fragment) for a in f.children())
+            return tuple(s if k % 2 == isinstance(f, Nu) and p not in s else free_letters(f)
+                         for k, s in enumerate(_leaving(b)))
+    out = [union(sets) for sets in zip(*map(_leaving, f.children()))] or [frozenset()] * 4
+    if isinstance(f, Modal):
+        for k, fragment in ((2, o.in_continuous_fragment), (3, o.in_cocontinuous_fragment)):
+            out[k] = union([out[k], *(free_letters(a) for name, a in zip(f.pred_names(), f.args)
+                                      if not fragment(f.alpha, {name}))])
+    return tuple(out)
 
 
 def in_continuous(f: MuFormula, q: frozenset[str]) -> bool:
-    return in_grammar(f, q, Mu, o.in_continuous_fragment)
-
-
-def _body_in_grammar(g: Mu | Nu, continuous: bool) -> bool:
-    """Is the binder's body in the grammar for its letter: (co)noetherian,
-    or (co)continuous when `continuous`?"""
-    fragment = None
-    if continuous:
-        fragment = o.in_continuous_fragment if isinstance(g, Mu) else o.in_cocontinuous_fragment
-    return in_grammar(g.body, frozenset({g.var}), type(g), fragment)
+    """Do the letters q occur in f only positively, below least binders
+    and in continuous modality positions?"""
+    return _leaving(f)[2].isdisjoint(q)
 
 
 def is_guarded(f: MuFormula) -> bool:
     """Every bound-letter occurrence has a modality between it and its binder."""
-    return not any(_unguarded_occurs(g.body, g.var)
+    return not any(g.var in _unguarded(g.body)[0]
                    for g in subformulas(f) if isinstance(g, (Mu, Nu)))
 
 
@@ -74,8 +68,9 @@ class FragmentReport:
 
 
 def classify(f: MuFormula) -> FragmentReport:
+    # is the binder's body in the (co)noetherian and the (co)continuous grammar for its letter?
     binders = tuple((g.var, "mu" if isinstance(g, Mu) else "nu",
-                     _body_in_grammar(g, False), _body_in_grammar(g, True))
+                     *(g.var not in _leaving(g.body)[isinstance(g, Nu) + k] for k in (0, 2)))
                     for g in subformulas(f) if isinstance(g, (Mu, Nu)))
     return FragmentReport(
         plain_modal=is_plain_modal(f),

@@ -14,24 +14,24 @@ Worst-case exponential; fine at the scale this workbench targets.
 """
 from __future__ import annotations
 
-from .ast import (MAnd, MBOT, MTOP, Modal, MOr, Mu, MuFormula, Nu, Prop,
+from ..syntax import stored, union
+from .ast import (MAnd, MBOT, MTOP, Modal, MOr, Mu, MuFormula, NegProp, Nu, Prop,
                   free_letters, refresh, simplify, substitute)
 
 
-def _has_unguarded_under_binder(f: MuFormula, p: str) -> bool:
-    """Is some unguarded occurrence of p strictly inside an inner binder?"""
-
-    def go(g: MuFormula, inside: bool) -> bool:
-        match g:
-            case Prop(q):
-                return inside and q == p
-            case Modal():
-                return False
-            case Mu() | Nu():
-                inside = True
-        return any(go(a, inside) for a in g.children())
-
-    return go(f, False)
+@stored
+def _unguarded(f: MuFormula) -> tuple[frozenset[str], frozenset[str]]:
+    """The letters with an occurrence in f under no modality, and those with
+    such an occurrence strictly inside a binder of f, f itself included.
+    A binder's own letter counts as any other."""
+    match f:
+        case Prop(p):
+            return frozenset({p}), frozenset()
+        case NegProp() | Modal():
+            return frozenset(), frozenset()
+        case Mu(_, b) | Nu(_, b):
+            return _unguarded(b)[0], _unguarded(b)[0]
+    return tuple(map(union, zip(*map(_unguarded, f.children())))) or (frozenset(),) * 2
 
 
 def _unfold_offending_binder(f: MuFormula, p: str) -> MuFormula:
@@ -47,7 +47,7 @@ def _unfold_offending_binder(f: MuFormula, p: str) -> MuFormula:
                 inner = go(b)
                 if done:
                     return type(g)(q, inner)
-                if _unguarded_occurs(b, p):
+                if p in _unguarded(b)[0]:
                     done = True
                     return substitute(b, {q: g})
         return g
@@ -56,15 +56,6 @@ def _unfold_offending_binder(f: MuFormula, p: str) -> MuFormula:
     if not done:
         raise AssertionError("no offending binder found")
     return new
-
-
-def _unguarded_occurs(f: MuFormula, p: str) -> bool:
-    match f:
-        case Prop(q):
-            return q == p
-        case Modal():
-            return False
-    return any(_unguarded_occurs(a, p) for a in f.children())
 
 
 def _drop_boolean_level(f: MuFormula, p: str, repl: MuFormula) -> MuFormula:
@@ -89,9 +80,9 @@ def guard_transform(f: MuFormula) -> MuFormula:
         if not isinstance(g, (Mu, Nu)):
             return g.rebuild(go)
         p, b = g.var, go(g.body)
-        while _has_unguarded_under_binder(b, p):
+        while p in _unguarded(b)[1]:
             b = _unfold_offending_binder(b, p)
-        if _unguarded_occurs(b, p):
+        if p in _unguarded(b)[0]:
             b = simplify(_drop_boolean_level(b, p, MBOT if isinstance(g, Mu) else MTOP))
         return type(g)(p, b) if p in free_letters(b) else b
 

@@ -11,7 +11,7 @@ from functools import lru_cache
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Union
 
-from ..syntax import Node, infix, junction, union
+from ..syntax import Node, infix, junction, stored, union
 
 FO1 = "FO1"
 FOE1 = "FOE1"
@@ -176,16 +176,16 @@ def disj(args: Iterable[Formula]) -> Formula:
 
 
 def expand_sugar(f: Formula) -> Formula:
-    """Rewrite every W node into its quantifier definition.  The result is
-    stored on f, as its facts are, so an interned formula is expanded once."""
-    if f.facts.sugar_free:
-        return f
-    out = f.__dict__.get("expanded")
-    if out is None:
-        out = f.rebuild(expand_sugar)
-        if isinstance(out, W):
-            out = And((Forall(out.var, Or((out.finite, out.cofinite))), ForallInf(out.var, out.cofinite)))
-        f.__dict__["expanded"] = out
+    """Rewrite every W node into its quantifier definition.  A formula with
+    sugar keeps its expansion, so an interned formula is expanded once."""
+    return f if f.facts.sugar_free else _expand(f)
+
+
+@stored
+def _expand(f: Formula) -> Formula:
+    out = f.rebuild(expand_sugar)
+    if isinstance(out, W):
+        out = And((Forall(out.var, Or((out.finite, out.cofinite))), ForallInf(out.var, out.cofinite)))
     return out
 
 
@@ -202,11 +202,11 @@ _DUAL = {Eq: Neq, Neq: Eq, And: Or, Or: And, Exists: Forall, Forall: Exists,
          ExistsInf: ForallInf, ForallInf: ExistsInf}
 
 
+@stored
 def dual(f: Formula) -> Formula:
-    """Boolean dual: atoms fixed, the rest swapped pairwise.
+    """Boolean dual: atoms fixed, the rest swapped pairwise; kept on f.
 
-    W nodes are expanded first, so dual(dual(f)) == f holds structurally
-    for sugar-free formulas only.
+    W nodes are expanded first, so dual(dual(f)) is expand_sugar(f).
     """
     if isinstance(f, W):
         return dual(expand_sugar(f))

@@ -26,15 +26,9 @@ def in_continuous_fragment(f: Formula, b: frozenset[str]) -> bool:
 
 
 def in_cocontinuous_fragment(f: Formula, b: frozenset[str]) -> bool:
-    """Definitionally: the dual lies in the B-continuous grammar.  The
-    dual's `discontinuous` set is stored on f, so each formula is dualized
-    once."""
-    if not is_positive(f):
-        return False
-    co = f.__dict__.get("codiscontinuous")
-    if co is None:
-        co = f.__dict__["codiscontinuous"] = dual(f).facts.discontinuous
-    return co.isdisjoint(b)
+    """Definitionally: the dual lies in the B-continuous grammar.  The dual
+    is stored on f, so each formula is dualized once."""
+    return is_positive(f) and dual(f).facts.discontinuous.isdisjoint(b)
 
 
 def separation_sufficient(record_types: list[frozenset[str]], b: frozenset[str]) -> bool:

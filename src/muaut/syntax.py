@@ -1,7 +1,8 @@
 """One node layer, one lexer and one cursor under the three formula grammars.
 
-Every AST node class is a frozen dataclass over `Node`, which interns nodes,
-stores their facts and gives the structural walkers `children` and `rebuild`.
+Every AST node class is a frozen dataclass over `Node`, which interns nodes
+and gives the structural walkers `children` and `rebuild`; `stored` keeps a
+value derived once per node, such as its facts, on the node.
 The one-step, fixpoint and second-order parsers are rule sets over `Cursor`
 and keep only their own atom and prefix rules; `pretty` prints all three
 from the `notation` each node class declares.  Identifiers are
@@ -12,9 +13,10 @@ from __future__ import annotations
 import re
 import weakref
 from _weakref import _remove_dead_weakref
-from functools import cached_property
+from functools import update_wrapper
 
-# (class, *fields) -> weak reference to the one live node with those fields
+# (class, *fields, a node in a field by its id) -> weak reference to the one
+# live node with those fields
 _interned: dict = {}
 
 
@@ -32,7 +34,11 @@ class _Interned(type):
     node returns that node, so structurally equal nodes are one object."""
 
     def __call__(cls, *args):
-        key = (cls, *args)
+        # no entry keeps a node alive, so a dead formula, cycles through stored
+        # values included, is freed in one collection; a live node holds the
+        # nodes in its fields, so their ids never clash (atoms hold strings only)
+        key = (cls, *[a if type(a) is str else tuple(map(id, a)) if type(a) is tuple else id(a)
+                      for a in args]) if cls.subs else (cls, *args)
         ref = _interned.get(key)
         node = ref and ref()
         if node is None:
@@ -45,6 +51,33 @@ class _Interned(type):
             while (node := _interned.setdefault(key, ref)()) is None:
                 _remove_dead_weakref(_interned, key)
         return node
+
+
+class stored:
+    """`stored(fn)(node)` is fn(node), kept on the node under fn's name for
+    as long as it lives.  Each subformula without a value gets one first,
+    children first on an explicit stack, so fn may read its children's and
+    depth is bounded by memory alone.  A class attribute reads as a property."""
+
+    def __init__(self, fn):
+        update_wrapper(self, fn)
+        self.fn = fn
+
+    def __get__(self, node, cls=None):
+        return self if node is None else self(node)
+
+    def __call__(self, node):
+        name = self.__name__
+        if name not in node.__dict__:
+            stack = [node]  # a None marks that the node below it has its children's
+            while stack:
+                top = stack.pop()
+                if top is None:
+                    top = stack.pop()
+                    top.__dict__[name] = self.fn(top)
+                elif name not in top.__dict__:  # else a shared child pushed twice
+                    stack += (top, None, *[c for c in top.children() if name not in c.__dict__])
+        return node.__dict__[name]
 
 
 class Node(metaclass=_Interned):
@@ -73,18 +106,9 @@ class Node(metaclass=_Interned):
         out = union(kids) if self.subs else frozenset(getattr(self, n) for n in self.__match_args__)
         return out - {self.var} if "var" in self.__match_args__ else out
 
-    @cached_property
+    @stored
     def facts(self):
-        """Derived on first use, for this node and every subformula not
-        derived yet, children first on an explicit stack; stored on each."""
-        stack = [c for c in self.children() if "facts" not in c.__dict__]
-        while stack:
-            todo = [c for c in stack[-1].children() if "facts" not in c.__dict__]
-            if todo:
-                stack += todo
-            else:
-                node = stack.pop()
-                node.__dict__["facts"] = node.derive([c.facts for c in node.children()])
+        """The node's facts, derived from its children's."""
         return self.derive([c.facts for c in self.children()])
 
     def children(self) -> tuple:

@@ -265,6 +265,33 @@ def test_each_set_reaches_apply_once_per_functional():
         assert len(seen) == 2 ** len(G.carrier)
 
 
+def test_noetherian_search_reaches_from_each_state_once_per_system(monkeypatch):
+    # the reach calls made by the noetherian test, over the keyfix corpus
+    reached, inside = collections.Counter(), []
+    reach, noetherian = L.reach, fx.noetherian_subset
+
+    def counted_reach(succ, starts):
+        if inside:
+            reached.update([(id(succ), tuple(starts))])
+        return reach(succ, starts)
+
+    def counted_noetherian(lts, xs):
+        inside.append(lts)
+        try:
+            return noetherian(lts, xs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(L, "reach", counted_reach)
+    monkeypatch.setattr(fx, "noetherian_subset", counted_noetherian)
+    corpus = list(_keyfix_corpus())  # kept alive, so no table's id is reused
+    for F in corpus:
+        for s in sorted(F.carrier):
+            fx.brute_force_witness(F, s, noetherian_only=True)
+    assert max(reached.values()) == 1
+    assert len(reached) == sum(F.lts.n for F in corpus)
+
+
 def test_threads_sharing_functionals_read_the_serial_witnesses():
     # a race on the image memo can only compute one image twice
     def witnesses(F):

@@ -1,13 +1,19 @@
+import functools
+import itertools
 import random
+import sys
+import time
 
 import pytest
 
+from muaut import automata as au
 from muaut import fixpoint as fx
 from muaut import gen
 from muaut import lts as L
 from muaut import mucalc as mc
 from muaut import onestep as o
 from muaut.mucalc import guard
+from muaut.mucalc.classify import _leaving
 
 
 def test_semantics_spec_examples():
@@ -265,3 +271,261 @@ def test_modality_without_arguments_reads_back():
 def test_deep_nesting_is_a_parse_error(text):
     with pytest.raises(mc.ParseError, match="formula nesting too deep"):
         mc.parse(text)
+
+
+# --- recursive walkers that stored values replaced, kept as references ----
+
+def _subformulas_ref(f):
+    out = [f]
+    for a in f.children():
+        out.extend(_subformulas_ref(a))
+    return out
+
+
+def _in_grammar_ref(f, q, binder, fragment=None):
+    """Membership in the grammar where the letters q occur only positively,
+    only below binders of class `binder`, and, when `fragment` is given,
+    only in argument positions B of a modality alpha with fragment(alpha, B)."""
+    if not mc.free_letters(f) & q:
+        return True
+    match f:
+        case mc.Prop(p):
+            return p in q
+        case mc.NegProp():
+            return False
+        case mc.Mu(p, b) | mc.Nu(p, b):
+            return isinstance(f, binder) and _in_grammar_ref(b, q | {p}, binder, fragment)
+        case mc.Modal(alpha, args) if fragment is not None:
+            touching = frozenset(
+                name for name, a in zip(f.pred_names(), args) if mc.free_letters(a) & q
+            )
+            if not fragment(alpha, touching):
+                return False
+    return all(_in_grammar_ref(a, q, binder, fragment) for a in f.children())
+
+
+# the grammars of `_leaving`, in its order
+GRAMMARS = ((mc.Mu, None), (mc.Nu, None), (mc.Mu, o.in_continuous_fragment),
+            (mc.Nu, o.in_cocontinuous_fragment))
+
+
+def _unguarded_occurs_ref(f, p):
+    match f:
+        case mc.Prop(q):
+            return q == p
+        case mc.Modal():
+            return False
+    return any(_unguarded_occurs_ref(a, p) for a in f.children())
+
+
+def _has_unguarded_under_binder_ref(f, p):
+    def go(g, inside):
+        match g:
+            case mc.Prop(q):
+                return inside and q == p
+            case mc.Modal():
+                return False
+            case mc.Mu() | mc.Nu():
+                inside = True
+        return any(go(a, inside) for a in g.children())
+
+    return go(f, False)
+
+
+def _check_wf_ref(f):
+    bound = [g.var for g in _subformulas_ref(f) if isinstance(g, (mc.Mu, mc.Nu))]
+    if len(bound) != len(set(bound)):
+        raise mc.IllFormedError("bound letters not pairwise distinct: %r" % bound)
+    clash = mc.free_letters(f) & set(bound)
+    if clash:
+        raise mc.IllFormedError("letters both free and bound: %r" % sorted(clash))
+
+    def neg_check(g, scoped):
+        match g:
+            case mc.NegProp(p) if p in scoped:
+                raise mc.IllFormedError("bound letter %r occurs negated" % p)
+            case mc.Mu(p, _) | mc.Nu(p, _):
+                scoped = scoped | {p}
+        for a in g.children():
+            neg_check(a, scoped)
+
+    neg_check(f, frozenset())
+    for g in _subformulas_ref(f):
+        if isinstance(g, mc.Modal):
+            if not o.is_positive(g.alpha):
+                raise mc.IllFormedError("modality formula must be positive: %s" % o.pretty(g.alpha))
+            if not o.predicates(g.alpha) <= set(g.pred_names()):
+                raise mc.IllFormedError("modality mentions undeclared argument predicates")
+            if o.free_vars(g.alpha):
+                raise mc.IllFormedError("modality formula must be a sentence")
+
+
+def _wf_message(check, f):
+    try:
+        check(f)
+    except mc.IllFormedError as e:
+        return str(e)
+    return None
+
+
+def _replace_at(f, i, new):
+    """f with its i-th subformula in pre-order replaced by new."""
+    count = 0
+
+    def go(g):
+        nonlocal count
+        count += 1
+        if count - 1 == i:
+            count += len(_subformulas_ref(g)) - 1
+            return new
+        return g.rebuild(go)
+
+    return go(f)
+
+
+# one-step sentences that make a modality ill-formed: not positive, naming
+# an undeclared argument, with a free variable
+BAD_ALPHAS = (o.Exists("x", o.NegPred("a1", "x")), o.Exists("x", o.Pred("a9", "x")),
+              o.Pred("a1", "y"))
+
+
+def _mutant(f, rng):
+    """f with one or two subformulas replaced, usually ill-formed: a letter
+    negated or renamed, a binder renamed, or a modality's sentence spoilt."""
+    for _ in range(rng.randint(1, 2)):
+        subs = _subformulas_ref(f)
+        letters = sorted({g.name for g in subs if isinstance(g, (mc.Prop, mc.NegProp))}
+                         | {g.var for g in subs if isinstance(g, (mc.Mu, mc.Nu))} | {"p"})
+        i = rng.randrange(len(subs))
+        match subs[i]:
+            case mc.Prop(p):
+                new = rng.choice([mc.NegProp(p), mc.Prop(rng.choice(letters))])
+            case mc.NegProp():
+                new = mc.NegProp(rng.choice(letters))
+            case mc.Mu(_, b) | mc.Nu(_, b):
+                new = type(subs[i])(rng.choice(letters), b)
+            case mc.Modal(_, args):
+                new = mc.Modal(rng.choice(BAD_ALPHAS), args)
+            case g:
+                new = mc.NegProp(rng.choice(letters)) if rng.random() < 0.5 else g
+        f = _replace_at(f, i, new)
+    return f
+
+
+def reference_corpus(n, seed=31):
+    """n fixpoint formulas: random ones in every mode and modality dialect,
+    their negations and guarded forms, and every tenth triple a random
+    automaton's formula."""
+    rng = random.Random(seed)
+    out, i = [], 0
+    while len(out) < n:
+        f = gen.rand_mu(rng, ("p", "q"), depth=1 + i % 4, mode=("any", "af", "cont")[i % 3],
+                        modalities=(("plain",) + o.DIALECTS)[i // 3 % 4])
+        out += [f, mc.negate(f), mc.guard_transform(f)]
+        if i % 10 == 0:
+            out.append(au.to_formula(gen.rand_automaton(
+                rng, ("p",), 2, o.DIALECTS[i // 10 % 3], want=("any", "weak", "cw")[i // 30 % 3])))
+        i += 1
+    return out[:n]
+
+
+def reference_disagreements(n, seed=31):
+    """Where the stored values and the pre-order list disagree with the
+    recursive references over `reference_corpus(n, seed)`: classification
+    and continuity on every subformula and every set of up to 4 of its free
+    letters, both guard sets on every letter, and `check_wf` on each formula
+    and on a mutant of it."""
+    rng = random.Random(seed)
+    bad = []
+    for f in reference_corpus(n, seed):
+        if mc.subformulas(f) != _subformulas_ref(f):
+            bad.append(("subformulas", f))
+        if mc.is_guarded(f) != (not any(_unguarded_occurs_ref(g.body, g.var) for g in
+                                        _subformulas_ref(f) if isinstance(g, (mc.Mu, mc.Nu)))):
+            bad.append(("is_guarded", f))
+        for g in dict.fromkeys(_subformulas_ref(f)):
+            ref = tuple((h.var, "mu" if isinstance(h, mc.Mu) else "nu",
+                         _in_grammar_ref(h.body, frozenset({h.var}), type(h)),
+                         _in_grammar_ref(h.body, frozenset({h.var}), type(h),
+                                         GRAMMARS[isinstance(h, mc.Nu) + 2][1]))
+                        for h in _subformulas_ref(g) if isinstance(h, (mc.Mu, mc.Nu)))
+            if mc.classify(g).binders != ref:
+                bad.append(("classify", g))
+            letters = sorted(mc.free_letters(g))
+            for q in itertools.chain.from_iterable(
+                    itertools.combinations(letters, k) for k in range(min(4, len(letters)) + 1)):
+                q = frozenset(q)
+                if mc.in_continuous(g, q) != _in_grammar_ref(g, q, mc.Mu, o.in_continuous_fragment):
+                    bad.append(("in_continuous", g, q))
+                for k, (binder, fragment) in enumerate(GRAMMARS):
+                    if _leaving(g)[k].isdisjoint(q) != _in_grammar_ref(g, q, binder, fragment):
+                        bad.append(("grammar %d" % k, g, q))
+            for p in {h.name for h in _subformulas_ref(g) if isinstance(h, (mc.Prop, mc.NegProp))}:
+                if (p in guard._unguarded(g)[0]) != _unguarded_occurs_ref(g, p):
+                    bad.append(("unguarded", g, p))
+                if (p in guard._unguarded(g)[1]) != _has_unguarded_under_binder_ref(g, p):
+                    bad.append(("unguarded under a binder", g, p))
+        for h in (f, _mutant(f, rng)):
+            if _wf_message(mc.check_wf, h) != _wf_message(_check_wf_ref, h):
+                bad.append(("check_wf", h))
+    return bad
+
+
+def test_stored_grammar_guard_and_wf_checks_match_the_recursive_walkers():
+    start = time.perf_counter()
+    assert reference_disagreements(2000) == []
+    assert time.perf_counter() - start < 3
+    # the mutants reach every message of check_wf
+    messages = {_wf_message(mc.check_wf, _mutant(f, random.Random(i)))
+                for i, f in enumerate(reference_corpus(300))}
+    assert {m and m.split(":")[0].split(" '")[0] for m in messages} == {
+        None, "bound letters not pairwise distinct", "letters both free and bound",
+        "bound letter", "modality formula must be positive",
+        "modality mentions undeclared argument predicates", "modality formula must be a sentence"}
+
+
+def _from_depth(frames, fn):
+    return fn() if frames == 0 else _from_depth(frames - 1, fn)
+
+
+def _deep_formulas(n, leaf):
+    """Formulas of nesting depth n over the predicate or letter leaf: W in
+    W's second component (its expansion and dual hold every other one-step
+    connective and quantifier), least binders behind diamonds alternating
+    with greatest ones behind boxes around an unguarded one (binder letters
+    distinct), and binary modalities."""
+    a = o.Pred("a", "x")
+    w = functools.reduce(lambda f, i: o.W("x", a, f), range(n), o.Pred(leaf, "x"))
+    p, alpha = mc.Prop(leaf), o.Exists("x", o.Or((o.Pred("a1", "x"), o.Pred("a2", "x"))))
+
+    def fixpoint(f, i):
+        z = mc.Prop("z%d" % i)
+        return mc.Mu(z.name, mc.MOr((f, mc.dia(z)))) if i % 2 else mc.Nu(z.name, mc.MAnd((f, mc.box(z))))
+
+    binders = functools.reduce(fixpoint, range(n // 2), mc.Nu("y", mc.MAnd((p, mc.Prop("y")))))
+    return w, binders, functools.reduce(lambda f, i: mc.Modal(alpha, (p, f)), range(n), mc.Prop("q"))
+
+
+@pytest.mark.parametrize("frames", [0, 300])
+def test_stored_values_and_fragment_tests_answer_at_depth_ten_thousand(frames):
+    # a leaf of its own for each run, so that no node holds a value yet
+    n, leaf = 10 ** 4, "b%d" % frames
+    w, binders, modal = _deep_formulas(n, leaf)
+
+    def onestep(f):
+        e, d = o.expand_sugar(f), o.dual(f)
+        return (o.dual(d) is e, o.rank(f), o.rank(e), o.is_positive(d),
+                o.in_continuous_fragment(f, {"a"}), o.in_cocontinuous_fragment(f, {"a"}),
+                o.in_continuous_fragment(f, {"c"}), o.in_cocontinuous_fragment(f, {"c"}))
+
+    assert _from_depth(frames, lambda: onestep(w)) == (True, n, n, True, False, False, True, True)
+
+    def mu(f):
+        rep = mc.classify(f)
+        return (mc.check_wf(f), rep.plain_modal, rep.alternation_free, rep.continuous_calculus,
+                rep.guarded, mc.is_guarded(f), len(rep.binders), mc.in_continuous(f, {leaf}))
+
+    assert _from_depth(frames, lambda: mu(binders)) == (None, True, True, True, False, False,
+                                                        n // 2 + 1, False)
+    assert _from_depth(frames, lambda: mu(modal)) == (None, False, True, True, True, True, 0, True)
+    assert sys.getrecursionlimit() == 1000

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import os
@@ -11,7 +12,12 @@ import pytest
 
 from muaut import automata as au
 from muaut import gen
+from muaut import mucalc as mc
 from muaut import onestep as o
+from muaut import syntax
+from muaut.mucalc import guard
+from muaut.mucalc.classify import _leaving
+from muaut.onestep import ast as onestep_ast
 from muaut.onestep import normalform as nf
 from muaut.onestep.models import _min_valuations_range
 from muaut.syntax import MAX_NESTING
@@ -264,6 +270,33 @@ def test_expanded_w_is_continuous_as_w_is():
         assert o.in_cocontinuous_fragment(o.dual(f), b) == answer, (o.pretty(f), b)
         answers.append(answer)
     assert 0 < sum(answers) < len(answers)
+
+
+def test_each_stored_value_is_derived_once_per_node(monkeypatch):
+    # every function body decorated with `stored`, counted per node over
+    # one-step sentences of every dialect with their fragment tests and
+    # fixpoint formulas with their classification and guarded forms; the
+    # counter holds each node, so no node dies and comes back without a value
+    calls = collections.Counter()
+    for st in (syntax.Node.facts, onestep_ast._expand, o.dual, _leaving, guard._unguarded):
+        monkeypatch.setattr(st, "fn", lambda node, fn=st.fn, name=st.__name__:
+                            calls.update([(name, node)]) or fn(node))
+    rng = random.Random(41)
+    a, b = o.Pred("a9", "x"), o.Pred("b9", "x")
+    shared = o.And((a, o.Or((a, o.W("x", a, b)))))  # a fresh node, pushed twice
+    for i in range(300):
+        f = shared if i == 0 else gen.rand_onestep(rng, ("a", "b"), 3, o.DIALECTS[i % 3],
+                                                    positive=i % 4 != 0).ast
+        for g in (f, o.expand_sugar(f), o.dual(f), o.dual(o.dual(f))):
+            for c in ({"a"}, {"b"}, {"a", "b"}):
+                o.in_continuous_fragment(g, c), o.in_cocontinuous_fragment(g, c)
+        f = gen.rand_mu(rng, ("p", "q"), depth=3, mode=("any", "af", "cont")[i % 3],
+                        modalities=(("plain",) + o.DIALECTS)[i % 4])
+        mc.classify(f), mc.in_continuous(f, {"p"}), mc.classify(mc.guard_transform(f))
+    assert max(calls.values()) == 1
+    assert all(name in node.__dict__ for name, node in calls)
+    assert {name for name, _ in calls} == {"facts", "_expand", "dual", "_leaving", "_unguarded"}
+    assert calls[("_expand", shared)] == calls[("dual", shared)] == 1
 
 
 def test_monotonicity_of_positive_sentences():

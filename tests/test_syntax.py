@@ -486,6 +486,50 @@ def test_dropping_a_formula_frees_its_nodes():
     assert len(syntax._interned) == before
 
 
+def test_a_formula_and_its_stored_dual_are_freed_in_one_collection():
+    # f and its dual hold each other at every level once both are dualized
+    gc.collect()
+    before = len(syntax._interned)
+    c = o.Pred("c", "x")
+    f = functools.reduce(lambda g, i: o.And((o.Pred("deep%d" % i, "x"), o.Or((g, c)))), range(300), c)
+    d = o.dual(f)
+    assert o.dual(d) is f and len(syntax._interned) >= before + 1200
+    del c, f, d
+    gc.collect()
+    assert len(syntax._interned) == before
+
+
+def test_threads_deriving_stored_values_of_shared_formulas_agree():
+    # a race on a stored value can only compute one deterministic value twice;
+    # the threads share formulas that hold no values yet, and the serial
+    # answers come from the same formulas over other letters (q for k)
+    text = "E x. (a%d(x) & A y. (b(y) | x = y | W z.(c(z), {0}%d(z))))"
+
+    def derive(f):
+        return "%s %s %s %r" % (o.pretty(o.dual(f)), o.pretty(o.expand_sugar(f)), sorted(f.facts.preds),
+                                o.in_cocontinuous_fragment(f, {"c"}))
+
+    want = [derive(o.parse_formula(text.format("q") % (i, i))) for i in range(200)]
+    shared = [o.parse_formula(text.format("k") % (i, i)) for i in range(200)]
+    out = [None] * 8
+
+    def run(i):
+        out[i] = [derive(f).replace("k", "q") for f in shared]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(out))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert all(rows == want for rows in out)
+
+
 def test_threads_building_equal_formulas_get_one_node():
     texts = ["E x. (a%d(x) & A y. (b(y) | x = y | W z.(c(z), a%d(z))))" % (i, i)
              for i in range(200)]
