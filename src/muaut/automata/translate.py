@@ -1,11 +1,11 @@
 """Translations between automata and fixpoint formulas.
 
-Automaton to formula: cluster-by-cluster elimination.  Entries of the top
-cluster become modalities guarded by the characteristic conjunction of the
-colour they fire on (the colour test is required for equivalence), states
-of lower clusters are substituted recursively, and the states of the top
-cluster are closed off one by one with binders matching their priority
-parity, lowest priority innermost.
+Automaton to formula: one pass over the clusters, sinks first.  Entries
+become modalities guarded by the characteristic conjunction of the colour
+they fire on (the colour test is required for equivalence), states of lower
+clusters are replaced by their images, and the states of a cluster are
+closed off one by one with binders matching their priority parity, lowest
+priority innermost.
 
 Formula to automaton: states are modal-argument subformulas tagged with
 the dominant variable unfolded on the modal-free path that reaches them;
@@ -21,9 +21,8 @@ from dataclasses import dataclass
 from .. import mucalc as mc
 from .. import onestep as o
 from ..lts import PropSet
-from ..paritygame import _sccs
-from .core import (ParityAutomaton, collapse_priorities, occurrence_edges,
-                   pred_name, pred_state)
+from .core import (ParityAutomaton, _clusters, collapse_priorities,
+                   occurrence_edges, pred_name, pred_state)
 
 
 def colour_literal(props: PropSet, colour: frozenset[str]) -> mc.MuFormula:
@@ -41,9 +40,7 @@ def _modal_of_entry(f: o.Formula, images: dict[int, mc.MuFormula]) -> mc.MuFormu
     """Turn a transition entry into a modality applied to state images."""
     states = sorted(pred_state(p) for p in o.predicates(f))
     renaming = dict(zip(map(pred_name, states), mc.arg_names(len(states))))
-    alpha = o.rename_pred(f, renaming)
-    args = tuple(images[s] for s in states)
-    return mc.Modal(alpha, args) if states else mc.Modal(alpha, ())
+    return mc.Modal(o.rename_pred(f, renaming), tuple(images[s] for s in states))
 
 
 def to_formula(aut: ParityAutomaton) -> mc.MuFormula:
@@ -52,45 +49,34 @@ def to_formula(aut: ParityAutomaton) -> mc.MuFormula:
     calculus."""
     colours = aut.props.colours()
     edges = occurrence_edges(aut)
+    images: dict[int, mc.MuFormula] = {}
 
-    def translate(states: frozenset[int]) -> dict[int, mc.MuFormula]:
-        if not states:
-            return {}
-        graph = {a: sorted(t for t in edges[a] if t in states) for a in states}
-        # clusters come sinks first, so the last is a source: nothing
-        # outside it (within `states`) reaches it
-        top = frozenset(_sccs(sorted(states), graph)[-1])
-        rest = translate(states - top)
+    def entry_formula(b: int) -> mc.MuFormula:
+        return mc.mor(
+            mc.mand([colour_literal(aut.props, c), _modal_of_entry(aut.entry(b, c), images)])
+            for c in colours
+        )
 
-        def entry_formula(b: int, images: dict[int, mc.MuFormula]) -> mc.MuFormula:
-            return mc.mor(
-                mc.mand([colour_literal(aut.props, c), _modal_of_entry(aut.entry(b, c), images)])
-                for c in colours
-            )
-
-        out = dict(rest)
-        if len(top) == 1 and next(iter(top)) not in edges[next(iter(top))]:
-            b = next(iter(top))
-            out[b] = entry_formula(b, rest)
-            return out
-        order = sorted(top, key=lambda a: (aut.omega[a], a))
-        images = dict(rest)
+    # clusters come sinks first, so every state an entry names outside its
+    # own cluster already has its image
+    for cluster in _clusters(aut.n, edges):
+        if len(cluster) == 1 and (b := next(iter(cluster))) not in edges[b]:
+            images[b] = entry_formula(b)
+            continue
+        order = sorted(cluster, key=lambda a: (aut.omega[a], a))
         for b in order:
             images[b] = mc.Prop(_var(b))
-        tr = {b: entry_formula(b, images) for b in order}
-        for k, b in enumerate(order):
+        tr = {b: entry_formula(b) for b in order}
+        for b in order:
             binder = mc.Mu if aut.omega[b] % 2 == 1 else mc.Nu
             closed = binder(_var(b), tr[b])
             tr[b] = closed
             for b2 in order:
                 if b2 != b:
                     tr[b2] = mc.substitute(tr[b2], {_var(b): closed})
-        for b in order:
-            out[b] = tr[b]
-        return out
+        images.update(tr)
 
-    formula = translate(frozenset(range(aut.n)))[aut.init]
-    formula = mc.refresh(formula, reserved=aut.props.names)
+    formula = mc.refresh(images[aut.init], reserved=aut.props.names)
     mc.check_wf(formula)
     return formula
 
@@ -124,13 +110,11 @@ def from_formula(f: mc.MuFormula, props: PropSet | None = None) -> ParityAutomat
             binder_body[sub.var] = sub.body
     bound = set(binder_body)
 
-    states: dict[_State, int] = {}
-    order: list[_State] = []
+    states: dict[_State, int] = {}  # numbered in insertion order
 
     def intern(st: _State) -> int:
         if st not in states:
-            states[st] = len(order)
-            order.append(st)
+            states[st] = len(states)
             todo.append(st)
         return states[st]
 
@@ -177,12 +161,9 @@ def from_formula(f: mc.MuFormula, props: PropSet | None = None) -> ParityAutomat
         for c in colours:
             delta[(states[st], c)] = expand(chi, c, frozenset())
 
-    n = len(order)
-    omega = []
-    for st in order:
-        omega.append(prio[st.tag] if st.tag is not None else 0)
-    neutral = frozenset(i for i, st in enumerate(order) if st.tag is None)
-    aut = ParityAutomaton(dialect, props, n, states[root], tuple(omega), delta)
+    omega = tuple(prio[st.tag] if st.tag is not None else 0 for st in states)
+    neutral = frozenset(i for i, st in enumerate(states) if st.tag is None)
+    aut = ParityAutomaton(dialect, props, len(states), states[root], omega, delta)
     # untagged states never form a cycle among themselves: a modality-free
     # expansion that unfolds no variable descends strictly through the formula
     return collapse_priorities(aut, neutral)

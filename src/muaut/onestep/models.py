@@ -166,31 +166,32 @@ def eval_capped(f: Formula, valuation: dict[str, Iterable],
     which predicate a holds at those in valuation.get(a, ()).  A sentence of
     quantifier rank q sees only how many elements each type has, capped at q
     (the Ehrenfeucht-Fraisse game on monadic structures), so each answer is
-    read from those counts, memoized per (sentence, counts) for the process.
+    read from the types that occur and their capped counts, memoized per
+    (sentence, counts) for the process.
     """
     f = expand_sugar(f)
     preds, q = sorted(predicates(f)), rank(f)
-    kind: dict = {}  # element -> its type, the first predicate the highest bit
-    for j, a in enumerate(reversed(preds)):
+    kind: dict = {}  # element -> its type, bit j for the j-th predicate
+    for j, a in enumerate(preds):
         for e in valuation.get(a, _EMPTY):
             kind[e] = kind.get(e, 0) | 1 << j
     out = []
     for d in domains:
-        counts = [0] * (1 << len(preds))
+        counts: dict[int, int] = {}
         for e in d:
-            counts[kind.get(e, 0)] += 1
-        out.append(_capped_truth(f, tuple([min(c, q) for c in counts])))
+            t = kind.get(e, 0)
+            counts[t] = counts.get(t, 0) + 1
+        out.append(_capped_truth(f, tuple(sorted((t, min(c, q)) for t, c in counts.items()))))
     return out
 
 
 @lru_cache(maxsize=1024)
-def _capped_truth(f: Formula, counts: tuple[int, ...]) -> bool:
-    """f on the canonical model with counts[i] elements of type i (a bit set
-    over the sorted predicates of f, as in eval_capped)."""
+def _capped_truth(f: Formula, counts: tuple[tuple[int, int], ...]) -> bool:
+    """f on the canonical model with c elements of type t for each (t, c) in
+    counts (t a bit mask over the sorted predicates of f, as in `_all_types`)."""
     preds = sorted(predicates(f))
-    types = [frozenset(a for a, inside in zip(preds, bits) if inside)
-             for bits in product((False, True), repeat=len(preds))]
-    return eval_finite(f, model_of_types(tp for tp, c in zip(types, counts) for _ in range(c)))
+    return eval_finite(f, model_of_types(frozenset(a for j, a in enumerate(preds) if t >> j & 1)
+                                         for t, c in counts for _ in range(c)))
 
 
 def eval_weighted(f: Formula, w: WeightedOneStepModel) -> bool:

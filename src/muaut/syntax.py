@@ -57,7 +57,9 @@ class stored:
     """`stored(fn)(node)` is fn(node), kept on the node under fn's name for
     as long as it lives.  Each subformula without a value gets one first,
     children first on an explicit stack, so fn may read its children's and
-    depth is bounded by memory alone.  A class attribute reads as a property."""
+    depth is bounded by memory alone.  A class attribute reads as a property.
+    A value that is the node itself is kept as None and read back as the
+    node, so no node holds itself; fn never returns None."""
 
     def __init__(self, fn):
         update_wrapper(self, fn)
@@ -74,10 +76,12 @@ class stored:
                 top = stack.pop()
                 if top is None:
                     top = stack.pop()
-                    top.__dict__[name] = self.fn(top)
+                    value = self.fn(top)
+                    top.__dict__[name] = None if value is top else value
                 elif name not in top.__dict__:  # else a shared child pushed twice
                     stack += (top, None, *[c for c in top.children() if name not in c.__dict__])
-        return node.__dict__[name]
+        value = node.__dict__[name]
+        return node if value is None else value
 
 
 class Node(metaclass=_Interned):

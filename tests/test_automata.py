@@ -9,7 +9,7 @@ from muaut import gen
 from muaut import lts as L
 from muaut import mucalc as mc
 from muaut import onestep as o
-from muaut.automata import constructs
+from muaut.automata import constructs, core
 from muaut.automata.constructs import _macro_entry
 from muaut.onestep.ast import _renamed
 
@@ -201,6 +201,64 @@ def test_to_formula_agreement_and_fragments():
         for _ in range(2):
             lts = gen.rand_lts(rng, ("p",), max_states=4)
             assert au.accepts(aut, lts) == (lts.init in mc.semantics_eval(f, lts))
+
+
+# sha256 of `_to_formula_lines`, recorded before the translation became one
+# pass over the clusters: every printed formula must stay as it was
+TO_FORMULA_DIGEST = "d7c4b24205720027c878f8cacb356f356d8a4fa09fd677c3dc70f59c4259f746"
+
+
+def _to_formula_lines():
+    """The printed formula of 200 random automata of every dialect and kind,
+    then of each criterion-5 input (gen seed 105) and of the construct of
+    each such input of at most two states (a 3-state input's construct can
+    print 135 kB, most of a second)."""
+    rng = random.Random(5)
+    for i in range(200):
+        aut = gen.rand_automaton(rng, ("p",), rng.randint(1, 3), dialect=o.DIALECTS[i % 3],
+                                 want=("any", "weak", "cw")[i // 3 % 3])
+        yield mc.pretty(au.to_formula(aut)) + "\n"
+    rng = random.Random(105)
+    for dialect, want, construct in ((o.FOE1INF, "cw", au.finitary_construct),
+                                     (o.FOE1, "weak", au.noetherian_construct)):
+        for _ in range(60):
+            aut = gen.rand_automaton(rng, ("p",), rng.choice([1, 2, 2, 3]), dialect=dialect, want=want)
+            gen.rand_tree(rng, ("p",), depth=3, max_branch=2)
+            yield mc.pretty(au.to_formula(aut)) + "\n"
+            if aut.n <= 2:
+                yield mc.pretty(au.to_formula(construct(aut))) + "\n"
+
+
+def test_to_formula_matches_the_recorded_digest():
+    text = "".join(_to_formula_lines())
+    assert text.count("\n") == 409
+    assert hashlib.sha256(text.encode()).hexdigest() == TO_FORMULA_DIGEST
+
+
+def fan_automaton(leaves: int) -> au.ParityAutomaton:
+    """State 0 steps to some successor in one of the leaf states 1..leaves;
+    each leaf loops on itself under p and dies without it."""
+    ps = props("p")
+    init = o.Exists("x", o.disj(o.Pred(au.pred_name(i), "x") for i in range(1, leaves + 1)))
+    delta = {}
+    for c in ps.colours():
+        delta[(0, c)] = init
+        for i in range(1, leaves + 1):
+            delta[(i, c)] = o.Exists("x", o.Pred(au.pred_name(i), "x")) if "p" in c else o.BOT
+    return au.ParityAutomaton(o.FOE1, ps, leaves + 1, 0, (0,) * (leaves + 1), delta)
+
+
+def test_to_formula_takes_any_number_of_clusters(monkeypatch):
+    # 1,201 clusters at the default recursion limit, split into clusters once
+    calls, sccs = [], core._sccs
+    monkeypatch.setattr(core, "_sccs", lambda *args: calls.append(1) or sccs(*args))
+    aut = fan_automaton(1200)
+    f = au.to_formula(aut)
+    assert len(calls) == 1
+    assert mc.classify(f).alternation_free
+    for lts, want in ((L.make_lts(["p"], 2, [(0, 1), (1, 1)], {1: ["p"]}), True),
+                      (L.make_lts(["p"], 3, [(0, 1), (1, 2), (2, 1)], {1: ["p"]}), False)):
+        assert au.accepts(aut, lts) == mc.game_value(f, lts) == want
 
 
 def test_to_formula_degenerate_top_cluster_unbound():

@@ -78,6 +78,21 @@ def test_modal_step_on_dense_successor_sets():
         assert mc.semantics_eval(f, lts) == want, o.pretty(alpha.ast)
 
 
+def test_wide_modality_reads_only_the_types_that_occur():
+    # 200 arguments: the successors' capped counts are kept per type that
+    # occurs, never over all 2^200 types
+    k = 200
+    f = mc.parse("<E x. %s>(%s)" % (" | ".join("a%d(x)" % i for i in range(1, k + 1)),
+                                   ", ".join(["p"] * k)))
+    rng = random.Random(24)
+    answers = []
+    for _ in range(6):
+        lts = gen.rand_lts(rng, ("p",), max_states=3)
+        answers.append(lts.init in mc.semantics_eval(f, lts))
+        assert mc.game_value(f, lts) == answers[-1]
+    assert 0 < sum(answers) < len(answers)
+
+
 def test_monotone_dependency_and_iteration_bound():
     rng = random.Random(22)
     for _ in range(25):

@@ -16,6 +16,7 @@ import weakref
 
 import pytest
 
+from muaut import cli
 from muaut import gen
 from muaut import mso
 from muaut import mucalc as mc
@@ -497,6 +498,27 @@ def test_a_formula_and_its_stored_dual_are_freed_in_one_collection():
     del c, f, d
     gc.collect()
     assert len(syntax._interned) == before
+
+
+def test_no_node_keeps_itself_as_a_stored_value():
+    # a sugar-free node's expansion and an atom's dual are the node itself;
+    # kept as such, each would be a cycle that only the collector frees
+    for suite in sorted(cli.SUITES):
+        for i in range(20):
+            cli.SUITES[suite](cli._instance_rng(7, i))
+    nodes = [node for node in (ref() for ref in list(syntax._interned.values())) if node]
+    assert sum("_expand" in node.__dict__ for node in nodes) > 100
+    assert not [node for node in nodes if any(v is node for v in node.__dict__.values())]
+    # so a formula expanded, but not dualized, is freed without the collector
+    f = o.Exists("x", o.And((o.Pred("own1", "x"), o.W("x", o.Pred("own2", "x"), o.Pred("own3", "x")))))
+    assert o.expand_sugar(f) is not f and o.expand_sugar(f.body.args[0]) is f.body.args[0]
+    refs = [weakref.ref(h) for h in (f, f.body, *f.body.args, f.body.args[1].finite)]
+    gc.disable()
+    try:
+        del f
+        assert [ref() for ref in refs] == [None] * 5
+    finally:
+        gc.enable()
 
 
 def test_threads_deriving_stored_values_of_shared_formulas_agree():
