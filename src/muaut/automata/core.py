@@ -47,6 +47,9 @@ class ParityAutomaton:
             for c in colours:
                 if (a, c) not in self.delta:
                     raise ValueError("transition table misses state %d at colour %r" % (a, sorted(c)))
+        if len(self.delta) != self.n * len(colours):
+            raise ValueError("transition table has %d entries, not one per state and colour (%d)"
+                             % (len(self.delta), self.n * len(colours)))
         for (a, c), f in self.delta.items():
             if not o.is_positive(f):
                 raise ValueError("transition formula not positive at (%d,%r)" % (a, sorted(c)))
@@ -82,8 +85,11 @@ def automaton_from_json(data: dict) -> ParityAutomaton:
         delta = {}
         for key, text in data["delta"].items():
             head, _, rest = key.partition(",")
-            colour = frozenset(x for x in rest.split(",") if x)
-            delta[(int(head), props.canon(colour))] = o.parse_formula(text)
+            entry = (int(head), props.canon(x for x in rest.split(",") if x))
+            if entry in delta:
+                raise ValueError("delta key %r repeats the entry of state %d at colour %r"
+                                 % (key, entry[0], sorted(entry[1])))
+            delta[entry] = o.parse_formula(text)
         return ParityAutomaton(
             data["dialect"], props, int(data["states"]), int(data["init"]),
             tuple(int(x) for x in json_list(data["omega"], "omega")), delta,

@@ -211,7 +211,13 @@ def from_json(data: dict) -> LTS:
         n = int(data["states"])
         edges = ((int(a), int(b))
                  for a, b in json_list(data.get("edges", []), "edges", of_lists=True))
-        colmap = {int(k): json_list(v, "a colour") for k, v in data.get("colors", {}).items()}
+        colmap: dict[int, list] = {}
+        for k, v in data.get("colors", {}).items():
+            s = int(k)
+            if not 0 <= s < n or s in colmap:
+                raise ValueError("invalid LTS: colour key %r %s" % (
+                    k, "repeats state %d" % s if s in colmap else "names no state"))
+            colmap[s] = json_list(v, "a colour")
         cols = [frozenset(colmap.get(s, ())) for s in range(n)]
         lts = LTS(ps, n, edges, tuple(cols), int(data.get("init", 0)))
     rep = validate(lts)
@@ -330,18 +336,29 @@ def bisimilar(s: LTS, t: LTS) -> Optional[frozenset[tuple[int, int]]]:
 
 
 def is_bisimulation(s: LTS, t: LTS, rel: Iterable[tuple[int, int]]) -> bool:
-    """Definition-level check of the atom/forth/back conditions."""
-    rel = set(rel)
+    """Definition-level check of the atom/forth/back conditions at every
+    pair.  The relation is indexed once, each state to its mates on the
+    other side, so a successor's forth or back condition is one test that
+    its mates meet the other state's successors."""
+    mates_s: dict[int, set[int]] = {}
+    mates_t: dict[int, set[int]] = {}
+    for u, v in rel:
+        mates_s.setdefault(u, set()).add(v)
+        mates_t.setdefault(v, set()).add(u)
     ssucc, tsucc = s.successor_table(), t.successor_table()
-    for (u, v) in rel:
-        if s.colours[u] != t.colours[v]:
-            return False
-        for u2 in ssucc[u]:
-            if not any((u2, v2) in rel for v2 in tsucc[v]):
+    none: frozenset[int] = frozenset()
+    for u, vs in mates_s.items():
+        su, cu = ssucc[u], s.colours[u]
+        for v in vs:
+            tv = tsucc[v]
+            if cu != t.colours[v]:
                 return False
-        for v2 in tsucc[v]:
-            if not any((u2, v2) in rel for u2 in ssucc[u]):
-                return False
+            for u2 in su:
+                if mates_s.get(u2, none).isdisjoint(tv):
+                    return False
+            for v2 in tv:
+                if mates_t.get(v2, none).isdisjoint(su):
+                    return False
     return True
 
 
@@ -406,12 +423,14 @@ def noetherian_subset(lts: LTS, xs: Iterable[int]) -> bool:
 
 
 def quotient(lts: LTS) -> LTS:
-    """Bisimulation quotient (same alphabet, bisimilar to the input)."""
+    """Bisimulation quotient (same alphabet, bisimilar to the input).  The
+    partition is stable, so each block's colour and successor blocks are
+    read off one state of it, the smallest."""
     succ = lts.successor_table()
     block_of = _refine_partition(lts.colours, succ)
-    nblocks = max(block_of) + 1
-    edges = ((block_of[a], block_of[b]) for a, ts in enumerate(succ) for b in ts)
-    cols: list[frozenset[str]] = [frozenset()] * nblocks
-    for s in range(lts.n):
-        cols[block_of[s]] = lts.colours[s]
-    return LTS(lts.props, nblocks, edges, tuple(cols), block_of[lts.init])
+    first: dict[int, int] = {}  # blocks are numbered in order of first occurrence
+    for s, b in enumerate(block_of):
+        first.setdefault(b, s)
+    table = tuple(tuple(sorted({block_of[t] for t in succ[s]})) for s in first.values())
+    cols = tuple(lts.colours[s] for s in first.values())
+    return object.__new__(LTS)._fill(lts.props, len(first), table, cols, block_of[lts.init])

@@ -417,6 +417,33 @@ def test_mistyped_json_is_a_clean_error(kind, data, tmp_path, capsys, loop_file)
         assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("colors,key", [
+    ({"5": ["p"]}, "'5'"), ({"-1": ["p"]}, "'-1'"), ({"0": ["p"], "00": []}, "'00'"),
+])
+def test_colour_keys_that_name_no_state_or_repeat_one_are_refused(colors, key, tmp_path, capsys, loop_file):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"props": ["p", "q"], "states": 2, "edges": [[0, 1]],
+                                "colors": colors, "init": 0}))
+    assert cli.main(["lts", "validate", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("invalid: invalid LTS: colour key ") and key in out
+    assert cli.main(["lts", "bisim", str(path), loop_file]) == 2
+    assert capsys.readouterr().err.startswith("error: invalid LTS: ")
+
+
+@pytest.mark.parametrize("delta,message", [
+    ({"5,": "true"}, "transition table has 5 entries"),
+    ({"0,p,p": "false"}, "delta key '0,p,p' repeats"),
+    ({"00,p": "false"}, "delta key '00,p' repeats"),
+])
+def test_automaton_entries_beyond_the_table_are_refused(delta, message, tmp_path, capsys, loop_file):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({**_AUT, "props": ["p", "q"], "delta": {
+        "0,": "true", "0,p": "true", "0,q": "true", "0,p,q": "true", **delta}}))
+    assert cli.main(["aut", "accept", "--in", str(path), "--lts", loop_file]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_well_typed_json_still_loads(tmp_path, capsys):
     path = tmp_path / "a.json"
     path.write_text(json.dumps(_AUT))

@@ -1,3 +1,5 @@
+import collections
+import hashlib
 import random
 
 import pytest
@@ -104,6 +106,15 @@ def _greatest_bisimulation(s, t):
         rel = keep
 
 
+def _with_copy(s, u):
+    """s with one more state, a copy of u: its edges in and out and its colour."""
+    succ = s.successor_table()
+    edges = set(s.edges) | {(a, s.n) for a in s.states() if u in succ[a]}
+    edges |= {(s.n, b) for b in succ[u]}
+    return L.make_lts(s.props.names, s.n + 1, edges,
+                      {x: s.colours[x] for x in s.states()} | {s.n: s.colours[u]}, s.init)
+
+
 def test_bisimilar_is_the_greatest_bisimulation():
     rng = random.Random(17)
     seen = {"none": 0, "sizes differ": 0, "quotient": 0}
@@ -112,12 +123,8 @@ def test_bisimilar_is_the_greatest_bisimulation():
         if i % 3 == 0:
             t = L.quotient(s)
             seen["quotient"] += 1
-        elif i % 3 == 1:  # s with a copy of one state: bisimilar, one state larger
-            u = rng.randrange(s.n)
-            edges = set(s.edges) | {(a, s.n) for a, b in s.edges if b == u}
-            edges |= {(s.n, b) for a, b in s.edges if a == u}
-            t = L.make_lts(("p", "q"), s.n + 1, edges,
-                           {x: s.colours[x] for x in s.states()} | {s.n: s.colours[u]}, s.init)
+        elif i % 3 == 1:  # bisimilar, one state larger
+            t = _with_copy(s, rng.randrange(s.n))
         else:
             t = gen.rand_lts(rng, ("p", "q"), max_states=7)
         want = _greatest_bisimulation(s, t)
@@ -129,6 +136,124 @@ def test_bisimilar_is_the_greatest_bisimulation():
             seen["none"] += 1
         seen["sizes differ"] += rel is not None and s.n != t.n
     assert min(seen.values()) >= 10, seen
+
+
+def _pair_scan_failures(s, t, rel):
+    """Reference for `is_bisimulation`: the conditions (atom, forth, back)
+    that fail at some pair of rel, each found by scanning the candidate
+    pairs for a mate."""
+    rel = set(rel)
+    ssucc, tsucc = s.successor_table(), t.successor_table()
+    failed = set()
+    for (u, v) in rel:
+        if s.colours[u] != t.colours[v]:
+            failed.add("atom")
+        for u2 in ssucc[u]:
+            if not any((u2, v2) in rel for v2 in tsucc[v]):
+                failed.add("forth")
+        for v2 in tsucc[v]:
+            if not any((u2, v2) in rel for u2 in ssucc[u]):
+                failed.add("back")
+    return failed
+
+
+def _edge_union_quotient(lts):
+    """Reference for `quotient`: every edge mapped onto its blocks."""
+    succ = lts.successor_table()
+    block_of = L._refine_partition(lts.colours, succ)
+    nblocks = max(block_of) + 1
+    edges = ((block_of[a], block_of[b]) for a, ts in enumerate(succ) for b in ts)
+    cols = [frozenset()] * nblocks
+    for s in range(lts.n):
+        cols[block_of[s]] = lts.colours[s]
+    return L.LTS(lts.props, nblocks, edges, tuple(cols), block_of[lts.init])
+
+
+def _bisim_corpus():
+    """Seeded systems over p, q: random ones at several edge probabilities
+    (states without a successor included), out-degree 1-3 ones of up to
+    100 states, cycles and chains with a periodic colouring, and
+    uniform-colour systems."""
+    rng = random.Random(27)
+    props = ("p", "q")
+    for prob in (0.0, 0.1, 0.25, 0.4, 0.7):
+        for _ in range(40):
+            yield gen.rand_lts(rng, props, max_states=8, edge_prob=prob)
+    for n in (20, 60, 100):
+        for _ in range(8):
+            edges = [(a, b) for a in range(n) for b in rng.sample(range(n), rng.randint(1, 3))]
+            cols = {s: [p for p in props if rng.random() < 0.4] for s in range(n)}
+            yield L.make_lts(props, n, edges, cols, rng.randrange(n))
+    for n in (1, 2, 3, 6, 12, 30):
+        for k in (1, 2, 3, 4):
+            cols = {s: ["p"] for s in range(n) if s % k == 0}
+            yield L.make_lts(props, n, [(s, (s + 1) % n) for s in range(n)], cols, n - 1)
+            yield L.make_lts(props, n, [(s, s + 1) for s in range(n - 1)], cols)
+    for colour in ((), ("p",), ("p", "q")):
+        for _ in range(10):
+            n = rng.randint(1, 40)
+            edges = [(a, b) for a in range(n) for b in range(n) if rng.random() < 2 / n]
+            yield L.make_lts(props, n, edges, {s: colour for s in range(n)}, rng.randrange(n))
+
+
+# sha256 of `_bisim_lines`, recorded before quotients were read off one
+# state per block: every quotient and greatest bisimulation stays as it was
+BISIM_DIGEST = "8e5acad0b3a755c9f71f6da7b809b087161c7fc509907898e35270759063d79f"
+
+
+def _bisim_lines():
+    def show(rel):
+        return None if rel is None else sorted(rel)
+
+    systems = list(_bisim_corpus())
+    for i, s in enumerate(systems):
+        q = L.quotient(s)
+        yield "%d %r %r %d\n" % (q.n, q.successor_table(), [sorted(c) for c in q.colours], q.init)
+        yield "  %r\n  %r\n" % (show(L.bisimilar(s, q)), show(L.bisimilar(s, systems[i - 1])))
+
+
+def test_quotients_and_bisimulations_match_the_recorded_digest():
+    text = "".join(_bisim_lines())
+    assert text.count("\n") == 906
+    assert hashlib.sha256(text.encode()).hexdigest() == BISIM_DIGEST
+
+
+def _relations(rng, s, t):
+    """Relations between s and t: the greatest bisimulation with and
+    without one random pair, and with one differently coloured pair; the
+    identity on the shared states; a random half of the same-colour pairs."""
+    rel = L.bisimilar(s, t)
+    if rel is not None:
+        yield rel
+        yield rel - {rng.choice(sorted(rel))}
+        other = [(u, v) for u in s.states() for v in t.states() if s.colours[u] != t.colours[v]]
+        if other:
+            yield rel | {rng.choice(other)}
+    yield {(u, u) for u in range(min(s.n, t.n))}
+    yield {(u, v) for u in s.states() for v in t.states()
+           if s.colours[u] == t.colours[v] and rng.random() < 0.5}
+
+
+def test_bisimulation_layer_matches_its_references():
+    rng = random.Random(31)
+    seen = collections.Counter()
+    systems = list(_bisim_corpus())
+    for i, s in enumerate(systems):
+        q = L.quotient(s)
+        assert q == _edge_union_quotient(s)
+        # s with up to three more edges: the identity from s to it meets forth, and back may fail
+        extra = {(rng.randrange(s.n), rng.randrange(s.n)) for _ in range(rng.randint(1, 3))}
+        bigger = L.make_lts(s.props.names, s.n, set(s.edges) | extra,
+                            dict(enumerate(s.colours)), s.init)
+        for a, b in ((s, q), (s, _with_copy(s, rng.randrange(s.n))), (s, systems[i - 1]),
+                     (s, bigger), (bigger, s)):
+            for rel in _relations(rng, a, b):
+                failed = _pair_scan_failures(a, b, rel)
+                seen[frozenset(failed)] += 1
+                assert L.is_bisimulation(a, b, rel) == (not failed), (i, sorted(rel))
+                assert L.is_bisimulation(b, a, {(v, u) for u, v in rel}) == (not failed)
+    atom = sum(k for failed, k in seen.items() if "atom" in failed)
+    assert min(seen[frozenset()], seen[frozenset({"forth"})], seen[frozenset({"back"})], atom) >= 200, seen
 
 
 def test_quotient_is_bisimilar():
