@@ -104,11 +104,7 @@ def from_formula(f: mc.MuFormula, props: PropSet | None = None) -> ParityAutomat
     g = mc.guard_transform(f)
     dialect = mc.modal_dialect(g)
     prio = mc.binder_priorities(g)
-    binder_body: dict[str, mc.MuFormula] = {}
-    for sub in mc.subformulas(g):
-        if isinstance(sub, (mc.Mu, mc.Nu)):
-            binder_body[sub.var] = sub.body
-    bound = set(binder_body)
+    binder_body = {b.var: b.body for b, _ in mc.binders(g)}
 
     states: dict[_State, int] = {}  # numbered in insertion order
 
@@ -118,14 +114,9 @@ def from_formula(f: mc.MuFormula, props: PropSet | None = None) -> ParityAutomat
             todo.append(st)
         return states[st]
 
-    def dominant(path_vars: frozenset[str]) -> str | None:
-        if not path_vars:
-            return None
-        return max(path_vars, key=lambda v: prio[v])
-
     def expand(chi: mc.MuFormula, colour: frozenset[str], path: frozenset[str]) -> o.Formula:
         match chi:
-            case mc.Prop(p) if p not in bound:
+            case mc.Prop(p) if p not in binder_body:
                 return o.TOP if p in colour else o.BOT
             case mc.NegProp(p):
                 return o.BOT if p in colour else o.TOP
@@ -138,7 +129,7 @@ def from_formula(f: mc.MuFormula, props: PropSet | None = None) -> ParityAutomat
             case mc.MOr(args):
                 return o.disj(expand(a, colour, path) for a in args)
             case mc.Modal(alpha, args):
-                tag = dominant(path)
+                tag = max(path, key=prio.__getitem__, default=None)  # the dominant letter
                 occurring = o.predicates(alpha)
                 renaming = {}
                 for name, a in zip(chi.pred_names(), args):
@@ -156,10 +147,9 @@ def from_formula(f: mc.MuFormula, props: PropSet | None = None) -> ParityAutomat
     colours = props.colours()
     while todo:
         st = todo.pop()
-        chi = st.chi
         # a state's own unfolding starts below its entering tag
         for c in colours:
-            delta[(states[st], c)] = expand(chi, c, frozenset())
+            delta[(states[st], c)] = expand(st.chi, c, frozenset())
 
     omega = tuple(prio[st.tag] if st.tag is not None else 0 for st in states)
     neutral = frozenset(i for i, st in enumerate(states) if st.tag is None)

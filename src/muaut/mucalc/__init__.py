@@ -1,7 +1,7 @@
 """Fixpoint calculi over one-step modalities."""
 
 from .ast import (MAnd, MBOT, MOr, MTOP, Modal, Mu, MuFormula,
-                  NegProp, Nu, Prop, IllFormedError, arg_names, box,
+                  NegProp, Nu, Prop, IllFormedError, arg_names, binders, box,
                   check_wf, dia, free_letters, is_box, is_dia, mand,
                   modal_dialect, mor, negate, parse, refresh,
                   simplify, subformulas, substitute)

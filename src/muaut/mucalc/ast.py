@@ -16,7 +16,7 @@ from typing import Iterable, Union
 
 from .. import onestep as o
 from ..onestep.parse import formula as onestep_formula
-from ..syntax import Cursor, Node, infix, junction
+from ..syntax import Cursor, Node, infix, junction, stored
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,11 +126,33 @@ free_letters = attrgetter("facts")  # stored on each node (see Node.derive)
 
 
 def subformulas(f: MuFormula) -> list[MuFormula]:
-    """f and its subformulas, in pre-order, repeats kept."""
-    out, stack = [], [f]
+    """f and its distinct subformulas, each once, in pre-order of first
+    occurrence: a shared subformula is entered once."""
+    seen, stack = {}, [f]
     while stack:
-        out.append(stack.pop())
-        stack += reversed(out[-1].children())
+        g = stack.pop()
+        if g not in seen:
+            seen[g] = None
+            stack += reversed(g.children())
+    return list(seen)
+
+
+@stored
+def has_binder(f: MuFormula) -> bool:
+    """Does f contain a binder, f itself included?"""
+    return isinstance(f, (Mu, Nu)) or any(map(has_binder, f.children()))
+
+
+def binders(f: MuFormula) -> list[tuple[MuFormula, int]]:
+    """The binders of f in pre-order, repeats kept, each with the number of
+    binders above it; binder-free subformulas are not entered."""
+    out, stack = [], [(f, 0)]
+    while stack:
+        g, d = stack.pop()
+        if isinstance(g, (Mu, Nu)):
+            out.append((g, d))
+            d += 1
+        stack += [(c, d) for c in reversed(g.children()) if has_binder(c)]
     return out
 
 
@@ -141,7 +163,7 @@ class IllFormedError(ValueError):
 def check_wf(f: MuFormula) -> None:
     """Raise unless binder freshness and bound-positivity hold."""
     subs = subformulas(f)
-    bound = [g.var for g in subs if isinstance(g, (Mu, Nu))]
+    bound = [g.var for g, _ in binders(f)]
     scoped = set(bound)
     if len(bound) != len(scoped):
         raise IllFormedError("bound letters not pairwise distinct: %r" % bound)
@@ -156,8 +178,7 @@ def check_wf(f: MuFormula) -> None:
         if isinstance(g, Modal):
             if not o.is_positive(g.alpha):
                 raise IllFormedError("modality formula must be positive: %s" % o.pretty(g.alpha))
-            names = set(g.pred_names())
-            if not o.predicates(g.alpha) <= names:
+            if not o.predicates(g.alpha) <= set(g.pred_names()):
                 raise IllFormedError("modality mentions undeclared argument predicates")
             if o.free_vars(g.alpha):
                 raise IllFormedError("modality formula must be a sentence")
@@ -169,34 +190,46 @@ def modal_dialect(f: MuFormula) -> str:
                key=o.DIALECTS.index, default=o.FO1)
 
 
-def _fresh_supply(used: set[str]):
-    i = 0
-    while True:
-        i += 1
-        name = "x%d" % i
-        if name not in used:
-            used.add(name)
-            yield name
-
-
-def refresh(f: MuFormula, reserved: Iterable[str] = ()) -> MuFormula:
-    """Rename all bound letters to fresh pairwise-distinct names.
-
-    Restores the binder conventions after substitution has duplicated
-    subformulas.
+def refresh(f: MuFormula, reserved: Iterable[str] = (), sigma: dict | None = None) -> MuFormula:
+    """Rename all bound letters to fresh pairwise-distinct names and replace
+    each free letter p in sigma by sigma[p], in one pre-order pass.  Each
+    binder, of f or of an inserted image, takes the next name x<i> outside
+    `reserved` and the free letters of f not in sigma; an image has only its
+    binders renamed.  A subformula with no binder and no renamed or replaced
+    letter is kept as it is; one that takes no name is rebuilt once per scope.
     """
-    used = set(free_letters(f)) | set(reserved)
-    supply = _fresh_supply(used)
+    sigma = sigma or {}
+    used = (free_letters(f) - sigma.keys()) | set(reserved)
+    count = 0
 
-    def go(g: MuFormula, ren: dict[str, str]) -> MuFormula:
-        if isinstance(g, (Prop, NegProp)):
-            return type(g)(ren.get(g.name, g.name))
-        if isinstance(g, (Mu, Nu)):
-            q = next(supply)
-            return type(g)(q, go(g.body, {**ren, g.var: q}))
-        return g.rebuild(lambda a: go(a, ren))
+    def go(g: MuFormula, env: dict, memo: dict) -> MuFormula:
+        # env: a bound letter's new name, a replaced letter's image
+        nonlocal count
+        if not has_binder(g) and env.keys().isdisjoint(free_letters(g)):
+            return g
+        if g in memo:
+            return memo[g]
+        start = count
+        match g:
+            case Prop(p) | NegProp(p) if type(env[p]) is str:
+                out = type(g)(env[p])
+            case Prop(p):
+                out = go(env[p], {}, {})
+            case NegProp(p):
+                raise IllFormedError("cannot substitute under negation of %r" % p)
+            case Mu(p, b) | Nu(p, b):
+                count += 1
+                while "x%d" % count in used:
+                    count += 1
+                q = "x%d" % count
+                out = type(g)(q, go(b, {**env, p: q}, {}))
+            case _:
+                out = g.rebuild(lambda a: go(a, env, memo))
+        if count == start:
+            memo[g] = out
+        return out
 
-    return go(f, {})
+    return go(f, sigma, {})
 
 
 def substitute(f: MuFormula, sigma: dict[str, MuFormula]) -> MuFormula:
@@ -206,18 +239,7 @@ def substitute(f: MuFormula, sigma: dict[str, MuFormula]) -> MuFormula:
     """
     if not sigma:
         return f
-    img_free = frozenset().union(*[free_letters(v) for v in sigma.values()])
-    base = refresh(f, reserved=img_free | set(sigma))
-
-    def go(g: MuFormula) -> MuFormula:
-        match g:
-            case Prop(p):
-                return sigma.get(p, g)
-            case NegProp(p) if p in sigma:
-                raise IllFormedError("cannot substitute under negation of %r" % p)
-        return g.rebuild(go)
-
-    return refresh(go(base), reserved=img_free)
+    return refresh(f, frozenset().union(*[free_letters(v) for v in sigma.values()]), sigma)
 
 
 # each compound node class and the class of its negation

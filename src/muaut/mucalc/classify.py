@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .. import onestep as o
 from ..syntax import stored, union
-from .ast import (Modal, Mu, MuFormula, NegProp, Nu, Prop, is_box, is_dia,
+from .ast import (Modal, Mu, MuFormula, NegProp, Nu, Prop, binders, is_box, is_dia,
                   free_letters, subformulas)
 from .guard import _unguarded
 
@@ -48,8 +48,7 @@ def in_continuous(f: MuFormula, q: frozenset[str]) -> bool:
 
 def is_guarded(f: MuFormula) -> bool:
     """Every bound-letter occurrence has a modality between it and its binder."""
-    return not any(g.var in _unguarded(g.body)[0]
-                   for g in subformulas(f) if isinstance(g, (Mu, Nu)))
+    return not any(g.var in _unguarded(g.body)[0] for g, _ in binders(f))
 
 
 def is_plain_modal(f: MuFormula) -> bool:
@@ -69,13 +68,13 @@ class FragmentReport:
 
 def classify(f: MuFormula) -> FragmentReport:
     # is the binder's body in the (co)noetherian and the (co)continuous grammar for its letter?
-    binders = tuple((g.var, "mu" if isinstance(g, Mu) else "nu",
-                     *(g.var not in _leaving(g.body)[isinstance(g, Nu) + k] for k in (0, 2)))
-                    for g in subformulas(f) if isinstance(g, (Mu, Nu)))
+    table = tuple((g.var, "mu" if isinstance(g, Mu) else "nu",
+                   *(g.var not in _leaving(g.body)[isinstance(g, Nu) + k] for k in (0, 2)))
+                  for g, _ in binders(f))
     return FragmentReport(
         plain_modal=is_plain_modal(f),
-        alternation_free=all(b[2] for b in binders),
-        continuous_calculus=all(b[3] for b in binders),
+        alternation_free=all(b[2] for b in table),
+        continuous_calculus=all(b[3] for b in table),
         guarded=is_guarded(f),
-        binders=binders,
+        binders=table,
     )

@@ -15,28 +15,15 @@ from functools import cached_property
 from ..lts import LTS
 from ..onestep.models import _min_valuations_range
 from ..paritygame import EXISTS, FORALL, ParityGame, build_arena, solve
-from .ast import (MAnd, Modal, MOr, Mu, MuFormula, NegProp, Nu, Prop,
+from .ast import (MAnd, Modal, MOr, Mu, MuFormula, NegProp, Nu, Prop, binders,
                   check_wf, free_letters, subformulas)
 
 
 def binder_priorities(f: MuFormula) -> dict[str, int]:
     """Priority per bound letter: nu even, mu odd, outer above inner."""
-    depths: dict[str, tuple[int, bool]] = {}
-
-    def walk(g: MuFormula, d: int):
-        if isinstance(g, (Mu, Nu)):
-            depths[g.var] = (d, isinstance(g, Mu))
-            d += 1
-        for a in g.children():
-            walk(a, d)
-
-    walk(f, 0)
+    depths = {g.var: (d, isinstance(g, Mu)) for g, d in binders(f)}
     maxd = max((d for d, _ in depths.values()), default=0)
-    out = {}
-    for p, (d, is_mu) in depths.items():
-        base = 2 * (maxd - d)
-        out[p] = base + 1 if is_mu else base
-    return out
+    return {p: 2 * (maxd - d) + is_mu for p, (d, is_mu) in depths.items()}
 
 
 @dataclass(frozen=True)
@@ -72,8 +59,8 @@ def build_eval_game(f: MuFormula, lts: LTS) -> EvalGame:
     lts.props.require(free_letters(f))
     prio = binder_priorities(f)
     succ = lts.successor_table()
-    subs = tuple(sorted(dict.fromkeys(subformulas(f)), key=str))
-    binder_body = {g.var: g.body for g in subs if isinstance(g, (Mu, Nu))}
+    subs = tuple(sorted(subformulas(f), key=str))
+    binder_body = {g.var: g.body for g, _ in binders(f)}
     m = len(subs)
     index = {g: i for i, g in enumerate(subs)}
     arg_index = {g: dict(zip(g.pred_names(), map(index.__getitem__, g.args)))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from ..syntax import stored, union
 from .ast import (MAnd, MBOT, MTOP, Modal, MOr, Mu, MuFormula, NegProp, Nu, Prop,
-                  free_letters, refresh, simplify, substitute)
+                  free_letters, has_binder, refresh, simplify, substitute)
 
 
 @stored
@@ -77,6 +77,8 @@ def guard_transform(f: MuFormula) -> MuFormula:
     """
 
     def go(g: MuFormula) -> MuFormula:
+        if not has_binder(g):
+            return g
         if not isinstance(g, (Mu, Nu)):
             return g.rebuild(go)
         p, b = g.var, go(g.body)

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+import sys
+import time
 
 import pytest
 
@@ -259,6 +261,35 @@ def test_to_formula_takes_any_number_of_clusters(monkeypatch):
     for lts, want in ((L.make_lts(["p"], 2, [(0, 1), (1, 1)], {1: ["p"]}), True),
                       (L.make_lts(["p"], 3, [(0, 1), (1, 2), (2, 1)], {1: ["p"]}), False)):
         assert au.accepts(aut, lts) == mc.game_value(f, lts) == want
+
+
+def chain_automaton(n: int) -> au.ParityAutomaton:
+    """State i steps to some successor in state i + 1 at both colours; the
+    last state accepts.  Its formula names each state's image twice, once
+    per colour, so it has about 2^n occurrences of about 3n distinct nodes."""
+    ps = props("p")
+    delta = {(i, c): o.Exists("x", o.Pred(au.pred_name(i + 1), "x")) if i < n - 1 else o.TOP
+             for i in range(n) for c in ps.colours()}
+    return au.ParityAutomaton(o.FO1, ps, n, 0, (0,) * n, delta)
+
+
+def test_chain_automaton_translates_both_ways_at_once():
+    # each walker enters a shared subformula once, at the default recursion limit
+    start = time.perf_counter()
+    f = au.to_formula(chain_automaton(100))
+    mc.check_wf(f)
+    assert mc.classify(f).alternation_free
+    aut = au.from_formula(f)
+    assert time.perf_counter() - start < 1
+    assert aut.n == 100 and sys.getrecursionlimit() == 1000
+    assert mc.refresh(f) is f and mc.guard_transform(f) is f
+    small = chain_automaton(12)
+    g = au.to_formula(small)
+    for lts, want in ((L.make_lts(["p"], 12, [(s, s + 1) for s in range(11)], {3: ["p"]}), True),
+                      (L.make_lts(["p"], 11, [(s, s + 1) for s in range(10)], {}), False),
+                      (L.make_lts(["p"], 2, [(0, 1), (1, 1)], {1: ["p"]}), True),
+                      (L.make_lts(["p"], 3, [(0, 1), (0, 2), (1, 0)], {0: ["p"]}), True)):
+        assert au.accepts(small, lts) == (lts.init in mc.semantics_eval(g, lts)) == want
 
 
 def test_to_formula_degenerate_top_cluster_unbound():
