@@ -16,7 +16,7 @@ from typing import Iterable, Union
 
 from .. import onestep as o
 from ..onestep.parse import formula as onestep_formula
-from ..syntax import Cursor, Node, infix, junction, stored
+from ..syntax import Cursor, Node, infix, junction, scoped, stored
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,7 +246,8 @@ def substitute(f: MuFormula, sigma: dict[str, MuFormula]) -> MuFormula:
 _NEGATE = {MAnd: MOr, MOr: MAnd, Mu: Nu, Nu: Mu}
 
 
-def negate(f: MuFormula, flipped: frozenset[str] = frozenset()) -> MuFormula:
+@scoped
+def negate(f: MuFormula, flipped: frozenset[str], negate) -> MuFormula:
     """Negation normal form of the complement.
 
     Letters in `flipped` are being replaced by their own negation while
@@ -267,6 +268,7 @@ def negate(f: MuFormula, flipped: frozenset[str] = frozenset()) -> MuFormula:
     return f.rebuild(lambda a: negate(a, flipped), _NEGATE[type(f)])
 
 
+@stored
 def simplify(f: MuFormula) -> MuFormula:
     """Boolean absorption plus removal of vacuous binders."""
     match f:

@@ -9,8 +9,9 @@ binders, so membership in the restricted calculi survives the rewrite.
 from __future__ import annotations
 
 from .. import onestep as o
-from .ast import (MAnd, Modal, MOr, Mu, MuFormula, Nu, arg_names, box, dia,
-                  free_letters, is_box, is_dia, mand, mor, refresh)
+from ..syntax import scoped
+from .ast import (MAnd, Modal, MOr, Mu, MuFormula, Nu, arg_names, box, check_wf,
+                  dia, free_letters, is_box, is_dia, mand, mor, refresh)
 
 
 class NotFO1Error(ValueError):
@@ -38,36 +39,33 @@ def _rewrite(bf: o.BasicForm, args, dual: bool = False) -> MuFormula:
 
 
 def fo1_modal_bridge(f: MuFormula) -> MuFormula:
-    """Equivalent formula whose every modality is a diamond or a box.
+    """Equivalent formula whose every modality is a diamond or a box, of a
+    well-formed f (else `IllFormedError`).
 
     Rewriting duplicates argument subformulas across disjuncts, so the
     result is refreshed (bound letters renamed) whenever anything changed.
     """
 
-    def go(g: MuFormula, cont_active: frozenset[str], cocont_active: frozenset[str]) -> MuFormula:
+    @scoped
+    def go(g: MuFormula, active: dict[str, type], go) -> MuFormula:  # letter -> its binder's class
         match g:
             case MAnd(args):
-                return mand(go(a, cont_active, cocont_active) for a in args)
+                return mand(go(a, active) for a in args)
             case MOr(args):
-                return mor(go(a, cont_active, cocont_active) for a in args)
-            case Mu(p, _):
-                cont_active = cont_active | {p}
-            case Nu(p, _):
-                cocont_active = cocont_active | {p}
+                return mor(go(a, active) for a in args)
+            case Mu(p, _) | Nu(p, _):
+                active = {**active, p: type(g)}
             case Modal(alpha, margs):
                 if o.min_dialect(alpha) != o.FO1:
                     raise NotFO1Error("modality is not plain FO1: %s" % o.pretty(alpha))
-                new_args = tuple(go(a, cont_active, cocont_active) for a in margs)
+                new_args = tuple(go(a, active) for a in margs)
                 if is_dia(g) or is_box(g):
                     return Modal(alpha, new_args)
                 preds = g.pred_names()
                 sent = o.sentence(alpha, o.FO1, preds)
-                b_cont = frozenset(
-                    preds[i] for i, a in enumerate(margs) if free_letters(a) & cont_active
-                )
-                b_cocont = frozenset(
-                    preds[i] for i, a in enumerate(margs) if free_letters(a) & cocont_active
-                )
+                kinds = [{active.get(q) for q in free_letters(a)} for a in margs]
+                b_cont = frozenset(n for n, k in zip(preds, kinds) if Mu in k)
+                b_cocont = frozenset(n for n, k in zip(preds, kinds) if Nu in k)
                 if b_cont and o.in_continuous_fragment(alpha, b_cont):
                     bf = o.to_continuous_basic_form(sent, b_cont)
                     return _rewrite(bf, new_args)
@@ -76,9 +74,10 @@ def fo1_modal_bridge(f: MuFormula) -> MuFormula:
                         o.sentence(o.dual(alpha), o.FO1, preds), b_cocont)
                     return _rewrite(bf, new_args, dual=True)
                 return _rewrite(o.to_basic_form(sent), new_args)
-        return g.rebuild(lambda a: go(a, cont_active, cocont_active))
+        return g.rebuild(lambda a: go(a, active))
 
-    out = go(f, frozenset(), frozenset())
+    check_wf(f)  # so each bound letter has one binder, whose class `active` keeps
+    out = go(f, {})
     if out != f:
         out = refresh(out)
     return out

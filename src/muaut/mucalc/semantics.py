@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from .. import onestep as o
 from ..lts import LTS
+from ..syntax import scoped
 from .ast import (MAnd, Modal, MOr, Mu, MuFormula, NegProp, Nu, Prop,
                   check_wf, free_letters)
 
@@ -13,13 +14,15 @@ def open_eval(f: MuFormula, lts: LTS, env: dict[str, frozenset[int]]) -> frozens
     Least fixpoints iterate upward from the empty set, greatest downward
     from the full state set; both stabilize within |states| rounds.
     Modalities evaluate pointwise on the one-step model of the successors,
-    read from its capped type counts.
+    read from its capped type counts.  A subformula is evaluated again only
+    when its free letters change value, not in each round of a fixpoint.
     """
     lts.props.require(free_letters(f) - set(env))
     full = frozenset(lts.states())
     succ = lts.successor_table()
 
-    def sem(g: MuFormula, env: dict[str, frozenset[int]]) -> frozenset[int]:
+    @scoped
+    def sem(g: MuFormula, env: dict[str, frozenset[int]], sem) -> frozenset[int]:
         match g:
             case Prop(p):
                 return env[p] if p in env else lts.holds(p)

@@ -1,8 +1,8 @@
 """One node layer, one lexer and one cursor under the three formula grammars.
 
 Every AST node class is a frozen dataclass over `Node`, which interns nodes
-and gives the structural walkers `children` and `rebuild`; `stored` keeps a
-value derived once per node, such as its facts, on the node.
+and gives the walkers `children` and `rebuild`; `stored` keeps a value derived
+once per node on it, and `scoped` walks under a context of its letters.
 The one-step, fixpoint and second-order parsers are rule sets over `Cursor`
 and keep only their own atom and prefix rules; `pretty` prints all three
 from the `notation` each node class declares.  Identifiers are
@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 import weakref
 from _weakref import _remove_dead_weakref
-from functools import update_wrapper
+from functools import update_wrapper, wraps
 
 # (class, *fields, a node in a field by its id) -> weak reference to the one
 # live node with those fields
@@ -82,6 +82,25 @@ class stored:
                     stack += (top, None, *[c for c in top.children() if name not in c.__dict__])
         value = node.__dict__[name]
         return node if value is None else value
+
+
+def scoped(step):
+    """The walker `(f, ctx=frozenset()) -> step(f, ctx, go)` under a set of
+    letters or a dict from letters to values.  In one walk, `go(g, ctx2)` runs
+    step(g, ctx2, go) again only when ctx2 gives g's facts (its free letters
+    in a letter syntax) other values than at g's last entry, kept alone."""
+
+    @wraps(step)
+    def walk(f, ctx=frozenset()):
+        memo = {}  # node -> (what the context gave its facts, its result)
+        def go(g, ctx):
+            key = tuple(map(ctx.get, g.facts)) if type(ctx) is dict else g.facts & ctx
+            last = memo.get(g)
+            if last is None or last[0] != key:
+                last = memo[g] = key, step(g, ctx, go)
+            return last[1]
+        return go(f, ctx)
+    return walk
 
 
 class Node(metaclass=_Interned):

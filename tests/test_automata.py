@@ -285,11 +285,18 @@ def test_chain_automaton_translates_both_ways_at_once():
     assert mc.refresh(f) is f and mc.guard_transform(f) is f
     small = chain_automaton(12)
     g = au.to_formula(small)
+    big = chain_automaton(100)
     for lts, want in ((L.make_lts(["p"], 12, [(s, s + 1) for s in range(11)], {3: ["p"]}), True),
                       (L.make_lts(["p"], 11, [(s, s + 1) for s in range(10)], {}), False),
                       (L.make_lts(["p"], 2, [(0, 1), (1, 1)], {1: ["p"]}), True),
                       (L.make_lts(["p"], 3, [(0, 1), (0, 2), (1, 0)], {0: ["p"]}), True)):
         assert au.accepts(small, lts) == (lts.init in mc.semantics_eval(g, lts)) == want
+        # the 100-state chain's formula, evaluated once per distinct node
+        start = time.perf_counter()
+        states = mc.semantics_eval(f, lts)
+        assert time.perf_counter() - start < 1
+        # 99 steps: only the two small systems have a cycle
+        assert au.accepts(big, lts) == (lts.init in states) == (lts.n < 11)
 
 
 def test_to_formula_degenerate_top_cluster_unbound():

@@ -3,6 +3,7 @@ import itertools
 import random
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -13,6 +14,7 @@ from muaut import lts as L
 from muaut import mucalc as mc
 from muaut import onestep as o
 from muaut.mucalc import guard
+from muaut.mucalc.bridge import _rewrite
 from muaut.mucalc.classify import _leaving
 
 
@@ -238,6 +240,10 @@ def test_fo1_modal_bridge():
             assert mc.semantics_eval(g, lts) == mc.semantics_eval(b, lts)
     with pytest.raises(mc.NotFO1Error):
         mc.fo1_modal_bridge(mc.Modal(o.ExistsInf("x", o.Pred("a1", "x")), (mc.Prop("p"),)))
+    # a letter bound twice could not say which binder's class its modality takes
+    shadowed = mc.Mu("x", mc.Nu("x", mc.Modal(alpha, (mc.Prop("x"), mc.Prop("p")))))
+    with pytest.raises(mc.IllFormedError, match="pairwise distinct"):
+        mc.fo1_modal_bridge(shadowed)
 
 
 def test_modality_moves_match_full_enumeration():
@@ -288,7 +294,8 @@ def test_deep_nesting_is_a_parse_error(text):
         mc.parse(text)
 
 
-# --- recursive walkers that stored values replaced, kept as references ----
+# --- recursive walkers that stored values and scoped walks replaced, kept as
+# references --------------------------------------------------------------
 
 def _subformulas_ref(f):
     out = [f]
@@ -375,6 +382,119 @@ def _check_wf_ref(f):
                 raise mc.IllFormedError("modality formula must be a sentence")
 
 
+def _open_eval_ref(f, lts, env):
+    full = frozenset(lts.states())
+    succ = lts.successor_table()
+
+    def sem(g, env):
+        match g:
+            case mc.Prop(p):
+                return env[p] if p in env else lts.holds(p)
+            case mc.NegProp(p):
+                return full - (env[p] if p in env else lts.holds(p))
+            case mc.MAnd(args):
+                out = full
+                for a in args:
+                    out &= sem(a, env)
+                return out
+            case mc.MOr(args):
+                out = frozenset()
+                for a in args:
+                    out |= sem(a, env)
+                return out
+            case mc.Modal(alpha, args):
+                val = dict(zip(g.pred_names(), (sem(a, env) for a in args)))
+                return frozenset(s for s, ok in enumerate(o.eval_capped(alpha, val, succ)) if ok)
+            case mc.Mu(p, b) | mc.Nu(p, b):
+                x = frozenset() if type(g) is mc.Mu else full
+                while True:
+                    nxt = sem(b, {**env, p: x})
+                    if nxt == x:
+                        return x
+                    x = nxt
+        raise TypeError(g)
+
+    return sem(f, env)
+
+
+_NEGATE_REF = {mc.MAnd: mc.MOr, mc.MOr: mc.MAnd, mc.Mu: mc.Nu, mc.Nu: mc.Mu}
+
+
+def _negate_ref(f, flipped=frozenset()):
+    match f:
+        case mc.Prop(p):
+            return mc.Prop(p) if p in flipped else mc.NegProp(p)
+        case mc.NegProp(p):
+            if p in flipped:
+                raise mc.IllFormedError("flipped letter %r occurs negated" % p)
+            return mc.Prop(p)
+        case mc.Modal(alpha, args):
+            return mc.Modal(o.dual(alpha), tuple(_negate_ref(a, flipped) for a in args))
+        case mc.Mu(p, _) | mc.Nu(p, _):
+            flipped = flipped | {p}
+    return f.rebuild(lambda a: _negate_ref(a, flipped), _NEGATE_REF[type(f)])
+
+
+def _simplify_ref(f):
+    match f:
+        case mc.MAnd(args):
+            return mc.mand(map(_simplify_ref, args))
+        case mc.MOr(args):
+            return mc.mor(map(_simplify_ref, args))
+        case mc.Mu(p, b) | mc.Nu(p, b):
+            b = _simplify_ref(b)
+            return f.rebuild(lambda _: b) if p in mc.free_letters(b) else b
+    return f.rebuild(_simplify_ref)
+
+
+def _fo1_modal_bridge_ref(f):
+    def go(g, cont_active, cocont_active):
+        match g:
+            case mc.MAnd(args):
+                return mc.mand(go(a, cont_active, cocont_active) for a in args)
+            case mc.MOr(args):
+                return mc.mor(go(a, cont_active, cocont_active) for a in args)
+            case mc.Mu(p, _):
+                cont_active = cont_active | {p}
+            case mc.Nu(p, _):
+                cocont_active = cocont_active | {p}
+            case mc.Modal(alpha, margs):
+                if o.min_dialect(alpha) != o.FO1:
+                    raise mc.NotFO1Error("modality is not plain FO1: %s" % o.pretty(alpha))
+                new_args = tuple(go(a, cont_active, cocont_active) for a in margs)
+                if mc.is_dia(g) or mc.is_box(g):
+                    return mc.Modal(alpha, new_args)
+                preds = g.pred_names()
+                sent = o.sentence(alpha, o.FO1, preds)
+                b_cont = frozenset(
+                    preds[i] for i, a in enumerate(margs) if mc.free_letters(a) & cont_active
+                )
+                b_cocont = frozenset(
+                    preds[i] for i, a in enumerate(margs) if mc.free_letters(a) & cocont_active
+                )
+                if b_cont and o.in_continuous_fragment(alpha, b_cont):
+                    bf = o.to_continuous_basic_form(sent, b_cont)
+                    return _rewrite(bf, new_args)
+                if b_cocont and o.in_cocontinuous_fragment(alpha, b_cocont):
+                    bf = o.to_continuous_basic_form(
+                        o.sentence(o.dual(alpha), o.FO1, preds), b_cocont)
+                    return _rewrite(bf, new_args, dual=True)
+                return _rewrite(o.to_basic_form(sent), new_args)
+        return g.rebuild(lambda a: go(a, cont_active, cocont_active))
+
+    out = go(f, frozenset(), frozenset())
+    if out != f:
+        out = mc.refresh(out)
+    return out
+
+
+def _or_error(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return "%s: %s" % (type(e).__name__, e)
+
+
 def _wf_message(check, f):
     try:
         check(f)
@@ -445,14 +565,28 @@ def reference_corpus(n, seed=31):
 
 
 def reference_disagreements(n, seed=31):
-    """Where the stored values and the pre-order list disagree with the
-    recursive references over `reference_corpus(n, seed)`: classification
-    and continuity on every subformula and every set of up to 4 of its free
-    letters, both guard sets on every letter, and `check_wf` on each formula
-    and on a mutant of it."""
-    rng = random.Random(seed)
+    """Where the stored values, the scoped walks and the pre-order list
+    disagree with the recursive references over `reference_corpus(n, seed)`:
+    classification and continuity on every subformula and every set of up
+    to 4 of its free letters, both guard sets on every letter, `check_wf` on
+    each formula and on a mutant of it, `negate` of each formula and of each
+    binder body with its letter flipped, `simplify`, `fo1_modal_bridge` (or
+    its error), and `semantics_eval` on one seeded system of at most 4
+    states per formula."""
+    rng, lts_rng = random.Random(seed), random.Random(seed)
     bad = []
     for f in reference_corpus(n, seed):
+        lts = gen.rand_lts(lts_rng, ("p", "q"), max_states=4)
+        if mc.semantics_eval(f, lts) != _open_eval_ref(f, lts, {}):
+            bad.append(("semantics_eval", f, lts))
+        if mc.negate(f) != _negate_ref(f) or any(
+                _or_error(mc.negate, g.body, {g.var}) != _or_error(_negate_ref, g.body, {g.var})
+                for g, _ in mc.binders(f)):
+            bad.append(("negate", f))
+        if mc.simplify(f) != _simplify_ref(f):
+            bad.append(("simplify", f))
+        if _or_error(mc.fo1_modal_bridge, f) != _or_error(_fo1_modal_bridge_ref, f):
+            bad.append(("fo1_modal_bridge", f))
         if mc.subformulas(f) != list(dict.fromkeys(_subformulas_ref(f))):
             bad.append(("subformulas", f))
         if mc.is_guarded(f) != (not any(_unguarded_occurs_ref(g.body, g.var) for g in
@@ -538,11 +672,13 @@ def test_stored_values_and_fragment_tests_answer_at_depth_ten_thousand(frames):
     def mu(f):
         rep = mc.classify(f)
         return (mc.check_wf(f), rep.plain_modal, rep.alternation_free, rep.continuous_calculus,
-                rep.guarded, mc.is_guarded(f), len(rep.binders), mc.in_continuous(f, {leaf}))
+                rep.guarded, mc.is_guarded(f), len(rep.binders), mc.in_continuous(f, {leaf}),
+                mc.simplify(f) is f)
 
     assert _from_depth(frames, lambda: mu(binders)) == (None, True, True, True, False, False,
-                                                        n // 2 + 1, False)
-    assert _from_depth(frames, lambda: mu(modal)) == (None, False, True, True, True, True, 0, True)
+                                                        n // 2 + 1, False, True)
+    assert _from_depth(frames, lambda: mu(modal)) == (None, False, True, True, True, True, 0, True,
+                                                      True)
     assert sys.getrecursionlimit() == 1000
 
 
@@ -577,9 +713,47 @@ def test_walkers_enter_each_shared_subformula_once():
     assert rep.alternation_free and rep.continuous_calculus and rep.guarded and not rep.binders
     assert mc.refresh(f) is f and mc.guard_transform(f) is f
     assert mc.substitute(f, {"p": image}) is _dag(60, image)
+    bridged = mc.fo1_modal_bridge(f)
+    # a 3-cycle with p at state 1: a path of 60 steps from s ends at p iff s is 1
+    cycle = L.make_lts(["p"], 3, [(0, 1), (1, 2), (2, 0)], {1: ["p"]})
+    # booleans only, so that a failure never prints a formula of 2^60 occurrences
+    assert [mc.negate(mc.negate(f)) is f, mc.simplify(f) is f, mc.is_plain_modal(bridged),
+            mc.semantics_eval(f, cycle), mc.semantics_eval(bridged, cycle)] == [
+        True, True, True, frozenset({1}), frozenset({1})]
     assert time.perf_counter() - start < 1
     # an image with a binder is renamed apart at each of its occurrences
     h = mc.dia(mc.Prop("p"))
     out = mc.substitute(mc.MAnd((h, mc.box(h))), {"p": mc.Nu("y", mc.box(mc.Prop("y")))})
     assert mc.pretty(out) == "dia (nu x1. box x1) & box dia (nu x2. box x2)"
     mc.check_wf(out)
+
+
+def test_each_modality_is_evaluated_once_per_value_of_its_free_letters(monkeypatch):
+    # the inner nu mentions no letter of the outer mu: it is evaluated once,
+    # not once per outer round (27 modality evaluations, 16 of them repeats)
+    calls = []
+    eval_capped = o.eval_capped
+    monkeypatch.setattr(o, "eval_capped", lambda alpha, val, succ: calls.append(
+        (alpha, tuple(sorted(val.items())))) or eval_capped(alpha, val, succ))
+    f = mc.parse("mu x. (q & (nu y. q & box y)) | dia x")
+    chain = L.make_lts(["q"], 8, [(s, s + 1) for s in range(7)], {7: ["q"]})
+    assert mc.semantics_eval(f, chain) == frozenset(range(8))
+    assert len(calls) == len(set(calls)) == 11
+    del calls[:]
+    assert _open_eval_ref(f, chain, {}) == frozenset(range(8)) and len(calls) == 27
+
+
+def test_fixpoint_rounds_keep_one_value_per_subformula():
+    # 200 rounds on a 200-state chain: keeping every approximant of x and of
+    # `dia x` took 2.3 MB at this size (and grows as n^2); one value per
+    # subformula takes about 0.1 MB
+    n = 200
+    chain = L.make_lts(["q"], n, [(s, s + 1) for s in range(n - 1)], {n - 1: ["q"]})
+    f = mc.parse("mu x. q | dia x")
+    tracemalloc.start()
+    try:
+        assert mc.semantics_eval(f, chain) == frozenset(range(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
