@@ -555,6 +555,9 @@ def main(argv=None) -> int:
                    if getattr(args, name.lstrip("-")) is None]
         if missing:
             parser.error("%s %s needs %s" % (args.command, args.action, " and ".join(missing)))
+        negative = [name for name in ("n", "trees") if getattr(args, name, 0) < 0]
+        if negative:
+            parser.error("argument --%s: must not be negative" % negative[0])
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

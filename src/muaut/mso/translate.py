@@ -116,7 +116,7 @@ def mu_to_mso(f: mc.MuFormula, logic: str) -> Mso2:
     if free & KEYWORDS:
         raise FragmentError("letter %r is a keyword of the two-sorted syntax"
                             % min(free & KEYWORDS))
-    # bound letters are pairwise distinct and not free, so each names one binder
+    # each bound letter names one binder node and is not free
     mc.check_wf(f)
     counter = [0]
 

@@ -5,8 +5,8 @@ predicate names a1..an, one per argument formula.  The plain modal diamond
 and box are the one-argument instances with `E x. a1(x)` and `A x. a1(x)`.
 
 Conventions enforced on the API surface: no letter is both free and bound,
-bound letters are pairwise distinct, and bound letters occur only
-positively under their binder.
+each bound letter names one binder node, which may occur many times in the
+formula's DAG, and bound letters occur only positively under their binder.
 """
 from __future__ import annotations
 
@@ -144,16 +144,18 @@ def has_binder(f: MuFormula) -> bool:
 
 
 def binders(f: MuFormula) -> list[tuple[MuFormula, int]]:
-    """The binders of f in pre-order, repeats kept, each with the number of
-    binders above it; binder-free subformulas are not entered."""
-    out, stack = [], [(f, 0)]
+    """Each binder node of f once, in pre-order of first occurrence, with the
+    largest number of binders above any of its occurrences (the README shows
+    why priorities read off it stay sound).  A node is entered again only
+    when it is met deeper, and a binder-free one not at all."""
+    depth, stack = {}, [(f, 0)]
     while stack:
         g, d = stack.pop()
-        if isinstance(g, (Mu, Nu)):
-            out.append((g, d))
-            d += 1
-        stack += [(c, d) for c in reversed(g.children()) if has_binder(c)]
-    return out
+        if depth.get(g, -1) < d:
+            depth[g] = d
+            d += isinstance(g, (Mu, Nu))
+            stack += [(c, d) for c in reversed(g.children()) if has_binder(c)]
+    return [(g, d) for g, d in depth.items() if isinstance(g, (Mu, Nu))]
 
 
 class IllFormedError(ValueError):
@@ -161,7 +163,7 @@ class IllFormedError(ValueError):
 
 
 def check_wf(f: MuFormula) -> None:
-    """Raise unless binder freshness and bound-positivity hold."""
+    """Raise unless each bound letter names one binder node, is never free and occurs positively."""
     subs = subformulas(f)
     bound = [g.var for g, _ in binders(f)]
     scoped = set(bound)
@@ -170,7 +172,7 @@ def check_wf(f: MuFormula) -> None:
     clash = free_letters(f) & scoped
     if clash:
         raise IllFormedError("letters both free and bound: %r" % sorted(clash))
-    # bound letters are distinct and never free: each occurs under its binder only
+    # a bound letter has one binder node and is never free: it occurs under that node only
     negated = [g.name for g in subs if isinstance(g, NegProp) and g.name in scoped]
     if negated:
         raise IllFormedError("bound letter %r occurs negated" % negated[0])
@@ -191,30 +193,30 @@ def modal_dialect(f: MuFormula) -> str:
 
 
 def refresh(f: MuFormula, reserved: Iterable[str] = (), sigma: dict | None = None) -> MuFormula:
-    """Rename all bound letters to fresh pairwise-distinct names and replace
-    each free letter p in sigma by sigma[p], in one pre-order pass.  Each
-    binder, of f or of an inserted image, takes the next name x<i> outside
-    `reserved` and the free letters of f not in sigma; an image has only its
-    binders renamed.  A subformula with no binder and no renamed or replaced
-    letter is kept as it is; one that takes no name is rebuilt once per scope.
+    """Give each binder a fresh name and replace each free letter p in sigma
+    by sigma[p], in one pre-order pass.  A binder node takes the next name
+    x<i> outside `reserved` and the free letters of f not in sigma once per
+    tuple of new names or images of its free letters, so a repeated binder
+    keeps one name; an image has only its binders renamed.  A subformula with
+    no binder and no renamed or replaced letter is kept as it is.
     """
     sigma = sigma or {}
     used = (free_letters(f) - sigma.keys()) | set(reserved)
-    count = 0
+    count, memo = 0, {}  # (node, what env gives its free letters) -> result
 
-    def go(g: MuFormula, env: dict, memo: dict) -> MuFormula:
+    def go(g: MuFormula, env: dict) -> MuFormula:
         # env: a bound letter's new name, a replaced letter's image
         nonlocal count
         if not has_binder(g) and env.keys().isdisjoint(free_letters(g)):
             return g
-        if g in memo:
-            return memo[g]
-        start = count
+        key = (g, *map(env.get, free_letters(g)))
+        if key in memo:
+            return memo[key]
         match g:
             case Prop(p) | NegProp(p) if type(env[p]) is str:
                 out = type(g)(env[p])
             case Prop(p):
-                out = go(env[p], {}, {})
+                out = go(env[p], {})
             case NegProp(p):
                 raise IllFormedError("cannot substitute under negation of %r" % p)
             case Mu(p, b) | Nu(p, b):
@@ -222,14 +224,13 @@ def refresh(f: MuFormula, reserved: Iterable[str] = (), sigma: dict | None = Non
                 while "x%d" % count in used:
                     count += 1
                 q = "x%d" % count
-                out = type(g)(q, go(b, {**env, p: q}, {}))
+                out = type(g)(q, go(b, {**env, p: q}))
             case _:
-                out = g.rebuild(lambda a: go(a, env, memo))
-        if count == start:
-            memo[g] = out
+                out = g.rebuild(lambda a: go(a, env))
+        memo[key] = out
         return out
 
-    return go(f, sigma, {})
+    return go(f, sigma)
 
 
 def substitute(f: MuFormula, sigma: dict[str, MuFormula]) -> MuFormula:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from .. import onestep as o
 from ..syntax import scoped
 from .ast import (MAnd, Modal, MOr, Mu, MuFormula, Nu, arg_names, box, check_wf,
-                  dia, free_letters, is_box, is_dia, mand, mor, refresh)
+                  dia, free_letters, is_box, is_dia, mand, mor)
 
 
 class NotFO1Error(ValueError):
@@ -42,8 +42,9 @@ def fo1_modal_bridge(f: MuFormula) -> MuFormula:
     """Equivalent formula whose every modality is a diamond or a box, of a
     well-formed f (else `IllFormedError`).
 
-    Rewriting duplicates argument subformulas across disjuncts, so the
-    result is refreshed (bound letters renamed) whenever anything changed.
+    Rewriting repeats argument subformulas across disjuncts.  Each repeat is
+    one shared node, rewritten once, so a binder in it stays one binder node
+    under its own letter and the result is well-formed as it stands.
     """
 
     @scoped
@@ -77,7 +78,4 @@ def fo1_modal_bridge(f: MuFormula) -> MuFormula:
         return g.rebuild(lambda a: go(a, active))
 
     check_wf(f)  # so each bound letter has one binder, whose class `active` keeps
-    out = go(f, {})
-    if out != f:
-        out = refresh(out)
-    return out
+    return go(f, {})

@@ -30,7 +30,7 @@ def binder_priorities(f: MuFormula) -> dict[str, int]:
 class EvalGame:
     game: ParityGame
     codes: tuple  # the positions as built, indexed like the game
-    subs: tuple   # the distinct subformulas in the order of str
+    subs: tuple   # the distinct subformulas, in pre-order of first occurrence
     root: int
 
     @cached_property
@@ -47,7 +47,7 @@ def build_eval_game(f: MuFormula, lts: LTS) -> EvalGame:
     """The evaluation game of f on lts, rooted at (f, initial state).
 
     The arena is built over integer codes: with the m distinct subformulas
-    numbered in the order of str, the position (g, s) is s * m + index[g],
+    numbered in `subformulas(f)` order, the position (g, s) is s * m + index[g],
     and a witness set is the sorted tuple of the codes Forall picks from,
     which `build_arena` makes his choice.  By monotonicity, subset-minimal
     witness sets suffice: any satisfying set extends a minimal one and only
@@ -59,7 +59,7 @@ def build_eval_game(f: MuFormula, lts: LTS) -> EvalGame:
     lts.props.require(free_letters(f))
     prio = binder_priorities(f)
     succ = lts.successor_table()
-    subs = tuple(sorted(subformulas(f), key=str))
+    subs = tuple(subformulas(f))
     binder_body = {g.var: g.body for g, _ in binders(f)}
     m = len(subs)
     index = {g: i for i, g in enumerate(subs)}

@@ -76,17 +76,20 @@ def guard_transform(f: MuFormula) -> MuFormula:
     on random systems).
     """
 
+    memo = {}  # node -> its guarded form: each node is entered once per call
+
     def go(g: MuFormula) -> MuFormula:
-        if not has_binder(g):
-            return g
-        if not isinstance(g, (Mu, Nu)):
-            return g.rebuild(go)
-        p, b = g.var, go(g.body)
-        while p in _unguarded(b)[1]:
-            b = _unfold_offending_binder(b, p)
-        if p in _unguarded(b)[0]:
-            b = simplify(_drop_boolean_level(b, p, MBOT if isinstance(g, Mu) else MTOP))
-        return type(g)(p, b) if p in free_letters(b) else b
+        if has_binder(g) and g not in memo:
+            if isinstance(g, (Mu, Nu)):
+                p, b = g.var, go(g.body)
+                while p in _unguarded(b)[1]:
+                    b = _unfold_offending_binder(b, p)
+                if p in _unguarded(b)[0]:
+                    b = simplify(_drop_boolean_level(b, p, MBOT if isinstance(g, Mu) else MTOP))
+                memo[g] = type(g)(p, b) if p in free_letters(b) else b
+            else:
+                memo[g] = g.rebuild(go)
+        return memo.get(g, g)
 
     out = go(f)
     if out != f:

@@ -558,3 +558,51 @@ def test_options_exist_only_where_they_are_read(argv, code, capsys, tmp_path, mo
         assert "unrecognized arguments: %s" % argv[3] in capsys.readouterr().err
     else:
         assert json.loads((tmp_path / "out").read_text())["passed"] == 5
+
+
+@pytest.mark.parametrize("argv", [["fuzz", "dual", "--n", "-3"],
+                                  ["aut", "simulate", "--in", "A", "--check-equiv", "--trees", "-2"]])
+def test_negative_counts_are_refused(argv, capsys, tmp_path, monkeypatch):
+    # they printed "0/-3 passed" and "-2/-2 trees agree" and exited 0
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "A").write_text(json.dumps({"props": ["p"], "states": 1, "init": 0, "omega": [0],
+                                             "dialect": "FO1", "delta": {"0,": "E x. q0(x)",
+                                                                         "0,p": "E x. q0(x)"}}))
+    assert cli.main(argv) == 2
+    assert "argument %s: must not be negative" % argv[-2] in capsys.readouterr().err
+
+
+def _answers(formula, tmp_path, capsys):
+    """What `wb mu eval`, `wb mu game`, `wb mu classify` and the two-sorted
+    evaluation of `wb mso frommu` say of a formula, on three systems."""
+    out = []
+    assert cli.main(["mu", "classify", formula]) == 0
+    out.append(capsys.readouterr().out)
+    texts = {}
+    for logic in ("wmso", "nmso"):
+        assert cli.main(["mso", "frommu", formula, "--logic", logic]) == 0
+        texts[logic] = capsys.readouterr().out.strip()
+    for i, edges in enumerate(([[0, 1]], [], [[0, 1], [1, 1]])):
+        path = tmp_path / ("s%d.json" % i)
+        path.write_text(json.dumps({"props": ["p"], "states": 2, "edges": edges, "colors": {},
+                                    "init": 0}))
+        assert cli.main(["mu", "eval", formula, "--lts", str(path)]) == 0
+        out.append(capsys.readouterr().out)
+        assert cli.main(["mu", "game", formula, "--lts", str(path)]) == 0
+        out.append(capsys.readouterr().out.split(": ")[-1])  # the count of positions differs
+        for logic, text in texts.items():
+            assert cli.main(["mso", "eval", "--two-sorted", text, "--logic", logic,
+                             "--lts", str(path)]) == 0
+            out.append(capsys.readouterr().out)
+    return out
+
+
+def test_a_binder_shared_by_two_places_answers_as_its_renamed_apart_text(capsys, tmp_path):
+    # both occurrences of `mu x. dia x` are one binder node, so x names one binder
+    shared = _answers("(mu x. dia x) | box (mu x. dia x)", tmp_path, capsys)
+    assert shared == _answers("(mu x. dia x) | box (mu y. dia y)", tmp_path, capsys)
+    assert [line.split()[0] for line in shared[1:]] == (
+        ["false"] * 4 + ["true"] * 4 + ["false"] * 4)
+    # two distinct binders of one letter are still refused
+    assert cli.main(["mu", "eval", "mu x. nu x. dia x", "--lts", str(tmp_path / "s0.json")]) == 2
+    assert "bound letters not pairwise distinct" in capsys.readouterr().err

@@ -11,6 +11,7 @@ from muaut import automata as au
 from muaut import fixpoint as fx
 from muaut import gen
 from muaut import lts as L
+from muaut import mso
 from muaut import mucalc as mc
 from muaut import onestep as o
 from muaut.mucalc import guard
@@ -355,7 +356,8 @@ def _has_unguarded_under_binder_ref(f, p):
 
 
 def _check_wf_ref(f):
-    bound = [g.var for g in _subformulas_ref(f) if isinstance(g, (mc.Mu, mc.Nu))]
+    # one entry per distinct binder node: a repeated binder names its letter once
+    bound = [g.var for g in dict.fromkeys(_subformulas_ref(f)) if isinstance(g, (mc.Mu, mc.Nu))]
     if len(bound) != len(set(bound)):
         raise mc.IllFormedError("bound letters not pairwise distinct: %r" % bound)
     clash = mc.free_letters(f) & set(bound)
@@ -482,10 +484,8 @@ def _fo1_modal_bridge_ref(f):
                 return _rewrite(o.to_basic_form(sent), new_args)
         return g.rebuild(lambda a: go(a, cont_active, cocont_active))
 
-    out = go(f, frozenset(), frozenset())
-    if out != f:
-        out = mc.refresh(out)
-    return out
+    # repeated arguments are shared nodes, so each binder keeps its letter
+    return go(f, frozenset(), frozenset())
 
 
 def _or_error(fn, *args):
@@ -597,7 +597,7 @@ def reference_disagreements(n, seed=31):
                          _in_grammar_ref(h.body, frozenset({h.var}), type(h)),
                          _in_grammar_ref(h.body, frozenset({h.var}), type(h),
                                          GRAMMARS[isinstance(h, mc.Nu) + 2][1]))
-                        for h in _subformulas_ref(g) if isinstance(h, (mc.Mu, mc.Nu)))
+                        for h in dict.fromkeys(_subformulas_ref(g)) if isinstance(h, (mc.Mu, mc.Nu)))
             if mc.classify(g).binders != ref:
                 bad.append(("classify", g))
             letters = sorted(mc.free_letters(g))
@@ -682,12 +682,18 @@ def test_stored_values_and_fragment_tests_answer_at_depth_ten_thousand(frames):
     assert sys.getrecursionlimit() == 1000
 
 
-def test_check_wf_lists_every_occurrence_of_a_shared_binder():
+def test_check_wf_accepts_a_shared_binder_node_and_refuses_two_binders_of_one_letter():
+    # a binder node that occurs many times names its letter once, at its deepest
     b = mc.parse("mu x. dia x")
-    for f, bound in ((mc.MAnd((b, mc.box(b))), ["x", "x"]),
-                     (mc.MOr((mc.Nu("y", mc.MAnd((b, mc.Prop("y")))), b)), ["y", "x", "x"])):
+    for f, bound in ((mc.MAnd((b, mc.box(b))), [("x", 0)]),
+                     (mc.MOr((mc.Nu("y", mc.MAnd((b, mc.Prop("y")))), b)), [("y", 0), ("x", 1)])):
+        assert [(g.var, d) for g, d in mc.binders(f)] == bound
+        assert _wf_message(mc.check_wf, f) is None is _wf_message(_check_wf_ref, f)
+    # two distinct binder nodes of one letter are refused, as before
+    for f in (mc.MAnd((b, mc.box(mc.parse("mu x. box x")))),
+              mc.Mu("x", mc.Nu("x", mc.dia(mc.Prop("x"))))):
         msg = _wf_message(mc.check_wf, f)
-        assert msg == "bound letters not pairwise distinct: %r" % bound
+        assert msg == "bound letters not pairwise distinct: ['x', 'x']"
         assert msg == _wf_message(_check_wf_ref, f)
 
 
@@ -711,21 +717,78 @@ def test_walkers_enter_each_shared_subformula_once():
     assert mc.check_wf(f) is None and mc.binders(f) == []
     rep = mc.classify(f)
     assert rep.alternation_free and rep.continuous_calculus and rep.guarded and not rep.binders
-    assert mc.refresh(f) is f and mc.guard_transform(f) is f
-    assert mc.substitute(f, {"p": image}) is _dag(60, image)
+    # booleans only, so that a failure never prints a formula of 2^60 occurrences
+    assert [mc.refresh(f) is f, mc.guard_transform(f) is f,
+            mc.substitute(f, {"p": image}) is _dag(60, image)] == [True, True, True]
     bridged = mc.fo1_modal_bridge(f)
     # a 3-cycle with p at state 1: a path of 60 steps from s ends at p iff s is 1
     cycle = L.make_lts(["p"], 3, [(0, 1), (1, 2), (2, 0)], {1: ["p"]})
-    # booleans only, so that a failure never prints a formula of 2^60 occurrences
     assert [mc.negate(mc.negate(f)) is f, mc.simplify(f) is f, mc.is_plain_modal(bridged),
             mc.semantics_eval(f, cycle), mc.semantics_eval(bridged, cycle)] == [
         True, True, True, frozenset({1}), frozenset({1})]
     assert time.perf_counter() - start < 1
-    # an image with a binder is renamed apart at each of its occurrences
+    # an image with a binder is one binder node at each of its occurrences
     h = mc.dia(mc.Prop("p"))
     out = mc.substitute(mc.MAnd((h, mc.box(h))), {"p": mc.Nu("y", mc.box(mc.Prop("y")))})
-    assert mc.pretty(out) == "dia (nu x1. box x1) & box dia (nu x2. box x2)"
+    assert mc.pretty(out) == "dia (nu x1. box x1) & box dia (nu x1. box x1)"
+    assert [g.var for g, _ in mc.binders(out)] == ["x1"]
     mc.check_wf(out)
+
+
+def shared_binder_formulas(n, modes, seed=30):
+    """n formulas, each with one closed binder node Z of a random formula of
+    the next mode at two places, so at two depths: at the top, and under one
+    or two new binders of y and u, each over a diamond of its letter when
+    least and a box when greatest, so that this context is in the
+    continuous calculus."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        g = gen.rand_mu(rng, ("p", "q"), depth=rng.randint(2, 4), mode=modes[len(out) % len(modes)],
+                        modalities=rng.choice(["plain", o.FO1, o.FOE1]))
+        zs = [h for h in mc.subformulas(g) if isinstance(h, (mc.Mu, mc.Nu)) and h.facts <= {"p", "q"}]
+        if not zs:
+            continue
+        z = ctx = rng.choice(zs)
+        for letter in ("y", "u")[:rng.randint(1, 2)]:
+            binder = rng.choice([mc.Mu, mc.Nu])
+            loop = (mc.dia if binder is mc.Mu else mc.box)(mc.Prop(letter))
+            ctx = binder(letter, rng.choice([mc.mor, mc.mand])([loop, rng.choice([mc.dia, mc.box])(ctx)]))
+        f = rng.choice([mc.mor, mc.mand])([z, ctx])
+        assert dict(mc.binders(f))[z] > 0  # met at depth 0 first, kept at its deepest
+        out.append(f)
+    return out
+
+
+def test_a_binder_node_shared_at_two_depths_evaluates_as_the_tree():
+    # the recursive reference reads the formula as a tree; the game, the
+    # automaton and the renamed formula read one binder node at two depths
+    rng, answers = random.Random(31), []
+    for f in shared_binder_formulas(180, ("any", "af", "cont")):
+        aut = au.from_formula(f, L.PropSet(("p", "q")))
+        g = mc.refresh(f)
+        for _ in range(3):
+            lts = gen.rand_lts(rng, ("p", "q"), max_states=4)
+            want = lts.init in _open_eval_ref(f, lts, {})
+            assert [lts.init in mc.semantics_eval(f, lts), mc.game_value(f, lts), au.accepts(aut, lts),
+                    lts.init in mc.semantics_eval(g, lts)] == [want] * 4, mc.pretty(f)
+            answers.append(want)
+    assert len(answers) == 540 and 0 < sum(answers) < 540
+
+
+def test_mu_to_mso_reads_a_shared_binder_node_as_the_tree():
+    rng, checked = random.Random(32), 0
+    for f in shared_binder_formulas(60, ("af", "cont"), seed=33):
+        rep = mc.classify(f)
+        for logic, admitted in (("wmso", rep.continuous_calculus), ("nmso", rep.alternation_free)):
+            if not admitted:
+                continue
+            g = mso.mu_to_mso(f, logic)
+            for _ in range(2):
+                tree = gen.rand_tree(rng, ("p", "q"), depth=2, max_branch=2)
+                assert mso.holds_at_init(g, tree) == (tree.init in _open_eval_ref(f, tree, {})), mc.pretty(f)
+                checked += 1
+    assert checked == 236
 
 
 def test_each_modality_is_evaluated_once_per_value_of_its_free_letters(monkeypatch):
