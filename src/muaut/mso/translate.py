@@ -12,9 +12,11 @@ at v has only v free and each subformula is translated once per variable.
 from __future__ import annotations
 
 from functools import reduce
+from itertools import count
 
 from .. import mucalc as mc
 from .. import onestep as o
+from ..syntax import each, scoped
 from .ast import (KEYWORDS, EqVar, ExistsSet, ExistsVar, Mso2, Not, Or, PredApp,
                   RelApp, conj, forall_set, forall_var, implies,
                   FINITE, NOETHERIAN)
@@ -30,31 +32,43 @@ def _point(j: int, v: str) -> str:
 
 
 def onestep_dagger(alpha: o.Formula, v: str, fresh, atom) -> Mso2:
-    """Relativize a one-step sentence to the successors of v.
+    """`_dagger` of alpha, each predicate atom a(x) translated as atom(a, y)."""
+    steps, value = _dagger(alpha, v, fresh, {a: a for a in o.predicates(alpha)}), None
+    while True:
+        try:
+            value = atom(*steps.send(value))
+        except StopIteration as done:
+            return done.value
 
-    Each predicate atom a(x) becomes atom(a, y), y the individual variable
-    of x; the infinity quantifier becomes "outside every finite set there
-    is a witness".  Every infinity quantifier of one call binds the same
-    set name, drawn at the first: an inner one shadows an outer one only in
-    its own body, where the outer set is not referred to, and equal
-    sub-translations then share their nodes.
+
+def _dagger(alpha: o.Formula, v: str, fresh, arg: dict):
+    """Relativize a one-step sentence to the successors of v, as a `scoped`
+    step: a predicate atom a(x) yields (arg[a], y), y the individual variable
+    of x, and is sent its translation; the infinity quantifier becomes
+    "outside every finite set there is a witness".  Every infinity quantifier
+    of one call binds the same set name, drawn at the first: an inner one
+    shadows an outer one only in its own body, where the outer set is not
+    referred to, and equal sub-translations then share their nodes.
     """
     fin: list[str] = []
 
     def go(g: o.Formula, names: dict[str, str], depth: int) -> Mso2:
         match g:
             case o.Pred(a, x):
-                return atom(a, names[x])
+                return (yield arg[a], names[x])
             case o.NegPred(a, x):
-                return Not(atom(a, names[x]))
+                return Not((yield arg[a], names[x]))
             case o.Eq(x, y):
                 return EqVar(names[x], names[y])
             case o.Neq(x, y):
                 return Not(EqVar(names[x], names[y]))
             case o.And(args) | o.Or(args):
-                return _junction2(g, (go(a, names, depth) for a in args), v)
+                parts = []
+                for a in args:
+                    parts.append((yield from go(a, names, depth)))
+                return _junction2(g, parts, v)
         y = _point(depth + 1, v)
-        body = go(g.body, {**names, g.var: y}, depth + 1)
+        body = yield from go(g.body, {**names, g.var: y}, depth + 1)
         match g:
             case o.Exists():
                 return ExistsVar(y, conj((RelApp(v, y), body)))
@@ -70,7 +84,7 @@ def onestep_dagger(alpha: o.Formula, v: str, fresh, atom) -> Mso2:
                 return Not(out) if dual else out
         raise TypeError(g)
 
-    return go(o.expand_sugar(alpha), {}, 0)
+    return (yield from go(o.expand_sugar(alpha), {}, 0))
 
 
 def _false(v: str) -> Mso2:
@@ -118,51 +132,40 @@ def mu_to_mso(f: mc.MuFormula, logic: str) -> Mso2:
                             % min(free & KEYWORDS))
     # each bound letter names one binder node and is not free
     mc.check_wf(f)
-    counter = [0]
+    numbers = count(1)
 
     def fresh(base: str) -> str:
         """base<n> for the next n whose name is no free letter of f."""
-        counter[0] += 1
-        while "%s%d" % (base, counter[0]) in free:
-            counter[0] += 1
-        return "%s%d" % (base, counter[0])
+        return next(q for q in map((base + "%d").__mod__, numbers) if q not in free)
 
     sets: dict[str, tuple[str, str]] = {}  # bound letter -> (restriction q, itself as r)
-    memo: dict[tuple[mc.MuFormula, str], Mso2] = {}
 
+    @scoped
     def tr(g: mc.MuFormula, v: str) -> Mso2:
         """g at the individual variable v, translated once per pair."""
-        if (g, v) not in memo:
-            memo[g, v] = _tr(g, v)
-        return memo[g, v]
-
-    def _tr(g: mc.MuFormula, v: str) -> Mso2:
         match g:
             case mc.Prop(p):
                 return PredApp(p if p in free else sets[p][1], v)
             case mc.NegProp(p):
                 return Not(PredApp(p, v))
             case mc.MAnd(args) | mc.MOr(args):
-                return _junction2(g, (tr(a, v) for a in args), v)
+                return _junction2(g, (yield from each((a, v) for a in args)), v)
             case mc.Modal(alpha, args):
-                arg = dict(zip(g.pred_names(), args))
-                return onestep_dagger(alpha, v, fresh, lambda a, y: tr(arg[a], y))
-            case mc.Mu(p, b):
-                return _mu_clause(p, b, v)
-            case mc.Nu(p, b):
-                return Not(_mu_clause(p, mc.negate(b, frozenset({p})), v))
+                return (yield from _dagger(alpha, v, fresh, dict(zip(g.pred_names(), args))))
+            case mc.Mu(p, body) | mc.Nu(p, body):
+                if isinstance(g, mc.Nu):  # through the dual least binder
+                    body = mc.negate(body, frozenset({p}))
+                if p not in sets:
+                    sets[p] = fresh("set"), fresh("set")
+                q, r = sets[p]
+                w = _point(1, v)
+                subset = forall_var(w, implies(PredApp(r, w), PredApp(q, w)))
+                prefix = forall_var(w, implies(conj((PredApp(q, w), (yield body, w))), PredApp(r, w)))
+                # p quantified in the logic's own mode, restricted to q
+                inner = forall_set(r, implies(conj((subset, prefix)), PredApp(r, v)), mode)
+                out = ExistsSet(q, inner, mode)
+                return Not(out) if isinstance(g, mc.Nu) else out
         raise TypeError(g)
-
-    def _mu_clause(p: str, body: mc.MuFormula, v: str) -> Mso2:
-        if p not in sets:
-            sets[p] = fresh("set"), fresh("set")
-        q, r = sets[p]
-        w = _point(1, v)
-        subset = forall_var(w, implies(PredApp(r, w), PredApp(q, w)))
-        prefix = forall_var(w, implies(conj((PredApp(q, w), tr(body, w))), PredApp(r, w)))
-        # p quantified in the logic's own mode, restricted to q
-        inner = forall_set(r, implies(conj((subset, prefix)), PredApp(r, v)), mode)
-        return ExistsSet(q, inner, mode)
 
     return tr(f, "v")
 

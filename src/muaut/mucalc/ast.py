@@ -11,12 +11,13 @@ formula's DAG, and bound letters occur only positively under their binder.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from operator import attrgetter
 from typing import Iterable, Union
 
 from .. import onestep as o
 from ..onestep.parse import formula as onestep_formula
-from ..syntax import Cursor, Node, infix, junction, scoped, stored
+from ..syntax import Cursor, Node, each, infix, junction, rebuilt, scoped, stored
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,35 +203,30 @@ def refresh(f: MuFormula, reserved: Iterable[str] = (), sigma: dict | None = Non
     """
     sigma = sigma or {}
     used = (free_letters(f) - sigma.keys()) | set(reserved)
-    count, memo = 0, {}  # (node, what env gives its free letters) -> result
+    names = (q for q in map("x%d".__mod__, count(1)) if q not in used)
 
-    def go(g: MuFormula, env: dict) -> MuFormula:
-        # env: a bound letter's new name, a replaced letter's image
-        nonlocal count
-        if not has_binder(g) and env.keys().isdisjoint(free_letters(g)):
+    def want(g: MuFormula, env: dict) -> tuple:  # g under the values of its own free letters
+        return g, tuple((p, env[p]) for p in free_letters(g) if p in env)
+
+    @scoped
+    def go(g: MuFormula, scope: tuple) -> MuFormula:
+        env = dict(scope)  # a bound letter's new name, a replaced letter's image
+        if not env and not has_binder(g):
             return g
-        key = (g, *map(env.get, free_letters(g)))
-        if key in memo:
-            return memo[key]
         match g:
             case Prop(p) | NegProp(p) if type(env[p]) is str:
-                out = type(g)(env[p])
+                return type(g)(env[p])
             case Prop(p):
-                out = go(env[p], {})
+                return (yield env[p], ())
             case NegProp(p):
                 raise IllFormedError("cannot substitute under negation of %r" % p)
             case Mu(p, b) | Nu(p, b):
-                count += 1
-                while "x%d" % count in used:
-                    count += 1
-                q = "x%d" % count
-                out = type(g)(q, go(b, {**env, p: q}))
-            case _:
-                out = g.rebuild(lambda a: go(a, env))
-        memo[key] = out
-        return out
+                q = next(names)
+                return type(g)(q, (yield want(b, {**env, p: q})))
+        kids = iter((yield from each(want(c, env) for c in g.children())))
+        return g.rebuild(lambda _: next(kids))
 
-    return go(f, sigma)
+    return go(*want(f, sigma))
 
 
 def substitute(f: MuFormula, sigma: dict[str, MuFormula]) -> MuFormula:
@@ -243,12 +239,13 @@ def substitute(f: MuFormula, sigma: dict[str, MuFormula]) -> MuFormula:
     return refresh(f, frozenset().union(*[free_letters(v) for v in sigma.values()]), sigma)
 
 
-# each compound node class and the class of its negation
-_NEGATE = {MAnd: MOr, MOr: MAnd, Mu: Nu, Nu: Mu}
+# each compound node class and how its negation is built from its fields, negated
+_NEGATE = {MAnd: MOr, MOr: MAnd, Mu: Nu, Nu: Mu,
+           Modal: lambda alpha, args: Modal(o.dual(alpha), args)}
 
 
 @scoped
-def negate(f: MuFormula, flipped: frozenset[str], negate) -> MuFormula:
+def negate(f: MuFormula, flipped: frozenset[str]) -> MuFormula:
     """Negation normal form of the complement.
 
     Letters in `flipped` are being replaced by their own negation while
@@ -262,11 +259,9 @@ def negate(f: MuFormula, flipped: frozenset[str], negate) -> MuFormula:
             if p in flipped:
                 raise IllFormedError("flipped letter %r occurs negated" % p)
             return Prop(p)
-        case Modal(alpha, args):
-            return Modal(o.dual(alpha), tuple(negate(a, flipped) for a in args))
         case Mu(p, _) | Nu(p, _):
             flipped = flipped | {p}
-    return f.rebuild(lambda a: negate(a, flipped), _NEGATE[type(f)])
+    return (yield from rebuilt(f, flipped, _NEGATE[type(f)]))
 
 
 @stored

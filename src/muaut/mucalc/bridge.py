@@ -9,8 +9,8 @@ binders, so membership in the restricted calculi survives the rewrite.
 from __future__ import annotations
 
 from .. import onestep as o
-from ..syntax import scoped
-from .ast import (MAnd, Modal, MOr, Mu, MuFormula, Nu, arg_names, box, check_wf,
+from ..syntax import each, rebuilt, scoped
+from .ast import (MAnd, MBOT, MTOP, Modal, MOr, Mu, MuFormula, Nu, arg_names, box, check_wf,
                   dia, free_letters, is_box, is_dia, mand, mor)
 
 
@@ -48,18 +48,18 @@ def fo1_modal_bridge(f: MuFormula) -> MuFormula:
     """
 
     @scoped
-    def go(g: MuFormula, active: dict[str, type], go) -> MuFormula:  # letter -> its binder's class
+    def go(g: MuFormula, active: dict[str, type]) -> MuFormula:  # letter -> its binder's class
         match g:
-            case MAnd(args):
-                return mand(go(a, active) for a in args)
+            case MAnd(args):  # no argument after a false one (a true one in MOr) is rewritten
+                return mand((yield from each(((a, active) for a in args), MBOT)))
             case MOr(args):
-                return mor(go(a, active) for a in args)
+                return mor((yield from each(((a, active) for a in args), MTOP)))
             case Mu(p, _) | Nu(p, _):
                 active = {**active, p: type(g)}
             case Modal(alpha, margs):
                 if o.min_dialect(alpha) != o.FO1:
                     raise NotFO1Error("modality is not plain FO1: %s" % o.pretty(alpha))
-                new_args = tuple(go(a, active) for a in margs)
+                new_args = tuple((yield from each((a, active) for a in margs)))
                 if is_dia(g) or is_box(g):
                     return Modal(alpha, new_args)
                 preds = g.pred_names()
@@ -75,7 +75,7 @@ def fo1_modal_bridge(f: MuFormula) -> MuFormula:
                         o.sentence(o.dual(alpha), o.FO1, preds), b_cocont)
                     return _rewrite(bf, new_args, dual=True)
                 return _rewrite(o.to_basic_form(sent), new_args)
-        return g.rebuild(lambda a: go(a, active))
+        return (yield from rebuilt(g, active))
 
     check_wf(f)  # so each bound letter has one binder, whose class `active` keeps
     return go(f, {})

@@ -14,9 +14,9 @@ Worst-case exponential; fine at the scale this workbench targets.
 """
 from __future__ import annotations
 
-from ..syntax import stored, union
+from ..syntax import rebuilt, scoped, stored, union
 from .ast import (MAnd, MBOT, MTOP, Modal, MOr, Mu, MuFormula, NegProp, Nu, Prop,
-                  free_letters, has_binder, refresh, simplify, substitute)
+                  free_letters, has_binder, refresh, simplify)
 
 
 @stored
@@ -49,13 +49,22 @@ def _unfold_offending_binder(f: MuFormula, p: str) -> MuFormula:
                     return type(g)(q, inner)
                 if p in _unguarded(b)[0]:
                     done = True
-                    return substitute(b, {q: g})
+                    return _plug(b, {q: g})
         return g
 
     new = go(f)
     if not done:
         raise AssertionError("no offending binder found")
     return new
+
+
+@scoped
+def _plug(f: MuFormula, sigma: dict[str, MuFormula]) -> MuFormula:
+    """f with each free letter p in sigma replaced by sigma[p], renaming no
+    binder: here each image binds every letter that f binds, so none is free."""
+    if isinstance(f, Prop):
+        return sigma.get(f.name, f)
+    return f if sigma.keys().isdisjoint(free_letters(f)) else (yield from rebuilt(f, sigma))
 
 
 def _drop_boolean_level(f: MuFormula, p: str, repl: MuFormula) -> MuFormula:
@@ -76,20 +85,16 @@ def guard_transform(f: MuFormula) -> MuFormula:
     on random systems).
     """
 
-    memo = {}  # node -> its guarded form: each node is entered once per call
-
-    def go(g: MuFormula) -> MuFormula:
-        if has_binder(g) and g not in memo:
-            if isinstance(g, (Mu, Nu)):
-                p, b = g.var, go(g.body)
-                while p in _unguarded(b)[1]:
-                    b = _unfold_offending_binder(b, p)
-                if p in _unguarded(b)[0]:
-                    b = simplify(_drop_boolean_level(b, p, MBOT if isinstance(g, Mu) else MTOP))
-                memo[g] = type(g)(p, b) if p in free_letters(b) else b
-            else:
-                memo[g] = g.rebuild(go)
-        return memo.get(g, g)
+    @scoped
+    def go(g: MuFormula, ctx: frozenset) -> MuFormula:  # ctx is empty: one value per node
+        if not isinstance(g, (Mu, Nu)):
+            return (yield from rebuilt(g, ctx)) if has_binder(g) else g
+        p, b = g.var, (yield g.body, ctx)
+        while p in _unguarded(b)[1]:
+            b = _unfold_offending_binder(b, p)
+        if p in _unguarded(b)[0]:
+            b = simplify(_drop_boolean_level(b, p, MBOT if isinstance(g, Mu) else MTOP))
+        return type(g)(p, b) if p in free_letters(b) else b
 
     out = go(f)
     if out != f:

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from .. import onestep as o
 from ..lts import LTS
-from ..syntax import scoped
+from ..syntax import each, scoped
 from .ast import (MAnd, Modal, MOr, Mu, MuFormula, NegProp, Nu, Prop,
                   check_wf, free_letters)
 
@@ -22,29 +22,23 @@ def open_eval(f: MuFormula, lts: LTS, env: dict[str, frozenset[int]]) -> frozens
     succ = lts.successor_table()
 
     @scoped
-    def sem(g: MuFormula, env: dict[str, frozenset[int]], sem) -> frozenset[int]:
+    def sem(g: MuFormula, env: dict[str, frozenset[int]]) -> frozenset[int]:
         match g:
             case Prop(p):
                 return env[p] if p in env else lts.holds(p)
             case NegProp(p):
                 return full - (env[p] if p in env else lts.holds(p))
             case MAnd(args):
-                out = full
-                for a in args:
-                    out &= sem(a, env)
-                return out
+                return full.intersection(*(yield from each((a, env) for a in args)))
             case MOr(args):
-                out = frozenset()
-                for a in args:
-                    out |= sem(a, env)
-                return out
+                return frozenset().union(*(yield from each((a, env) for a in args)))
             case Modal(alpha, args):
-                val = dict(zip(g.pred_names(), (sem(a, env) for a in args)))
+                val = dict(zip(g.pred_names(), (yield from each((a, env) for a in args))))
                 return frozenset(s for s, ok in enumerate(o.eval_capped(alpha, val, succ)) if ok)
             case Mu(p, b) | Nu(p, b):
                 x = frozenset() if type(g) is Mu else full
                 while True:
-                    nxt = sem(b, {**env, p: x})
+                    nxt = yield b, {**env, p: x}
                     if nxt == x:
                         return x
                     x = nxt

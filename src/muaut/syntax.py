@@ -2,7 +2,8 @@
 
 Every AST node class is a frozen dataclass over `Node`, which interns nodes
 and gives the walkers `children` and `rebuild`; `stored` keeps a value derived
-once per node on it, and `scoped` walks under a context of its letters.
+once per node on it, and `scoped` walks under a context: a generator step
+yields the (subformula, context) pairs it needs and returns its node's value.
 The one-step, fixpoint and second-order parsers are rule sets over `Cursor`
 and keep only their own atom and prefix rules; `pretty` prints all three
 from the `notation` each node class declares.  Identifiers are
@@ -85,22 +86,58 @@ class stored:
 
 
 def scoped(step):
-    """The walker `(f, ctx=frozenset()) -> step(f, ctx, go)` under a set of
-    letters or a dict from letters to values.  In one walk, `go(g, ctx2)` runs
-    step(g, ctx2, go) again only when ctx2 gives g's facts (its free letters
-    in a letter syntax) other values than at g's last entry, kept alone."""
+    """The walker `(f, ctx=frozenset())` -> f's value under ctx.  The generator
+    `step(g, ctx)` yields each `(child, ctx2)` whose value it needs, is sent
+    that value and returns g's, waiting on an explicit stack, so depth is
+    bounded by memory alone.  Under a set of letters or a dict from letters
+    to values, g's step runs again only when the context gives its facts
+    (its free letters in a letter syntax) other values than at its last
+    entry, whose value is kept alone; else once per (node, context)."""
 
     @wraps(step)
     def walk(f, ctx=frozenset()):
-        memo = {}  # node -> (what the context gave its facts, its result)
-        def go(g, ctx):
-            key = tuple(map(ctx.get, g.facts)) if type(ctx) is dict else g.facts & ctx
-            last = memo.get(g)
-            if last is None or last[0] != key:
-                last = memo[g] = key, step(g, ctx, go)
-            return last[1]
-        return go(f, ctx)
+        # memo: node, or (node, context) -> (what the context gave, value)
+        memo, stack, want, value = {}, [], (f, ctx), None
+        while True:
+            if want is not None:  # the top step asks for a node's value
+                g, c = want
+                if type(c) is dict:
+                    slot, seen = g, tuple(map(c.get, g.facts))
+                else:
+                    slot, seen = (g, g.facts & c) if isinstance(c, (set, frozenset)) else ((g, c), c)
+                last = memo.get(slot)
+                if last is not None and last[0] == seen:
+                    value = last[1]
+                else:
+                    stack.append((slot, seen, step(g, c)))
+                    value = None
+            slot, seen, steps = stack[-1]
+            try:
+                want = steps.send(value)
+            except StopIteration as done:
+                stack.pop()
+                want, value = None, done.value
+                memo[slot] = seen, value
+                if not stack:
+                    return value
     return walk
+
+
+def each(wants, stop=None):
+    """In a step, `yield from each(wants)`: the values of the wanted pairs,
+    up to the first that is `stop`."""
+    values = []
+    for want in wants:
+        values.append((yield want))
+        if stop is not None and values[-1] is stop:
+            break
+    return values
+
+
+def rebuilt(node, ctx, cls=None):
+    """In a step, `yield from rebuilt(node, ctx)`: the node over its kids' values."""
+    values = iter((yield from each((c, ctx) for c in node.children())))
+    return node.rebuild(lambda _: next(values), cls)
 
 
 class Node(metaclass=_Interned):

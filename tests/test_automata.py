@@ -335,6 +335,33 @@ def test_loop_chain_formula_shares_each_binder_node():
     assert sys.getrecursionlimit() == 1000
 
 
+def test_loop_chain_answers_every_walker_at_the_default_recursion_limit():
+    # every fixpoint walker keeps its work on an explicit stack: at 300 states
+    # the formula nests 300 binders deep, past what a recursion per level allows
+    from muaut import mso
+
+    start = time.perf_counter()
+    aut = loop_chain_automaton(300)
+    f = au.to_formula(aut)
+    neg, bridged = mc.negate(f), mc.fo1_modal_bridge(f)
+    mc.check_wf(bridged)
+    g = au.from_formula(f)
+    # the translation into two-sorted logic at 100 states (about 0.2 s)
+    nmso = mso.mu_to_mso(au.to_formula(loop_chain_automaton(100)), "nmso")
+    answers = []
+    for lts in (L.make_lts(["p"], 3, [(0, 1), (1, 2), (2, 0), (1, 1)], {1: ["p"]}),
+                L.make_lts(["p"], 2, [(0, 1)], {})):
+        states = mc.semantics_eval(f, lts)
+        answers += [[lts.init in states, mc.game_value(f, lts), au.accepts(g, lts), au.accepts(aut, lts),
+                     mso.holds_at_init(nmso, lts), mc.semantics_eval(bridged, lts) == states,
+                     mc.semantics_eval(neg, lts) == frozenset(lts.states()) - states]]
+    # booleans only, so that a failure never prints a formula of 300 nested binders
+    assert [mc.refresh(f) is f, mc.negate(neg) is f, mc.guard_transform(f) is f] == [True] * 3
+    assert answers == [[True] * 5 + [True] * 2, [False] * 5 + [True] * 2]
+    assert time.perf_counter() - start < 10
+    assert sys.getrecursionlimit() == 1000
+
+
 def test_to_formula_degenerate_top_cluster_unbound():
     # a degenerate cluster introduces no fixpoint binder at all
     ps = props("p")

@@ -306,9 +306,20 @@ def test_deep_nesting_exits_cleanly(capsys):
     assert "error: formula nesting too deep" in capsys.readouterr().err
 
 
-def test_overflow_past_the_parser_exits_cleanly(capsys):
-    # parses (within MAX_NESTING), then overflows the stack in the translation
-    assert cli.main(["mso", "frommu", "dia " * 199 + "p"]) == 2
+def test_deepest_parsed_formula_translates(capsys):
+    # the translation keeps its work on an explicit stack, so whatever parses answers
+    formula = "dia " * 199 + "p"
+    assert cli.main(["mso", "frommu", formula]) == 0
+    out = capsys.readouterr()
+    assert out.out.strip() == mso.pretty(mso.mu_to_mso(mc.parse(formula), "wmso")) and not out.err
+
+
+def test_overflow_past_the_parser_exits_cleanly(capsys, monkeypatch):
+    # a walk that overflows the interpreter's stack after parsing ends in exit 2
+    def overflow(f, logic):
+        raise RecursionError
+    monkeypatch.setattr(mso, "mu_to_mso", overflow)
+    assert cli.main(["mso", "frommu", "dia p"]) == 2
     assert capsys.readouterr().err == "error: formula too deep to process\n"
 
 

@@ -181,6 +181,19 @@ def test_guard_transform_unfolds_an_inner_binder(monkeypatch):
             assert mc.semantics_eval(f, lts) == mc.semantics_eval(t, lts), (text, lts)
 
 
+def test_guard_transform_unfolds_a_shared_binder_into_itself():
+    # the unfolded copy keeps the inner binder node that stays under `dia`,
+    # so the two copies meet again as one node (they were two `nu` binders)
+    f = mc.parse("mu x. p | (nu y. x | dia y) & dia (nu y. x | dia y)")
+    t = mc.guard_transform(f)
+    assert t == mc.parse("mu x1. p | dia (nu x2. x1 | dia x2)")
+    assert [type(g).__name__ for g, _ in mc.binders(t)] == ["Mu", "Nu"]
+    rng = random.Random(26)
+    for _ in range(100):
+        lts = gen.rand_lts(rng, ("p",), max_states=5)
+        assert mc.semantics_eval(f, lts) == mc.semantics_eval(t, lts)
+
+
 def test_substitute():
     f = mc.parse("dia q")
     assert mc.substitute(f, {"q": mc.MAnd((mc.Prop("p"), mc.Prop("p")))}) == \
@@ -679,6 +692,29 @@ def test_stored_values_and_fragment_tests_answer_at_depth_ten_thousand(frames):
                                                         n // 2 + 1, False, True)
     assert _from_depth(frames, lambda: mu(modal)) == (None, False, True, True, True, True, 0, True,
                                                       True)
+    assert sys.getrecursionlimit() == 1000
+
+
+def test_fixpoint_walkers_answer_a_chain_of_ten_thousand_modalities():
+    # evaluation, negation, renaming, guarding, the bridge and the translation
+    # run on explicit stacks, so the chain answers from deep in a caller's stack
+    n = 10 ** 4
+    f = functools.reduce(lambda g, _: mc.dia(g), range(n), mc.Prop("p"))
+    boxes = functools.reduce(lambda g, _: mc.box(g), range(n), mc.NegProp("p"))
+    points = ["v"] + ["w%d" % (1 + i % 2) for i in range(n)]  # v, w1, w2, w1, ...
+    want = mso.PredApp("p", points[n])
+    for i in reversed(range(n)):
+        want = mso.ExistsVar(points[i + 1], mso.conj((mso.RelApp(points[i], points[i + 1]), want)))
+    loop = L.make_lts(["p"], 2, [(0, 0), (1, 1)], {0: ["p"]})
+
+    def walk():
+        return [mc.semantics_eval(f, loop) == {0}, mc.open_eval(boxes, loop, {}) == {1},
+                mc.negate(f) is boxes, mc.negate(boxes) is f, mc.refresh(f) is f,
+                mc.substitute(f, {"p": mc.Prop("q")}) is mc.refresh(f, (), {"p": mc.Prop("q")}),
+                mc.guard_transform(f) is f, mc.fo1_modal_bridge(f) is f,
+                mso.mu_to_mso(f, "wmso") is want]
+
+    assert _from_depth(300, walk) == [True] * 9
     assert sys.getrecursionlimit() == 1000
 
 
