@@ -8,6 +8,7 @@ import hashlib
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -107,6 +108,49 @@ def test_every_corpus_formula_reads_back_as_itself():
     # `printed` is the AST each text was printed from, such as a `mu_to_mso` output
     for grammar, text, f, printed in _corpus():
         assert _parser(grammar)(syntax.pretty(printed)) is printed is getattr(f, "ast", f), text
+
+
+# sha256 of `_mutation_lines()`, recorded with the hand-written rule sets
+# over `Cursor` that the grammars read off the notations replaced: which
+# mutated texts each grammar accepts, as which node, and each refusal's
+# message and column.
+MUTATION_DIGEST = "f2ed4eefe681d17eff63d6a65573895494f84c6adc1e15142ea38e0d0ecc569d"
+
+# tokens inserted or substituted: every token some grammar reads, and names
+_VOCABULARY = ("(", ")", ",", ".", "=", "!=", "!", "~", "&", "|", "<", ">", "true", "false",
+               "E", "A", "Einf", "Ainf", "W", "mu", "nu", "dia", "box", "ex", "down", "sub",
+               "Rel", "R", "x", "v", "p", "a1")
+_GRAMMARS = ("onestep", "mu", "mso1 smso", "mso2 wmso")
+
+
+def _mutation_lines():
+    """For two seeded token mutations (delete, insert, replace or truncate)
+    of each corpus text, the outcome of parsing it with its own grammar and
+    with one other grammar: the node's repr, or the error and its column."""
+    rng = random.Random(32)
+    out = []
+    for grammar, text, _, _ in _corpus():
+        spans = [m.span() for m in re.finditer(r"[A-Za-z_][A-Za-z_0-9]*|!=|\S", text)]
+        for _ in range(2):
+            op, i = rng.choice(("delete", "insert", "replace", "truncate")), rng.randrange(len(spans))
+            start, end = spans[i]
+            word = " %s " % rng.choice(_VOCABULARY)
+            mutated = {"delete": text[:start] + text[end:], "insert": text[:start] + word + text[start:],
+                       "replace": text[:start] + word + text[end:], "truncate": text[:start]}[op]
+            other = rng.choice([g for g in _GRAMMARS if g.split()[0] != grammar.split()[0]])
+            for tag in (grammar, other):
+                try:
+                    outcome = repr(_parser(tag)(mutated))
+                except (ParseError, mc.IllFormedError) as e:
+                    outcome = "%s: %s" % (type(e).__name__, e)
+                out.append("%s\t%s\t%s" % (tag, mutated, outcome))
+    return out
+
+
+def test_mutated_texts_parse_to_the_recorded_outcomes():
+    lines = _mutation_lines()
+    assert len(lines) > 14000
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == MUTATION_DIGEST
 
 
 # sha256 of `_walker_lines()`, recorded with the match-based walkers that
