@@ -32,9 +32,12 @@ class PropSet:
     names: tuple[str, ...]
 
     def __post_init__(self):
+        from .mucalc import GRAMMAR  # at call time, as mucalc imports this module
         for p in self.names:
             if not (isinstance(p, str) and IDENTIFIER.fullmatch(p)):
                 raise ValueError("proposition letter %r is not an identifier" % (p,))
+            if p in GRAMMAR.keywords:  # a formula over the alphabet would read it as the keyword
+                raise ValueError("proposition letter %r is a keyword of the fixpoint grammar" % p)
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate proposition letters: %r" % (self.names,))
         if len(self.names) > MAX_PROPS:

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 from operator import attrgetter
 from typing import Iterable, Union
 
-from ..syntax import Cursor, Node
+from ..syntax import Grammar, Node
 
 STANDARD = "standard"
 FINITE = "finite"
@@ -139,61 +139,39 @@ def conj(parts: Iterable[Mso]) -> Mso:
 INDIVIDUAL_VARS = re.compile(r"^[v-z][0-9]*$")
 # convention: v,w,x,y,z (optionally indexed) are individual variables,
 # anything else is a proposition letter / set variable
-KEYWORDS = frozenset({"ex", "down", "Rel", "R"})  # names that cannot open an atom
 
 
-def _parse(text: str, logic: str, sorted2: bool):
-    mode = LOGIC_MODE[logic]
-    make_or = partial(reduce, Or)  # left-nested binary disjunctions
+def _grammars(mode: str) -> tuple[Grammar, Grammar]:
+    """The one- and two-sorted grammars whose set quantifier has the mode.
+    Both sorts spell the relation atom `R` and `Rel`; two-sorted `ex` over an
+    individual name quantifies an individual, and `down` and `sub` are refused."""
+    def ex1(var, body):
+        return ExistsSet(var, body, mode)
 
-    def unary(c: Cursor):
-        t = c.peek()
-        if t == "(":
-            c.enter()
-            f = c.infix(unary, make_or)
-            c.expect(")")
-            return c.leave(f)
-        if t == "~":
-            c.enter()
-            return c.leave(Not(unary(c)))
-        if t == "ex":
-            c.enter()
-            v = c.name()
-            c.expect(".")
-            b = c.infix(unary, make_or)
-            if sorted2 and INDIVIDUAL_VARS.match(v):
-                return c.leave(ExistsVar(v, b))
-            return c.leave(ExistsSet(v, b, mode))
-        if t == "down":
-            if sorted2:
-                raise c.error("one-sorted atom 'down' in a two-sorted formula")
-            c.take()
-            return Down(c.name())
-        if t == "Rel" or t == "R":
-            c.take()
-            return (RelApp if sorted2 else RelStep)(*c.args(2))
-        name = c.name()
-        t = c.peek()
-        if t == "sub":
-            if sorted2:
-                raise c.error("one-sorted atom 'sub' in a two-sorted formula")
-            c.take()
-            return SubsetOf(name, c.name())
-        if sorted2 and t == "(":
-            return PredApp(name, *c.args(1))
-        if sorted2 and t == "=":
-            c.take()
-            return EqVar(name, c.name())
-        msg = "dangling identifier %r" if sorted2 else "unknown one-sorted atom starting at %r"
-        raise c.error(msg % name, back=1)
+    def ex2(var, body):
+        return ExistsVar(var, body) if INDIVIDUAL_VARS.match(var) else ExistsSet(var, body, mode)
 
-    c = Cursor(text)
-    return c.end(c.infix(unary, make_or))
+    refused = "one-sorted atom %r in a two-sorted formula"
+    return (Grammar((Not, Or, Down, SubsetOf, RelStep, (ExistsSet.notation, ex1), (RelApp.notation, RelStep)),
+                    dangling="unknown one-sorted atom starting at %r"),
+            Grammar((Not, Or, PredApp, RelApp, EqVar, (ExistsSet.notation, ex2), (RelStep.notation, RelApp),
+                     (Down.notation, refused), (SubsetOf.notation, refused))))
+
+
+GRAMMARS = {logic: _grammars(mode) for logic, mode in LOGIC_MODE.items()}
+KEYWORDS = GRAMMARS["wmso"][1].keywords  # the names that open a two-sorted atom
+
+
+def _grammar(logic: str, sort: int) -> Grammar:
+    grammars = GRAMMARS.get(logic.lower())
+    if grammars is None:
+        raise ValueError("unknown logic %r (expected smso, wmso or nmso)" % logic)
+    return grammars[sort]
 
 
 def parse1(text: str, logic: str = "wmso") -> Mso1:
-    return _parse(text, logic, sorted2=False)
+    return _grammar(logic, 0).parse(text)
 
 
 def parse2(text: str, logic: str = "wmso") -> Mso2:
-    return _parse(text, logic, sorted2=True)
+    return _grammar(logic, 1).parse(text)

@@ -1,6 +1,6 @@
 """Fixpoint calculi over one-step modalities."""
 
-from .ast import (MAnd, MBOT, MOr, MTOP, Modal, Mu, MuFormula,
+from .ast import (GRAMMAR, MAnd, MBOT, MOr, MTOP, Modal, Mu, MuFormula,
                   NegProp, Nu, Prop, IllFormedError, arg_names, binders, box,
                   check_wf, dia, free_letters, is_box, is_dia, mand,
                   modal_dialect, mor, negate, parse, refresh,

@@ -16,8 +16,7 @@ from operator import attrgetter
 from typing import Iterable, Union
 
 from .. import onestep as o
-from ..onestep.parse import formula as onestep_formula
-from ..syntax import Cursor, Node, each, infix, junction, rebuilt, scoped, stored
+from ..syntax import Grammar, Node, choice, each, infix, junction, rebuilt, scoped, stored
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,14 +53,9 @@ class Modal(Node):
     alpha: o.Formula
     args: tuple["MuFormula", ...]
     subs = ("args",)
-
-    @property
-    def notation(self):
-        if is_dia(self):
-            return (None, "dia ", ("args", 3))
-        if is_box(self):
-            return (None, "box ", ("args", 3))
-        return (None, "<", ("alpha", 0), ">(", ("args", 0, ", "), ")")
+    notation = choice((None, "<", ("alpha", 0), ">(", ("args", 0, ", "), ")"),
+                      (lambda f: is_dia(f), (None, "dia ", ("args", 3)), lambda cls, f: dia(f)),
+                      (lambda f: is_box(f), (None, "box ", ("args", 3)), lambda cls, f: box(f)))
 
     def pred_names(self) -> tuple[str, ...]:
         return arg_names(len(self.args))
@@ -278,46 +272,12 @@ def simplify(f: MuFormula) -> MuFormula:
     return f.rebuild(simplify)
 
 
-def _unary(c: Cursor) -> MuFormula:
-    tok = c.peek()
-    if tok == "(":
-        c.enter()
-        f = c.infix(_unary, MOr, MAnd)
-        c.expect(")")
-        return c.leave(f)
-    if tok == "~":
-        c.take()
-        return NegProp(c.name())
-    if tok == "mu" or tok == "nu":
-        c.enter()
-        var = c.name()
-        c.expect(".")
-        body = c.infix(_unary, MOr, MAnd)
-        return c.leave(Mu(var, body) if tok == "mu" else Nu(var, body))
-    if tok == "dia" or tok == "box":
-        c.enter()
-        return c.leave((dia if tok == "dia" else box)(_unary(c)))
-    if tok == "true" or tok == "false":
-        c.take()
-        return MTOP if tok == "true" else MBOT
-    if tok == "<":
-        c.enter()
-        alpha = onestep_formula(c)
-        c.expect(">")
-        c.expect("(")
-        args = [] if c.peek() == ")" else [c.infix(_unary, MOr, MAnd)]
-        while args and c.peek() == ",":
-            c.take()
-            args.append(c.infix(_unary, MOr, MAnd))
-        c.expect(")")
-        return c.leave(Modal(alpha, tuple(args)))
-    return Prop(c.name())
+# a modality's one-step sentence is read by the one-step grammar on the same cursor
+GRAMMAR = Grammar(MuFormula.__args__, inner={"alpha": o.GRAMMAR})
 
 
 def parse(text: str) -> MuFormula:
-    """Parse and check a formula; a modality's one-step sentence is read by
-    the one-step grammar on the same cursor."""
-    c = Cursor(text)
-    f = c.end(c.infix(_unary, MOr, MAnd))
+    """Parse and check a formula."""
+    f = GRAMMAR.parse(text)
     check_wf(f)
     return f

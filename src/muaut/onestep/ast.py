@@ -11,7 +11,7 @@ from functools import lru_cache
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Union
 
-from ..syntax import Node, infix, junction, stored, union
+from ..syntax import Grammar, Node, infix, junction, stored, union
 
 FO1 = "FO1"
 FOE1 = "FOE1"
@@ -163,6 +163,9 @@ class W(_OneStep):
 Formula = Union[Pred, NegPred, Eq, Neq, And, Or, Exists, Forall, ExistsInf, ForallInf, W]
 QUANTIFIERS = (Exists, Forall, ExistsInf, ForallInf, W)
 
+# quantifiers scope as far right as possible
+GRAMMAR = Grammar(Formula.__args__)
+
 TOP = And(())
 BOT = Or(())
 
@@ -232,6 +235,14 @@ class OneStepFormula:
         missing = predicates(self.ast) - set(self.preds)
         if missing:
             raise ValueError("undeclared predicates: %r" % sorted(missing))
+
+
+def parse_formula(text: str) -> Formula:
+    return GRAMMAR.parse(text)
+
+
+def parse(text: str, dialect: str | None = None, preds=None) -> OneStepFormula:
+    return sentence(parse_formula(text), dialect, preds)
 
 
 def sentence(ast: Formula, dialect: str | None = None, preds: Iterable[str] | None = None) -> OneStepFormula:

@@ -1,20 +1,23 @@
-"""One node layer, one lexer and one cursor under the three formula grammars.
+"""One node layer, one lexer, one parser and one printer under the three
+formula grammars.
 
 Every AST node class is a frozen dataclass over `Node`, which interns nodes
 and gives the walkers `children` and `rebuild`; `stored` keeps a value derived
 once per node on it, and `scoped` walks under a context: a generator step
 yields the (subformula, context) pairs it needs and returns its node's value.
-The one-step, fixpoint and second-order parsers are rule sets over `Cursor`
-and keep only their own atom and prefix rules; `pretty` prints all three
-from the `notation` each node class declares.  Identifiers are
-`[A-Za-z_][A-Za-z_0-9]*`; keywords are whole identifiers, never prefixes.
+Each node class declares its `notation` once: `pretty` prints it, and a
+`Grammar` reads the same notations backwards as rules, so the one-step,
+fixpoint and second-order grammars declare only their context rules.
+Identifiers are `[A-Za-z_][A-Za-z_0-9]*`; keywords are whole identifiers,
+never prefixes.
 """
 from __future__ import annotations
 
 import re
 import weakref
 from _weakref import _remove_dead_weakref
-from functools import update_wrapper, wraps
+from functools import partial, update_wrapper, wraps
+from itertools import islice
 
 # (class, *fields, a node in a field by its id) -> weak reference to the one
 # live node with those fields
@@ -216,10 +219,29 @@ def junction(cls, args, zero):
     return flat[0] if len(flat) == 1 else cls(flat)
 
 
-def infix(sep: str, level: int, bind: int, unit: str) -> property:
+class choice:
+    """The notation of a class whose nodes print in more than one form:
+    `choice(notation, *forms)`, each form `(test, notation, build)`.  A node
+    prints by the first form whose test it passes, else by the general
+    notation; a grammar reads each form as one more rule of the class, whose
+    fields build the node as `build(cls, *values)`."""
+
+    def __init__(self, notation: tuple, *forms):
+        self.notation, self.forms = notation, forms
+
+    def __get__(self, node, cls=None):
+        if node is None:
+            return self
+        for test, notation, _ in self.forms:
+            if test(node):
+                return notation
+        return self.notation
+
+
+def infix(sep: str, level: int, bind: int, unit: str) -> choice:
     """The notation of an n-ary connective over `args`: the arguments at
     `level` joined by sep, parenthesized above `bind`; `unit` when empty."""
-    return property(lambda f: (bind, ("args", level, sep)) if f.args else (None, unit))
+    return choice((bind, ("args", level, sep)), (lambda f: not f.args, (None, unit), lambda cls: cls(())))
 
 
 def pretty(f: Node) -> str:
@@ -257,9 +279,11 @@ def pretty(f: Node) -> str:
     return "".join(out)
 
 
-# Deepest nesting any grammar accepts, counted over parentheses, prefix
-# operators, binders and modalities.  The rules recurse at most twice per
-# level, so parsing stays far inside the interpreter's recursion limit.
+# Deepest nesting any grammar accepts, counted over parentheses and the rules
+# whose notation holds a subformula (prefix operators, binders, modalities).
+# Parsing takes two frames per level, but `mso.eval_mso`, the MSO compiler,
+# `from_formula`'s expansion and the one-step walkers still recurse once per
+# level on what it returns, so the limit keeps them inside the interpreter's.
 MAX_NESTING = 200
 
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -275,86 +299,166 @@ class ParseError(ValueError):
 
 
 class Cursor:
-    """The tokens of one text and the index of the next one to read."""
+    """The tokens of one text, the index of the next one to read and the
+    nesting depth reached there.  Columns are found again for errors only."""
 
     def __init__(self, text: str):
-        self.toks = []
-        for m in _TOKEN.finditer(text):
-            if m.group(2):
-                raise ParseError("unexpected character %r" % m.group(2), m.start(2) + 1)
-            self.toks.append((m.group(1), m.start(1) + 1))
-        self.toks.append((None, len(text) + 1))
-        self.i = 0
-        self.depth = 0
+        self.text, self.i, self.depth = text, 0, 0
+        self.toks = [tok for tok, _ in _TOKEN.findall(text)]
+        if "" in self.toks:  # a character that opens no token
+            column = self.column(self.toks.index(""))
+            raise ParseError("unexpected character %r" % text[column - 1], column)
+        self.toks.append(None)
 
-    def peek(self) -> str | None:
-        return self.toks[self.i][0]
+    def column(self, k: int) -> int:
+        """The 1-based column of token k; end of input is len(text)+1."""
+        m = next(islice(_TOKEN.finditer(self.text), k, None), None)
+        return len(self.text) + 1 if m is None else m.start(m.lastindex) + 1
 
     def error(self, msg: str, back: int = 0) -> ParseError:
         """An error at the next token, or at the one `back` tokens before."""
-        return ParseError(msg, self.toks[self.i - back][1])
+        return ParseError(msg, self.column(self.i - back))
 
     def _found(self) -> str:
-        tok = self.toks[self.i][0]
+        tok = self.toks[self.i]
         return "end of input" if tok is None else repr(tok)
 
-    def take(self) -> None:
-        """Skip the next token, which the caller has peeked at."""
-        self.i += 1
-
-    def expect(self, want: str) -> None:
-        if self.toks[self.i][0] != want:
-            raise self.error("expected %r, found %s" % (want, self._found()))
-        self.i += 1
-
     def name(self) -> str:
-        tok = self.toks[self.i][0]
+        tok = self.toks[self.i]
         if tok is None or not tok.isidentifier():
             raise self.error("expected a name, found %s" % self._found())
         self.i += 1
         return tok
 
-    def args(self, n: int) -> list[str]:
-        """`(x1, ..., xn)`: n names in parentheses."""
-        self.expect("(")
-        names = [self.name()]
-        for _ in range(n - 1):
-            self.expect(",")
-            names.append(self.name())
-        self.expect(")")
-        return names
 
-    def enter(self) -> None:
-        """Take the token that opens one more nesting level."""
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise self.error("formula nesting too deep")
-        self.i += 1
+class Grammar:
+    """The parser that reads the notations of node classes backwards
+    (invertible syntax descriptions, Rendel & Ostermann 2010), by precedence
+    climbing (Pratt 1973).
 
-    def leave(self, f):
-        """Close the innermost nesting level around its result f."""
-        self.depth -= 1
+    Each entry of `rules` is a node class, whose notation (and each form of a
+    `choice`) is a rule built by the class, or a pair `(notation, build)`:
+    build is called with the notation's field values in order, or is a
+    message that refuses the rule's opening token.  A notation that opens with
+    a token is a prefix rule; one that opens with a name field is an atom
+    chosen by the token after the name, and a lone name field is the bare
+    name; one that opens with a subformula is an operator, either n-ary
+    (`(field, level, separator)`) or binary (`(field, level), separator,
+    (field, level)`), chosen by its separator.  A subformula in a field of
+    `inner` is read by that grammar, on the same cursor.  `dangling` is the
+    message for a name that no rule takes."""
+
+    def __init__(self, rules, inner=None, dangling="dangling identifier %r"):
+        self.inner, self.dangling = inner or {}, dangling
+        self.prefix = {"(": (("(", (self, 0), ")"), lambda f: f, True)}
+        self.atoms, self.bare, self.operators = {}, None, {}
+        for rule in rules:
+            if isinstance(rule, tuple):
+                self._add(*rule)
+                continue
+            notation = rule.notation
+            if isinstance(notation, choice):
+                for _, form, build in notation.forms:
+                    self._add(form, partial(build, rule))
+                notation = notation.notation
+            self._add(notation, rule)
+        # the identifiers that open a rule, so that no atom can open with one
+        self.keywords = frozenset(tok for tok in self.prefix if tok.isidentifier())
+
+    def _add(self, notation: tuple, build) -> None:
+        first = notation[1]
+        if type(first) is tuple:  # (bind, level of the operands, n-ary, build)
+            if len(first) == 3:
+                self.operators[first[2].strip()] = (notation[0], first[1], True, build)
+            else:
+                self.operators[notation[2].strip()] = (notation[0], notation[3][1], False, build)
+            return
+        items = []  # a token, None for a name, (grammar, level[, separator, closer]) for formulas
+        for part in notation[1:]:
+            if type(part) is str:
+                for k, chunk in enumerate(re.split(r"\{\w+\}", part)):
+                    items += [None] * (k > 0) + [tok for tok, _ in _TOKEN.findall(chunk)]
+            else:
+                grammar = self.inner.get(part[0], self)
+                items.append((grammar, part[1]) if len(part) == 2 else (grammar, part[1], part[2].strip()))
+        for k, item in enumerate(items):  # a list of formulas is empty when its closer comes first
+            if type(item) is tuple and len(item) == 3:
+                items[k] = item + (items[k + 1],)
+        atom = items[0] is None  # an atom's name is read before its rule is chosen
+        items = tuple(items[atom:])
+        rule = build % items[0] if type(build) is str else (items, build, any(type(i) is tuple for i in items))
+        if not items:
+            self.bare = rule
+        else:
+            (self.atoms if atom else self.prefix)[items[0]] = rule
+
+    def parse(self, text: str):
+        """The formula the whole text spells."""
+        c = Cursor(text)
+        f = self.expr(c, 0)
+        if c.toks[c.i] is not None:
+            raise c.error("trailing input %r" % c.toks[c.i])
         return f
 
-    def infix(self, operand, make_or, make_and=None):
-        """operand(cursor) results joined by n-ary `&` inside n-ary `|`;
-        `&` is no operator when make_and is None."""
-        ors = []
+    def expr(self, c: Cursor, level: int):
+        """The longest formula at the cursor whose operators bind at `level`
+        or above.  Operators waiting for their last operand are kept on an
+        explicit stack, so only `operand` nests frames."""
+        waiting = []  # (operator, its operands so far)
+        f = self.operand(c)
         while True:
-            f = operand(self)
-            if make_and is not None and self.toks[self.i][0] == "&":
-                ands = [f]
-                while self.toks[self.i][0] == "&":
-                    self.i += 1
-                    ands.append(operand(self))
-                f = make_and(tuple(ands))
-            ors.append(f)
-            if self.toks[self.i][0] != "|":
-                return ors[0] if len(ors) == 1 else make_or(tuple(ors))
-            self.i += 1
+            op = self.operators.get(c.toks[c.i])
+            bind = -1 if op is None else op[0]
+            while waiting:
+                top, args = waiting[-1]
+                if op is top and op[2]:  # the next operand of an n-ary operator
+                    args.append(f)
+                    break
+                if bind >= top[1]:  # op starts inside the last operand of top
+                    waiting.append((op, [f]))
+                    break
+                waiting.pop()  # f is the last operand of top
+                args.append(f)
+                f = top[3](tuple(args)) if top[2] else top[3](*args)
+            else:
+                if bind < level:
+                    return f
+                waiting.append((op, [f]))
+            c.i += 1
+            f = self.operand(c)
 
-    def end(self, f):
-        """f, once every token has been read."""
-        if self.toks[self.i][0] is not None:
-            raise self.error("trailing input %r" % self.toks[self.i][0])
-        return f
+    def operand(self, c: Cursor):
+        """The formula of the one rule that starts at the cursor."""
+        toks, values = c.toks, []
+        rule = self.prefix.get(toks[c.i])
+        if rule is None:
+            values.append(c.name())
+            rule = self.atoms.get(toks[c.i], self.bare)
+            if rule is None:
+                raise c.error(self.dangling % values[0], back=1)
+        if type(rule) is str:
+            raise c.error(rule)
+        items, build, nests = rule
+        if nests:
+            c.depth += 1
+            if c.depth > MAX_NESTING:
+                raise c.error("formula nesting too deep")
+        for item in items:
+            if type(item) is str:
+                if toks[c.i] != item:
+                    raise c.error("expected %r, found %s" % (item, c._found()))
+                c.i += 1
+            elif item is None:
+                values.append(c.name())
+            elif len(item) == 2:
+                values.append(item[0].expr(c, item[1]))
+            else:  # formulas separated by item[2], none when item[3] comes first
+                grammar, level, sep, closer = item
+                args = [] if toks[c.i] == closer else [grammar.expr(c, level)]
+                while args and toks[c.i] == sep:
+                    c.i += 1
+                    args.append(grammar.expr(c, level))
+                values.append(tuple(args))
+        if nests:
+            c.depth -= 1
+        return build(*values)

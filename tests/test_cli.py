@@ -209,6 +209,23 @@ def test_fix_cli(capsys, loop_file):
     assert "unknown state 9" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("letter", ["true", "false", "mu", "nu", "dia", "box"])
+def test_letters_read_as_fixpoint_keywords_are_refused(letter, capsys, tmp_path):
+    # over the letter `true`, the automaton's formula printed `~true` and
+    # `mu eval` of it read the constant true where `aut accept` read the letter
+    aut = tmp_path / "a.json"
+    aut.write_text(json.dumps({"dialect": "FO1", "props": [letter], "states": 2, "init": 0,
+                               "omega": [1, 0], "delta": {"0,": "E x. q0(x)", "0,%s" % letter: "A x. q1(x)",
+                                                          "1,": "false", "1,%s" % letter: "true"}}))
+    system = tmp_path / "s.json"
+    system.write_text(json.dumps({"props": [letter], "states": 2, "edges": [[0, 1], [1, 1]],
+                                  "colors": {"1": [letter]}, "init": 0}))
+    for argv in (["aut", "toformula", "--in", str(aut)], ["aut", "accept", "--in", str(aut), "--lts", str(system)],
+                 ["mu", "eval", "true", "--lts", str(system)]):
+        assert cli.main(argv) == 2
+        assert "proposition letter %r is a keyword of the fixpoint grammar" % letter in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("props", ["", "p,", "p q", "1p", "p-q"])
 def test_letters_that_are_not_identifiers_are_refused(props, capsys):
     # with --props "" the colours {} and {""} wrote the same transition key

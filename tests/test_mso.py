@@ -233,6 +233,15 @@ def test_parse_round_trip():
         assert mso.parse2(mso.pretty(f2)) == f2
 
 
+def test_parsers_take_the_logic_in_any_case_and_refuse_an_unknown_one():
+    for logic, mode in (("WMSO", mso.FINITE), ("Nmso", mso.NOETHERIAN), ("smso", mso.STANDARD)):
+        assert mso.parse1("ex r. down r", logic) is mso.ExistsSet("r", mso.Down("r"), mode)
+        assert mso.parse2("ex s. s(v)", logic) is mso.ExistsSet("s", mso.PredApp("s", "v"), mode)
+    for parse in (mso.parse1, mso.parse2):
+        with pytest.raises(ValueError, match="unknown logic 'mso'"):
+            parse("down p", "mso")
+
+
 def test_deep_nesting_is_a_parse_error():
     with pytest.raises(mso.ParseError, match="formula nesting too deep"):
         mso.parse1("~" * 3000 + "down p")

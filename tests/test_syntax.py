@@ -480,6 +480,13 @@ def test_malformed_inputs_are_rejected(grammar, text):
         PARSERS[grammar](text)
 
 
+def test_keywords_are_the_names_that_open_a_rule():
+    assert o.GRAMMAR.keywords == {"E", "A", "Einf", "Ainf", "W", "true", "false"}
+    assert mc.GRAMMAR.keywords == {"mu", "nu", "dia", "box", "true", "false"}
+    for one, two in mso.ast.GRAMMARS.values():
+        assert one.keywords == two.keywords == mso.ast.KEYWORDS == {"ex", "down", "Rel", "R"}
+
+
 def test_one_error_type():
     assert o.ParseError is mc.ParseError is mso.ParseError is ParseError
     assert issubclass(ParseError, ValueError)
