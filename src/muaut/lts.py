@@ -301,19 +301,33 @@ def p_variant(lts: LTS, p: str, xs: Iterable[int]) -> LTS:
     return object.__new__(LTS)._fill(props, lts.n, lts.successor_table(), cols, lts.init)
 
 
-def _refine_partition(colours, succ) -> list[int]:
-    """Block of each state in the coarsest stable refinement of the
-    partition by colour: signature = (block, set of successor blocks)."""
+def _refine_partition(colours, succ, rounds: float = float("inf")) -> list[int]:
+    """Block of each state after `rounds` refinements of the partition by
+    colour (fewer once one changes nothing), each by signature (block, set
+    of successor blocks): after k rounds the blocks are the classes of
+    bisimilarity to depth k, and once stable, of bisimilarity."""
     ids: dict = {}
     block_of = [ids.setdefault(c, len(ids)) for c in colours]
-    while True:
+    while rounds > 0:
+        rounds -= 1
         sigs: dict = {}  # blocks numbered in order of first occurrence
         block = block_of.__getitem__
         new = [sigs.setdefault((b, frozenset(map(block, ts))), len(sigs))
                for b, ts in zip(block_of, succ)]
         if new == block_of:
-            return block_of
+            break
         block_of = new
+    return block_of
+
+
+def _union(s: LTS, t: LTS) -> tuple[tuple, list]:
+    """The colours and successor table of the disjoint union of two systems
+    over one alphabet, the states of t shifted by s.n."""
+    if s.props.names != t.props.names:
+        raise SignatureError("proposition alphabets differ: %r vs %r" % (s.props.names, t.props.names))
+    succ = list(s.successor_table())
+    succ += [tuple(v + s.n for v in vs) for vs in t.successor_table()]
+    return s.colours + t.colours, succ
 
 
 def bisimilar(s: LTS, t: LTS) -> Optional[frozenset[tuple[int, int]]]:
@@ -324,12 +338,7 @@ def bisimilar(s: LTS, t: LTS) -> Optional[frozenset[tuple[int, int]]]:
     state pairs (a bisimulation containing the initial pair), read off the
     blocks: each state of s is paired with the states of t in its block.
     """
-    if s.props.names != t.props.names:
-        raise SignatureError("proposition alphabets differ: %r vs %r" % (s.props.names, t.props.names))
-    # disjoint union: states of t shifted by s.n
-    succ = list(s.successor_table())
-    succ += [tuple(v + s.n for v in vs) for vs in t.successor_table()]
-    block_of = _refine_partition(s.colours + t.colours, succ)
+    block_of = _refine_partition(*_union(s, t))
     if block_of[s.init] != block_of[t.init + s.n]:
         return None
     mates: dict[int, list[int]] = {}
@@ -366,21 +375,11 @@ def is_bisimulation(s: LTS, t: LTS, rel: Iterable[tuple[int, int]]) -> bool:
 
 
 def bisimilar_to_depth(s: LTS, t: LTS, d: int) -> bool:
-    """Bounded bisimulation game: behavioural equivalence up to depth d.
-    The pairs equivalent up to depth k are found for k = 0, 1, ... in turn;
-    once a depth changes nothing, every deeper one is the same."""
-    if s.props.names != t.props.names:
-        raise SignatureError("proposition alphabets differ")
-    ssucc, tsucc = s.successor_table(), t.successor_table()
-    level = same = {(u, v) for u in range(s.n) for v in range(t.n) if s.colours[u] == t.colours[v]}
-    for _ in range(d):
-        nxt = {(u, v) for u, v in same
-               if all(any((u2, v2) in level for v2 in tsucc[v]) for u2 in ssucc[u])
-               and all(any((u2, v2) in level for u2 in ssucc[u]) for v2 in tsucc[v])}
-        if nxt == level:
-            break
-        level = nxt
-    return (s.init, t.init) in level
+    """Bounded bisimulation game: behavioural equivalence up to depth d,
+    read off d rounds of refinement on the disjoint union (colours alone
+    when d <= 0)."""
+    block_of = _refine_partition(*_union(s, t), d)
+    return block_of[s.init] == block_of[t.init + s.n]
 
 
 def unravel_to_depth(lts: LTS, d: int) -> LTS:

@@ -10,7 +10,6 @@ universals are provided as derived builders.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import reduce
 from operator import attrgetter
 from typing import Iterable, Union
@@ -28,14 +27,12 @@ LOGIC_MODE = {"smso": STANDARD, "wmso": FINITE, "nmso": NOETHERIAN}
 # `|` parses left-nested and `ex` scopes as far right as it can, so a right
 # operand of `|` is parenthesized when it is a `|`, a left one when it is an `ex`
 
-@dataclass(frozen=True, eq=False)
 class Not(Node):
     body: "Mso"
     subs = ("body",)
     notation = (None, "~", ("body", 2))
 
 
-@dataclass(frozen=True, eq=False)
 class Or(Node):
     left: "Mso"
     right: "Mso"
@@ -43,7 +40,6 @@ class Or(Node):
     notation = (0, ("left", 2), " | ", ("right", 1))
 
 
-@dataclass(frozen=True, eq=False)
 class ExistsSet(Node):
     var: str
     body: "Mso"
@@ -54,21 +50,18 @@ class ExistsSet(Node):
 
 # --- one-sorted -----------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class Down(Node):
     """The letter holds exactly at the distinguished state."""
     p: str
     notation = (None, "down {p}")
 
 
-@dataclass(frozen=True, eq=False)
 class SubsetOf(Node):
     left: str
     right: str
     notation = (None, "{left} sub {right}")
 
 
-@dataclass(frozen=True, eq=False)
 class RelStep(Node):
     """Every left-state has an edge to some right-state."""
     left: str
@@ -84,28 +77,24 @@ free_names = attrgetter("facts")  # stored on each node (see Node.derive)
 
 # --- two-sorted -----------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class PredApp(Node):
     p: str
     x: str
     notation = (None, "{p}({x})")
 
 
-@dataclass(frozen=True, eq=False)
 class RelApp(Node):
     x: str
     y: str
     notation = (None, "R({x},{y})")
 
 
-@dataclass(frozen=True, eq=False)
 class EqVar(Node):
     x: str
     y: str
     notation = (None, "{x}={y}")
 
 
-@dataclass(frozen=True, eq=False)
 class ExistsVar(Node):
     var: str
     body: "Mso"

@@ -10,7 +10,6 @@ formula's DAG, and bound letters occur only positively under their binder.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
 from operator import attrgetter
 from typing import Iterable, Union
@@ -19,33 +18,28 @@ from .. import onestep as o
 from ..syntax import Grammar, Node, choice, each, infix, junction, rebuilt, scoped, stored
 
 
-@dataclass(frozen=True, eq=False)
 class Prop(Node):
     name: str
     notation = (None, "{name}")
 
 
-@dataclass(frozen=True, eq=False)
 class NegProp(Node):
     name: str
     notation = (None, "~{name}")
 
 
-@dataclass(frozen=True, eq=False)
 class MAnd(Node):
     args: tuple["MuFormula", ...]
     subs = ("args",)
     notation = infix(" & ", 2, 1, "true")
 
 
-@dataclass(frozen=True, eq=False)
 class MOr(Node):
     args: tuple["MuFormula", ...]
     subs = ("args",)
     notation = infix(" | ", 1, 0, "false")
 
 
-@dataclass(frozen=True, eq=False)
 class Modal(Node):
     """The one-step sentence alpha is of another syntax, so only the
     arguments are subformulas."""
@@ -67,7 +61,6 @@ def arg_names(n: int) -> tuple[str, ...]:
     return tuple("a%d" % (i + 1) for i in range(n))
 
 
-@dataclass(frozen=True, eq=False)
 class Mu(Node):
     var: str
     body: "MuFormula"
@@ -75,7 +68,6 @@ class Mu(Node):
     notation = (0, "mu {var}. ", ("body", 0))
 
 
-@dataclass(frozen=True, eq=False)
 class Nu(Node):
     var: str
     body: "MuFormula"

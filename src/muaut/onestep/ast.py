@@ -75,49 +75,42 @@ def _match_expanded_w(args: tuple[Formula, ...]):
     return None
 
 
-@dataclass(frozen=True, eq=False)
 class Pred(_OneStep):
     name: str
     var: str
     notation = (None, "{name}({var})")
 
 
-@dataclass(frozen=True, eq=False)
 class NegPred(_OneStep):
     name: str
     var: str
     notation = (None, "!{name}({var})")
 
 
-@dataclass(frozen=True, eq=False)
 class Eq(_OneStep):
     left: str
     right: str
     notation = (None, "{left}={right}")
 
 
-@dataclass(frozen=True, eq=False)
 class Neq(_OneStep):
     left: str
     right: str
     notation = (None, "{left}!={right}")
 
 
-@dataclass(frozen=True, eq=False)
 class And(_OneStep):
     args: tuple["Formula", ...]
     subs = ("args",)
     notation = infix(" & ", 2, 1, "true")
 
 
-@dataclass(frozen=True, eq=False)
 class Or(_OneStep):
     args: tuple["Formula", ...]
     subs = ("args",)
     notation = infix(" | ", 1, 0, "false")
 
 
-@dataclass(frozen=True, eq=False)
 class Exists(_OneStep):
     var: str
     body: "Formula"
@@ -125,7 +118,6 @@ class Exists(_OneStep):
     notation = (0, "E {var}. ", ("body", 0))
 
 
-@dataclass(frozen=True, eq=False)
 class Forall(_OneStep):
     var: str
     body: "Formula"
@@ -133,7 +125,6 @@ class Forall(_OneStep):
     notation = (0, "A {var}. ", ("body", 0))
 
 
-@dataclass(frozen=True, eq=False)
 class ExistsInf(_OneStep):
     var: str
     body: "Formula"
@@ -141,7 +132,6 @@ class ExistsInf(_OneStep):
     notation = (0, "Einf {var}. ", ("body", 0))
 
 
-@dataclass(frozen=True, eq=False)
 class ForallInf(_OneStep):
     var: str
     body: "Formula"
@@ -149,7 +139,6 @@ class ForallInf(_OneStep):
     notation = (0, "Ainf {var}. ", ("body", 0))
 
 
-@dataclass(frozen=True, eq=False)
 class W(_OneStep):
     """Sugar: W x.(f, g) abbreviates Ax.(f | g) & Ainf x. g."""
 

@@ -1,10 +1,11 @@
 """One node layer, one lexer, one parser and one printer under the three
 formula grammars.
 
-Every AST node class is a frozen dataclass over `Node`, which interns nodes
-and gives the walkers `children` and `rebuild`; `stored` keeps a value derived
-once per node on it, and `scoped` walks under a context: a generator step
-yields the (subformula, context) pairs it needs and returns its node's value.
+Every AST node class is a `Node`, which builds, freezes, interns and prints
+nodes from the fields the class annotates and gives the walkers `children`
+and `rebuild`; `stored` keeps a value derived once per node on it, and
+`scoped` walks under a context: a generator step yields the (subformula,
+context) pairs it needs and returns its node's value.
 Each node class declares its `notation` once: `pretty` prints it, and a
 `Grammar` reads the same notations backwards as rules, so the one-step,
 fixpoint and second-order grammars declare only their context rules.
@@ -46,8 +47,11 @@ class _Interned(type):
         ref = _interned.get(key)
         node = ref and ref()
         if node is None:
-            new = type.__call__(cls, *args)
-            new.__dict__["_hash"] = hash((cls.__name__, *args))  # never from an id
+            fields = cls.__match_args__
+            if len(args) != len(fields):
+                raise TypeError("%s takes %d fields, got %d" % (cls.__name__, len(fields), len(args)))
+            new = object.__new__(cls)  # filled once, past the frozen guard
+            new.__dict__.update(zip(fields, args), _hash=hash((cls.__name__, *args)))  # never from an id
             ref = _Ref(new, _drop)
             ref.key = key
             # each try is one atomic dict step, so threads never hold two live
@@ -144,18 +148,33 @@ def rebuilt(node, ctx, cls=None):
 
 
 class Node(metaclass=_Interned):
-    """Base of the AST node classes, each a `@dataclass(frozen=True,
-    eq=False)`: nodes are interned, so `==` is `is`, and hashes are stored.
+    """Base of the AST node classes.  A node class annotates its fields, in
+    order, and nothing else: they are its `__match_args__`, the arguments
+    that build a node, and the repr `Cls(field=value, ...)`.  Nodes are
+    frozen and interned, so `==` is `is`, and hashes are stored.
 
     A node class names its subformula fields once, in the class attribute
     `subs`; each such field holds one node or a tuple of nodes of the same
-    syntax.  `subs` is no dataclass field, so repr and `__match_args__` are
-    the plain dataclass ones.  `derive` gives a node's facts from its kids'.
-    Each class also declares its `notation`, which `pretty` prints.
+    syntax.  `derive` gives a node's facts from its kids'.  Each class also
+    declares its `notation`, which `pretty` prints.
     """
 
     subs: tuple[str, ...] = ()
     notation: tuple
+
+    def __init_subclass__(cls):
+        # the class's own annotations: Python 3.10 would read a base's here
+        cls.__match_args__ = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to %r: nodes are frozen" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete %r: nodes are frozen" % name)
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__match_args__))
 
     def __hash__(self) -> int:
         return self._hash

@@ -55,13 +55,35 @@ def test_adequacy_random():
         assert mc.game_value(f, lts) == (lts.init in mc.semantics_eval(f, lts))
 
 
+def _doubled(lts):
+    """A bisimilar copy with each state s twice, as s and s + n."""
+    n, succ = lts.n, lts.successor_table()
+    edges = [(u + i * n, v + j * n) for u in range(n) for v in succ[u] for i in (0, 1) for j in (0, 1)]
+    return L.LTS(lts.props, 2 * n, edges, lts.colours * 2, lts.init + n)
+
+
 def test_bisimulation_invariance():
+    # a system, its quotient and a copy with each state doubled: the
+    # semantics agrees at every bisimilar pair of states, and the
+    # evaluation game and the formula's automaton give its initial answer
     rng = random.Random(21)
-    for _ in range(25):
-        s = gen.rand_lts(rng, ("p", "q"), max_states=5)
-        t = L.quotient(s)
-        f = gen.rand_mu(rng, ("p", "q"), depth=2, mode="any")
-        assert (s.init in mc.semantics_eval(f, s)) == (t.init in mc.semantics_eval(f, t))
+    props = L.PropSet(("p", "q"))
+    answers = []
+    for i in range(99):
+        f = gen.rand_mu(rng, props.names, depth=rng.randint(2, 4), mode=("any", "af", "cont")[i % 3],
+                        modalities=("plain", o.FOE1)[i // 3 % 2])
+        aut = au.from_formula(f, props)
+        s = gen.rand_lts(rng, props.names, max_states=5)
+        sem_s = mc.semantics_eval(f, s)
+        answers.append(s.init in sem_s)
+        for t in (s, L.quotient(s), _doubled(s)):
+            rel = L.bisimilar(s, t)
+            assert rel is not None
+            assert {u for u, _ in rel} == set(s.states()) and {v for _, v in rel} == set(t.states())
+            sem_t = mc.semantics_eval(f, t)
+            assert all((u in sem_s) == (v in sem_t) for u, v in rel), mc.pretty(f)
+            assert mc.game_value(f, t) == au.accepts(aut, t) == answers[-1], mc.pretty(f)
+    assert 20 < sum(answers) < 80
 
 
 def test_modal_step_on_dense_successor_sets():

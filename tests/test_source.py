@@ -96,3 +96,26 @@ def test_every_lru_cache_has_an_integer_maxsize():
     unbounded = ["%s:%d" % (path.relative_to(SRC), n.lineno)
                  for path, tree in _trees().items() for n in _unbounded_caches(tree)]
     assert unbounded == []
+
+
+def _node_classes(trees):
+    """(path, class) for each class that subclasses `Node`, directly or
+    through another such class."""
+    classes = [(p, n) for p, tree in trees.items() for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+    names = {"Node"}
+    while True:
+        found = {n.name for _, n in classes if any(_named(b, m) for b in n.bases for m in names)}
+        if found <= names:
+            return [(p, n) for p, n in classes if n.name in names - {"Node"}]
+        names |= found
+
+
+def test_no_node_class_is_a_dataclass():
+    # `Node` builds, freezes and prints every node from the annotated
+    # fields; a dataclass decorator would generate a second constructor
+    nodes = _node_classes(_trees())
+    assert len(nodes) >= 28
+    decorated = ["%s: %s" % (p.relative_to(SRC), n.name) for p, n in nodes
+                 if any(_named(d.func if isinstance(d, ast.Call) else d, "dataclass")
+                        for d in n.decorator_list)]
+    assert decorated == []

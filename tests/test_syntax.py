@@ -230,8 +230,8 @@ def test_subformula_fields_are_the_fields_that_hold_formulas(classes, formula, g
     # annotations are strings such as "'Formula'", "tuple['Formula', ...]" or "o.Formula"
     for cls in classes:
         assert issubclass(cls, Node)
-        typed = [f.name for f in dataclasses.fields(cls) if f.type.replace("'", "").replace(
-                 '"', "") in (formula, "tuple[%s, ...]" % formula)]
+        typed = [name for name, kind in cls.__dict__["__annotations__"].items()
+                 if kind.replace("'", "").replace('"', "") in (formula, "tuple[%s, ...]" % formula)]
         assert list(cls.subs) == typed, cls
         assert "subs" not in cls.__match_args__
     # and in parsed formulas of the grammar: subformula fields hold nodes of
@@ -506,10 +506,41 @@ def test_equal_parses_are_one_node():
 
 
 def test_node_classes_compare_by_identity_and_keep_the_stored_hash():
-    # a node class declared without eq=False would get the recursive dataclass ones
+    # an `__eq__` or `__hash__` on a node class would compare or hash recursively
     for classes, _, _ in SYNTAXES.values():
         for cls in classes:
             assert cls.__eq__ is object.__eq__ and cls.__hash__ is Node.__hash__, cls
+
+
+def test_nodes_are_frozen_built_from_their_fields_and_copied_as_themselves():
+    # what a frozen dataclass gave each node class, and `Node` now gives
+    nodes = {}
+    for _, _, f, _ in _corpus():
+        for g in _nodes(getattr(f, "ast", f)):
+            nodes.setdefault(type(g), g)
+    assert set(nodes) == {cls for classes, _, _ in SYNTAXES.values() for cls in classes}
+    for cls, node in nodes.items():
+        assert not dataclasses.is_dataclass(cls), cls
+        fields = tuple(cls.__dict__["__annotations__"])
+        assert cls.__match_args__ == fields, cls
+        values = tuple(getattr(node, name) for name in fields)
+        assert cls(*values) is node
+        for name in fields + ("facts",):
+            with pytest.raises(AttributeError):
+                setattr(node, name, values[0])
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+        assert tuple(getattr(node, name) for name in fields) == values
+        for wrong in (values[:-1], values + values[:1]):
+            with pytest.raises(TypeError):
+                cls(*wrong)
+        assert pickle.loads(pickle.dumps(node)) is copy.deepcopy(node) is node
+    assert o.W.__match_args__ == ("var", "finite", "cofinite")
+    assert repr(o.Pred("a", "x")) == "Pred(name='a', var='x')"
+    assert repr(mso.Or(mso.Down("r"), mso.Not(mso.Down("r")))) == \
+        "Or(left=Down(p='r'), right=Not(body=Down(p='r')))"
+    assert repr(mc.parse("dia p")) == ("Modal(alpha=Exists(var='x', body=Pred(name='a1', var='x')), "
+                                       "args=(Prop(name='p'),))")
 
 
 def test_a_reparsed_sentence_hits_the_normal_form_cache():
