@@ -426,6 +426,21 @@ def test_winning_regions_match_recorded_corpus():
     assert h.hexdigest() == RECORDED_REGIONS
 
 
+# sha256 of the Exists region and both positional strategies of every game
+# of `_region_corpus`, recorded from the solver whose SCC split kept Tarjan's
+# numbers in dicts; a change of strategy with unchanged regions fails here
+RECORDED_STRATEGIES = "3bde7af2d76785e35469ec84063cef821a84a3fa11cedd1b91a506c150969ec9"
+
+
+def test_strategies_match_recorded_corpus():
+    h = hashlib.sha256()
+    for g in _region_corpus():
+        sol = pg.solve(g)
+        h.update(repr((sorted(sol.win_exists), sorted(sol.strategy_exists.items()),
+                       sorted(sol.strategy_forall.items()))).encode())
+    assert h.hexdigest() == RECORDED_STRATEGIES
+
+
 def _ladder(n):
     """Position i loops with priority i or steps to i + 1; owners alternate."""
     moves = tuple((i, i + 1) if i + 1 < n else (i,) for i in range(n))
