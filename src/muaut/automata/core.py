@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .. import onestep as o
-from ..lts import LTS, PropSet, json_list, json_shape
+from ..lts import LTS, PropSet, json_int, json_list, json_shape
 from ..onestep.models import _min_valuations_range
 from ..paritygame import EXISTS, ParityGame, _sccs, build_arena, solve
 
@@ -91,9 +91,9 @@ def automaton_from_json(data: dict) -> ParityAutomaton:
                                  % (key, entry[0], sorted(entry[1])))
             delta[entry] = o.parse_formula(text)
         return ParityAutomaton(
-            data["dialect"], props, int(data["states"]), int(data["init"]),
-            tuple(int(x) for x in json_list(data["omega"], "omega")), delta,
-            frozenset(json_list(data.get("macro", ()), "macro")),
+            data["dialect"], props, json_int(data["states"], "states"), json_int(data["init"], "init"),
+            tuple(json_int(x, "a priority") for x in json_list(data["omega"], "omega")), delta,
+            frozenset(json_int(x, "a macro-state") for x in json_list(data.get("macro", ()), "macro")),
         )
 
 

@@ -203,6 +203,15 @@ def json_list(value, what: str, of_lists: bool = False):
     return value
 
 
+def json_int(value, what: str) -> int:
+    """value, which must be a JSON integer: not a bool, and not a float,
+    which int() would truncate or, if infinite, overflow on.  Raises
+    TypeError, which json_shape reports."""
+    if type(value) is not int:
+        raise TypeError("%s must be an integer: %r" % (what, value))
+    return value
+
+
 def from_json(data: dict) -> LTS:
     """Parse the workbench LTS text format.
 
@@ -211,8 +220,8 @@ def from_json(data: dict) -> LTS:
     """
     with json_shape("LTS"):
         ps = PropSet(tuple(json_list(data["props"], "props")))
-        n = int(data["states"])
-        edges = ((int(a), int(b))
+        n = json_int(data["states"], "states")
+        edges = ((json_int(a, "an edge end"), json_int(b, "an edge end"))
                  for a, b in json_list(data.get("edges", []), "edges", of_lists=True))
         colmap: dict[int, list] = {}
         for k, v in data.get("colors", {}).items():
@@ -222,7 +231,7 @@ def from_json(data: dict) -> LTS:
                     k, "repeats state %d" % s if s in colmap else "names no state"))
             colmap[s] = json_list(v, "a colour")
         cols = [frozenset(colmap.get(s, ())) for s in range(n)]
-        lts = LTS(ps, n, edges, tuple(cols), int(data.get("init", 0)))
+        lts = LTS(ps, n, edges, tuple(cols), json_int(data.get("init", 0), "init"))
     rep = validate(lts)
     if not rep.ok:
         raise ValueError("invalid LTS: " + "; ".join(rep.errors))

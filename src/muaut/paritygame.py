@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 from dataclasses import dataclass
 
-from .lts import json_list, json_shape, reach
+from .lts import json_int, json_list, json_shape, reach
 
 EXISTS = 0
 FORALL = 1
+_DONE = sys.maxsize  # `_sccs`: a node outside the call or finished
 
 
 @dataclass(frozen=True)
@@ -51,14 +53,15 @@ def game_from_json(data: dict) -> ParityGame:
     with json_shape("game"):
         tags = json_list(data["owner"], "owner")
         try:
-            owner = tuple(map(_OWNER_TAGS.__getitem__, tags))
+            owner = tuple(_OWNER_TAGS[t if type(t) is str else json_int(t, "an owner")]
+                          for t in tags)
         except KeyError as e:
             raise ValueError("malformed game JSON: unknown owner %r (use %s)" % (
                 e.args[0], "/".join(map(str, _OWNER_TAGS)))) from None
-        moves = tuple(tuple(int(t) for t in m)
+        moves = tuple(tuple(json_int(t, "a move target") for t in m)
                       for m in json_list(data["moves"], "moves", of_lists=True))
-        return ParityGame(owner, moves,
-                          tuple(int(p) for p in json_list(data["priority"], "priority")))
+        return ParityGame(owner, moves, tuple(json_int(p, "a priority")
+                                              for p in json_list(data["priority"], "priority")))
 
 
 def load(path: str) -> ParityGame:
@@ -134,6 +137,7 @@ def solve(g: ParityGame) -> Solution:
     win = [0] * n      # winner of v in the subgame that last decided it
     strat = [-1] * n   # v's move when its owner wins it, set together with win
     scopes = itertools.count(2, 2)
+    tables = None      # `_sccs` tables, made at the first split and shared
 
     def attract(queue, k, sid):
         """Decide backwards from the positions in queue (stamped sid, winner
@@ -173,11 +177,14 @@ def solve(g: ParityGame) -> Solution:
         move inside A.  Yields each nested subgame's positions and whether
         to split it; it is solved, at depth k + 1, when the generator
         resumes."""
-        d = max(prio[v] for v in A)
+        nonlocal tables
+        d = max(map(prio.__getitem__, A))
         p = d & 1
         tops = [v for v in A if prio[v] == d]
         if split and len(tops) < len(A):
-            comps = _sccs(A, moves)
+            if tables is None:
+                tables = _tables(n)
+            comps = _sccs(A, moves, *tables)
             if len(comps) > 1:
                 sid = next(scopes)
                 for comp in comps:
@@ -254,21 +261,19 @@ def _region_closed_and_even(g: ParityGame, region, strat, player) -> bool:
     anything), the strategy total on owned positions with moves, and every
     cycle inside the restricted graph must have player-good dominant parity.
     """
-    graph: dict[int, list[int]] = {}
+    owner, moves = g.owner, g.moves
+    graph = [()] * g.n  # the moves kept inside the region, by position
     for v in region:
-        if g.owner[v] == player:
-            if not g.moves[v]:
-                return False  # player stuck on a claimed-winning position
-            if v not in strat:
-                return False
-            t = strat[v]
-            if t not in g.moves[v] or t not in region:
-                return False
-            graph[v] = [t]
+        succs = moves[v]
+        if owner[v] == player:
+            t = strat.get(v, -1)
+            if t not in succs or t not in region:
+                return False  # player stuck, without a move, or leaving the region
+            graph[v] = (t,)
         else:
-            if any(t not in region for t in g.moves[v]):
+            if not region.issuperset(succs):
                 return False  # opponent escapes the region
-            graph[v] = list(g.moves[v])
+            graph[v] = succs
     # no cycle may be dominated by the opponent's parity
     return next(_dominated_cycles(region, graph, g.priority, 1 - player), None) is None
 
@@ -278,52 +283,79 @@ def _dominated_cycles(nodes, graph, priority, parity):
     as node lists, lazily: the nodes are split into SCCs; a nontrivial SCC
     is yielded if its top priority has that parity, and otherwise split
     again without its top-priority nodes.  Every node on such a cycle is in
-    some yielded list, and every yielded list holds such a cycle."""
+    some yielded list, and every yielded list holds such a cycle.  One pair
+    of `_sccs` tables serves every split."""
+    num, low = _tables(_span(nodes, graph))
     work = [nodes]
     while work:
         part = work.pop()
         if all(priority[v] % 2 != parity for v in part):
             continue
-        for comp in _sccs(part, graph):
+        for comp in _sccs(part, graph, num, low):
             if len(comp) == 1 and comp[0] not in graph[comp[0]]:
                 continue
-            d = max(priority[v] for v in comp)
+            d = max(map(priority.__getitem__, comp))
             if d % 2 == parity:
                 yield comp
             else:
                 work.append([v for v in comp if priority[v] != d])
 
 
-def _sccs(nodes, graph):
+def _tables(size):
+    """A pair of Tarjan tables for `_sccs` on nodes below size, every
+    entry `_DONE`."""
+    return [_DONE] * size, [0] * size
+
+
+def _span(nodes, graph):
+    """One more than the largest of the nodes and their successors."""
+    succs = itertools.chain.from_iterable(map(graph.__getitem__, nodes))
+    return 1 + max(itertools.chain(nodes, succs), default=-1)
+
+
+def _sccs(nodes, graph, num=None, low=None):
     """Strongly connected components of the graph v -> graph[v] restricted
     to nodes, sinks first: every edge between two components leads to an
-    earlier one (Tarjan, on an explicit stack)."""
-    inside = set(nodes)
-    index = {}
-    low = {}        # holds exactly the nodes still on the stack
+    earlier one (Tarjan, on an explicit stack).
+
+    Tarjan's numbers live in the position-indexed tables num and low: num[v]
+    is -1 for a node not yet visited, `_DONE` for a node outside nodes or
+    finished, and otherwise v's DFS number while v is on the stack; low[v]
+    is its lowlink.  num must be all `_DONE` on entry, and every node ends
+    `_DONE`, so one pair of tables serves any number of calls, each costing
+    O(nodes + their moves).  Without tables, a pair is made to fit the nodes
+    and their successors."""
+    if num is None:
+        num, low = _tables(_span(nodes, graph))
+    for v in nodes:
+        num[v] = -1
+    count = 0
     stack = []
     out = []
     for root in nodes:
-        if root in index:
+        if num[root] >= 0:
             continue
-        index[root] = low[root] = len(index)
+        num[root] = low[root] = count
+        count += 1
         stack.append(root)
         work = [(root, iter(graph[root]))]
         while work:
             v, it = work[-1]
+            lv = low[v]
             for t in it:
-                if t in low:
-                    if index[t] < low[v]:
-                        low[v] = index[t]
-                elif t not in index and t in inside:
-                    index[t] = low[t] = len(index)
+                nt = num[t]
+                if nt < 0:
+                    low[v] = lv
+                    num[t] = low[t] = count
+                    count += 1
                     stack.append(t)
                     work.append((t, iter(graph[t])))
                     break
+                if nt < lv:  # t is on the stack: a finished node is _DONE
+                    lv = nt
             else:
                 work.pop()
-                lv = low[v]
-                if lv < index[v]:
+                if lv < num[v]:
                     u = work[-1][0]
                     if lv < low[u]:
                         low[u] = lv
@@ -331,7 +363,7 @@ def _sccs(nodes, graph):
                 comp = []
                 while True:
                     w = stack.pop()
-                    del low[w]
+                    num[w] = _DONE
                     comp.append(w)
                     if w == v:
                         break

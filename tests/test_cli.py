@@ -409,6 +409,13 @@ _LOOP = {"props": ["p", "q"], "states": 1, "edges": [[0, 0]], "colors": {}, "ini
 _GAME = {"owner": ["E"], "moves": [[0]], "priority": [0]}
 _AUT = {"dialect": "FO1", "props": ["p"], "states": 1, "init": 0, "omega": [0],
         "delta": {"0,": "true", "0,p": "true"}}
+
+
+def _with_text(data, key, text):
+    """The JSON text of data with key set to text, written as is."""
+    return json.dumps({**data, key: None}).replace('"%s": null' % key, '"%s": %s' % (key, text))
+
+
 _MISTYPED = [
     ("lts", [1]), ("lts", {**_LOOP, "colors": [["p"]]}), ("lts", {**_LOOP, "props": 3}),
     ("lts", {**_LOOP, "edges": [3]}), ("lts", {**_LOOP, "colors": {"0": 3}}),
@@ -421,13 +428,21 @@ _MISTYPED = [
     ("model", {"size": "2"}), ("model", {"size": 2, "valuation": {"a": [0.5]}}),
     ("model", {"size": 2, "valuation": {"a": [True]}}), ("model", {"size": 2, "valuation": {"a": [2]}}),
     ("model", {"size": 2, "valuation": {"a": "01"}}), ("aut", {**_AUT, "macro": [5]}),
+    # integer fields: a bool, a float and 1e400, which reads as an infinite float
+    ("lts", _with_text(_LOOP, "states", "1e400")), ("lts", _with_text(_LOOP, "init", "1e400")),
+    ("lts", {**_LOOP, "states": 2, "edges": [[0, 1.7]]}), ("lts", {**_LOOP, "states": True}),
+    ("lts", {**_LOOP, "init": False}), ("game", _with_text(_GAME, "priority", "[1e400]")),
+    ("game", {"owner": ["E", "A"], "moves": [[True], [0]], "priority": [0, 1]}),
+    ("game", {**_GAME, "moves": [[0.0]]}), ("game", {**_GAME, "owner": [1.0]}),
+    ("aut", _with_text(_AUT, "omega", "[1e400]")), ("aut", {**_AUT, "states": 1.0}),
+    ("aut", {**_AUT, "init": False}), ("aut", {**_AUT, "macro": [False]}),
 ]
 
 
 @pytest.mark.parametrize("kind,data", _MISTYPED)
 def test_mistyped_json_is_a_clean_error(kind, data, tmp_path, capsys, loop_file):
     path = tmp_path / "in.json"
-    path.write_text(json.dumps(data))
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
     if kind == "lts":
         assert cli.main(["lts", "validate", str(path)]) == 1
         assert capsys.readouterr().out.startswith("invalid: ")

@@ -309,12 +309,17 @@ def _reach_sets(nodes, graph):
     return out
 
 
-def test_sccs_match_mutual_reachability_sinks_first():
+def _rand_sccs_cases():
+    """300 random graphs, each with a random subset of its nodes."""
     rng = random.Random(41)
     for _ in range(300):
         n = rng.randint(1, 14)
         graph = _rand_graph(rng, n)
-        nodes = rng.sample(range(n), rng.randint(1, n))
+        yield rng.sample(range(n), rng.randint(1, n)), graph
+
+
+def test_sccs_match_mutual_reachability_sinks_first():
+    for nodes, graph in _rand_sccs_cases():
         reach = _reach_sets(nodes, graph)
         comps = pg._sccs(nodes, graph)
         assert sorted(v for c in comps for v in c) == sorted(nodes)
@@ -324,6 +329,93 @@ def test_sccs_match_mutual_reachability_sinks_first():
                 assert (which[u] == which[v]) == (v in reach[u] and u in reach[v])
                 if v in graph[u] and which[u] != which[v]:
                     assert which[v] < which[u]  # edges lead to earlier components
+
+
+def _sccs_by_dicts(nodes, graph):
+    """Reference for `_sccs`: the same Tarjan with its numbers in dicts and
+    membership in a set, as it was before its tables were indexed by
+    position.  `_sccs` must return exactly these lists, so that no region
+    or strategy of the solver moves."""
+    inside = set(nodes)
+    index = {}
+    low = {}        # holds exactly the nodes still on the stack
+    stack = []
+    out = []
+    for root in nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(graph[root]))]
+        while work:
+            v, it = work[-1]
+            for t in it:
+                if t in low:
+                    if index[t] < low[v]:
+                        low[v] = index[t]
+                elif t not in index and t in inside:
+                    index[t] = low[t] = len(index)
+                    stack.append(t)
+                    work.append((t, iter(graph[t])))
+                    break
+            else:
+                work.pop()
+                lv = low[v]
+                if lv < index[v]:
+                    u = work[-1][0]
+                    if lv < low[u]:
+                        low[u] = lv
+                    continue
+                comp = []
+                while True:
+                    w = stack.pop()
+                    del low[w]
+                    comp.append(w)
+                    if w == v:
+                        break
+                out.append(comp)
+    return out
+
+
+def _assert_sccs_as_reference(nodes, graph, num, low):
+    """`_sccs` on graph as given and as a tuple of rows returns the
+    reference's lists, with its own tables and with the shared pair, which
+    it leaves all `_DONE`."""
+    want = _sccs_by_dicts(nodes, graph)
+    rows = tuple(tuple(graph[v]) for v in range(len(graph)))
+    assert pg._sccs(nodes, graph) == want
+    assert pg._sccs(nodes, rows) == want
+    assert pg._sccs(nodes, rows, num, low) == want
+    assert num.count(pg._DONE) == len(num)
+
+
+def test_sccs_match_the_dict_reference_exactly():
+    num, low = pg._tables(14)
+    for nodes, graph in _rand_sccs_cases():
+        _assert_sccs_as_reference(nodes, graph, num, low)
+
+
+def test_sccs_skip_successors_outside_the_nodes_and_above_them():
+    rng = random.Random(45)
+    num, low = pg._tables(20)
+    above = 0
+    for _ in range(300):
+        n = rng.randint(1, 14)
+        graph = _rand_graph(rng, n + rng.randint(1, 6))  # nodes n.. are successors only
+        nodes = rng.sample(range(n), rng.randint(1, n))
+        above += any(t > max(nodes) for v in nodes for t in graph[v])
+        _assert_sccs_as_reference(nodes, graph, num, low)
+    assert above > 100
+
+
+def test_sccs_match_the_dict_reference_on_the_benchmark_games():
+    for g in _games_corpus_random_games():
+        num, low = pg._tables(g.n)
+        # the whole game, as at the first split, and a part of it, as on a
+        # re-split, with one pair of tables
+        for nodes in (range(g.n), [v for v in range(g.n) if g.priority[v] % 5]):
+            assert pg._sccs(nodes, g.moves, num, low) == _sccs_by_dicts(nodes, g.moves)
+            assert num.count(pg._DONE) == g.n
 
 
 def _dominated_cycles_by_priority(nodes, graph, priority, parity):
@@ -439,6 +531,34 @@ def test_strategies_match_recorded_corpus():
         h.update(repr((sorted(sol.win_exists), sorted(sol.strategy_exists.items()),
                        sorted(sol.strategy_forall.items()))).encode())
     assert h.hexdigest() == RECORDED_STRATEGIES
+
+
+def _four_cycles(n, seed):
+    """n positions, n a multiple of 4, in disjoint 4-cycles: each position
+    steps along its cycle or stays, with seeded owners and priorities 0-5.
+    Most cycles are split again inside their Zielonka steps."""
+    rng = random.Random(seed)
+    moves = tuple(tuple(sorted((v, v - v % 4 + (v + 1) % 4))) for v in range(n))
+    return pg.ParityGame(tuple(rng.randrange(2) for _ in range(n)), moves,
+                         tuple(rng.randrange(6) for _ in range(n)))
+
+
+def test_solve_makes_at_most_one_pair_of_scc_tables(monkeypatch):
+    made, splits = [], []
+    tables, sccs = pg._tables, pg._sccs
+    monkeypatch.setattr(pg, "_tables", lambda size: made.append(size) or tables(size))
+    monkeypatch.setattr(pg, "_sccs", lambda *args: splits.append(1) or sccs(*args))
+    g = _four_cycles(4000, 1)
+    sol = pg.solve(g)
+    assert made == [g.n] and len(splits) > 500
+    # one pair for each region's cycle check
+    made.clear()
+    assert pg.check_strategy(g, sol)
+    assert len(made) == 2
+    # a solve that never splits makes none
+    made.clear()
+    pg.solve(pg.ParityGame((pg.EXISTS,) * 2, ((0, 1), (0,)), (2, 2)))
+    assert made == []
 
 
 def _ladder(n):
