@@ -36,6 +36,8 @@ class ParityAutomaton:
     macro_states: frozenset[int] = frozenset()  # second sort of a construct
 
     def __post_init__(self):
+        if self.dialect not in o.DIALECTS:
+            raise ValueError("unknown dialect %r (known: %s)" % (self.dialect, "/".join(o.DIALECTS)))
         if len(self.omega) != self.n:
             raise ValueError("priority map not total")
         if not (0 <= self.init < self.n):
@@ -63,6 +65,20 @@ class ParityAutomaton:
 
     def entry(self, a: int, colour: frozenset[str]) -> o.Formula:
         return self.delta[(a, colour)]
+
+    @cached_property
+    def occurrence_edges(self) -> tuple[frozenset[int], ...]:
+        """The states each state's entries name, by state."""
+        colours = self.props.colours()
+        return tuple(frozenset(pred_state(p) for c in colours for p in o.predicates(self.entry(a, c)))
+                     for a in range(self.n))
+
+    @cached_property
+    def clusters(self) -> tuple[frozenset[int], ...]:
+        """The cells of mutual reachability of the occurrence edges, sinks
+        first: every edge between two cells leads to an earlier one.  Both
+        are found on first use and kept with the automaton."""
+        return tuple(map(frozenset, _sccs(range(self.n), [sorted(e) for e in self.occurrence_edges])))
 
     def to_json(self) -> dict:
         out = {}
@@ -123,6 +139,30 @@ class AcceptanceGame:
                      for code in self.codes)
 
 
+def _valuations(aut: ParityAutomaton, lts: LTS):
+    """Exists's moves at a basic code a * lts.n + s, each the tuple of the
+    basic codes it names, in the order of its sorted (predicate, node)
+    pairs: the minimal valuations of a's entry over s's successors, read
+    from the `onestep.models._min_valuations_range` memo, turned once per
+    (state, colour, out-degree) into a template of (base code, successor
+    index) pairs, and relabelled onto the node's successors."""
+    if aut.props.names != lts.props.names:
+        raise AlphabetMismatch("automaton alphabet %r vs system %r" % (aut.props.names, lts.props.names))
+    n, succ = lts.n, lts.successor_table()
+    base = {pred_name(a): a * n for a in range(aut.n)}
+    templates: dict[tuple, list] = {}  # (state, colour, out-degree) -> [((base, index), ...)]
+
+    def valuations(pos):
+        a, s = divmod(pos, n)
+        colour, ss = lts.colours[s], succ[s]
+        key = (a, colour, len(ss))
+        if key not in templates:
+            templates[key] = [tuple((base[b], d) for b, d in mv)
+                              for mv in _min_valuations_range(aut.entry(a, colour), len(ss))]
+        return [tuple([c + ss[d] for c, d in mv]) for mv in templates[key]]
+    return valuations
+
+
 def acceptance_game(aut: ParityAutomaton, lts: LTS, full_enumeration: bool = False) -> AcceptanceGame:
     """The acceptance parity game.
 
@@ -130,12 +170,8 @@ def acceptance_game(aut: ParityAutomaton, lts: LTS, full_enumeration: bool = Fal
     priority; her moves are valuations of the state predicates over the
     node's successors satisfying the transition entry.  Valuation
     positions belong to Forall with priority 0.  Minimal valuations
-    suffice by monotonicity; they are read, sorted, from the
-    `onestep.models._min_valuations_range` memo (one entry per transition
-    entry and out-degree), turned once per (state, colour, out-degree) into
-    a template of (base code, successor index) pairs, and relabelled onto
-    each node's successors.  The full enumeration (`onestep.all_valuations`)
-    is a regression oracle.
+    suffice by monotonicity (`_valuations`); the full enumeration
+    (`onestep.all_valuations`) is a regression oracle.
 
     The arena is built over integer codes: the basic position (a, s) is
     a * lts.n + s, and a valuation position is the tuple of the basic
@@ -143,33 +179,80 @@ def acceptance_game(aut: ParityAutomaton, lts: LTS, full_enumeration: bool = Fal
     which `build_arena` makes Forall's choice.  `positions` decodes them
     on demand.
     """
-    if aut.props.names != lts.props.names:
-        raise AlphabetMismatch("automaton alphabet %r vs system %r" % (aut.props.names, lts.props.names))
-    n, succ = lts.n, lts.successor_table()
-    base = {pred_name(a): a * n for a in range(aut.n)}
-    templates: dict[tuple, list] = {}  # (state, colour, out-degree) -> [((base, index), ...)]
+    valuations, n, succ = _valuations(aut, lts), lts.n, lts.successor_table()
 
     def expand(pos):
         a, s = divmod(pos, n)
-        colour, ss = lts.colours[s], succ[s]
-        if full_enumeration:
-            f = aut.entry(a, colour)
-            vals = [tuple(base[b] + t for b, t in sorted(v)) for v in o.all_valuations(f, ss)]
-        else:
-            key = (a, colour, len(ss))
-            if key not in templates:
-                templates[key] = [tuple((base[b], d) for b, d in mv)
-                                  for mv in _min_valuations_range(aut.entry(a, colour), len(ss))]
-            vals = [tuple(c + ss[d] for c, d in mv) for mv in templates[key]]
-        return EXISTS, aut.omega[a], vals
+        if not full_enumeration:
+            return EXISTS, aut.omega[a], valuations(pos)
+        return EXISTS, aut.omega[a], [tuple(pred_state(b) * n + t for b, t in sorted(v))
+                                      for v in o.all_valuations(aut.entry(a, lts.colours[s]), succ[s])]
 
     game, codes = build_arena([aut.init * n + lts.init], expand)
     return AcceptanceGame(game, codes, n, 0)
 
 
 def accepts(aut: ParityAutomaton, lts: LTS) -> bool:
-    ag = acceptance_game(aut, lts)
-    return ag.root in solve(ag.game).win_exists
+    """Whether Exists wins the acceptance game from its root.
+
+    A play ends in one cluster, where the top priority it meets infinitely
+    often is the larger of 0, a valuation's, and the cluster's.  So on a
+    weak automaton, one priority per cluster, the pairs reachable from the
+    root are decided cluster by cluster, sinks first (all at once if every
+    state has one priority), with no arena: if that priority is odd, by a
+    least fixpoint (a pair wins once one of its valuations has only winning
+    members), else by a greatest one (a pair loses once each valuation has
+    a losing member).  Counters propagate: `need` is what a pair lacks,
+    `count` what a valuation does.  Any other automaton's game is built and
+    solved."""
+    omega = aut.omega
+    clusters = (range(aut.n),) if len(set(omega)) == 1 else aut.clusters  # one priority: one fixpoint
+    if any(len({omega[a] for a in c}) > 1 for c in clusters):
+        ag = acceptance_game(aut, lts)
+        return ag.root in solve(ag.game).win_exists
+    valuations, n = _valuations(aut, lts), lts.n
+    root = aut.init * n + lts.init
+    vals, todo = {root: valuations(root)}, [root]
+    while todo:
+        for v in vals[todo.pop()]:
+            for c in v:
+                if c not in vals:
+                    vals[c] = valuations(c)
+                    todo.append(c)
+    cell = {a: i for i, c in enumerate(clusters) for a in c}
+    members: list[dict] = [{} for _ in clusters]  # per cluster: pair -> the valuations holding it
+    for c in vals:
+        members[cell[c // n]][c] = []
+    won: dict[int, bool] = {}
+    for cluster, holders in zip(clusters, members):
+        least = max(omega[min(cluster)], 0) % 2 == 1
+        owner, count, need, queue = [], [], {}, []
+        for c in holders:
+            need[c] = least
+            for v in vals[c]:
+                i, k = len(owner), 0  # k: the members inside, or -1 once one outside loses
+                owner.append(c)
+                for m in v:
+                    hs = holders.get(m)
+                    if hs is not None:
+                        hs.append(i)
+                        k += 1
+                    elif not won[m]:
+                        k = -1
+                        break
+                count.append(k if least or k < 0 else 1)  # below 0, it never reaches 0
+                need[c] += -(k == 0) if least else k >= 0
+            if need[c] <= 0:
+                queue.append(c)
+        for c in queue:
+            for i in holders[c]:
+                count[i] -= 1
+                if not count[i]:
+                    need[owner[i]] -= 1
+                    if not need[owner[i]]:
+                        queue.append(owner[i])
+        won.update({**dict.fromkeys(holders, not least), **dict.fromkeys(queue, least)})
+    return won[root]
 
 
 def complement(aut: ParityAutomaton) -> ParityAutomaton:
@@ -187,18 +270,6 @@ class ClusterReport:
     continuous_weak: bool
 
 
-def occurrence_edges(aut: ParityAutomaton) -> dict[int, set[int]]:
-    out: dict[int, set[int]] = {a: set() for a in range(aut.n)}
-    for (a, _), f in aut.delta.items():
-        out[a].update(map(pred_state, o.predicates(f)))
-    return out
-
-
-def _clusters(n: int, edges: dict[int, set[int]]) -> tuple[frozenset[int], ...]:
-    """The cells of mutual reachability of the occurrence edges."""
-    return tuple(map(frozenset, _sccs(list(range(n)), {a: sorted(edges[a]) for a in range(n)})))
-
-
 def classify_automaton(aut: ParityAutomaton) -> ClusterReport:
     """Clusters (cells of mutual reachability), weakness and continuity.
 
@@ -206,26 +277,14 @@ def classify_automaton(aut: ParityAutomaton) -> ClusterReport:
     M, odd states have all entries in the M-continuous fragment and even
     states in the co-continuous one.
     """
-    edges = occurrence_edges(aut)
-    clusters = _clusters(aut.n, edges)
-    degenerate = tuple(
-        len(c) == 1 and next(iter(c)) not in edges[next(iter(c))]
-        for c in clusters
-    )
+    edges, clusters = aut.occurrence_edges, aut.clusters
+    degenerate = tuple(len(c) == 1 and min(c) not in edges[min(c)] for c in clusters)
     weak = all(len({aut.omega[a] for a in c}) == 1 for c in clusters)
-    cw = weak
-    if weak:
-        for c in clusters:
-            mpreds = frozenset(pred_name(a) for a in c)
-            for a in c:
-                for colour in aut.props.colours():
-                    f = aut.entry(a, colour)
-                    if aut.omega[a] % 2 == 1:
-                        if not o.in_continuous_fragment(f, mpreds):
-                            cw = False
-                    else:
-                        if not o.in_cocontinuous_fragment(f, mpreds):
-                            cw = False
+    cw = weak and all(
+        (o.in_continuous_fragment if aut.omega[a] % 2 else o.in_cocontinuous_fragment)(
+            aut.entry(a, colour), mpreds)
+        for c in clusters for mpreds in [frozenset(map(pred_name, c))]
+        for a in c for colour in aut.props.colours())
     return ClusterReport(clusters, degenerate, weak, cw)
 
 
@@ -241,7 +300,7 @@ def collapse_priorities(aut: ParityAutomaton, neutral: frozenset[int] = frozense
     priority becomes its parity.
     """
     omega = list(aut.omega)
-    for cluster in _clusters(aut.n, occurrence_edges(aut)):
+    for cluster in aut.clusters:
         parities = {aut.omega[a] % 2 for a in cluster if a not in neutral}
         if len(parities) == 1:
             par = parities.pop()

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from .. import mucalc as mc
 from .. import onestep as o
 from ..lts import PropSet
-from .core import (ParityAutomaton, _clusters, collapse_priorities,
-                   occurrence_edges, pred_name, pred_state)
+from .core import ParityAutomaton, collapse_priorities, pred_name, pred_state
 
 
 def colour_literal(props: PropSet, colour: frozenset[str]) -> mc.MuFormula:
@@ -48,7 +47,7 @@ def to_formula(aut: ParityAutomaton) -> mc.MuFormula:
     alternation-free calculus and continuous-weak ones in the continuous
     calculus."""
     colours = aut.props.colours()
-    edges = occurrence_edges(aut)
+    edges = aut.occurrence_edges
     images: dict[int, mc.MuFormula] = {}
 
     def entry_formula(b: int) -> mc.MuFormula:
@@ -59,7 +58,7 @@ def to_formula(aut: ParityAutomaton) -> mc.MuFormula:
 
     # clusters come sinks first, so every state an entry names outside its
     # own cluster already has its image
-    for cluster in _clusters(aut.n, edges):
+    for cluster in aut.clusters:
         if len(cluster) == 1 and (b := next(iter(cluster))) not in edges[b]:
             images[b] = entry_formula(b)
             continue

@@ -14,6 +14,7 @@ from muaut import onestep as o
 from muaut.automata import constructs, core
 from muaut.automata.constructs import _macro_entry
 from muaut.onestep.ast import _renamed
+from muaut.paritygame import solve
 
 from construct_reference import full_finitary, full_noetherian
 
@@ -50,23 +51,103 @@ def test_constant_automaton():
         assert not au.accepts(bot, lts)
 
 
+def acceptance_pairs(count: int, seed: int = 1):
+    """count (automaton, system) pairs: seeded automata of 1-4 states in
+    every dialect, drawn weak, continuous-weak or unrestricted, their
+    priorities shifted by one of -3..2, each followed by its complement,
+    on random systems of up to 5 states, many with dead ends."""
+    rng = random.Random(seed)
+    for i in range(count // 2):
+        dialect, want = o.DIALECTS[i % 3], ("weak", "cw", "any")[i // 3 % 3]
+        aut = gen.rand_automaton(rng, ("p",), rng.randint(1, 4), dialect=dialect, want=want)
+        shift = rng.randint(-3, 2)
+        aut = au.ParityAutomaton(dialect, aut.props, aut.n, 0, tuple(w + shift for w in aut.omega),
+                                 aut.delta)
+        lts = gen.rand_lts(rng, ("p",), max_states=5)
+        yield aut, lts
+        yield au.complement(aut), lts
+
+
+def arena_disagreements(pairs, full: bool = False) -> list:
+    """The pairs, as JSON, where `accepts` differs from solving the
+    acceptance arena, or with full, the arena on every valuation."""
+    bad = []
+    for aut, lts in pairs:
+        verdicts = {au.accepts(aut, lts)}
+        for enumerate_all in (False, True) if full else (False,):
+            ag = au.acceptance_game(aut, lts, full_enumeration=enumerate_all)
+            verdicts.add(ag.root in solve(ag.game).win_exists)
+        if len(verdicts) > 1:
+            bad.append((aut.to_json(), lts.to_json()))
+    return bad
+
+
 def test_acceptance_minimal_vs_full_moves():
-    rng = random.Random(1)
-    for _ in range(25):
-        aut = gen.rand_automaton(rng, ("p",), rng.randint(1, 2),
-                                 dialect=rng.choice([o.FOE1, o.FOE1INF]), want="any")
-        lts = gen.rand_lts(rng, ("p",), max_states=3)
-        from muaut.paritygame import solve
-        fast = au.acceptance_game(aut, lts)
-        full = au.acceptance_game(aut, lts, full_enumeration=True)
-        assert (fast.root in solve(fast.game).win_exists) == \
-            (full.root in solve(full.game).win_exists)
+    # accepts, which reads no arena on a weak automaton, agrees with the
+    # arena on minimal valuations and with the one on every valuation
+    start = time.perf_counter()
+    pairs = list(acceptance_pairs(2400))
+    assert arena_disagreements(pairs, full=True) == []
+    assert time.perf_counter() - start < 10
+    seen = set()
+    for aut, lts in pairs:
+        rep = au.classify_automaton(aut)
+        seen.add(aut.dialect)
+        seen.add("mixed" if not rep.weak else "weak" if len(set(aut.omega)) == 1 else "weak, stratified")
+        seen.update("degenerate" for d in rep.degenerate if d)
+        seen.update("odd" if max(aut.omega[min(c)], 0) % 2 else "even" for c in rep.clusters)
+        seen.update("negative" for w in aut.omega if w < 0)
+        seen.update("constant" for f in aut.delta.values() if f in (o.TOP, o.BOT))
+        seen.update("dead end" for ss in lts.successor_table() if not ss)
+    assert seen == {*o.DIALECTS, "weak", "weak, stratified", "mixed", "degenerate", "odd", "even",
+                    "negative", "constant", "dead end"}
+
+
+def mixed_automaton():
+    """Two states that name each other at priorities 0 and 1: one cluster
+    of two priorities."""
+    delta = {}
+    for c in props("p").colours():
+        delta[(0, c)] = o.Exists("x", o.Pred("q1", "x"))
+        delta[(1, c)] = o.Exists("x", o.Pred("q0", "x"))
+    return au.ParityAutomaton(o.FOE1, props("p"), 2, 0, (0, 1), delta)
+
+
+def test_accepts_builds_an_arena_only_for_a_mixed_cluster(monkeypatch):
+    built, build_arena = [], core.build_arena
+    monkeypatch.setattr(core, "build_arena", lambda *args: built.append(1) or build_arena(*args))
+    loop = L.make_lts(["p"], 2, [(0, 1), (1, 0)], {1: ["p"]})
+    assert au.accepts(subset_automaton(), L.make_lts(["p", "q"], 1, [], {}))
+    assert au.accepts(au.constant_automaton(props("p"), True), loop)
+    assert not au.accepts(au.complement(au.constant_automaton(props("p"), True)), loop)
+    assert built == []
+    # the play cycles through priorities 0 and 1, or 1 and 2 in the complement
+    assert not au.accepts(mixed_automaton(), loop) and built == [1]
+    assert au.accepts(au.complement(mixed_automaton()), loop) and built == [1, 1]
+
+
+def test_a_valuation_lost_outside_its_cluster_stays_lost():
+    # state 0, at priority 0, steps to q0 and q1 at one successor, or to q2;
+    # q1 rejects and q2 accepts.  At node 0, the valuation {q0@1, q1@1} is
+    # lost through q1.  Then q0 loses at node 1, a dead end, which must not
+    # count again: {q2@1} still wins node 0
+    ps = props("p")
+    step = o.disj([o.Exists("x", o.conj([o.Pred("q0", "x"), o.Pred("q1", "x")])),
+                   o.Exists("x", o.Pred("q2", "x"))])
+    delta = {(a, c): f for c in ps.colours() for a, f in enumerate((step, o.BOT, o.TOP))}
+    aut = au.ParityAutomaton(o.FO1, ps, 3, 0, (0, 1, 0), delta)
+    lts = L.make_lts(["p"], 2, [(0, 1)], {})
+    assert au.accepts(aut, lts) and arena_disagreements([(aut, lts)]) == []
 
 
 def test_alphabet_mismatch():
-    aut = subset_automaton()
-    with pytest.raises(au.AlphabetMismatch):
-        au.accepts(aut, L.make_lts(["p"], 1, [], {}))
+    # on the weak path and on the arena's, with the same message
+    for aut, letters in ((subset_automaton(), ["p"]), (mixed_automaton(), ["q"])):
+        system = L.make_lts(letters, 1, [], {})
+        with pytest.raises(au.AlphabetMismatch) as raised:
+            au.accepts(aut, system)
+        assert str(raised.value) == "automaton alphabet %r vs system %r" % (aut.props.names,
+                                                                             system.props.names)
 
 
 def test_complement_xor_and_double():

@@ -487,6 +487,15 @@ def test_automaton_entries_beyond_the_table_are_refused(delta, message, tmp_path
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["accept", "classify", "complement"])
+def test_unknown_dialect_is_refused_by_name(command, tmp_path, capsys, loop_file):
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({**_AUT, "dialect": "FOE9"}))
+    argv = ["aut", command, "--in", str(path)] + (["--lts", loop_file] if command == "accept" else [])
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: unknown dialect 'FOE9' (known: FO1/FOE1/FOE1INF)\n"
+
+
 def test_well_typed_json_still_loads(tmp_path, capsys):
     path = tmp_path / "a.json"
     path.write_text(json.dumps(_AUT))
